@@ -8,12 +8,11 @@ failed command never leaves a partial file behind.
 
 import argparse
 import io
-import os
 import sys
 from collections import Counter
 from pathlib import Path
 
-from . import analyzer, plot
+from . import analyzer, atomic, plot
 from .errors import (
     CsvFormatError,
     DraglogFormatError,
@@ -29,13 +28,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_RUNTIME = 2
 EXIT_OOM = 3
-
-
-def _write_atomic(path, text: str):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _fail(message: str, code: int) -> int:
@@ -102,15 +94,15 @@ def cmd_analyze(args) -> int:
 
     buf = io.StringIO()
     analyzer.write_report_csv(report, buf)
-    _write_atomic(out_dir / "report.csv", buf.getvalue())
+    atomic.write_text(out_dir / "report.csv", buf.getvalue())
     buf = io.StringIO()
     analyzer.write_curves_csv(series, buf)
-    _write_atomic(out_dir / "curves.csv", buf.getvalue())
+    atomic.write_text(out_dir / "curves.csv", buf.getvalue())
     buf = io.StringIO()
     analyzer.write_histogram_csv(report.histogram, buf)
-    _write_atomic(out_dir / "histogram.csv", buf.getvalue())
+    atomic.write_text(out_dir / "histogram.csv", buf.getvalue())
     text = analyzer.format_text_report(report, threshold)
-    _write_atomic(out_dir / "report.txt", text)
+    atomic.write_text(out_dir / "report.txt", text)
 
     sys.stdout.write(text)
     print(f"wrote report.csv, curves.csv, histogram.csv, report.txt "
@@ -134,13 +126,13 @@ def cmd_plot(args) -> int:
     if args.plot_format == "svg":
         curves_out = out_dir / (curves_path.stem + ".svg")
         hist_out = out_dir / (hist_path.stem + ".svg")
-        _write_atomic(curves_out, plot.curves_svg(points))
-        _write_atomic(hist_out, plot.histogram_svg(bins))
+        atomic.write_text(curves_out, plot.curves_svg(points))
+        atomic.write_text(hist_out, plot.histogram_svg(bins))
     else:
         curves_out = out_dir / (curves_path.stem + ".gp")
         hist_out = out_dir / (hist_path.stem + ".gp")
-        _write_atomic(curves_out, plot.curves_gnuplot(args.curves_csv))
-        _write_atomic(hist_out, plot.histogram_gnuplot(args.histogram_csv))
+        atomic.write_text(curves_out, plot.curves_gnuplot(args.curves_csv))
+        atomic.write_text(hist_out, plot.histogram_gnuplot(args.histogram_csv))
     print(f"wrote {curves_out} and {hist_out}")
     return EXIT_OK
 

@@ -1,11 +1,15 @@
-"""Stop-and-copy collection plus independent verification traversals.
+"""Single-pass Cheney collection plus independent verification traversals.
 
-collect() follows the flag/scan/flush protocol: reset every live record's
-flag, copy the graph reachable from the roots breadth-first into the
-standby space (setting the flag, rewriting the object-table address and
-leaving a forwarding marker in the evacuated cell as each object lands),
-swap the spaces, then flush every record whose flag stayed false, which
-finalizes it with the current clock as its collection tick.
+collect() copies the graph reachable from the roots breadth-first into
+the standby space (Cheney, "A nonrecursive list compacting algorithm",
+CACM 1970).  The copied part of the standby space is the work queue: one
+loop forwards the roots, then, batch by batch, the slots copied since
+its previous batch, until no new slot was copied.  Each object moves
+with one slice assignment; its record in the object table takes the new
+address, and a forwarding marker is left in its evacuated from-space
+cell.  A Ref is only an id, so the copied slots keep their Ref objects
+and nothing is rewritten.  Then the spaces swap and the profiler flushes
+every record of the object table whose id was not copied.
 
 reachability_oracle() and canonical_serialization() are verification
 helpers for the test suites.  They share the heap's slot accessors but no
@@ -14,8 +18,8 @@ traversal logic with collect(), so they can be used to cross-check it.
 
 from dataclasses import dataclass
 
-from .errors import DanglingRef
-from .heap import PAIR, Heap, Nil, Ref
+from .errors import DanglingRef, ToSpaceOverflow
+from .heap import PAIR, Forward, Heap, Nil, Ref
 
 
 @dataclass(frozen=True)
@@ -37,51 +41,53 @@ class Collector:
     def collect(self, roots, clock: int, trigger: str = "manual"
                 ) -> CollectionStats:
         heap = self.heap
-        prof = self.profiler
-        if heap.standby.used_slots:
+        to_space = heap.standby
+        if to_space.used_slots:
             raise AssertionError("standby space not empty before collection")
+        objects = heap.objects
+        src = heap.active.slots
+        dst = to_space.slots
+        capacity = to_space.capacity_slots
+        copied: set[int] = set()
+        free = 0  # next free to-space slot
+        scan = 0  # first copied slot not yet handed to the loop
+        batch = roots
+        while True:
+            for v in batch:
+                if type(v) is not Ref:
+                    if type(v) is Forward:
+                        raise AssertionError(
+                            "forwarding marker leaked into to-space")
+                    continue
+                obj_id = v.obj_id
+                if obj_id in copied:
+                    continue
+                rec = objects.get(obj_id)
+                if rec is None:
+                    raise DanglingRef(f"root/slot points at collected "
+                                      f"object #{obj_id}")
+                size = rec.size_slots
+                if free + size > capacity:
+                    raise ToSpaceOverflow(f"standby space full while "
+                                          f"copying object #{obj_id}")
+                base = rec.address
+                dst[free:free + size] = src[base:base + size]
+                if size:
+                    src[base] = Forward(free)
+                rec.address = free
+                free += size
+                copied.add(obj_id)
+            if scan == free:
+                break
+            # The slots copied since the last batch are the next batch.
+            batch = dst[scan:free]
+            scan = free
 
-        prof.reset_flags()
-        order: list[int] = []  # copy order; the implicit Cheney queue
-        slots_copied = 0
-
-        def evacuate(ref: Ref):
-            nonlocal slots_copied
-            obj_id = ref.obj_id
-            if obj_id not in heap.objects:
-                raise DanglingRef(f"root/slot points at collected "
-                                  f"object #{obj_id}")
-            if prof.is_flagged(obj_id):
-                return
-            heap.copy_to_standby(obj_id)
-            prof.mark_survivor(obj_id, heap.objects[obj_id].address)
-            order.append(obj_id)
-            slots_copied += heap.objects[obj_id].size_slots
-
-        for ref in roots:
-            evacuate(ref)
-
-        scan = 0
-        while scan < len(order):
-            obj_id = order[scan]
-            scan += 1
-            meta = heap.objects[obj_id]
-            base = meta.address
-            for i in range(meta.size_slots):
-                v = heap.standby_slot(base + i)
-                if type(v) is Ref:
-                    evacuate(v)
-                    current = heap.objects[v.obj_id].address
-                    if v.address != current:
-                        heap.set_standby_slot(base + i,
-                                              Ref(v.obj_id, current))
-
+        to_space.used_slots = free
         heap.swap_spaces()
-        flushed = prof.flush_unflagged(clock)
-        for rec in flushed:
-            heap.drop_object(rec.obj_id)
-        return CollectionStats(trigger, clock, len(order), len(flushed),
-                               slots_copied)
+        flushed = self.profiler.flush_unmarked(copied, clock)
+        return CollectionStats(trigger, clock, len(copied), len(flushed),
+                               free)
 
 
 def reachability_oracle(heap: Heap, roots) -> set[int]:

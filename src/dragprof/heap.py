@@ -1,4 +1,4 @@
-"""Object model and semispace storage for the profiled heap.
+"""Object model, the object table and semispace storage for the profiled heap.
 
 Profiled objects are pairs (exactly two slots) and vectors (one slot per
 element, payload only; there is no header slot).  Slot values are
@@ -8,17 +8,22 @@ immediates or references:
 * the empty list is the ``NIL`` singleton and never touches the heap;
 * symbols are interned Python strings kept in a side table outside the
   profiled heap;
-* ``Ref`` carries the stable object id plus the address the object had
-  when the Ref was minted.  Objects move during collections, so the
-  address field is only a hint: every access resolves the current address
-  through the object table, which is keyed by the id and never reuses one.
+* ``Ref`` carries only the stable object id.  Objects move during
+  collections, but a Ref does not: every access resolves the current
+  address through the object table, which is keyed by the id and never
+  reuses one, so a slot keeps the same Ref object across collections.
+
+The object table holds one LifetimeRecord per uncollected object: its
+kind, size and current address for the heap, and its creation, last-use
+and collection ticks for the profiler, which shares the same dict.
 """
+
+from dataclasses import dataclass
 
 from .errors import (
     DanglingRef,
     IndexOutOfBounds,
     NegativeLength,
-    ToSpaceOverflow,
     UnstorableValue,
 )
 
@@ -41,13 +46,12 @@ NIL = Nil()
 
 
 class Ref:
-    """Reference to a heap object: stable id plus an address hint."""
+    """Reference to a heap object by its stable id."""
 
-    __slots__ = ("obj_id", "address")
+    __slots__ = ("obj_id",)
 
-    def __init__(self, obj_id: int, address: int):
+    def __init__(self, obj_id: int):
         self.obj_id = obj_id
-        self.address = address
 
     def __eq__(self, other):
         return type(other) is Ref and other.obj_id == self.obj_id
@@ -56,7 +60,7 @@ class Ref:
         return hash(self.obj_id)
 
     def __repr__(self):
-        return f"<ref #{self.obj_id} @{self.address}>"
+        return f"<ref #{self.obj_id}>"
 
 
 def is_storable(value) -> bool:
@@ -76,15 +80,24 @@ class Forward:
         return f"<forward @{self.address}>"
 
 
-class ObjectMeta:
-    """Object-table entry: kind, payload size and the current address."""
+@dataclass(slots=True)
+class LifetimeRecord:
+    """One object's entry in the object table.
 
-    __slots__ = ("kind", "size_slots", "address")
+    kind, size_slots and address serve the heap; the ticks serve the
+    profiler.  last_use_tick stays None for an object never used, and
+    collect_tick is set when the record is finalized: by a collection
+    that did not copy the object, or (censored) at the end of the run.
+    """
 
-    def __init__(self, kind: str, size_slots: int, address: int):
-        self.kind = kind
-        self.size_slots = size_slots
-        self.address = address
+    obj_id: int
+    kind: str
+    size_slots: int
+    create_tick: int | None = None
+    last_use_tick: int | None = None
+    collect_tick: int | None = None
+    censored: bool = False
+    address: int | None = None
 
 
 class Semispace:
@@ -133,7 +146,7 @@ class Heap:
                       if _standby_capacity is not None else capacity_slots),
         ]
         self._active = 0
-        self.objects: dict[int, ObjectMeta] = {}
+        self.objects: dict[int, LifetimeRecord] = {}
         self._next_id = 0
 
     @property
@@ -163,10 +176,10 @@ class Heap:
     def can_alloc(self, n: int) -> bool:
         return self.active.free_slots >= n
 
-    def alloc_raw(self, kind: str, size_slots: int, values) -> tuple[int, int]:
+    def alloc_raw(self, kind: str, size_slots: int, values) -> int:
         """Allocate and initialize an object; the caller guarantees room.
 
-        Returns (obj_id, address).  Ids are never reused.
+        Returns its id, which is never reused.
         """
         if size_slots < 0:
             raise NegativeLength(f"negative object size {size_slots}")
@@ -178,80 +191,45 @@ class Heap:
             slots[addr + i] = v
         obj_id = self._next_id
         self._next_id += 1
-        self.objects[obj_id] = ObjectMeta(kind, size_slots, addr)
-        return obj_id, addr
+        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots,
+                                              address=addr)
+        return obj_id
 
-    def _meta(self, ref: Ref) -> ObjectMeta:
-        meta = self.objects.get(ref.obj_id)
-        if meta is None:
+    def _record(self, ref: Ref) -> LifetimeRecord:
+        rec = self.objects.get(ref.obj_id)
+        if rec is None:
             raise DanglingRef(f"object #{ref.obj_id} was collected")
-        return meta
+        return rec
 
     def kind_of(self, ref: Ref) -> str:
-        return self._meta(ref).kind
+        return self._record(ref).kind
 
     def size_of(self, ref: Ref) -> int:
-        return self._meta(ref).size_slots
-
-    def address_of(self, obj_id: int) -> int:
-        meta = self.objects.get(obj_id)
-        if meta is None:
-            raise DanglingRef(f"object #{obj_id} was collected")
-        return meta.address
+        return self._record(ref).size_slots
 
     def read_slot(self, ref: Ref, index: int):
-        meta = self._meta(ref)
-        if not 0 <= index < meta.size_slots:
+        rec = self._record(ref)
+        if not 0 <= index < rec.size_slots:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "
-                f"(size {meta.size_slots})")
-        return self.active.slots[meta.address + index]
+                f"(size {rec.size_slots})")
+        return self.active.slots[rec.address + index]
 
     def write_slot(self, ref: Ref, index: int, value):
         if not is_storable(value):
             raise UnstorableValue(f"{value!r} cannot live in a heap slot")
-        meta = self._meta(ref)
-        if not 0 <= index < meta.size_slots:
+        rec = self._record(ref)
+        if not 0 <= index < rec.size_slots:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "
-                f"(size {meta.size_slots})")
-        self.active.slots[meta.address + index] = value
+                f"(size {rec.size_slots})")
+        self.active.slots[rec.address + index] = value
 
     def slot_value(self, obj_id: int, index: int):
         """Raw slot read by id; used by traversals that already hold ids."""
-        meta = self.objects[obj_id]
-        return self.active.slots[meta.address + index]
-
-    # Collection support.  Only gc.Collector calls these three.
-
-    def copy_to_standby(self, obj_id: int) -> int:
-        meta = self.objects[obj_id]
-        new_addr = self.standby.alloc(meta.size_slots)
-        if new_addr is None:
-            raise ToSpaceOverflow(
-                f"standby space full while copying object #{obj_id}")
-        src = self.active.slots
-        dst = self.standby.slots
-        base = meta.address
-        for i in range(meta.size_slots):
-            dst[new_addr + i] = src[base + i]
-        if meta.size_slots:
-            src[base] = Forward(new_addr)
-        meta.address = new_addr
-        return new_addr
-
-    def standby_slot(self, index: int):
-        v = self.standby.slots[index]
-        if type(v) is Forward:
-            raise AssertionError("forwarding marker leaked into to-space")
-        return v
-
-    def set_standby_slot(self, index: int, value):
-        self.standby.slots[index] = value
+        rec = self.objects[obj_id]
+        return self.active.slots[rec.address + index]
 
     def swap_spaces(self):
         self.active.reset()
         self._active = 1 - self._active
-
-    def drop_object(self, obj_id: int):
-        del self.objects[obj_id]

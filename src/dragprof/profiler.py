@@ -1,16 +1,16 @@
-"""Lifetime registry, logical clock and the trace log format.
+"""Logical clock, lifetime stamps and the trace log format.
 
-Every object under observation owns one LifetimeRecord holding its
-creation tick, most recent use tick (never-used objects keep the sentinel)
-and, once finalized, its collection tick.  The logical clock advances by
-one for every creation and every use; collections do not advance it.  A
-run's termination counts as one final clock step, so end_tick is always
-strictly greater than the tick of the last recorded event.
+The profiler stamps the records of the object table it shares with the
+heap: a record's creation tick, its most recent use tick (never-used
+objects keep the sentinel) and, once finalized, its collection tick.
+The logical clock advances by one for every creation and every use;
+collections do not advance it.  A run's termination counts as one final
+clock step, so end_tick is always strictly greater than the tick of the
+last recorded event.
 
-The collector drives the flag protocol in a fixed order: reset_flags,
-then mark_survivor for every copied object, then flush_unflagged, which
-finalizes everything whose flag stayed false.  finalize() closes the run,
-emitting the still-registered records as censored.
+After a collection, flush_unmarked() finalizes and drops every record
+the collection did not copy.  finalize() closes the run, emitting the
+records still in the table as censored.
 
 Serialized log format (line oriented, UTF-8, bit exact):
 
@@ -22,33 +22,18 @@ Serialized log format (line oriented, UTF-8, bit exact):
 ``F`` one that was collected by the garbage collector.
 """
 
-import os
 from dataclasses import dataclass, field
 
+from . import atomic
 from .errors import (
     DraglogFormatError,
     DuplicateId,
     ProtocolViolation,
     UnknownId,
 )
-from .heap import PAIR, VECTOR
+from .heap import PAIR, VECTOR, LifetimeRecord
 
 NEVER_USED = -1  # wire-format sentinel; in-memory records use None
-
-_MUTATING = 0
-_MARKING = 1
-
-
-@dataclass
-class LifetimeRecord:
-    obj_id: int
-    kind: str
-    size_slots: int
-    create_tick: int
-    last_use_tick: int | None = None
-    survived_flag: bool = False
-    collect_tick: int | None = None
-    censored: bool = False
 
 
 @dataclass
@@ -61,45 +46,42 @@ class TraceLog:
 
 
 class Profiler:
-    """Owns the clock and the records of all uncollected objects."""
+    """Owns the clock; stamps the records of a heap's object table."""
 
-    def __init__(self, gc_interval: int, heap_slots: int,
-                 source: str = "<memory>", on_event=None):
+    def __init__(self, objects: dict[int, LifetimeRecord], gc_interval: int,
+                 heap_slots: int, source: str = "<memory>", on_event=None):
+        self.objects = objects
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
         self.on_event = on_event
         self.clock = 0
-        self._live: dict[int, LifetimeRecord] = {}
         self._finalized: list[LifetimeRecord] = []
-        self._phase = _MUTATING
         self._finished = False
 
     @property
     def live_count(self) -> int:
-        return len(self._live)
+        return len(self.objects)
 
     @property
     def finalized_records(self) -> list[LifetimeRecord]:
         return self._finalized
 
     def record(self, obj_id: int) -> LifetimeRecord:
-        rec = self._live.get(obj_id)
+        rec = self.objects.get(obj_id)
         if rec is None:
             raise UnknownId(f"no live record for object #{obj_id}")
         return rec
 
-    def is_flagged(self, obj_id: int) -> bool:
-        return self._live[obj_id].survived_flag
-
-    def record_creation(self, obj_id: int, kind: str, size_slots: int) -> int:
+    def record_creation(self, obj_id: int) -> int:
+        """Stamp the creation tick of an object just added to the table."""
         if self._finished:
             raise ProtocolViolation("event recorded after finalize")
-        if obj_id in self._live:
+        rec = self.record(obj_id)
+        if rec.create_tick is not None:
             raise DuplicateId(f"object #{obj_id} already registered")
         self.clock += 1
-        self._live[obj_id] = LifetimeRecord(obj_id, kind, size_slots,
-                                            create_tick=self.clock)
+        rec.create_tick = self.clock
         if self.on_event is not None:
             self.on_event("create", obj_id, self.clock)
         return self.clock
@@ -107,7 +89,7 @@ class Profiler:
     def record_use(self, obj_id: int) -> int:
         if self._finished:
             raise ProtocolViolation("event recorded after finalize")
-        rec = self._live.get(obj_id)
+        rec = self.objects.get(obj_id)
         if rec is None:
             raise UnknownId(f"use of unregistered object #{obj_id}")
         self.clock += 1
@@ -116,38 +98,22 @@ class Profiler:
             self.on_event("use", obj_id, self.clock)
         return self.clock
 
-    # Flag protocol, called only by the collector in this order.
-
-    def reset_flags(self):
-        if self._phase != _MUTATING:
-            raise ProtocolViolation("reset_flags during an open collection")
-        for rec in self._live.values():
-            rec.survived_flag = False
-        self._phase = _MARKING
-
-    def mark_survivor(self, obj_id: int, new_address: int):
-        # new_address is the protocol's key rewrite; the heap's object
-        # table is the authority for addresses, so it is not stored here.
-        if self._phase != _MARKING:
-            raise ProtocolViolation("mark_survivor outside a collection")
-        rec = self._live.get(obj_id)
-        if rec is None:
-            raise UnknownId(f"survivor #{obj_id} has no record")
-        rec.survived_flag = True
-
-    def flush_unflagged(self, clock: int) -> list[LifetimeRecord]:
-        if self._phase != _MARKING:
-            raise ProtocolViolation("flush_unflagged before reset/marks")
-        flushed = []
-        for rec in self._live.values():
-            if not rec.survived_flag:
-                rec.collect_tick = clock
-                rec.censored = False
-                flushed.append(rec)
+    def flush_unmarked(self, marked, clock: int) -> list[LifetimeRecord]:
+        """Finalize and drop every record whose id is not in marked (the
+        ids a collection copied), in creation order, with clock as its
+        collection tick.  Returns the flushed records."""
+        if self._finished:
+            raise ProtocolViolation("flush after finalize")
+        live = self.objects
+        dead_ids = live.keys() - marked
+        # Every marked id must be in the table: |live - marked| is then
+        # exactly |live| - |marked|.
+        if len(live) - len(dead_ids) != len(marked):
+            raise UnknownId("a marked object has no live record")
+        flushed = [live.pop(obj_id) for obj_id in sorted(dead_ids)]
         for rec in flushed:
-            del self._live[rec.obj_id]
+            rec.collect_tick = clock
         self._finalized.extend(flushed)
-        self._phase = _MUTATING
         return flushed
 
     def termination_tick(self) -> int:
@@ -160,14 +126,11 @@ class Profiler:
     def finalize(self, end_tick: int) -> TraceLog:
         if self._finished:
             raise ProtocolViolation("finalize called twice")
-        if self._phase != _MUTATING:
-            raise ProtocolViolation("finalize during an open collection")
         self._finished = True
-        for rec in self._live.values():
+        for rec in self.objects.values():
             rec.collect_tick = end_tick
             rec.censored = True
             self._finalized.append(rec)
-        self._live.clear()
         self._finalized.sort(key=lambda r: (r.collect_tick, r.obj_id))
         return TraceLog(self.gc_interval, self.heap_slots, self.source,
                         self._finalized, end_tick)
@@ -186,12 +149,8 @@ def format_draglog(log: TraceLog) -> str:
 
 
 def write_draglog(log: TraceLog, path):
-    """Write atomically: a temp file in the same directory, then rename."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_draglog(log))
-    os.replace(tmp, path)
+    """Write the log atomically (see atomic.write_text)."""
+    atomic.write_text(path, format_draglog(log))
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
@@ -230,17 +189,20 @@ def parse_draglog(text: str) -> TraceLog:
                 raise DraglogFormatError(f"bad kind {kind!r}", i)
             if flag not in ("C", "F"):
                 raise DraglogFormatError(f"bad censored flag {flag!r}", i)
-            last_use_tick = _parse_int(last_use, "last_use", i)
-            records.append(LifetimeRecord(
-                obj_id=_parse_int(obj_id, "obj_id", i),
-                kind=kind,
-                size_slots=_parse_int(size, "size_slots", i),
-                create_tick=_parse_int(create, "create_tick", i),
-                last_use_tick=(None if last_use_tick == NEVER_USED
-                               else last_use_tick),
-                collect_tick=_parse_int(collect, "collect_tick", i),
-                censored=(flag == "C"),
-            ))
+            try:
+                rec = LifetimeRecord(int(obj_id), kind, int(size),
+                                     int(create), int(last_use),
+                                     int(collect), flag == "C")
+            except ValueError:
+                for field_text, what in (
+                        (last_use, "last_use"), (obj_id, "obj_id"),
+                        (size, "size_slots"), (create, "create_tick"),
+                        (collect, "collect_tick")):
+                    _parse_int(field_text, what, i)
+                raise
+            if rec.last_use_tick == NEVER_USED:
+                rec.last_use_tick = None
+            records.append(rec)
         elif line.startswith("END "):
             if end_tick is not None:
                 raise DraglogFormatError("duplicate END line", i)
@@ -249,7 +211,35 @@ def parse_draglog(text: str) -> TraceLog:
             raise DraglogFormatError(f"unrecognized line {line!r}", i)
     if end_tick is None:
         raise DraglogFormatError("missing END line", len(lines) + 1)
+    _check_records(records, end_tick)
     return TraceLog(gc_interval, heap_slots, source, records, end_tick)
+
+
+def _check_records(records, end_tick: int):
+    """Reject a log that no run could have written.  The records sit on
+    lines 2, 3, ... in order, since any other line before END fails."""
+    seen = set()
+    prev_key = None
+    for line_no, r in enumerate(records, start=2):
+        if r.obj_id in seen:
+            raise DraglogFormatError(f"duplicate object id {r.obj_id}",
+                                     line_no)
+        seen.add(r.obj_id)
+        last_use = (r.create_tick if r.last_use_tick is None
+                    else r.last_use_tick)
+        if not r.create_tick <= last_use <= r.collect_tick <= end_tick:
+            raise DraglogFormatError(
+                "ticks out of order: need create <= last_use <= collect "
+                f"<= end ({end_tick})", line_no)
+        if r.censored and r.collect_tick != end_tick:
+            raise DraglogFormatError(
+                f"censored record collected at {r.collect_tick}, "
+                f"not at end ({end_tick})", line_no)
+        key = (r.collect_tick, r.obj_id)
+        if prev_key is not None and key < prev_key:
+            raise DraglogFormatError(
+                "records not sorted by (collect, id)", line_no)
+        prev_key = key
 
 
 def read_draglog(path) -> TraceLog:

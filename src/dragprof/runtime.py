@@ -42,8 +42,8 @@ class Runtime:
             raise ValueError("heap_slots must be at least 16")
         self.gc_interval = gc_interval
         self.heap = Heap(heap_slots, _standby_capacity=_standby_capacity)
-        self.profiler = Profiler(gc_interval, heap_slots, source_name,
-                                 on_event=on_event)
+        self.profiler = Profiler(self.heap.objects, gc_interval, heap_slots,
+                                 source_name, on_event=on_event)
         self.collector = Collector(self.heap, self.profiler)
         self.on_collection = on_collection
         self.root_providers = []
@@ -96,18 +96,19 @@ class Runtime:
                     f"need {n} slots, only {self.heap.free_slots} free "
                     f"after collection")
 
-    def _finish_alloc(self, obj_id: int, kind: str, size: int) -> Ref:
-        self.profiler.record_creation(obj_id, kind, size)
+    def _finish_alloc(self, obj_id: int) -> Ref:
+        self.profiler.record_creation(obj_id)
         self.total_allocations += 1
         self.allocs_since_gc += 1
+        ref = Ref(obj_id)
         if self.allocs_since_gc >= self.gc_interval:
             # The fresh object is pinned through its own trigger.
-            self._pins.append(Ref(obj_id, self.heap.address_of(obj_id)))
+            self._pins.append(ref)
             try:
                 self.collect_now("interval")
             finally:
                 self._pins.pop()
-        return Ref(obj_id, self.heap.address_of(obj_id))
+        return ref
 
     def alloc_pair(self, car, cdr) -> Ref:
         if not is_storable(car) or not is_storable(cdr):
@@ -116,11 +117,11 @@ class Runtime:
         self._pins.append(cdr)
         try:
             self._ensure_space(2)
-            obj_id, _ = self.heap.alloc_raw(PAIR, 2, (car, cdr))
+            obj_id = self.heap.alloc_raw(PAIR, 2, (car, cdr))
         finally:
             self._pins.pop()
             self._pins.pop()
-        return self._finish_alloc(obj_id, PAIR, 2)
+        return self._finish_alloc(obj_id)
 
     def alloc_vector(self, length: int, fill=NIL) -> Ref:
         if length < 0:
@@ -130,11 +131,10 @@ class Runtime:
         self._pins.append(fill)
         try:
             self._ensure_space(length)
-            obj_id, _ = self.heap.alloc_raw(VECTOR, length,
-                                            [fill] * length)
+            obj_id = self.heap.alloc_raw(VECTOR, length, [fill] * length)
         finally:
             self._pins.pop()
-        return self._finish_alloc(obj_id, VECTOR, length)
+        return self._finish_alloc(obj_id)
 
     def record_use(self, ref: Ref) -> int:
         return self.profiler.record_use(ref.obj_id)

@@ -26,8 +26,8 @@ from support import motiv_source, nullified_source, \
 
 
 def rec(obj_id, create, last_use, collect, censored=False):
-    return LifetimeRecord(obj_id, PAIR, 2, create, last_use,
-                          False, collect, censored)
+    return LifetimeRecord(obj_id, PAIR, 2, create, last_use, collect,
+                          censored)
 
 
 def make_log(records, end_tick, gc_interval=1):

@@ -1,8 +1,11 @@
+import os
 import shutil
+import stat
 
 import pytest
 
 import dragprof
+from dragprof import atomic
 from dragprof.cli import main
 
 SMALL_PROGRAM = """
@@ -101,6 +104,39 @@ def test_run_twice_is_byte_identical(workdir):
     assert run_cli("run", workdir / "small.scm", "--log", a) == 0
     assert run_cli("run", workdir / "small.scm", "--log", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_atomic_write_replaces_target_with_default_mode(workdir):
+    target = workdir / "out.txt"
+    atomic.write_text(target, "old\n")
+    atomic.write_text(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+    assert not list(workdir.glob("*.tmp"))
+
+
+def test_failed_atomic_write_leaves_no_temp_and_target_unchanged(
+        workdir, monkeypatch):
+    target = workdir / "report.csv"
+    target.write_text("old\n", encoding="utf-8")
+    # A file of that name is not the writer's to touch.
+    stranger = workdir / "report.csv.tmp"
+    stranger.write_text("keep\n", encoding="utf-8")
+    before = sorted(p.name for p in workdir.iterdir())
+    with pytest.raises(UnicodeEncodeError):  # the write fails
+        atomic.write_text(target, "new \ud800\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic.write_text(target, "new\n")
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert stranger.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_analyze_outputs_and_reruns_identically(workdir, capsys):

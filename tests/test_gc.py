@@ -4,7 +4,7 @@ import pytest
 
 from dragprof.errors import DanglingRef
 from dragprof.gc import canonical_serialization, reachability_oracle
-from dragprof.heap import NIL, Ref
+from dragprof.heap import NIL
 from dragprof.runtime import Runtime
 
 from support import HeapDriver, checked_collect, run_gc_correctness_session
@@ -138,16 +138,20 @@ def test_forwarding_markers_left_in_from_space():
     assert type(from_space.slots[0]).__name__ == "Forward"
 
 
-def test_heap_refs_refreshed_after_copy():
+def test_slot_ref_kept_across_copy():
+    # Refs hold ids only: the Ref stored in a slot is the same object
+    # after its target moved, and still resolves to that target.
     rt = make_runtime()
     roots = Roots(rt)
     inner = rt.alloc_pair(7, NIL)
     outer = rt.alloc_pair(inner, NIL)
     roots.refs[:] = [outer]
-    rt.collect_now()
     stored = rt.read_slot(outer, 0)
-    assert stored.obj_id == inner.obj_id
-    assert stored.address == rt.heap.address_of(inner.obj_id)
+    old_addr = rt.heap.objects[inner.obj_id].address
+    rt.collect_now()  # outer is copied first, so inner moves behind it
+    assert rt.heap.objects[inner.obj_id].address != old_addr
+    assert rt.read_slot(outer, 0) is stored
+    assert rt.read_slot(stored, 0) == 7
 
 
 def test_randomized_sessions_oracle_equivalence():

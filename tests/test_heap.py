@@ -10,8 +10,9 @@ from dragprof.errors import (
     ToSpaceOverflow,
     UnstorableValue,
 )
-from dragprof.gc import canonical_serialization
+from dragprof.gc import Collector, canonical_serialization
 from dragprof.heap import NIL, PAIR, Heap, Ref
+from dragprof.profiler import Profiler
 from dragprof.runtime import Runtime
 
 from support import HeapDriver
@@ -151,12 +152,12 @@ def test_read_after_move_preserves_values():
     outer = rt.alloc_pair(inner, NIL)
     roots.refs.append(outer)
     before = canonical_serialization(rt.heap, roots.refs)
-    old_addr = rt.heap.address_of(outer.obj_id)
+    old_addr = rt.heap.objects[outer.obj_id].address
     # garbage in front of the live objects forces them to move
     for _ in range(5):
         rt.alloc_pair(0, 0)
     rt.collect_now()
-    assert rt.heap.address_of(outer.obj_id) != old_addr
+    assert rt.heap.objects[outer.obj_id].address != old_addr
     assert canonical_serialization(rt.heap, roots.refs) == before
     assert rt.read_slot(rt.read_slot(outer, 0), 0) == 1
 
@@ -172,7 +173,7 @@ def test_identity_stable_across_collections():
         roots.refs.insert(0, rt.alloc_pair(0, 0))
         rt.collect_now()
         assert p.obj_id in rt.heap.objects
-        addresses.add(rt.heap.address_of(p.obj_id))
+        addresses.add(rt.heap.objects[p.obj_id].address)
     assert len(addresses) > 1  # it moved, identity stayed
 
 
@@ -201,10 +202,12 @@ def test_to_space_overflow_aborts():
 def test_heap_standalone_semispace_roles():
     heap = Heap(32)
     assert heap.active.capacity_slots == heap.standby.capacity_slots == 32
-    obj_id, addr = heap.alloc_raw(PAIR, 2, (1, 2))
+    obj_id = heap.alloc_raw(PAIR, 2, (1, 2))
     assert heap.used_slots == 2
     assert heap.slot_value(obj_id, 0) == 1
-    heap.copy_to_standby(obj_id)
-    heap.swap_spaces()
-    assert heap.used_slots == 2
+    from_space, to_space = heap.active, heap.standby
+    collector = Collector(heap, Profiler(heap.objects, 1, 32))
+    collector.collect([Ref(obj_id)], clock=0)
+    assert heap.active is to_space and heap.standby is from_space
+    assert heap.used_slots == 2 and from_space.used_slots == 0
     assert heap.slot_value(obj_id, 1) == 2

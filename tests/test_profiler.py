@@ -8,7 +8,7 @@ from dragprof.errors import (
     ProtocolViolation,
     UnknownId,
 )
-from dragprof.heap import PAIR, VECTOR
+from dragprof.heap import NIL, PAIR, VECTOR, Heap
 from dragprof.profiler import (
     Profiler,
     format_draglog,
@@ -16,111 +16,110 @@ from dragprof.profiler import (
 )
 
 
-def make_profiler():
-    return Profiler(gc_interval=1, heap_slots=64, source="test")
+def make_profiler(gc_interval=1, heap_slots=256, source="test"):
+    """A profiler over the object table of a fresh heap."""
+    heap = Heap(heap_slots)
+    return heap, Profiler(heap.objects, gc_interval, heap_slots, source)
+
+
+def create(heap, prof, kind=PAIR, size=2):
+    """Allocate an object and record its creation; returns its id."""
+    obj_id = heap.alloc_raw(kind, size, [NIL] * size)
+    prof.record_creation(obj_id)
+    return obj_id
 
 
 def test_first_creation_tick_is_one():
-    prof = make_profiler()
-    assert prof.record_creation(0, PAIR, 2) == 1
-    assert prof.record(0).create_tick == 1
-    assert prof.record(0).last_use_tick is None
+    heap, prof = make_profiler()
+    obj_id = heap.alloc_raw(PAIR, 2, (NIL, NIL))
+    assert prof.record_creation(obj_id) == 1
+    assert prof.record(obj_id).create_tick == 1
+    assert prof.record(obj_id).last_use_tick is None
 
 
 def test_creations_strictly_increasing():
-    prof = make_profiler()
-    t1 = prof.record_creation(0, PAIR, 2)
-    t2 = prof.record_creation(1, PAIR, 2)
+    heap, prof = make_profiler()
+    t1 = prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
+    t2 = prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
     assert t1 < t2
 
 
 def test_duplicate_id_rejected():
-    prof = make_profiler()
-    prof.record_creation(0, PAIR, 2)
+    heap, prof = make_profiler()
+    obj_id = create(heap, prof)
     with pytest.raises(DuplicateId):
-        prof.record_creation(0, PAIR, 2)
+        prof.record_creation(obj_id)
 
 
 def test_use_most_recent_wins():
-    prof = make_profiler()
-    prof.record_creation(0, PAIR, 2)
-    first = prof.record_use(0)
-    second = prof.record_use(0)
-    assert prof.record(0).last_use_tick == second > first
+    heap, prof = make_profiler()
+    obj_id = create(heap, prof)
+    first = prof.record_use(obj_id)
+    second = prof.record_use(obj_id)
+    assert prof.record(obj_id).last_use_tick == second > first
 
 
 def test_use_of_unknown_id():
-    prof = make_profiler()
+    _, prof = make_profiler()
     with pytest.raises(UnknownId):
         prof.record_use(7)
 
 
 def test_never_used_survives_to_the_log_as_sentinel():
-    prof = make_profiler()
-    prof.record_creation(0, PAIR, 2)
+    heap, prof = make_profiler()
+    create(heap, prof)
     log = prof.finalize(prof.termination_tick())
     assert log.records[0].last_use_tick is None
     assert " -1 " in format_draglog(log).splitlines()[1]
 
 
-def test_flag_protocol_order_enforced():
-    prof = make_profiler()
-    prof.record_creation(0, PAIR, 2)
+def test_flush_rejects_unrecorded_mark_and_closed_run():
+    heap, prof = make_profiler()
+    create(heap, prof)
+    with pytest.raises(UnknownId):
+        prof.flush_unmarked({0, 7}, prof.clock)
+    prof.finalize(prof.termination_tick())
     with pytest.raises(ProtocolViolation):
-        prof.mark_survivor(0, 0)
-    with pytest.raises(ProtocolViolation):
-        prof.flush_unflagged(1)
-    prof.reset_flags()
-    with pytest.raises(ProtocolViolation):
-        prof.reset_flags()
+        prof.flush_unmarked(set(), prof.clock)
 
 
-def test_reset_then_flush_collects_everything():
-    prof = make_profiler()
-    for i in range(5):
-        prof.record_creation(i, PAIR, 2)
-    prof.reset_flags()
-    flushed = prof.flush_unflagged(prof.clock)
-    assert sorted(r.obj_id for r in flushed) == list(range(5))
+def test_flush_with_none_marked_collects_everything():
+    heap, prof = make_profiler()
+    for _ in range(5):
+        create(heap, prof)
+    flushed = prof.flush_unmarked(set(), prof.clock)
+    assert [r.obj_id for r in flushed] == list(range(5))  # creation order
     assert all(r.collect_tick == 5 and not r.censored for r in flushed)
     assert prof.live_count == 0
+    assert heap.objects == {}  # the heap's table is the profiler's
 
 
 def test_mark_all_then_flush_is_empty():
-    prof = make_profiler()
-    for i in range(5):
-        prof.record_creation(i, PAIR, 2)
-    prof.reset_flags()
-    for i in range(5):
-        prof.mark_survivor(i, i)
-    assert prof.flush_unflagged(prof.clock) == []
+    heap, prof = make_profiler()
+    for _ in range(5):
+        create(heap, prof)
+    assert prof.flush_unmarked(set(range(5)), prof.clock) == []
     assert prof.live_count == 5
 
 
 def test_flush_returns_exactly_the_unmarked():
     # oracle: plain set difference over a random marked subset
     rng = random.Random(12)
-    prof = make_profiler()
-    ids = list(range(100))
-    for i in ids:
-        prof.record_creation(i, PAIR, 2)
+    heap, prof = make_profiler()
+    ids = [create(heap, prof) for _ in range(100)]
     marked = set(rng.sample(ids, 40))
-    prof.reset_flags()
-    for i in marked:
-        prof.mark_survivor(i, 0)
-    flushed = {r.obj_id for r in prof.flush_unflagged(prof.clock)}
-    assert flushed == set(ids) - marked
+    flushed = [r.obj_id for r in prof.flush_unmarked(marked, prof.clock)]
+    assert set(flushed) == set(ids) - marked
     assert len(flushed) == 60
+    assert flushed == sorted(flushed)  # creation order
+    assert set(heap.objects) == marked
 
 
 def test_finalize_censors_remaining_and_sorts():
-    prof = make_profiler()
+    heap, prof = make_profiler()
     for i in range(4):
-        prof.record_creation(i, PAIR if i % 2 else VECTOR, 2)
-    prof.reset_flags()
-    prof.mark_survivor(1, 0)
-    prof.mark_survivor(3, 0)
-    prof.flush_unflagged(prof.clock)  # collects 0 and 2 at tick 4
+        create(heap, prof, PAIR if i % 2 else VECTOR)
+    prof.flush_unmarked({1, 3}, prof.clock)  # collects 0 and 2 at tick 4
     log = prof.finalize(prof.termination_tick())
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
     assert [r.censored for r in log.records] == [False, False, True, True]
@@ -132,7 +131,7 @@ def test_finalize_censors_remaining_and_sorts():
 
 
 def test_refinalize_is_a_protocol_violation():
-    prof = make_profiler()
+    _, prof = make_profiler()
     end = prof.termination_tick()
     prof.finalize(end)
     with pytest.raises(ProtocolViolation):
@@ -140,27 +139,26 @@ def test_refinalize_is_a_protocol_violation():
 
 
 def test_events_after_finalize_rejected():
-    prof = make_profiler()
+    heap, prof = make_profiler()
     prof.finalize(prof.termination_tick())
     with pytest.raises(ProtocolViolation):
-        prof.record_creation(0, PAIR, 2)
+        prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
 
 
 def test_draglog_roundtrip():
-    prof = Profiler(gc_interval=4, heap_slots=128, source="roundtrip.scm")
+    heap, prof = make_profiler(gc_interval=4, heap_slots=128,
+                               source="roundtrip.scm")
     for i in range(3):
-        prof.record_creation(i, PAIR if i else VECTOR, 2 + i)
+        create(heap, prof, PAIR if i else VECTOR, 2 + i)
     prof.record_use(1)
-    prof.reset_flags()
-    prof.mark_survivor(2, 0)
-    prof.flush_unflagged(prof.clock)
+    prof.flush_unmarked({2}, prof.clock)
     log = prof.finalize(prof.termination_tick())
     parsed = parse_draglog(format_draglog(log))
     assert parsed.gc_interval == 4
     assert parsed.heap_slots == 128
     assert parsed.source == "roundtrip.scm"
     assert parsed.end_tick == log.end_tick
-    # survived_flag is transient collection state and is not serialized
+    # the address is heap state and is not serialized
     serialized_fields = [
         (r.obj_id, r.kind, r.size_slots, r.create_tick, r.last_use_tick,
          r.collect_tick, r.censored)
@@ -181,12 +179,24 @@ def test_draglog_roundtrip():
     (lambda lines: [lines[0], "junk", lines[-1]], 2),
     (lambda lines: lines + ["END 9"], 4),               # duplicate END
     (lambda lines: lines + ["OBJ 1 P 2 1 -1 2 F"], 4),  # record after END
+    # Semantic checks.  The base log is one record collected at tick 1:
+    # "OBJ 0 P 2 1 -1 1 F" and "END 2".
+    pytest.param(lambda lines: lines[:2] + lines[1:], 3, id="duplicate-id"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 2 -1 1 F", lines[-1]],
+                 2, id="collect-before-create"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 2 1 F", lines[-1]],
+                 2, id="use-after-collect"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 3 F", lines[-1]],
+                 2, id="collect-after-end"),
+    pytest.param(lambda lines: [lines[0], "OBJ 1 P 2 1 -1 2 F", lines[1],
+                                lines[-1]], 3, id="unsorted"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 1 C", lines[-1]],
+                 2, id="censored-before-end"),
 ])
 def test_draglog_malformed_reports_line(mutate, bad_line):
-    prof = make_profiler()
-    prof.record_creation(0, PAIR, 2)
-    prof.reset_flags()
-    prof.flush_unflagged(prof.clock)
+    heap, prof = make_profiler()
+    create(heap, prof)
+    prof.flush_unmarked(set(), prof.clock)
     lines = format_draglog(prof.finalize(prof.termination_tick())) \
         .splitlines()
     text = "\n".join(mutate(lines)) + "\n"
