@@ -29,6 +29,12 @@ EXIT_INPUT = 1
 EXIT_RUNTIME = 2
 EXIT_OOM = 3
 
+# Python recursion limit for the duration of `run`.  A non-tail Scheme
+# call takes three or four Python frames of the evaluator, so this
+# allows non-tail recursion about ten thousand deep; deeper recursion is
+# the runtime error "recursion too deep".
+RUN_RECURSION_LIMIT = 40_000
+
 
 def _fail(message: str, code: int) -> int:
     print(f"dragprof: {message}", file=sys.stderr)
@@ -41,6 +47,8 @@ def cmd_run(args) -> int:
         source_text = source_path.read_text(encoding="utf-8")
     except OSError as exc:
         return _fail(f"cannot read {source_path}: {exc.strerror}", EXIT_INPUT)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RUN_RECURSION_LIMIT))
     try:
         result = run_source(source_text,
                             gc_interval=args.gc_interval,
@@ -55,6 +63,8 @@ def cmd_run(args) -> int:
                      EXIT_RUNTIME)
     except OutOfMemory as exc:
         return _fail(f"out of memory in {source_path.name}: {exc}", EXIT_OOM)
+    finally:
+        sys.setrecursionlimit(limit)
 
     log_path = (Path(args.log) if args.log
                 else Path(source_path.stem + ".draglog"))

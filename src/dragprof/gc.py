@@ -6,9 +6,9 @@ CACM 1970).  The copied part of the standby space is the work queue: one
 loop forwards the roots, then, batch by batch, the slots copied since
 its previous batch, until no new slot was copied.  Each object moves
 with one slice assignment; its record in the object table takes the new
-address, and a forwarding marker is left in its evacuated from-space
-cell.  A Ref is only an id, so the copied slots keep their Ref objects
-and nothing is rewritten.  Then the spaces swap and the profiler flushes
+address, and the shared forwarding marker FORWARDED is left in its
+evacuated from-space cell.  A Ref is only an id, so the copied slots
+keep their Ref objects and nothing is rewritten.  Then the spaces swap and the profiler flushes
 every record of the object table whose id was not copied.
 
 reachability_oracle() and canonical_serialization() are verification
@@ -19,7 +19,7 @@ traversal logic with collect(), so they can be used to cross-check it.
 from dataclasses import dataclass
 
 from .errors import DanglingRef, ToSpaceOverflow
-from .heap import PAIR, Forward, Heap, Nil, Ref
+from .heap import FORWARDED, PAIR, Heap, Nil, Ref
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Collector:
         while True:
             for v in batch:
                 if type(v) is not Ref:
-                    if type(v) is Forward:
+                    if v is FORWARDED:
                         raise AssertionError(
                             "forwarding marker leaked into to-space")
                     continue
@@ -73,7 +73,7 @@ class Collector:
                 base = rec.address
                 dst[free:free + size] = src[base:base + size]
                 if size:
-                    src[base] = Forward(free)
+                    src[base] = FORWARDED
                 rec.address = free
                 free += size
                 copied.add(obj_id)

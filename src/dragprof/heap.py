@@ -69,15 +69,17 @@ def is_storable(value) -> bool:
 
 
 class Forward:
-    """Marker written over slot 0 of an evacuated object in from-space."""
+    """Marker written over slot 0 of an evacuated object in from-space.
+    FORWARDED is the one instance; the object table holds the new
+    address."""
 
-    __slots__ = ("address",)
-
-    def __init__(self, address: int):
-        self.address = address
+    __slots__ = ()
 
     def __repr__(self):
-        return f"<forward @{self.address}>"
+        return "<forwarded>"
+
+
+FORWARDED = Forward()
 
 
 @dataclass(slots=True)

@@ -1,11 +1,30 @@
-"""Tree-walking evaluator for the profiled mini-Scheme subset.
+"""Compile-then-run evaluator for the profiled mini-Scheme subset.
 
 The language: integer and boolean literals, quote, if, let, named let,
 lambda, begin, define (plain and shorthand procedure form), set!, and
-procedure application over the primitive table.  Tail positions (the
-chosen if branch, the last body form, application of a closure) rebind
-the trampoline state instead of recursing, so loops run in constant
-control-stack space regardless of iteration count.
+procedure application over the primitive table.
+
+parse() reads source text into an AST.  Interpreter.eval_program
+compiles each top-level node once into a Python closure code(env) and
+then runs it ("analyze, then execute": Abelson & Sussman, SICP 4.1.7).
+A lambda or named-let body is compiled with its node, and a Closure
+holds the body's code.  A variable is resolved when it is compiled to
+the nearest enclosing frame that may bind it (a parameter, a let name,
+or a define that runs in that frame) or else to the globals; at run
+time the lookup starts at that frame.
+
+Tail calls: in tail position (the chosen if branch, the last form of a
+begin or body) a closure call returns a _TailCall instead of making the
+call.  The nearest trampoline (a non-tail call, a non-tail let or named
+let, or the top level) binds the frame and runs the body, so loops run
+in constant control-stack space regardless of iteration count.
+
+Env-slot invariant: the innermost slot of the env stack always holds
+the current environment.  A non-tail closure call, let or named let
+pushes a slot and pops it afterwards; a tail call, let or named let
+overwrites the innermost slot; if, begin and primitive calls push
+nothing.  The slots are the environments the collector treats as roots,
+so a frame a tail call abandons is dead at the next allocation.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -242,7 +261,7 @@ def _require_symbol(sx, what, pos):
 def _compile_body(forms, sx, pos):
     if not forms:
         _syntax_error("empty body", sx, pos)
-    return tuple(_compile(f, pos) for f in forms)
+    return tuple([_compile(f, pos) for f in forms])
 
 
 def _compile_bindings(sx, pos):
@@ -259,6 +278,9 @@ def _compile_bindings(sx, pos):
     return tuple(bindings)
 
 
+# The recursion below builds tuples from list comprehensions, not
+# generators: resuming a generator also takes C stack, and deep enough
+# nesting overflows that before the Python recursion limit is reached.
 def _compile(sx, pos):
     if isinstance(sx, (int, Nil)):  # covers bool
         return Literal(sx, pos)
@@ -308,7 +330,7 @@ def _compile(sx, pos):
         if head is _BEGIN:
             if len(items) < 2:
                 _syntax_error("empty begin", sx, pos)
-            return Begin(tuple(_compile(e, pos) for e in items[1:]), pos)
+            return Begin(tuple([_compile(e, pos) for e in items[1:]]), pos)
         if head is _DEFINE:
             if len(items) < 3:
                 _syntax_error("define needs a name and a value", sx, pos)
@@ -334,12 +356,26 @@ def _compile(sx, pos):
             return SetVar(_require_symbol(items[1], "a name", pos),
                           _compile(items[2], pos), pos)
     return Apply(_compile(head, pos),
-                 tuple(_compile(a, pos) for a in items[1:]), pos)
+                 tuple([_compile(a, pos) for a in items[1:]]), pos)
 
 
 def parse(source: str):
-    """Parse source text into a program: a list of expressions."""
-    return [_compile(form, (1, 1)) for form in _Reader(source).read_program()]
+    """Parse source text into a program: a list of expressions.  Nesting
+    deeper than the Python recursion limit allows is a syntax error."""
+    reader = _Reader(source)
+    try:
+        forms = reader.read_program()
+    except RecursionError:
+        _, _, line, col = reader.tokens[reader.i - 1]
+        raise SchemeSyntaxError("nesting too deep", line, col) from None
+    program = []
+    for form in forms:
+        try:
+            program.append(_compile(form, (1, 1)))
+        except RecursionError:
+            raise SchemeSyntaxError("nesting too deep", form.line,
+                                    form.col) from None
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +386,8 @@ class Env:
 
     __slots__ = ("vars", "parent")
 
-    def __init__(self, parent):
-        self.vars = {}
+    def __init__(self, parent, vars):
+        self.vars = vars
         self.parent = parent
 
     def lookup(self, name, pos):
@@ -373,11 +409,14 @@ class Env:
 
 
 class Closure:
-    __slots__ = ("params", "body", "env", "name")
+    """A procedure: its parameters, its body compiled to code(frame), the
+    environment it closes over and the name it was defined under."""
 
-    def __init__(self, params, body, env, name):
+    __slots__ = ("params", "code", "env", "name")
+
+    def __init__(self, params, code, env, name):
         self.params = params
-        self.body = body
+        self.code = code
         self.env = env
         self.name = name
 
@@ -405,7 +444,8 @@ def _rt_error(msg, pos):
 
 
 def _is_number(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+    # values are plain int, bool and non-numbers: bool is not a number
+    return type(v) is int
 
 
 def write_value(heap, value) -> str:
@@ -518,7 +558,7 @@ def _require_vector(interp, v, name, pos):
 
 
 def _require_number(interp, v, name, pos):
-    if not _is_number(v):
+    if type(v) is not int:
         raise _rt_error(f"{name}: expected a number, got "
                         f"{_type_name(interp.rt, v)}", pos)
 
@@ -673,7 +713,8 @@ def _prim_list_to_vector(interp, args, pos):
 
 def _arith_args(interp, args, name, pos):
     for v in args:
-        _require_number(interp, v, name, pos)
+        if type(v) is not int:
+            _require_number(interp, v, name, pos)
 
 
 def _prim_add(interp, args, pos):
@@ -760,7 +801,77 @@ _PRIMITIVES = [
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Compiler: expressions -> closures
+
+class _TailCall:
+    """A closure call in tail position, returned to the nearest trampoline
+    instead of made where it appears."""
+
+    __slots__ = ("fn", "args", "pos")
+
+    def __init__(self, fn, args, pos):
+        self.fn = fn
+        self.args = args
+        self.pos = pos
+
+
+def _bind(fn, args, pos):
+    """The frame of a call of closure fn on args."""
+    params = fn.params
+    if len(args) != len(params):
+        raise _rt_error(f"{fn.name or 'procedure'} expects {len(params)} "
+                        f"arguments, got {len(args)}", pos)
+    return Env(fn.env, dict(zip(params, args)))
+
+
+def _trampoline(stack, r):
+    """Make the tail calls r leads to, each in the innermost env slot,
+    until a value results."""
+    while type(r) is _TailCall:
+        fn = r.fn
+        frame = _bind(fn, r.args, r.pos)
+        stack[-1] = frame
+        r = fn.code(frame)
+    return r
+
+
+def _frame_names(names, body):
+    """Every name a frame may bind: names (its parameters or let names)
+    and each define that runs in it, i.e. one that is not inside a
+    nested lambda or let body."""
+    out = set(names)
+    todo = list(body)
+    while todo:
+        e = todo.pop()
+        t = type(e)
+        if t is Define:
+            out.add(e.name)
+            todo.append(e.expr)
+        elif t is SetVar:
+            todo.append(e.expr)
+        elif t is If:
+            todo += (e.test, e.then, e.alt)
+        elif t is Begin:
+            todo += e.exprs
+        elif t is Apply:
+            todo.append(e.fn)
+            todo += e.args
+        elif t is Let or t is NamedLet:
+            todo += [init for _, init in e.bindings]
+    return frozenset(out)
+
+
+def _scope_depth(name, scope):
+    """How many frames out from the innermost one of scope the nearest
+    frame that may bind name is, or None if only the globals can."""
+    depth = 0
+    while scope is not None:
+        if name in scope[0]:
+            return depth
+        scope = scope[1]
+        depth += 1
+    return None
+
 
 class Interpreter:
     """One evaluation context over one Runtime.  Single-threaded; after an
@@ -768,7 +879,7 @@ class Interpreter:
 
     def __init__(self, runtime: Runtime):
         self.rt = runtime
-        self.globals = Env(None)
+        self.globals = Env(None, {})
         self._env_stack = []
         self._pinned = []
         for name, lo, hi, fn in _PRIMITIVES:
@@ -810,9 +921,18 @@ class Interpreter:
                 qi += 1
 
     def eval_program(self, program):
+        """Compile every top-level expression, then run them in order in
+        the global environment; returns the last one's value."""
+        codes = [self._compile(expr, None, True) for expr in program]
+        stack = self._env_stack
+        env = self.globals
         result = NIL
-        for expr in program:
-            result = self._eval(expr, self.globals)
+        for code in codes:
+            stack.append(env)
+            try:
+                result = _trampoline(stack, code(env))
+            finally:
+                stack.pop()
         return result
 
     def _materialize(self, datum):
@@ -831,136 +951,208 @@ class Interpreter:
         pins.pop()
         return result
 
-    def _eval(self, expr, env):
-        stack = self._env_stack
-        stack.append(env)
-        ix = len(stack) - 1
-        pins = self._pinned
-        try:
-            while True:
-                t = type(expr)
-                if t is Var:
-                    return env.lookup(expr.name, expr.pos)
-                if t is Literal:
-                    return expr.value
-                if t is Apply:
-                    fn = self._eval(expr.fn, env)
-                    pins.append(fn)
-                    args = []
-                    pins.append(args)
-                    for a in expr.args:
-                        args.append(self._eval(a, env))
-                    tf = type(fn)
-                    if tf is Closure:
-                        if len(args) != len(fn.params):
-                            raise _rt_error(
-                                f"{fn.name or 'procedure'} expects "
-                                f"{len(fn.params)} arguments, got "
-                                f"{len(args)}", expr.pos)
-                        frame = Env(fn.env)
-                        fv = frame.vars
-                        for p, v in zip(fn.params, args):
-                            fv[p] = v
-                        pins.pop()
-                        pins.pop()
-                        env = frame
-                        stack[ix] = env
-                        body = fn.body
-                        for b in body[:-1]:
-                            self._eval(b, env)
-                        expr = body[-1]
-                        continue
-                    if tf is Primitive:
-                        if (len(args) < fn.min_args
-                                or (fn.max_args is not None
-                                    and len(args) > fn.max_args)):
-                            raise _rt_error(
-                                f"{fn.name}: bad argument count "
-                                f"{len(args)}", expr.pos)
-                        try:
-                            result = fn.fn(self, args, expr.pos)
-                        except OutOfMemory as exc:
-                            raise OutOfMemory(
-                                f"{expr.pos[0]}:{expr.pos[1]}: "
-                                f"{fn.name}: {exc}") from None
-                        pins.pop()
-                        pins.pop()
-                        return result
-                    raise _rt_error(
-                        f"not a procedure: {write_value(self.rt.heap, fn)}",
-                        expr.pos)
-                if t is If:
-                    test = self._eval(expr.test, env)
-                    expr = expr.then if test is not False else expr.alt
-                    continue
-                if t is Begin:
-                    exprs = expr.exprs
-                    for e in exprs[:-1]:
-                        self._eval(e, env)
-                    expr = exprs[-1]
-                    continue
-                if t is Let:
-                    vals = []
-                    pins.append(vals)
-                    for _, init in expr.bindings:
-                        vals.append(self._eval(init, env))
-                    frame = Env(env)
-                    fv = frame.vars
-                    for (name, _), v in zip(expr.bindings, vals):
-                        fv[name] = v
-                    pins.pop()
-                    env = frame
-                    stack[ix] = env
-                    body = expr.body
-                    for b in body[:-1]:
-                        self._eval(b, env)
-                    expr = body[-1]
-                    continue
-                if t is NamedLet:
-                    # the loop name binds a closure over its own frame
-                    loop_frame = Env(env)
-                    closure = Closure(
-                        tuple(name for name, _ in expr.bindings),
-                        expr.body, loop_frame, expr.name)
-                    loop_frame.vars[expr.name] = closure
-                    vals = []
-                    pins.append(vals)
-                    for _, init in expr.bindings:
-                        vals.append(self._eval(init, env))
-                    frame = Env(loop_frame)
-                    fv = frame.vars
-                    for p, v in zip(closure.params, vals):
-                        fv[p] = v
-                    pins.pop()
-                    env = frame
-                    stack[ix] = env
-                    body = expr.body
-                    for b in body[:-1]:
-                        self._eval(b, env)
-                    expr = body[-1]
-                    continue
-                if t is Quote:
-                    try:
-                        return self._materialize(expr.datum)
-                    except OutOfMemory as exc:
-                        raise OutOfMemory(
-                            f"{expr.pos[0]}:{expr.pos[1]}: "
-                            f"quote: {exc}") from None
-                if t is Lambda:
-                    return Closure(expr.params, expr.body, env, None)
-                if t is Define:
-                    value = self._eval(expr.expr, env)
-                    if type(value) is Closure and value.name is None:
-                        value.name = expr.name
-                    env.vars[expr.name] = value
-                    return NIL
-                if t is SetVar:
-                    env.assign(expr.name, self._eval(expr.expr, env),
-                               expr.pos)
-                    return NIL
-                raise AssertionError(f"unknown expression {expr!r}")
-        finally:
-            stack.pop()
+    def _compile(self, expr, scope, tail):
+        """The closure code(env) that evaluates expr.
+
+        scope is None at top level, else (names, outer scope): the names
+        the innermost frame around expr may bind, then the same for the
+        frames outside it, the globals left out.  With tail set, expr is
+        in tail position and code may return a _TailCall.
+        """
+        t = type(expr)
+        if t is Var:
+            return self._compile_var(expr, scope)
+        if t is Apply:
+            return self._compile_apply(expr, scope, tail)
+        if t is Literal:
+            value = expr.value
+            return lambda env: value
+        if t is If:
+            test = self._compile(expr.test, scope, False)
+            then = self._compile(expr.then, scope, tail)
+            alt = self._compile(expr.alt, scope, tail)
+
+            def if_(env):
+                if test(env) is not False:
+                    return then(env)
+                return alt(env)
+            return if_
+        if t is Begin:
+            return self._compile_body(expr.exprs, scope, tail)
+        if t is Let or t is NamedLet:
+            return self._compile_let(expr, scope, tail)
+        if t is Quote:
+            return self._compile_quote(expr)
+        if t is Lambda:
+            params = expr.params
+            body = self._compile_body(
+                expr.body, (_frame_names(params, expr.body), scope), True)
+            return lambda env: Closure(params, body, env, None)
+        if t is Define:
+            name = expr.name
+            value_code = self._compile(expr.expr, scope, False)
+
+            def define(env):
+                value = value_code(env)
+                if type(value) is Closure and value.name is None:
+                    value.name = name
+                env.vars[name] = value
+                return NIL
+            return define
+        if t is SetVar:
+            name, pos = expr.name, expr.pos
+            value_code = self._compile(expr.expr, scope, False)
+
+            def set_var(env):
+                env.assign(name, value_code(env), pos)
+                return NIL
+            return set_var
+        raise AssertionError(f"unknown expression {expr!r}")
+
+    def _compile_body(self, exprs, scope, tail):
+        codes = [self._compile(e, scope, False) for e in exprs[:-1]]
+        last = self._compile(exprs[-1], scope, tail)
+        if not codes:
+            return last
+
+        def body(env):
+            for code in codes:
+                code(env)
+            return last(env)
+        return body
+
+    def _compile_var(self, expr, scope):
+        # Lexical addressing: no frame nearer than the one at depth can
+        # bind the name, so the search starts there (the frame may still
+        # lack it, if its define has not run yet).
+        name, pos = expr.name, expr.pos
+        depth = _scope_depth(name, scope)
+        if depth is None:
+            gvars = self.globals.vars
+
+            def global_var(env):
+                if name in gvars:
+                    return gvars[name]
+                raise _rt_error(f"unbound variable: {name}", pos)
+            return global_var
+        if depth == 0:
+            def local_var(env):
+                fv = env.vars
+                if name in fv:
+                    return fv[name]
+                return env.parent.lookup(name, pos)
+            return local_var
+        hops = range(depth)
+
+        def outer_var(env):
+            for _ in hops:
+                env = env.parent
+            fv = env.vars
+            if name in fv:
+                return fv[name]
+            return env.parent.lookup(name, pos)
+        return outer_var
+
+    def _compile_quote(self, expr):
+        datum, pos = expr.datum, expr.pos
+        if type(datum) is not SrcList:
+            return lambda env: datum
+        materialize = self._materialize
+
+        def quote(env):
+            try:
+                return materialize(datum)
+            except OutOfMemory as exc:
+                raise OutOfMemory(f"{pos[0]}:{pos[1]}: quote: {exc}") \
+                    from None
+        return quote
+
+    def _compile_let(self, expr, scope, tail):
+        names = tuple([name for name, _ in expr.bindings])
+        inits = [self._compile(init, scope, False)
+                 for _, init in expr.bindings]
+        loop_name = expr.name if type(expr) is NamedLet else None
+        if loop_name is not None:
+            scope = (frozenset([loop_name]), scope)
+        body = self._compile_body(
+            expr.body, (_frame_names(names, expr.body), scope), True)
+        stack, pins = self._env_stack, self._pinned
+
+        def let(env):
+            parent = env
+            if loop_name is not None:
+                # the loop name binds a closure over its own frame
+                parent = Env(env, {})
+                parent.vars[loop_name] = Closure(names, body, parent,
+                                                 loop_name)
+            vals = []
+            pins.append(vals)
+            for init in inits:
+                vals.append(init(env))
+            frame = Env(parent, dict(zip(names, vals)))
+            pins.pop()
+            if tail:
+                stack[-1] = frame
+                return body(frame)
+            stack.append(frame)
+            try:
+                return _trampoline(stack, body(frame))
+            finally:
+                stack.pop()
+        return let
+
+    def _compile_apply(self, expr, scope, tail):
+        fn_code = self._compile(expr.fn, scope, False)
+        arg_codes = [self._compile(a, scope, False) for a in expr.args]
+        pos = expr.pos
+        interp, stack, pins = self, self._env_stack, self._pinned
+        # A global procedure is looked up here, saving the call of
+        # fn_code, which still reports it if unbound.
+        gvars = self.globals.vars
+        fname = None
+        if type(expr.fn) is Var and _scope_depth(expr.fn.name, scope) is None:
+            fname = expr.fn.name
+
+        def apply(env):
+            fn = gvars[fname] if fname in gvars else fn_code(env)
+            pins.append(fn)
+            args = []
+            pins.append(args)
+            for arg in arg_codes:
+                args.append(arg(env))
+            tf = type(fn)
+            if tf is Primitive:
+                n = len(args)
+                if n < fn.min_args or (fn.max_args is not None
+                                       and n > fn.max_args):
+                    raise _rt_error(f"{fn.name}: bad argument count {n}",
+                                    pos)
+                try:
+                    result = fn.fn(interp, args, pos)
+                except OutOfMemory as exc:
+                    raise OutOfMemory(f"{pos[0]}:{pos[1]}: "
+                                      f"{fn.name}: {exc}") from None
+                pins.pop()
+                pins.pop()
+                return result
+            if tf is not Closure:
+                raise _rt_error(
+                    f"not a procedure: {write_value(interp.rt.heap, fn)}",
+                    pos)
+            pins.pop()
+            pins.pop()
+            if tail:
+                return _TailCall(fn, args, pos)
+            frame = _bind(fn, args, pos)
+            stack.append(frame)
+            try:
+                r = fn.code(frame)
+                if type(r) is _TailCall:
+                    r = _trampoline(stack, r)
+                return r
+            finally:
+                stack.pop()
+        return apply
 
 
 # ---------------------------------------------------------------------------
@@ -983,13 +1175,18 @@ def run_source(source: str, *,
 
     The result is rendered before termination; if it is a heap reference
     the object may be collected by the closing collection, so value_repr
-    is the faithful record of what the program produced.
+    is the faithful record of what the program produced.  Running out of
+    Python recursion depth is a SchemeRuntimeError ("recursion too deep");
+    the caller chooses the limit.
     """
     program = parse(source)
     rt = Runtime(heap_slots, gc_interval, source_name,
                  on_collection=on_collection, on_event=on_event)
     interp = Interpreter(rt)
-    value = interp.eval_program(program)
-    value_repr = write_value(rt.heap, value)
+    try:
+        value = interp.eval_program(program)
+        value_repr = write_value(rt.heap, value)
+    except RecursionError:
+        raise SchemeRuntimeError("recursion too deep") from None
     log = rt.terminate()
     return RunResult(value, value_repr, log, rt.collections)

@@ -1,6 +1,7 @@
 import os
 import shutil
 import stat
+import sys
 
 import pytest
 
@@ -74,6 +75,41 @@ def test_run_out_of_memory_exits_3(workdir, capsys):
     assert run_cli("run", grow, "--heap-slots", 32,
                    "--log", workdir / "grow.draglog") == 3
     assert "out of memory" in capsys.readouterr().err
+
+
+BUILD = ("(define (build n) (if (= n 0) '() (cons n (build (- n 1)))))\n"
+         "(car (build {n}))\n")
+
+
+def test_run_deep_non_tail_recursion_exits_0(workdir, capsys):
+    limit = sys.getrecursionlimit()
+    deep = workdir / "deep.scm"
+    deep.write_text(BUILD.format(n=2000), encoding="utf-8")
+    assert run_cli("run", deep, "--log", workdir / "deep.draglog") == 0
+    assert "result: 2000" in capsys.readouterr().out
+    assert sys.getrecursionlimit() == limit
+
+
+def test_run_unbounded_recursion_exits_2_without_traceback(workdir, capsys):
+    limit = sys.getrecursionlimit()
+    deep = workdir / "deep.scm"
+    deep.write_text(BUILD.format(n=10 ** 6), encoding="utf-8")
+    assert run_cli("run", deep, "--log", workdir / "deep.draglog") == 2
+    err = capsys.readouterr().err
+    assert "recursion too deep" in err
+    assert "Traceback" not in err
+    assert not (workdir / "deep.draglog").exists()
+    assert sys.getrecursionlimit() == limit
+
+
+def test_run_too_deeply_nested_source_exits_1(workdir, capsys):
+    nested = workdir / "nested.scm"
+    nested.write_text("'" + "(" * 100_000 + ")" * 100_000,
+                      encoding="utf-8")
+    assert run_cli("run", nested, "--log", workdir / "nested.draglog") == 1
+    err = capsys.readouterr().err
+    assert "syntax error" in err and "nesting too deep" in err
+    assert "Traceback" not in err
 
 
 def test_run_default_log_path_is_source_stem(workdir, capsys,

@@ -414,6 +414,60 @@ def test_tail_calls_run_in_constant_control_stack():
     assert r.value == 250000
 
 
+TAIL_CONTEXTS = {
+    "if-branch": "(define (up i) (if (< i 100000) (up (+ i 1)) i)) (up 0)",
+    "begin-last": "(define (up i) (if (= i 100000) i "
+                  "(begin (+ i 1) (up (+ i 1))))) (up 0)",
+    "let-in-named-let": "(let loop ((i 0)) (if (= i 100000) i "
+                        "(let ((j (+ i 1))) (loop j))))",
+    "define-body": "(define (up i) (define j (+ i 1)) (up-to j)) "
+                   "(define (up-to i) (if (= i 100000) i (up i))) (up 0)",
+    "mutual": "(define (ev? n) (if (= n 0) #t (od? (- n 1)))) "
+              "(define (od? n) (if (= n 0) #f (ev? (- n 1)))) "
+              "(if (ev? 100000) 100000 0)",
+}
+
+
+@pytest.mark.parametrize("context", sorted(TAIL_CONTEXTS))
+def test_each_tail_context_runs_in_constant_control_stack(context):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        r = run(TAIL_CONTEXTS[context])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.value == 100000
+
+
+def test_frames_abandoned_by_tail_calls_are_not_roots():
+    # q (tick 1) is bound only in f's frame, p (tick 2, used at tick 3)
+    # only in the let frame.  The tail let replaces f's frame and the
+    # tail call (g 0) replaces the let frame, so under K=1 the collection
+    # after g's cons (tick 4) reclaims both.  Made a non-tail call, (g 0)
+    # leaves the let frame a root, and both live on to the next
+    # allocation (tick 5).
+    src = ("(define (g n) (cons n n))"
+           "(define (f q) (let ((p (cons 1 2))) (car p) (g 0){rest}))"
+           "(f (cons 7 7)) (cons 5 5)")
+    tail = {rec.obj_id: rec
+            for rec in run(src.format(rest=""), gc_interval=1)
+            .trace_log.records}
+    assert (tail[0].create_tick, tail[0].collect_tick) == (1, 4)
+    assert (tail[1].create_tick, tail[1].last_use_tick,
+            tail[1].collect_tick) == (2, 3, 4)
+    non_tail = {rec.obj_id: rec
+                for rec in run(src.format(rest=" 'x"), gc_interval=1)
+                .trace_log.records}
+    assert non_tail[0].collect_tick == non_tail[1].collect_tick == 5
+
+
+def test_run_source_leaves_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    with pytest.raises(SchemeRuntimeError, match="recursion too deep"):
+        run("(define (down n) (+ 1 (down n))) (down 0)")
+    assert sys.getrecursionlimit() == limit
+
+
 def test_long_list_build_and_traverse():
     n = 50_000
     src = f"""
