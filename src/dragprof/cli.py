@@ -32,7 +32,10 @@ EXIT_OOM = 3
 # Python recursion limit for the duration of `run`.  A non-tail Scheme
 # call takes three or four Python frames of the evaluator, so this
 # allows non-tail recursion about ten thousand deep; deeper recursion is
-# the runtime error "recursion too deep".
+# the runtime error "recursion too deep".  The limit is safe only because
+# Python 3.11 and later run a Python-to-Python call without C stack; on
+# 3.10 each frame also nests a C eval frame and this many would overflow
+# the main thread's stack, which is why the package needs Python 3.11.
 RUN_RECURSION_LIMIT = 40_000
 
 

@@ -8,10 +8,8 @@ parse() reads source text into an AST.  Interpreter.eval_program
 compiles each top-level node once into a Python closure code(env) and
 then runs it ("analyze, then execute": Abelson & Sussman, SICP 4.1.7).
 A lambda or named-let body is compiled with its node, and a Closure
-holds the body's code.  A variable is resolved when it is compiled to
-the nearest enclosing frame that may bind it (a parameter, a let name,
-or a define that runs in that frame) or else to the globals; at run
-time the lookup starts at that frame.
+holds the body's code.  Nesting too deep to compile is a syntax error,
+as it is when parsing.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call returns a _TailCall instead of making the
@@ -835,44 +833,6 @@ def _trampoline(stack, r):
     return r
 
 
-def _frame_names(names, body):
-    """Every name a frame may bind: names (its parameters or let names)
-    and each define that runs in it, i.e. one that is not inside a
-    nested lambda or let body."""
-    out = set(names)
-    todo = list(body)
-    while todo:
-        e = todo.pop()
-        t = type(e)
-        if t is Define:
-            out.add(e.name)
-            todo.append(e.expr)
-        elif t is SetVar:
-            todo.append(e.expr)
-        elif t is If:
-            todo += (e.test, e.then, e.alt)
-        elif t is Begin:
-            todo += e.exprs
-        elif t is Apply:
-            todo.append(e.fn)
-            todo += e.args
-        elif t is Let or t is NamedLet:
-            todo += [init for _, init in e.bindings]
-    return frozenset(out)
-
-
-def _scope_depth(name, scope):
-    """How many frames out from the innermost one of scope the nearest
-    frame that may bind name is, or None if only the globals can."""
-    depth = 0
-    while scope is not None:
-        if name in scope[0]:
-            return depth
-        scope = scope[1]
-        depth += 1
-    return None
-
-
 class Interpreter:
     """One evaluation context over one Runtime.  Single-threaded; after an
     error propagates out of a run the context should be discarded."""
@@ -923,7 +883,13 @@ class Interpreter:
     def eval_program(self, program):
         """Compile every top-level expression, then run them in order in
         the global environment; returns the last one's value."""
-        codes = [self._compile(expr, None, True) for expr in program]
+        codes = []
+        for expr in program:
+            try:
+                codes.append(self._compile(expr, True))
+            except RecursionError:
+                raise SchemeSyntaxError("nesting too deep",
+                                        *expr.pos) from None
         stack = self._env_stack
         env = self.globals
         result = NIL
@@ -951,26 +917,22 @@ class Interpreter:
         pins.pop()
         return result
 
-    def _compile(self, expr, scope, tail):
-        """The closure code(env) that evaluates expr.
-
-        scope is None at top level, else (names, outer scope): the names
-        the innermost frame around expr may bind, then the same for the
-        frames outside it, the globals left out.  With tail set, expr is
-        in tail position and code may return a _TailCall.
-        """
+    def _compile(self, expr, tail):
+        """The closure code(env) that evaluates expr.  With tail set, expr
+        is in tail position and code may return a _TailCall."""
         t = type(expr)
         if t is Var:
-            return self._compile_var(expr, scope)
+            name, pos = expr.name, expr.pos
+            return lambda env: env.lookup(name, pos)
         if t is Apply:
-            return self._compile_apply(expr, scope, tail)
+            return self._compile_apply(expr, tail)
         if t is Literal:
             value = expr.value
             return lambda env: value
         if t is If:
-            test = self._compile(expr.test, scope, False)
-            then = self._compile(expr.then, scope, tail)
-            alt = self._compile(expr.alt, scope, tail)
+            test = self._compile(expr.test, False)
+            then = self._compile(expr.then, tail)
+            alt = self._compile(expr.alt, tail)
 
             def if_(env):
                 if test(env) is not False:
@@ -978,19 +940,18 @@ class Interpreter:
                 return alt(env)
             return if_
         if t is Begin:
-            return self._compile_body(expr.exprs, scope, tail)
+            return self._compile_body(expr.exprs, tail)
         if t is Let or t is NamedLet:
-            return self._compile_let(expr, scope, tail)
+            return self._compile_let(expr, tail)
         if t is Quote:
             return self._compile_quote(expr)
         if t is Lambda:
             params = expr.params
-            body = self._compile_body(
-                expr.body, (_frame_names(params, expr.body), scope), True)
+            body = self._compile_body(expr.body, True)
             return lambda env: Closure(params, body, env, None)
         if t is Define:
             name = expr.name
-            value_code = self._compile(expr.expr, scope, False)
+            value_code = self._compile(expr.expr, False)
 
             def define(env):
                 value = value_code(env)
@@ -1001,7 +962,7 @@ class Interpreter:
             return define
         if t is SetVar:
             name, pos = expr.name, expr.pos
-            value_code = self._compile(expr.expr, scope, False)
+            value_code = self._compile(expr.expr, False)
 
             def set_var(env):
                 env.assign(name, value_code(env), pos)
@@ -1009,9 +970,9 @@ class Interpreter:
             return set_var
         raise AssertionError(f"unknown expression {expr!r}")
 
-    def _compile_body(self, exprs, scope, tail):
-        codes = [self._compile(e, scope, False) for e in exprs[:-1]]
-        last = self._compile(exprs[-1], scope, tail)
+    def _compile_body(self, exprs, tail):
+        codes = [self._compile(e, False) for e in exprs[:-1]]
+        last = self._compile(exprs[-1], tail)
         if not codes:
             return last
 
@@ -1020,38 +981,6 @@ class Interpreter:
                 code(env)
             return last(env)
         return body
-
-    def _compile_var(self, expr, scope):
-        # Lexical addressing: no frame nearer than the one at depth can
-        # bind the name, so the search starts there (the frame may still
-        # lack it, if its define has not run yet).
-        name, pos = expr.name, expr.pos
-        depth = _scope_depth(name, scope)
-        if depth is None:
-            gvars = self.globals.vars
-
-            def global_var(env):
-                if name in gvars:
-                    return gvars[name]
-                raise _rt_error(f"unbound variable: {name}", pos)
-            return global_var
-        if depth == 0:
-            def local_var(env):
-                fv = env.vars
-                if name in fv:
-                    return fv[name]
-                return env.parent.lookup(name, pos)
-            return local_var
-        hops = range(depth)
-
-        def outer_var(env):
-            for _ in hops:
-                env = env.parent
-            fv = env.vars
-            if name in fv:
-                return fv[name]
-            return env.parent.lookup(name, pos)
-        return outer_var
 
     def _compile_quote(self, expr):
         datum, pos = expr.datum, expr.pos
@@ -1067,15 +996,11 @@ class Interpreter:
                     from None
         return quote
 
-    def _compile_let(self, expr, scope, tail):
+    def _compile_let(self, expr, tail):
         names = tuple([name for name, _ in expr.bindings])
-        inits = [self._compile(init, scope, False)
-                 for _, init in expr.bindings]
+        inits = [self._compile(init, False) for _, init in expr.bindings]
         loop_name = expr.name if type(expr) is NamedLet else None
-        if loop_name is not None:
-            scope = (frozenset([loop_name]), scope)
-        body = self._compile_body(
-            expr.body, (_frame_names(names, expr.body), scope), True)
+        body = self._compile_body(expr.body, True)
         stack, pins = self._env_stack, self._pinned
 
         def let(env):
@@ -1101,20 +1026,14 @@ class Interpreter:
                 stack.pop()
         return let
 
-    def _compile_apply(self, expr, scope, tail):
-        fn_code = self._compile(expr.fn, scope, False)
-        arg_codes = [self._compile(a, scope, False) for a in expr.args]
+    def _compile_apply(self, expr, tail):
+        fn_code = self._compile(expr.fn, False)
+        arg_codes = [self._compile(a, False) for a in expr.args]
         pos = expr.pos
         interp, stack, pins = self, self._env_stack, self._pinned
-        # A global procedure is looked up here, saving the call of
-        # fn_code, which still reports it if unbound.
-        gvars = self.globals.vars
-        fname = None
-        if type(expr.fn) is Var and _scope_depth(expr.fn.name, scope) is None:
-            fname = expr.fn.name
 
         def apply(env):
-            fn = gvars[fname] if fname in gvars else fn_code(env)
+            fn = fn_code(env)
             pins.append(fn)
             args = []
             pins.append(args)

@@ -102,10 +102,13 @@ def test_run_unbounded_recursion_exits_2_without_traceback(workdir, capsys):
     assert sys.getrecursionlimit() == limit
 
 
-def test_run_too_deeply_nested_source_exits_1(workdir, capsys):
+@pytest.mark.parametrize("source", [
+    "'" + "(" * 100_000 + ")" * 100_000,  # too deep to read
+    "(+ 1 " * 15_000 + "1" + ")" * 15_000,  # read, but too deep to compile
+])
+def test_run_too_deeply_nested_source_exits_1(workdir, capsys, source):
     nested = workdir / "nested.scm"
-    nested.write_text("'" + "(" * 100_000 + ")" * 100_000,
-                      encoding="utf-8")
+    nested.write_text(source, encoding="utf-8")
     assert run_cli("run", nested, "--log", workdir / "nested.draglog") == 1
     err = capsys.readouterr().err
     assert "syntax error" in err and "nesting too deep" in err
