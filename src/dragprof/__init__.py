@@ -1,41 +1,13 @@
 """dragprof: a mini-Scheme runtime whose copying collector records every
 object's creation, last use and collection tick, plus the analytics that
-turn those logs into drag statistics, curves and plots."""
+turn those logs into drag statistics, curves and plots.
+
+Importing the package gives only the bundled-program helpers below; each
+layer is imported by its module name (dragprof.interp, dragprof.analyzer,
+...), so a command loads just the layers it uses.
+"""
 
 from importlib import resources
-
-from .analyzer import (
-    CurveSeries,
-    DragRecord,
-    DragReport,
-    build_report,
-    curves,
-    dead_objects,
-    drag,
-    drag_summary,
-    drags_of,
-    histogram,
-    savings_pct,
-    space_time,
-)
-from .gc import (
-    CollectionStats,
-    Collector,
-    canonical_serialization,
-    reachability_oracle,
-)
-from .heap import NIL, PAIR, VECTOR, Heap, Ref
-from .interp import Interpreter, RunResult, parse, run_source, write_value
-from .profiler import (
-    LifetimeRecord,
-    Profiler,
-    TraceLog,
-    format_draglog,
-    parse_draglog,
-    read_draglog,
-    write_draglog,
-)
-from .runtime import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS, Runtime
 
 __version__ = "0.1.0"
 

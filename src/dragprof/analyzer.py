@@ -13,20 +13,14 @@ next collection after their last use are not flagged.
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .profiler import TraceLog
 
 HISTOGRAM_BINS = 20
 BIN_WIDTH_PCT = 100 / HISTOGRAM_BINS
-
-
-@dataclass(frozen=True)
-class DragRecord:
-    obj_id: int
-    drag_ticks: int
-    drag_pct: float
-    censored: bool
 
 
 @dataclass(frozen=True)
@@ -52,19 +46,18 @@ class DragReport:
     histogram: list  # dead objects per drag-percentage bin
 
 
-def drag(record, end_tick: int) -> DragRecord:
-    """Drag of one finalized record: collection minus last use, or minus
-    creation when the object was never used."""
+def drag(record) -> int:
+    """Drag of one finalized record in ticks: collection minus last use,
+    or minus creation when the object was never used."""
     last = record.last_use_tick
     if last is None:
         last = record.create_tick
-    ticks = record.collect_tick - last
-    pct = (ticks / end_tick * 100) if end_tick > 0 else 0.0
-    return DragRecord(record.obj_id, ticks, pct, record.censored)
+    return record.collect_tick - last
 
 
 def drags_of(log: TraceLog) -> list:
-    return [drag(r, log.end_tick) for r in log.records]
+    """The drag of every record of log, in record order."""
+    return list(map(drag, log.records))
 
 
 def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
@@ -73,34 +66,35 @@ def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
     At sample tick t an object is reachable when create <= t < collect
     (censored records stay reachable through end_tick) and live when
     create <= t <= last_use; never-used objects are never live.
+
+    Each record adds +1 to the first sample at or after the tick it
+    starts and -1 to the first sample at or after the tick it ends,
+    index ceil(tick / s); an index past the final sample lands in a
+    spare bucket that is never summed.  The counts are prefix sums of
+    those buckets.  Ticks are non-negative, as parse_draglog checks.
     """
     end = log.end_tick
     if sample_interval is None:
         sample_interval = max(1, end // 500)
     if sample_interval < 1:
         raise ValueError("sample_interval must be at least 1")
-    reach_events = []
-    live_events = []
+    s = sample_interval
+    n = end // s + 1  # samples at 0, s, ..., the last one <= end
+    reach = [0] * (n + 1)
+    live = [0] * (n + 1)
     for r in log.records:
-        reach_events.append((r.create_tick, 1))
-        bound = r.collect_tick + 1 if r.censored else r.collect_tick
-        reach_events.append((bound, -1))
+        first = -(-r.create_tick // s)
+        if first > n:
+            first = n
+        reach[first] += 1
+        gone = -(-(r.collect_tick + r.censored) // s)
+        reach[gone if gone < n else n] -= 1
         if r.last_use_tick is not None:
-            live_events.append((r.create_tick, 1))
-            live_events.append((r.last_use_tick + 1, -1))
-    reach_events.sort()
-    live_events.sort()
-    points = []
-    ri = li = 0
-    reach = live = 0
-    for t in range(0, end + 1, sample_interval):
-        while ri < len(reach_events) and reach_events[ri][0] <= t:
-            reach += reach_events[ri][1]
-            ri += 1
-        while li < len(live_events) and live_events[li][0] <= t:
-            live += live_events[li][1]
-            li += 1
-        points.append((t, reach, live))
+            live[first] += 1
+            dead = -(-(r.last_use_tick + 1) // s)
+            live[dead if dead < n else n] -= 1
+    points = list(zip(range(0, end + 1, s), accumulate(reach),
+                      accumulate(live)))
     return CurveSeries(sample_interval, points)
 
 
@@ -126,8 +120,8 @@ def drag_summary(drags, end_tick: int):
     censored included; zeros for an empty input."""
     if not drags:
         return 0, 0.0, 0.0, 0.0
-    max_drag = max(d.drag_ticks for d in drags)
-    avg_drag = sum(d.drag_ticks for d in drags) / len(drags)
+    max_drag = max(drags)
+    avg_drag = sum(drags) / len(drags)
     if end_tick > 0:
         return (max_drag, max_drag / end_tick * 100,
                 avg_drag, avg_drag / end_tick * 100)
@@ -140,7 +134,7 @@ def dead_objects(drags, end_tick: int, threshold_ticks: int):
     if threshold_ticks < 0:
         raise ValueError("threshold_ticks must be non-negative")
     allocated = len(drags)
-    dead = sum(1 for d in drags if d.drag_ticks > threshold_ticks)
+    dead = sum(1 for d in drags if d > threshold_ticks)
     pct = (dead / allocated * 100) if allocated else 0.0
     return allocated, dead, pct
 
@@ -149,10 +143,9 @@ def histogram(drags, end_tick: int) -> list:
     """Counts per drag-percentage bin: bin b covers [5b, 5(b+1)) with
     100 percent landing in the last bin.  Sums to len(drags)."""
     bins = [0] * HISTOGRAM_BINS
-    for d in drags:
-        pct = (d.drag_ticks / end_tick * 100) if end_tick > 0 else 0.0
-        b = min(int(pct // BIN_WIDTH_PCT), HISTOGRAM_BINS - 1)
-        bins[b] += 1
+    for d, count in Counter(drags).items():
+        pct = (d / end_tick * 100) if end_tick > 0 else 0.0
+        bins[min(int(pct // BIN_WIDTH_PCT), HISTOGRAM_BINS - 1)] += count
     return bins
 
 
@@ -173,7 +166,7 @@ def build_report(log: TraceLog, sample_interval: int | None = None,
                                                         log.end_tick)
     allocated, dead_count, dead_pct = dead_objects(all_drags, log.end_tick,
                                                    dead_threshold)
-    dead_drags = [d for d in all_drags if d.drag_ticks > dead_threshold]
+    dead_drags = [d for d in all_drags if d > dead_threshold]
     report = DragReport(
         source=log.source,
         end_tick=log.end_tick,

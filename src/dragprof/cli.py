@@ -4,6 +4,10 @@ Exit codes for run: 0 success, 1 unreadable source or syntax error,
 2 runtime error, 3 out of memory.  analyze and plot exit 1 on malformed
 input.  Every output file is written to a temp name and renamed, so a
 failed command never leaves a partial file behind.
+
+Each command imports only the layers it uses: `run` the interpreter and
+runtime, `analyze` the log parser and the analyzer, `plot` the plot
+emitters.
 """
 
 import argparse
@@ -12,7 +16,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import analyzer, atomic, plot
+from . import atomic
+from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import (
     CsvFormatError,
     DraglogFormatError,
@@ -20,9 +25,6 @@ from .errors import (
     SchemeRuntimeError,
     SchemeSyntaxError,
 )
-from .interp import run_source
-from .profiler import read_draglog, write_draglog
-from .runtime import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -45,6 +47,9 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_run(args) -> int:
+    from .interp import run_source
+    from .profiler import write_draglog
+
     source_path = Path(args.source)
     try:
         source_text = source_path.read_text(encoding="utf-8")
@@ -90,6 +95,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analyzer
+    from .profiler import read_draglog
+
     log_path = Path(args.log)
     try:
         log = read_draglog(log_path)
@@ -124,6 +132,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import plot
+
     curves_path = Path(args.curves_csv)
     hist_path = Path(args.histogram_csv)
     try:

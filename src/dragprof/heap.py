@@ -20,14 +20,13 @@ and collection ticks for the profiler, which shares the same dict.
 
 from dataclasses import dataclass
 
+from .defaults import DEFAULT_HEAP_SLOTS
 from .errors import (
     DanglingRef,
     IndexOutOfBounds,
     NegativeLength,
     UnstorableValue,
 )
-
-DEFAULT_CAPACITY_SLOTS = 2 ** 16
 
 PAIR = "P"
 VECTOR = "V"
@@ -138,7 +137,7 @@ class Heap:
     the copying itself in gc.Collector.
     """
 
-    def __init__(self, capacity_slots: int = DEFAULT_CAPACITY_SLOTS, *,
+    def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS, *,
                  _standby_capacity: int | None = None):
         if capacity_slots < 1:
             raise ValueError("heap capacity must be positive")

@@ -42,10 +42,11 @@ import re
 import sys
 from dataclasses import dataclass
 
+from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import OutOfMemory, SchemeRuntimeError, SchemeSyntaxError
 from .heap import NIL, PAIR, VECTOR, Nil, Ref, is_storable
 from .profiler import TraceLog
-from .runtime import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS, Runtime
+from .runtime import Runtime
 
 # ---------------------------------------------------------------------------
 # Reader: source text -> s-expressions
@@ -984,6 +985,8 @@ class Interpreter:
 
     def _compile_quote(self, expr):
         datum, pos = expr.datum, expr.pos
+        if type(datum) is SrcList and not datum.items and datum.tail is None:
+            datum = NIL  # '() allocates nothing, so it is a constant
         if type(datum) is not SrcList:
             return lambda env: datum
         materialize = self._materialize

@@ -227,10 +227,10 @@ def _check_records(records, end_tick: int):
         seen.add(r.obj_id)
         last_use = (r.create_tick if r.last_use_tick is None
                     else r.last_use_tick)
-        if not r.create_tick <= last_use <= r.collect_tick <= end_tick:
+        if not 0 <= r.create_tick <= last_use <= r.collect_tick <= end_tick:
             raise DraglogFormatError(
-                "ticks out of order: need create <= last_use <= collect "
-                f"<= end ({end_tick})", line_no)
+                "ticks out of order: need 0 <= create <= last_use <= "
+                f"collect <= end ({end_tick})", line_no)
         if r.censored and r.collect_tick != end_tick:
             raise DraglogFormatError(
                 f"censored record collected at {r.collect_tick}, "

@@ -15,7 +15,7 @@ internally so a collection triggered by that very allocation cannot
 reclaim them.
 """
 
-from . import heap as heap_mod
+from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import (
     NegativeLength,
     OutOfMemory,
@@ -26,8 +26,9 @@ from .gc import CollectionStats, Collector
 from .heap import NIL, PAIR, VECTOR, Heap, Ref, is_storable
 from .profiler import Profiler, TraceLog
 
-DEFAULT_GC_INTERVAL = 16
-DEFAULT_HEAP_SLOTS = heap_mod.DEFAULT_CAPACITY_SLOTS
+# Largest semispace a run may ask for: the two slot lists then take
+# 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
+MAX_HEAP_SLOTS = 2 ** 24
 
 
 class Runtime:
@@ -40,6 +41,8 @@ class Runtime:
             raise ValueError("gc_interval must be at least 1")
         if heap_slots < 16:
             raise ValueError("heap_slots must be at least 16")
+        if heap_slots > MAX_HEAP_SLOTS:
+            raise ValueError(f"heap_slots must be at most {MAX_HEAP_SLOTS}")
         self.gc_interval = gc_interval
         self.heap = Heap(heap_slots, _standby_capacity=_standby_capacity)
         self.profiler = Profiler(self.heap.objects, gc_interval, heap_slots,

@@ -11,7 +11,6 @@ import pytest
 import dragprof
 from dragprof import analyzer
 from dragprof.analyzer import (
-    DragRecord,
     build_report,
     curves,
     dead_objects,
@@ -72,13 +71,11 @@ def test_drag_statistics_replication():
     for name, runtime, max_drag, max_pct, avg_hundredths, avg_pct \
             in DRAG_ROWS:
         # one record carrying the maximum
-        _, computed_max_pct, _, _ = drag_summary(
-            [DragRecord(0, max_drag, 0.0, False)], runtime)
+        _, computed_max_pct, _, _ = drag_summary([max_drag], runtime)
         assert computed_max_pct == pytest.approx(max_pct, abs=0.01), name
         # 100 integer drags averaging exactly the reference value
         base, extra = divmod(avg_hundredths, 100)
-        drags = [DragRecord(i, base + (1 if i < extra else 0), 0.0, False)
-                 for i in range(100)]
+        drags = [base + (1 if i < extra else 0) for i in range(100)]
         _, _, computed_avg, computed_avg_pct = drag_summary(drags, runtime)
         assert computed_avg == pytest.approx(avg_hundredths / 100, abs=1e-9)
         assert computed_avg_pct == pytest.approx(avg_pct, abs=0.01), name
@@ -116,10 +113,10 @@ def test_lingering_list_narrative(motiv_k1, nullified_k1):
     n = 1000
     log = motiv_k1.trace_log
     assert len(log.records) == n + 3
-    drags = {d.obj_id: d for d in drags_of(log)}
+    drags = {r.obj_id: d for r, d in zip(log.records, drags_of(log))}
     # (a) every list cell drags, and exactly the cells count as dead
     cell_ids = range(1, n + 1)  # scratch is id 0, the tail pair ids n+1..
-    assert all(drags[i].drag_ticks > 0 for i in cell_ids)
+    assert all(drags[i] > 0 for i in cell_ids)
     allocated, dead, _ = dead_objects(list(drags.values()),
                                       log.end_tick, 1)
     assert allocated == n + 3
@@ -187,7 +184,7 @@ def test_invariant_suite(motiv_k1, nullified_k1):
     points_checked = 0
     for log in logs:
         drags = drags_of(log)
-        assert all(d.drag_ticks >= 0 for d in drags)
+        assert all(d >= 0 for d in drags)
         assert sum(histogram(drags, log.end_tick)) == len(log.records)
         series = curves(log)
         for _, reach, live in series.points:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dragprof import analyzer
 from dragprof.analyzer import (
-    DragRecord,
     build_report,
     curves,
     dead_objects,
@@ -38,20 +37,27 @@ def make_log(records, end_tick, gc_interval=1):
 # drag
 
 def test_drag_is_collect_minus_last_use():
-    assert drag(rec(0, 10, 40, 100), 200).drag_ticks == 60
+    assert drag(rec(0, 10, 40, 100)) == 60
 
 
 def test_drag_of_never_used_runs_from_creation():
-    assert drag(rec(0, 10, None, 100), 200).drag_ticks == 90
+    assert drag(rec(0, 10, None, 100)) == 90
 
 
 def test_drag_zero_when_used_at_collection():
-    assert drag(rec(0, 10, 100, 100), 200).drag_ticks == 0
+    assert drag(rec(0, 10, 100, 100)) == 0
 
 
 def test_drag_pct_relative_to_runtime():
-    d = drag(rec(0, 0, 50, 150), 200)
-    assert d.drag_pct == pytest.approx(50.0)
+    _, max_pct, _, avg_pct = drag_summary([drag(rec(0, 0, 50, 150))], 200)
+    assert max_pct == pytest.approx(50.0)
+    assert avg_pct == pytest.approx(50.0)
+
+
+def test_drags_of_in_record_order():
+    log = make_log([rec(3, 0, 5, 9), rec(1, 2, None, 9), rec(2, 4, 9, 9)],
+                   end_tick=10)
+    assert drags_of(log) == [4, 7, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -78,26 +84,50 @@ def test_curves_censored_reachable_through_end():
     assert series.points[-1] == (9, 1, 0)
 
 
+def bruteforce_points(log, s):
+    """Independent oracle: a per-record membership test at every sample."""
+    expected = []
+    for t in range(0, log.end_tick + 1, s):
+        reach = live = 0
+        for record in log.records:
+            hi = record.collect_tick + (1 if record.censored else 0)
+            if record.create_tick <= t < hi:
+                reach += 1
+            if (record.last_use_tick is not None
+                    and record.create_tick <= t <= record.last_use_tick):
+                live += 1
+        expected.append((t, reach, live))
+    return expected
+
+
 def test_curves_match_bruteforce_replay():
-    # independent oracle: per-record membership test at every sample
     r = run_source(motiv_source(40, 100), gc_interval=2,
                    source_name="motiv.scm")
     log = r.trace_log
     for s in (1, 7, 50):
-        series = curves(log, s)
-        expected = []
-        for t in range(0, log.end_tick + 1, s):
-            reach = live = 0
-            for record in log.records:
-                hi = record.collect_tick + (1 if record.censored else 0)
-                if record.create_tick <= t < hi:
-                    reach += 1
-                if (record.last_use_tick is not None
-                        and record.create_tick <= t
-                        <= record.last_use_tick):
-                    live += 1
-            expected.append((t, reach, live))
-        assert series.points == expected
+        assert curves(log, s).points == bruteforce_points(log, s)
+
+
+@st.composite
+def trace_logs(draw):
+    """Logs as a run could write them: censored records collected at the
+    end, never-used records, records created at tick 0."""
+    end = draw(st.integers(0, 300))
+    records = []
+    for i in range(draw(st.integers(0, 20))):
+        create = draw(st.integers(0, end))
+        censored = draw(st.booleans())
+        collect = end if censored else draw(st.integers(create, end))
+        last = draw(st.none() | st.integers(create, collect))
+        records.append(rec(i, create, last, collect, censored))
+    return make_log(records, end)
+
+
+@settings(max_examples=300)
+@given(trace_logs(), st.integers(1, 400))
+def test_curves_match_bruteforce_on_random_logs(log, s):
+    # s ranges past end and over intervals that do not divide it
+    assert curves(log, s).points == bruteforce_points(log, s)
 
 
 def test_curves_default_interval_gives_about_500_points():
@@ -140,22 +170,18 @@ def test_space_time_left_sum():
 
 def test_drag_summary_reference_row():
     # runtime 480: max drag 250 -> 52.08%, average 179.96 -> 37.49%
-    max_d, max_pct, _, _ = drag_summary(
-        [DragRecord(0, 250, 0.0, False)], 480)
+    max_d, max_pct, _, _ = drag_summary([250], 480)
     assert max_d == 250
     assert max_pct == pytest.approx(52.08, abs=0.01)
     assert 179.96 / 480 * 100 == pytest.approx(37.49, abs=0.01)
 
 
 def test_drag_summary_single_zero_record():
-    assert drag_summary([DragRecord(0, 0, 0.0, False)], 100) == \
-        (0, 0.0, 0.0, 0.0)
+    assert drag_summary([0], 100) == (0, 0.0, 0.0, 0.0)
 
 
 def test_drag_summary_small_set():
-    drags = [DragRecord(i, d, 0.0, False)
-             for i, d in enumerate((10, 20, 30))]
-    max_d, max_pct, avg_d, avg_pct = drag_summary(drags, 100)
+    max_d, max_pct, avg_d, avg_pct = drag_summary([10, 20, 30], 100)
     assert (max_d, max_pct) == (30, pytest.approx(30.0))
     assert (avg_d, avg_pct) == (pytest.approx(20.0), pytest.approx(20.0))
 
@@ -168,13 +194,11 @@ def test_drag_summary_empty():
 # dead objects
 
 def test_dead_objects_none_when_all_zero():
-    drags = [DragRecord(i, 0, 0.0, False) for i in range(5)]
-    assert dead_objects(drags, 100, 0) == (5, 0, 0.0)
+    assert dead_objects([0] * 5, 100, 0) == (5, 0, 0.0)
 
 
 def test_dead_objects_threshold_strictly_exceeded():
-    drags = [DragRecord(0, 5, 0.0, False), DragRecord(1, 6, 0.0, False)]
-    allocated, dead, pct = dead_objects(drags, 100, 5)
+    allocated, dead, pct = dead_objects([5, 6], 100, 5)
     assert (allocated, dead) == (2, 1)
     assert pct == pytest.approx(50.0)
 
@@ -201,12 +225,12 @@ def test_nullified_no_dead_at_threshold_k():
 # histogram
 
 def test_histogram_full_runtime_drag_lands_in_last_bin():
-    bins = histogram([DragRecord(0, 100, 100.0, False)], 100)
+    bins = histogram([100], 100)
     assert bins[19] == 1 and sum(bins) == 1
 
 
 def test_histogram_zero_drag_lands_in_first_bin():
-    bins = histogram([DragRecord(0, 0, 0.0, False)], 100)
+    bins = histogram([0], 100)
     assert bins[0] == 1
 
 
@@ -223,12 +247,10 @@ def test_histogram_shapes_of_the_two_variants():
     assert nbins[0] / sum(nbins) >= 0.95
 
 
-@given(st.lists(st.tuples(st.integers(0, 1000), st.booleans()),
-                max_size=60),
+@given(st.lists(st.integers(0, 1000), max_size=60),
        st.integers(min_value=1, max_value=1000))
 def test_histogram_mass_conservation(entries, end):
-    drags = [DragRecord(i, min(d, end), 0.0, c)
-             for i, (d, c) in enumerate(entries)]
+    drags = [min(d, end) for d in entries]
     assert sum(histogram(drags, end)) == len(drags)
 
 

@@ -1,13 +1,19 @@
+import contextlib
+import io
+import json
 import os
 import shutil
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import dragprof
 from dragprof import atomic
 from dragprof.cli import main
+from dragprof.runtime import MAX_HEAP_SLOTS
 
 SMALL_PROGRAM = """
 (define xs (list 1 2 3))
@@ -134,6 +140,15 @@ def test_run_rejects_undersized_heap(workdir, capsys):
                    "--log", workdir / "small.draglog")
     assert code == 1
     assert "heap_slots" in capsys.readouterr().err
+    assert not (workdir / "small.draglog").exists()
+
+
+def test_run_rejects_oversized_heap(workdir, capsys):
+    code = run_cli("run", workdir / "small.scm", "--heap-slots",
+                   MAX_HEAP_SLOTS + 1, "--log", workdir / "small.draglog")
+    assert code == 1
+    assert f"heap_slots must be at most {MAX_HEAP_SLOTS}" in \
+        capsys.readouterr().err
     assert not (workdir / "small.draglog").exists()
 
 
@@ -319,3 +334,38 @@ def test_bundled_programs_run_through_cli(workdir):
         src.write_text(dragprof.bundled_program(name), encoding="utf-8")
         assert run_cli("run", src, "--log", workdir / (name + ".draglog")) \
             == 0
+
+
+@pytest.mark.parametrize("command, forbidden", [
+    (None, {"interp", "runtime", "gc", "heap", "profiler", "analyzer",
+            "plot"}),
+    ("plot", {"interp", "runtime", "analyzer", "profiler"}),
+    ("analyze", {"interp", "runtime", "plot"}),
+], ids=["import", "plot", "analyze"])
+def test_commands_load_only_their_own_layers(workdir, command, forbidden):
+    # a fresh interpreter imports the CLI and runs at most one command
+    log = workdir / "small.draglog"
+    out = workdir / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", workdir / "small.scm", "--log", log) == 0
+        assert run_cli("analyze", log, "--out-dir", out) == 0
+    argv = {"plot": ["plot", str(out / "curves.csv"),
+                     str(out / "histogram.csv"), "--out-dir", str(out)],
+            "analyze": ["analyze", str(log), "--out-dir", str(out)],
+            }.get(command, [])
+    script = ("import contextlib, io, json, sys\n"
+              "from dragprof.cli import main\n"
+              f"argv = {argv!r}\n"
+              "if argv:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dragprof.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = {name.split(".", 1)[1] for name in json.loads(proc.stdout)
+              if name.startswith("dragprof.")}
+    assert "cli" in loaded
+    assert not loaded & forbidden

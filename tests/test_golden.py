@@ -1,16 +1,21 @@
 """Byte-identity gate: the bundled programs' DRAGLOG output and collection
-statistics at K in {1, 4, 16}, pinned as sha256 digests.
+statistics at K in {1, 4, 16}, and the files `analyze` and `plot` make
+from those logs at K in {1, 16}, pinned as sha256 digests.
 
 A runtime change that keeps these digests keeps every creation, use and
-collection tick of the bundled programs.  A change that means to alter
-the log must update the table and say why.
+collection tick of the bundled programs; an analyzer or plot change that
+keeps them keeps every report, CSV and SVG byte.  A change that means to
+alter an output must update the table and say why.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
 import dragprof
+from dragprof.cli import main
 from dragprof.interp import run_source
 from dragprof.profiler import format_draglog
 
@@ -67,3 +72,86 @@ def test_bundled_draglog_and_stats_byte_identical(program, k):
                     f"{s.slots_copied}\n" for s in result.collections)
     assert (_sha256(format_draglog(result.trace_log)),
             _sha256(stats)) == GOLDEN[program, k]
+
+
+REPORT_FILES = ("report.csv", "curves.csv", "histogram.csv", "report.txt",
+                "curves.svg", "histogram.svg")
+
+# (program, K) -> sha256 of each of REPORT_FILES, in that order
+GOLDEN_REPORT = {
+    ("list-stress", 1): (
+        "0dcbb04f44163f3f24d4d4581b09b927dc4d8d37ac12106cb0eea4bec1e743e1",
+        "f5717cc37a0ec34e36277597544011eae70c5c3f0acc4be13a6e2cfa0123aa4c",
+        "fdfef48acad0c2c644e666f04b51d53f9cb2a0e3df3d957b163b19c27f43e92f",
+        "80e8b6f76df691d8c4a8970ec2ad9b1b52721b4a43b9bdc34c2a069b9f6dd72d",
+        "02ffcbb971359aa6e001644427a5ed35c27e733be6dd6a3cc7b57ad4a2b27a0a",
+        "bceb078f91a7a1f822bed8dc2137b4ffd00437bd3069f45806462d2d080ec6e9"),
+    ("list-stress", 16): (
+        "2b25cb3dae2a332f02bae287a3f223912adfb9efba737de33bfc4498eebe6b8e",
+        "f5717cc37a0ec34e36277597544011eae70c5c3f0acc4be13a6e2cfa0123aa4c",
+        "be9242b242fd3758b8232fff1f4f20a8550132a4ef9f61877fdf209da87fcabb",
+        "55fd8482f510c1a1d2ff1af47a211097c6e14ba8b8b1f5715da7f31110d76bf3",
+        "02ffcbb971359aa6e001644427a5ed35c27e733be6dd6a3cc7b57ad4a2b27a0a",
+        "e413d0458bc6392c3bed2aa6f3b9fbda4332baa88a9b7f178b4b26424a7d300e"),
+    ("motiv", 1): (
+        "d9eb6ff660d13f45e4a490e549c82ae948e60a3bb1b6a3cd1fed4a6e3721cfd1",
+        "3a52ff9e0ec45b02d61c01b75f5ca8f01ab66864812be8c3b8ad9ad785bd5899",
+        "9717590ad1bdfc13a4800caff2c616963f017b86dfcb1ab0713f7a6b837dce4e",
+        "5ade4fbdf8a88ec39cdd6f11a239a3e112b1ad0f828c9a8b90b39b0d488c5b85",
+        "9053f6a65d682bb568521314315db08931d2e064de2dac2735e7ebbeca5c0521",
+        "931ebc46bbe2731e9579ff52530ea235e551b55e53842b9a4f8d8d7628762f23"),
+    ("motiv", 16): (
+        "25b839c653a01f26e1735a29efe411036da122d0edb1ee4681fe2b3314a50212",
+        "3a52ff9e0ec45b02d61c01b75f5ca8f01ab66864812be8c3b8ad9ad785bd5899",
+        "56ea51ca953053898d2453d6a25df7b6c8be489ab81fe769f4c861fae138b91f",
+        "3710f83b10e56a694df822c26854efec9393f9a6b03d10ef8459e765a252c4d2",
+        "9053f6a65d682bb568521314315db08931d2e064de2dac2735e7ebbeca5c0521",
+        "b7db14f594b6e3c080c3a6d59bc5af11fc0507e18c6686a57837843173b6ae02"),
+    ("motiv-nullified", 1): (
+        "9312680338170e93ba96c8e99c441264aae3b071b8b478e082538f25b5438c1e",
+        "1eaa2049cc7e82993bce71e9c4cc45de252cdc25422ca99b3000321abdf43bc3",
+        "920f273b5b0c46962a861a5d460db9bda374ab8fc9d79bef0373f1f6d21f9c77",
+        "7a72a3243b2011350c64bc655197f43da9efba459ea889365e2a5b19ebdc2031",
+        "fba5fb13150e8f3a4a9df4f9fbb0d7c77b805160fadbfe25ae283cbe388f0c8b",
+        "2b3bb588a86c9625a9ddc30fd1302116324f0d779bdd0ee4b9d4ce2ce64addc6"),
+    ("motiv-nullified", 16): (
+        "73e45e05d780bf13c9c9b6329cb1c23d073908b0933c345d6ec9b34251ebe406",
+        "e65e0f784966fd0e4278a29fbeda3089da221c6a5d377a3de6d074e9d0f1b16c",
+        "734761718e5173a75b0ff0740965a6c5b1ac670373c51787703cdd40b15cdb7e",
+        "5f2553cf14ba77c4ab5b19fda171c0cf8548b707389691acc3fcaeb5e8d54dee",
+        "01ec7984bc8ba91b601c887c0a551b98eb039cf94e971e6d67e3b578adc57544",
+        "89f74049f813c597c74bd6f0a70b28d0b84c6992d054b65165d0417432ff8f78"),
+    ("vector-stress", 1): (
+        "5d53ffaba23f31ab171590c4a7cc51bc7305172a0cb3bde242ca8e6b4a7e43ea",
+        "eac7094f48c75c6530ea231339c7087a41b66af4dc5c9803121d0f44fd68f0ad",
+        "18cb76cde504a04adbb4a68f7486b7d19bc8eadbfe7ec59af0dac981a296a08e",
+        "71416dbb51e50d9fb1a4c6e84a32581b8d7887c3e3b7f468c067e17bae11656a",
+        "c179d3b8cc1f65b25432a9ebc33464cb141bc584730e9e93ea339e3fdc991230",
+        "68e58c241e869e6b06341592bcfb780a08a4cf73e5f6921c1fe9b8ec008fd4da"),
+    ("vector-stress", 16): (
+        "5d53ffaba23f31ab171590c4a7cc51bc7305172a0cb3bde242ca8e6b4a7e43ea",
+        "eac7094f48c75c6530ea231339c7087a41b66af4dc5c9803121d0f44fd68f0ad",
+        "18cb76cde504a04adbb4a68f7486b7d19bc8eadbfe7ec59af0dac981a296a08e",
+        "a4fca1e6ac2577988e6cef2ea3a01e0d8bb6093a4566f012e4f56bc59f089719",
+        "c179d3b8cc1f65b25432a9ebc33464cb141bc584730e9e93ea339e3fdc991230",
+        "68e58c241e869e6b06341592bcfb780a08a4cf73e5f6921c1fe9b8ec008fd4da"),
+}
+
+
+@pytest.mark.parametrize("program, k", sorted(GOLDEN_REPORT))
+def test_bundled_report_and_plots_byte_identical(program, k, tmp_path):
+    source = tmp_path / (program + ".scm")
+    source.write_text(dragprof.bundled_program(program + ".scm"),
+                      encoding="utf-8")
+    log = tmp_path / (program + ".draglog")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(source), "--gc-interval", str(k),
+                     "--log", str(log)]) == 0
+        assert main(["analyze", str(log), "--out-dir", str(out)]) == 0
+        assert main(["plot", str(out / "curves.csv"),
+                     str(out / "histogram.csv"), "--out-dir",
+                     str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in REPORT_FILES)
+    assert digests == GOLDEN_REPORT[program, k]

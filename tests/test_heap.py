@@ -13,7 +13,8 @@ from dragprof.errors import (
 from dragprof.gc import Collector, canonical_serialization
 from dragprof.heap import NIL, PAIR, Heap, Ref
 from dragprof.profiler import Profiler
-from dragprof.runtime import Runtime
+from dragprof import runtime
+from dragprof.runtime import MAX_HEAP_SLOTS, Runtime
 
 from support import HeapDriver
 
@@ -28,6 +29,13 @@ class Roots:
 
 def make_runtime(heap_slots=64, gc_interval=10 ** 9):
     return Runtime(heap_slots=heap_slots, gc_interval=gc_interval)
+
+
+def test_oversized_heap_rejected_before_allocation(monkeypatch):
+    monkeypatch.setattr(runtime, "Heap",
+                        lambda *a, **k: pytest.fail("heap allocated"))
+    with pytest.raises(ValueError, match="heap_slots must be at most"):
+        Runtime(heap_slots=MAX_HEAP_SLOTS + 1)
 
 
 def test_first_allocation_on_empty_heap():

@@ -188,6 +188,8 @@ def test_draglog_roundtrip():
                  2, id="use-after-collect"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 3 F", lines[-1]],
                  2, id="collect-after-end"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 -3 -2 1 F", lines[-1]],
+                 2, id="negative-create"),
     pytest.param(lambda lines: [lines[0], "OBJ 1 P 2 1 -1 2 F", lines[1],
                                 lines[-1]], 3, id="unsorted"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 1 C", lines[-1]],
