@@ -159,20 +159,12 @@ class Heap:
         return self._spaces[1 - self._active]
 
     @property
-    def capacity_slots(self) -> int:
-        return self.active.capacity_slots
-
-    @property
     def used_slots(self) -> int:
         return self.active.used_slots
 
     @property
     def free_slots(self) -> int:
         return self.active.free_slots
-
-    @property
-    def object_count(self) -> int:
-        return len(self.objects)
 
     def can_alloc(self, n: int) -> bool:
         return self.active.free_slots >= n
@@ -196,20 +188,15 @@ class Heap:
                                               address=addr)
         return obj_id
 
-    def _record(self, ref: Ref) -> LifetimeRecord:
+    def record(self, ref: Ref) -> LifetimeRecord:
+        """The record of the object ref refers to."""
         rec = self.objects.get(ref.obj_id)
         if rec is None:
             raise DanglingRef(f"object #{ref.obj_id} was collected")
         return rec
 
-    def kind_of(self, ref: Ref) -> str:
-        return self._record(ref).kind
-
-    def size_of(self, ref: Ref) -> int:
-        return self._record(ref).size_slots
-
     def read_slot(self, ref: Ref, index: int):
-        rec = self._record(ref)
+        rec = self.record(ref)
         if not 0 <= index < rec.size_slots:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "
@@ -219,7 +206,7 @@ class Heap:
     def write_slot(self, ref: Ref, index: int, value):
         if not is_storable(value):
             raise UnstorableValue(f"{value!r} cannot live in a heap slot")
-        rec = self._record(ref)
+        rec = self.record(ref)
         if not 0 <= index < rec.size_slots:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "

@@ -4,12 +4,15 @@ The language: integer and boolean literals, quote, if, let, named let,
 lambda, begin, define (plain and shorthand procedure form), set!, and
 procedure application over the primitive table.
 
-parse() reads source text into an AST.  Interpreter.eval_program
-compiles each top-level node once into a Python closure code(env) and
-then runs it ("analyze, then execute": Abelson & Sussman, SICP 4.1.7).
-A lambda or named-let body is compiled with its node, and a Closure
-holds the body's code.  Nesting too deep to compile is a syntax error,
-as it is when parsing.
+Three parts: the reader, parse(), turns source text into reader forms
+(a SrcList with its line and column per parenthesized form; integers,
+booleans and interned symbols for atoms); the compiler,
+Interpreter.eval_program, checks the syntax of every top-level form and
+builds its Python closure code(env) in one walk, then runs the closures
+in order ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
+closures for code generation", 1987); the primitive table binds the
+procedures of the global environment.  Nesting too deep to read or to
+compile is a syntax error.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call returns a _TailCall instead of making the
@@ -167,214 +170,16 @@ class _Reader:
         return forms
 
 
-# ---------------------------------------------------------------------------
-# Expressions
-
-@dataclass(slots=True)
-class Literal:
-    value: object
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Var:
-    name: str
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Quote:
-    datum: object
-    pos: tuple
-
-
-@dataclass(slots=True)
-class If:
-    test: object
-    then: object
-    alt: object
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Let:
-    bindings: tuple
-    body: tuple
-    pos: tuple
-
-
-@dataclass(slots=True)
-class NamedLet:
-    name: str
-    bindings: tuple
-    body: tuple
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Lambda:
-    params: tuple
-    body: tuple
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Begin:
-    exprs: tuple
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Define:
-    name: str
-    expr: object
-    pos: tuple
-
-
-@dataclass(slots=True)
-class SetVar:
-    name: str
-    expr: object
-    pos: tuple
-
-
-@dataclass(slots=True)
-class Apply:
-    fn: object
-    args: tuple
-    pos: tuple
-
-
-def _syntax_error(msg, sx, pos):
-    if type(sx) is SrcList:
-        pos = (sx.line, sx.col)
-    raise SchemeSyntaxError(msg, *pos)
-
-
-def _require_symbol(sx, what, pos):
-    if not isinstance(sx, str):
-        _syntax_error(f"expected {what}", sx, pos)
-    return sx
-
-
-def _compile_body(forms, sx, pos):
-    if not forms:
-        _syntax_error("empty body", sx, pos)
-    return tuple([_compile(f, pos) for f in forms])
-
-
-def _compile_bindings(sx, pos):
-    if type(sx) is not SrcList or sx.tail is not None:
-        _syntax_error("expected a binding list", sx, pos)
-    bindings = []
-    for b in sx.items:
-        if (type(b) is not SrcList or b.tail is not None
-                or len(b.items) != 2):
-            _syntax_error("expected (name init) binding", b, pos)
-        name = _require_symbol(b.items[0], "a binding name",
-                               (b.line, b.col))
-        bindings.append((name, _compile(b.items[1], (b.line, b.col))))
-    return tuple(bindings)
-
-
-# The recursion below builds tuples from list comprehensions, not
-# generators: resuming a generator also takes C stack, and deep enough
-# nesting overflows that before the Python recursion limit is reached.
-def _compile(sx, pos):
-    if isinstance(sx, (int, Nil)):  # covers bool
-        return Literal(sx, pos)
-    if isinstance(sx, str):
-        return Var(sx, pos)
-    assert type(sx) is SrcList
-    pos = (sx.line, sx.col)
-    if sx.tail is not None:
-        _syntax_error("dotted list in code", sx, pos)
-    items = sx.items
-    if not items:
-        _syntax_error("empty application", sx, pos)
-    head = items[0]
-    if isinstance(head, str):
-        if head is _QUOTE:
-            if len(items) != 2:
-                _syntax_error("quote takes one datum", sx, pos)
-            return Quote(items[1], pos)
-        if head is _IF:
-            if len(items) not in (3, 4):
-                _syntax_error("if takes a test and one or two branches",
-                              sx, pos)
-            alt = (_compile(items[3], pos) if len(items) == 4
-                   else Quote(SrcList([], None, sx.line, sx.col), pos))
-            return If(_compile(items[1], pos), _compile(items[2], pos),
-                      alt, pos)
-        if head is _LET:
-            if len(items) >= 2 and isinstance(items[1], str):
-                if len(items) < 4:
-                    _syntax_error("named let needs bindings and a body",
-                                  sx, pos)
-                return NamedLet(items[1], _compile_bindings(items[2], pos),
-                                _compile_body(items[3:], sx, pos), pos)
-            if len(items) < 3:
-                _syntax_error("let needs bindings and a body", sx, pos)
-            return Let(_compile_bindings(items[1], pos),
-                       _compile_body(items[2:], sx, pos), pos)
-        if head is _LAMBDA:
-            if len(items) < 3:
-                _syntax_error("lambda needs parameters and a body", sx, pos)
-            plist = items[1]
-            if type(plist) is not SrcList or plist.tail is not None:
-                _syntax_error("expected a parameter list", plist, pos)
-            params = tuple(_require_symbol(p, "a parameter name", pos)
-                           for p in plist.items)
-            return Lambda(params, _compile_body(items[2:], sx, pos), pos)
-        if head is _BEGIN:
-            if len(items) < 2:
-                _syntax_error("empty begin", sx, pos)
-            return Begin(tuple([_compile(e, pos) for e in items[1:]]), pos)
-        if head is _DEFINE:
-            if len(items) < 3:
-                _syntax_error("define needs a name and a value", sx, pos)
-            target = items[1]
-            if type(target) is SrcList:  # (define (name params...) body...)
-                if target.tail is not None or not target.items:
-                    _syntax_error("bad define form", target, pos)
-                name = _require_symbol(target.items[0], "a procedure name",
-                                       pos)
-                params = tuple(_require_symbol(p, "a parameter name", pos)
-                               for p in target.items[1:])
-                return Define(name,
-                              Lambda(params,
-                                     _compile_body(items[2:], sx, pos), pos),
-                              pos)
-            if len(items) != 3:
-                _syntax_error("define takes one value", sx, pos)
-            name = _require_symbol(target, "a name", pos)
-            return Define(name, _compile(items[2], pos), pos)
-        if head is _SET:
-            if len(items) != 3:
-                _syntax_error("set! takes a name and a value", sx, pos)
-            return SetVar(_require_symbol(items[1], "a name", pos),
-                          _compile(items[2], pos), pos)
-    return Apply(_compile(head, pos),
-                 tuple([_compile(a, pos) for a in items[1:]]), pos)
-
-
 def parse(source: str):
-    """Parse source text into a program: a list of expressions.  Nesting
-    deeper than the Python recursion limit allows is a syntax error."""
+    """Read source text into its top-level forms: SrcLists and atoms.
+    Nesting deeper than the Python recursion limit allows is a syntax
+    error."""
     reader = _Reader(source)
     try:
-        forms = reader.read_program()
+        return reader.read_program()
     except RecursionError:
         _, _, line, col = reader.tokens[reader.i - 1]
         raise SchemeSyntaxError("nesting too deep", line, col) from None
-    program = []
-    for form in forms:
-        try:
-            program.append(_compile(form, (1, 1)))
-        except RecursionError:
-            raise SchemeSyntaxError("nesting too deep", form.line,
-                                    form.col) from None
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +245,6 @@ def _rt_error(msg, pos):
     if pos is not None:
         return SchemeRuntimeError(f"{pos[0]}:{pos[1]}: {msg}")
     return SchemeRuntimeError(msg)
-
-
-def _is_number(v):
-    # values are plain int, bool and non-numbers: bool is not a number
-    return type(v) is int
 
 
 def write_value(heap, value) -> str:
@@ -517,9 +317,14 @@ def write_value(heap, value) -> str:
 # ---------------------------------------------------------------------------
 # Primitives
 
+def _record_of(rt, v):
+    """The record of the object v refers to; None if v is not a Ref."""
+    return rt.heap.record(v) if type(v) is Ref else None
+
+
 def _type_name(rt, v):
     if type(v) is Ref:
-        return "a pair" if rt.is_pair(v) else "a vector"
+        return "a pair" if _record_of(rt, v).kind == PAIR else "a vector"
     if isinstance(v, bool):
         return "a boolean"
     if isinstance(v, int):
@@ -545,15 +350,19 @@ def _check_storable(interp, v, name, pos):
 
 
 def _require_pair(interp, v, name, pos):
-    if not interp.rt.is_pair(v):
+    rec = _record_of(interp.rt, v)
+    if rec is None or rec.kind != PAIR:
         raise _rt_error(f"{name}: expected a pair, got "
                         f"{_type_name(interp.rt, v)}", pos)
+    return rec
 
 
 def _require_vector(interp, v, name, pos):
-    if not interp.rt.is_vector(v):
+    rec = _record_of(interp.rt, v)
+    if rec is None or rec.kind != VECTOR:
         raise _rt_error(f"{name}: expected a vector, got "
                         f"{_type_name(interp.rt, v)}", pos)
+    return rec
 
 
 def _require_number(interp, v, name, pos):
@@ -582,20 +391,20 @@ def _prim_list(interp, args, pos):
 def _prim_car(interp, args, pos):
     _require_pair(interp, args[0], "car", pos)
     interp.rt.record_use(args[0])
-    return interp.rt.read_slot(args[0], 0)
+    return interp.rt.heap.read_slot(args[0], 0)
 
 
 def _prim_cdr(interp, args, pos):
     _require_pair(interp, args[0], "cdr", pos)
     interp.rt.record_use(args[0])
-    return interp.rt.read_slot(args[0], 1)
+    return interp.rt.heap.read_slot(args[0], 1)
 
 
 def _prim_set_car(interp, args, pos):
     _require_pair(interp, args[0], "set-car!", pos)
     _check_storable(interp, args[1], "set-car!", pos)
     _use_refs(interp, args)
-    interp.rt.write_slot(args[0], 0, args[1])
+    interp.rt.heap.write_slot(args[0], 0, args[1])
     return NIL
 
 
@@ -603,7 +412,7 @@ def _prim_set_cdr(interp, args, pos):
     _require_pair(interp, args[0], "set-cdr!", pos)
     _check_storable(interp, args[1], "set-cdr!", pos)
     _use_refs(interp, args)
-    interp.rt.write_slot(args[0], 1, args[1])
+    interp.rt.heap.write_slot(args[0], 1, args[1])
     return NIL
 
 
@@ -614,12 +423,13 @@ def _prim_null_p(interp, args, pos):
 
 def _prim_pair_p(interp, args, pos):
     _use_refs(interp, args)
-    return interp.rt.is_pair(args[0])
+    rec = _record_of(interp.rt, args[0])
+    return rec is not None and rec.kind == PAIR
 
 
 def _prim_number_p(interp, args, pos):
     _use_refs(interp, args)
-    return _is_number(args[0])
+    return type(args[0]) is int  # a bool is not a number
 
 
 def _prim_vector(interp, args, pos):
@@ -628,7 +438,7 @@ def _prim_vector(interp, args, pos):
     _use_refs(interp, args)
     ref = interp.rt.alloc_vector(len(args), NIL)
     for i, v in enumerate(args):
-        interp.rt.write_slot(ref, i, v)
+        interp.rt.heap.write_slot(ref, i, v)
     return ref
 
 
@@ -642,58 +452,59 @@ def _prim_make_vector(interp, args, pos):
     return interp.rt.alloc_vector(args[0], fill)
 
 
-def _vector_index(interp, v, i, name, pos):
+def _vector_index(interp, rec, i, name, pos):
     _require_number(interp, i, name, pos)
-    size = interp.rt.heap.size_of(v)
+    size = rec.size_slots
     if not 0 <= i < size:
         raise _rt_error(f"{name}: index {i} out of range for vector "
                         f"of length {size}", pos)
 
 
 def _prim_vector_ref(interp, args, pos):
-    _require_vector(interp, args[0], "vector-ref", pos)
-    _vector_index(interp, args[0], args[1], "vector-ref", pos)
+    rec = _require_vector(interp, args[0], "vector-ref", pos)
+    _vector_index(interp, rec, args[1], "vector-ref", pos)
     _use_refs(interp, args)
-    return interp.rt.read_slot(args[0], args[1])
+    return interp.rt.heap.read_slot(args[0], args[1])
 
 
 def _prim_vector_set(interp, args, pos):
-    _require_vector(interp, args[0], "vector-set!", pos)
-    _vector_index(interp, args[0], args[1], "vector-set!", pos)
+    rec = _require_vector(interp, args[0], "vector-set!", pos)
+    _vector_index(interp, rec, args[1], "vector-set!", pos)
     _check_storable(interp, args[2], "vector-set!", pos)
     _use_refs(interp, args)
-    interp.rt.write_slot(args[0], args[1], args[2])
+    interp.rt.heap.write_slot(args[0], args[1], args[2])
     return NIL
 
 
 def _prim_vector_length(interp, args, pos):
-    _require_vector(interp, args[0], "vector-length", pos)
+    rec = _require_vector(interp, args[0], "vector-length", pos)
     interp.rt.record_use(args[0])
-    return interp.rt.heap.size_of(args[0])
+    return rec.size_slots
 
 
 def _prim_vector_to_list(interp, args, pos):
-    _require_vector(interp, args[0], "vector->list", pos)
+    rec = _require_vector(interp, args[0], "vector->list", pos)
     rt = interp.rt
     v = args[0]
     rt.record_use(v)
     result = NIL
-    for i in range(rt.heap.size_of(v) - 1, -1, -1):
-        result = rt.alloc_pair(rt.read_slot(v, i), result)
+    for i in range(rec.size_slots - 1, -1, -1):
+        result = rt.alloc_pair(rt.heap.read_slot(v, i), result)
     return result
 
 
 def _prim_list_to_vector(interp, args, pos):
     rt = interp.rt
+    heap = rt.heap
     lst = args[0]
     # validate the spine first so an improper list records no events
     n, cur = 0, lst
-    limit = rt.heap.object_count + 1
-    while rt.is_pair(cur):
+    limit = len(heap.objects) + 1
+    while (rec := _record_of(rt, cur)) is not None and rec.kind == PAIR:
         n += 1
         if n > limit:
             raise _rt_error("list->vector: cyclic list", pos)
-        cur = rt.read_slot(cur, 1)
+        cur = heap.read_slot(cur, 1)
     if not isinstance(cur, Nil):
         raise _rt_error(f"list->vector: expected a proper list, got "
                         f"{_type_name(rt, args[0])}", pos)
@@ -701,12 +512,12 @@ def _prim_list_to_vector(interp, args, pos):
     cur = lst
     while not isinstance(cur, Nil):
         rt.record_use(cur)
-        items.append(rt.read_slot(cur, 0))
-        cur = rt.read_slot(cur, 1)
+        items.append(heap.read_slot(cur, 0))
+        cur = heap.read_slot(cur, 1)
     # items stay reachable through the pinned argument list
     vec = rt.alloc_vector(n, NIL)
     for i, v in enumerate(items):
-        rt.write_slot(vec, i, v)
+        heap.write_slot(vec, i, v)
     return vec
 
 
@@ -757,7 +568,7 @@ def _prim_eq_p(interp, args, pos):
     if isinstance(a, bool):
         return a is b
     if isinstance(a, int):
-        return _is_number(b) and a == b
+        return type(b) is int and a == b
     if isinstance(a, str):
         return isinstance(b, str) and a == b
     if isinstance(a, Nil):
@@ -800,7 +611,24 @@ _PRIMITIVES = [
 
 
 # ---------------------------------------------------------------------------
-# Compiler: expressions -> closures
+# Compiler: reader forms -> closures
+
+def _syntax_error(msg, sx, pos):
+    """Raise msg at sx's own position if it is a form, else at pos."""
+    if type(sx) is SrcList:
+        pos = (sx.line, sx.col)
+    raise SchemeSyntaxError(msg, *pos)
+
+
+def _require_symbol(sx, what, pos):
+    if not isinstance(sx, str):
+        _syntax_error(f"expected {what}", sx, pos)
+    return sx
+
+
+def _too_deep(form):
+    return SchemeSyntaxError("nesting too deep", form.line, form.col)
+
 
 class _TailCall:
     """A closure call in tail position, returned to the nearest trampoline
@@ -882,15 +710,16 @@ class Interpreter:
                 qi += 1
 
     def eval_program(self, program):
-        """Compile every top-level expression, then run them in order in
-        the global environment; returns the last one's value."""
+        """Compile every top-level form, then run them in order in the
+        global environment; returns the last one's value."""
+        # compile_program's loop, inlined: calling it would take one more
+        # Python frame and lower the deepest nesting that compiles.
         codes = []
-        for expr in program:
+        for form in program:
             try:
-                codes.append(self._compile(expr, True))
+                codes.append(self._compile(form, (1, 1), True))
             except RecursionError:
-                raise SchemeSyntaxError("nesting too deep",
-                                        *expr.pos) from None
+                raise _too_deep(form) from None
         stack = self._env_stack
         env = self.globals
         result = NIL
@@ -901,6 +730,17 @@ class Interpreter:
             finally:
                 stack.pop()
         return result
+
+    def compile_program(self, forms):
+        """The code of each top-level form.  A form nested too deep to
+        compile is a syntax error at that form."""
+        codes = []
+        for form in forms:
+            try:
+                codes.append(self._compile(form, (1, 1), True))
+            except RecursionError:
+                raise _too_deep(form) from None
+        return codes
 
     def _materialize(self, datum):
         """Build a quoted datum, allocating its pairs now."""
@@ -918,62 +758,84 @@ class Interpreter:
         pins.pop()
         return result
 
-    def _compile(self, expr, tail):
-        """The closure code(env) that evaluates expr.  With tail set, expr
-        is in tail position and code may return a _TailCall."""
-        t = type(expr)
-        if t is Var:
-            name, pos = expr.name, expr.pos
-            return lambda env: env.lookup(name, pos)
-        if t is Apply:
-            return self._compile_apply(expr, tail)
-        if t is Literal:
-            value = expr.value
-            return lambda env: value
-        if t is If:
-            test = self._compile(expr.test, False)
-            then = self._compile(expr.then, tail)
-            alt = self._compile(expr.alt, tail)
+    # The compile methods recurse per nesting level, so they build lists
+    # with comprehensions, not generators: resuming a generator takes C
+    # stack, which deep nesting overflows before the recursion limit.
+    def _compile(self, sx, pos, tail):
+        """Check reader form sx and return the closure code(env) that
+        evaluates it; an atom reports pos, its enclosing form's position.
+        In tail position (tail set) code may return a _TailCall."""
+        if type(sx) is str:
+            return lambda env: env.lookup(sx, pos)
+        if type(sx) is not SrcList:  # an integer or a boolean
+            return lambda env: sx
+        pos = (sx.line, sx.col)
+        if sx.tail is not None:
+            raise SchemeSyntaxError("dotted list in code", *pos)
+        items = sx.items
+        if not items:
+            raise SchemeSyntaxError("empty application", *pos)
+        head = items[0]
+        if head is _QUOTE:
+            if len(items) != 2:
+                raise SchemeSyntaxError("quote takes one datum", *pos)
+            return self._compile_quote(items[1], pos)
+        if head is _IF:
+            if len(items) not in (3, 4):
+                raise SchemeSyntaxError(
+                    "if takes a test and one or two branches", *pos)
+            # The alternative's errors are reported before the test's.
+            alt = (self._compile(items[3], pos, tail) if len(items) == 4
+                   else lambda env: NIL)
+            test = self._compile(items[1], pos, False)
+            then = self._compile(items[2], pos, tail)
 
             def if_(env):
                 if test(env) is not False:
                     return then(env)
                 return alt(env)
             return if_
-        if t is Begin:
-            return self._compile_body(expr.exprs, tail)
-        if t is Let or t is NamedLet:
-            return self._compile_let(expr, tail)
-        if t is Quote:
-            return self._compile_quote(expr)
-        if t is Lambda:
-            params = expr.params
-            body = self._compile_body(expr.body, True)
-            return lambda env: Closure(params, body, env, None)
-        if t is Define:
-            name = expr.name
-            value_code = self._compile(expr.expr, False)
-
-            def define(env):
-                value = value_code(env)
-                if type(value) is Closure and value.name is None:
-                    value.name = name
-                env.vars[name] = value
-                return NIL
-            return define
-        if t is SetVar:
-            name, pos = expr.name, expr.pos
-            value_code = self._compile(expr.expr, False)
+        if head is _LET:
+            if len(items) >= 2 and type(items[1]) is str:
+                if len(items) < 4:
+                    raise SchemeSyntaxError(
+                        "named let needs bindings and a body", *pos)
+                return self._compile_let(items[1], items[2], items[3:], pos,
+                                         tail)
+            if len(items) < 3:
+                raise SchemeSyntaxError("let needs bindings and a body",
+                                        *pos)
+            return self._compile_let(None, items[1], items[2:], pos, tail)
+        if head is _LAMBDA:
+            if len(items) < 3:
+                raise SchemeSyntaxError("lambda needs parameters and a body",
+                                        *pos)
+            plist = items[1]
+            if type(plist) is not SrcList or plist.tail is not None:
+                _syntax_error("expected a parameter list", plist, pos)
+            return self._compile_lambda(plist.items, items[2:], pos)
+        if head is _BEGIN:
+            if len(items) < 2:
+                raise SchemeSyntaxError("empty begin", *pos)
+            return self._compile_body(items[1:], pos, tail)
+        if head is _DEFINE:
+            return self._compile_define(items, pos)
+        if head is _SET:
+            if len(items) != 3:
+                raise SchemeSyntaxError("set! takes a name and a value",
+                                        *pos)
+            name = _require_symbol(items[1], "a name", pos)
+            value_code = self._compile(items[2], pos, False)
 
             def set_var(env):
                 env.assign(name, value_code(env), pos)
                 return NIL
             return set_var
-        raise AssertionError(f"unknown expression {expr!r}")
+        return self._compile_apply(items, pos, tail)
 
-    def _compile_body(self, exprs, tail):
-        codes = [self._compile(e, False) for e in exprs[:-1]]
-        last = self._compile(exprs[-1], tail)
+    def _compile_body(self, forms, pos, tail):
+        codes = [self._compile(f, pos, False) for f in forms[:-1]]
+        last = self._compile(forms[-1], pos, tail)
         if not codes:
             return last
 
@@ -983,8 +845,37 @@ class Interpreter:
             return last(env)
         return body
 
-    def _compile_quote(self, expr):
-        datum, pos = expr.datum, expr.pos
+    def _compile_lambda(self, plist, body_forms, pos):
+        params = tuple([_require_symbol(p, "a parameter name", pos)
+                        for p in plist])
+        body = self._compile_body(body_forms, pos, True)
+        return lambda env: Closure(params, body, env, None)
+
+    def _compile_define(self, items, pos):
+        if len(items) < 3:
+            raise SchemeSyntaxError("define needs a name and a value", *pos)
+        target = items[1]
+        if type(target) is SrcList:  # (define (name params...) body...)
+            if target.tail is not None or not target.items:
+                _syntax_error("bad define form", target, pos)
+            name = _require_symbol(target.items[0], "a procedure name", pos)
+            value_code = self._compile_lambda(target.items[1:], items[2:],
+                                              pos)
+        else:
+            if len(items) != 3:
+                raise SchemeSyntaxError("define takes one value", *pos)
+            name = _require_symbol(target, "a name", pos)
+            value_code = self._compile(items[2], pos, False)
+
+        def define(env):
+            value = value_code(env)
+            if type(value) is Closure and value.name is None:
+                value.name = name
+            env.vars[name] = value
+            return NIL
+        return define
+
+    def _compile_quote(self, datum, pos):
         if type(datum) is SrcList and not datum.items and datum.tail is None:
             datum = NIL  # '() allocates nothing, so it is a constant
         if type(datum) is not SrcList:
@@ -999,11 +890,20 @@ class Interpreter:
                     from None
         return quote
 
-    def _compile_let(self, expr, tail):
-        names = tuple([name for name, _ in expr.bindings])
-        inits = [self._compile(init, False) for _, init in expr.bindings]
-        loop_name = expr.name if type(expr) is NamedLet else None
-        body = self._compile_body(expr.body, True)
+    def _compile_let(self, loop_name, bindings, body_forms, pos, tail):
+        """A let, or a named let; an init reports its binding's position."""
+        if type(bindings) is not SrcList or bindings.tail is not None:
+            _syntax_error("expected a binding list", bindings, pos)
+        names, inits = [], []
+        for b in bindings.items:
+            if (type(b) is not SrcList or b.tail is not None
+                    or len(b.items) != 2):
+                _syntax_error("expected (name init) binding", b, pos)
+            bpos = (b.line, b.col)
+            names.append(_require_symbol(b.items[0], "a binding name", bpos))
+            inits.append(self._compile(b.items[1], bpos, False))
+        names = tuple(names)
+        body = self._compile_body(body_forms, pos, True)
         stack, pins = self._env_stack, self._pinned
 
         def let(env):
@@ -1029,10 +929,9 @@ class Interpreter:
                 stack.pop()
         return let
 
-    def _compile_apply(self, expr, tail):
-        fn_code = self._compile(expr.fn, False)
-        arg_codes = [self._compile(a, False) for a in expr.args]
-        pos = expr.pos
+    def _compile_apply(self, items, pos, tail):
+        fn_code = self._compile(items[0], pos, False)
+        arg_codes = [self._compile(a, pos, False) for a in items[1:]]
         interp, stack, pins = self, self._env_stack, self._pinned
 
         def apply(env):
@@ -1091,19 +990,22 @@ class RunResult:
 def run_source(source: str, *,
                gc_interval: int = DEFAULT_GC_INTERVAL,
                heap_slots: int = DEFAULT_HEAP_SLOTS,
-               source_name: str = "<string>",
-               on_collection=None, on_event=None) -> RunResult:
+               source_name: str = "<string>") -> RunResult:
     """Parse and run a program, returning its result and the trace log.
 
     The result is rendered before termination; if it is a heap reference
     the object may be collected by the closing collection, so value_repr
     is the faithful record of what the program produced.  Running out of
     Python recursion depth is a SchemeRuntimeError ("recursion too deep");
-    the caller chooses the limit.
+    the caller chooses the limit.  A syntax error is reported before a
+    configuration out of range (the ValueError of Runtime).
     """
     program = parse(source)
-    rt = Runtime(heap_slots, gc_interval, source_name,
-                 on_collection=on_collection, on_event=on_event)
+    try:
+        rt = Runtime(heap_slots, gc_interval, source_name)
+    except ValueError:
+        Interpreter(Runtime()).compile_program(program)
+        raise
     interp = Interpreter(rt)
     try:
         value = interp.eval_program(program)

@@ -49,12 +49,11 @@ class Profiler:
     """Owns the clock; stamps the records of a heap's object table."""
 
     def __init__(self, objects: dict[int, LifetimeRecord], gc_interval: int,
-                 heap_slots: int, source: str = "<memory>", on_event=None):
+                 heap_slots: int, source: str = "<memory>"):
         self.objects = objects
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
-        self.on_event = on_event
         self.clock = 0
         self._finalized: list[LifetimeRecord] = []
         self._finished = False
@@ -82,8 +81,6 @@ class Profiler:
             raise DuplicateId(f"object #{obj_id} already registered")
         self.clock += 1
         rec.create_tick = self.clock
-        if self.on_event is not None:
-            self.on_event("create", obj_id, self.clock)
         return self.clock
 
     def record_use(self, obj_id: int) -> int:
@@ -94,8 +91,6 @@ class Profiler:
             raise UnknownId(f"use of unregistered object #{obj_id}")
         self.clock += 1
         rec.last_use_tick = self.clock
-        if self.on_event is not None:
-            self.on_event("use", obj_id, self.clock)
         return self.clock
 
     def flush_unmarked(self, marked, clock: int) -> list[LifetimeRecord]:

@@ -34,8 +34,7 @@ MAX_HEAP_SLOTS = 2 ** 24
 class Runtime:
     def __init__(self, heap_slots: int = DEFAULT_HEAP_SLOTS,
                  gc_interval: int = DEFAULT_GC_INTERVAL,
-                 source_name: str = "<memory>",
-                 on_collection=None, on_event=None, *,
+                 source_name: str = "<memory>", *,
                  _standby_capacity: int | None = None):
         if gc_interval < 1:
             raise ValueError("gc_interval must be at least 1")
@@ -46,9 +45,9 @@ class Runtime:
         self.gc_interval = gc_interval
         self.heap = Heap(heap_slots, _standby_capacity=_standby_capacity)
         self.profiler = Profiler(self.heap.objects, gc_interval, heap_slots,
-                                 source_name, on_event=on_event)
+                                 source_name)
         self.collector = Collector(self.heap, self.profiler)
-        self.on_collection = on_collection
+        self.on_collection = None  # if set: fn(stats, flushed records)
         self.root_providers = []
         self.collections: list[CollectionStats] = []
         self.total_allocations = 0
@@ -59,12 +58,6 @@ class Runtime:
     def add_root_provider(self, provider):
         """Register a callable returning an iterable of live Refs."""
         self.root_providers.append(provider)
-
-    def pin(self, value):
-        self._pins.append(value)
-
-    def unpin(self):
-        self._pins.pop()
 
     def gather_roots(self) -> list[Ref]:
         seen = set()
@@ -141,18 +134,6 @@ class Runtime:
 
     def record_use(self, ref: Ref) -> int:
         return self.profiler.record_use(ref.obj_id)
-
-    def read_slot(self, ref: Ref, index: int):
-        return self.heap.read_slot(ref, index)
-
-    def write_slot(self, ref: Ref, index: int, value):
-        self.heap.write_slot(ref, index, value)
-
-    def is_pair(self, value) -> bool:
-        return type(value) is Ref and self.heap.kind_of(value) == PAIR
-
-    def is_vector(self, value) -> bool:
-        return type(value) is Ref and self.heap.kind_of(value) == VECTOR
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection with the

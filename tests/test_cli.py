@@ -60,6 +60,13 @@ def test_run_syntax_error_exits_1(workdir, capsys):
     assert run_cli("run", bad, "--log", workdir / "bad.draglog") == 1
     assert "syntax error" in capsys.readouterr().err
     assert not (workdir / "bad.draglog").exists()
+    # a syntax error is reported before a heap size out of range
+    bad.write_text("(define x (if))", encoding="utf-8")
+    assert run_cli("run", bad, "--heap-slots", 8,
+                   "--log", workdir / "bad.draglog") == 1
+    assert ("syntax error in bad.scm: 1:11: if takes a test and one or two "
+            "branches") in capsys.readouterr().err
+    assert not (workdir / "bad.draglog").exists()
 
 
 def test_run_runtime_error_exits_2_naming_the_form(workdir, capsys):
@@ -93,6 +100,11 @@ def test_run_deep_non_tail_recursion_exits_0(workdir, capsys):
     deep.write_text(BUILD.format(n=2000), encoding="utf-8")
     assert run_cli("run", deep, "--log", workdir / "deep.draglog") == 0
     assert "result: 2000" in capsys.readouterr().out
+    assert sys.getrecursionlimit() == limit
+    # nesting as deep as this compiles and runs too
+    deep.write_text("(+ 1 " * 13_000 + "1" + ")" * 13_000, encoding="utf-8")
+    assert run_cli("run", deep, "--log", workdir / "deep.draglog") == 0
+    assert "result: 13001" in capsys.readouterr().out
     assert sys.getrecursionlimit() == limit
 
 

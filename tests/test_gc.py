@@ -65,7 +65,7 @@ def test_oracle_empty_roots():
 def test_oracle_self_cycle_terminates():
     rt = make_runtime()
     p = rt.alloc_pair(NIL, NIL)
-    rt.write_slot(p, 0, p)
+    rt.heap.write_slot(p, 0, p)
     assert reachability_oracle(rt.heap, [p]) == {p.obj_id}
 
 
@@ -101,7 +101,7 @@ def test_cycles_survive_and_serialize_identically():
     roots = Roots(rt)
     a = rt.alloc_pair(1, NIL)
     b = rt.alloc_pair(2, a)
-    rt.write_slot(a, 1, b)  # a <-> b cycle
+    rt.heap.write_slot(a, 1, b)  # a <-> b cycle
     roots.refs.append(a)
     before = canonical_serialization(rt.heap, roots.refs)
     assert "@" in before  # the back-reference marker
@@ -146,12 +146,12 @@ def test_slot_ref_kept_across_copy():
     inner = rt.alloc_pair(7, NIL)
     outer = rt.alloc_pair(inner, NIL)
     roots.refs[:] = [outer]
-    stored = rt.read_slot(outer, 0)
+    stored = rt.heap.read_slot(outer, 0)
     old_addr = rt.heap.objects[inner.obj_id].address
     rt.collect_now()  # outer is copied first, so inner moves behind it
     assert rt.heap.objects[inner.obj_id].address != old_addr
-    assert rt.read_slot(outer, 0) is stored
-    assert rt.read_slot(stored, 0) == 7
+    assert rt.heap.read_slot(outer, 0) is stored
+    assert rt.heap.read_slot(stored, 0) == 7
 
 
 def test_randomized_sessions_oracle_equivalence():

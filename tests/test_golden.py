@@ -16,6 +16,11 @@ import pytest
 
 import dragprof
 from dragprof.cli import main
+from dragprof.errors import (
+    OutOfMemory,
+    SchemeRuntimeError,
+    SchemeSyntaxError,
+)
 from dragprof.interp import run_source
 from dragprof.profiler import format_draglog
 
@@ -155,3 +160,143 @@ def test_bundled_report_and_plots_byte_identical(program, k, tmp_path):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in REPORT_FILES)
     assert digests == GOLDEN_REPORT[program, k]
+
+
+# (source, heap slots, exception type, str(exception)) for one input per
+# reader and compiler error, the order in which a form's errors are
+# found, and the runtime errors that carry a source position.  Recorded
+# at K=4 before the AST layer was merged into the closure compiler.
+ERROR_MESSAGES = [
+    ('(car', 64,
+     SchemeSyntaxError, '1:5: unexpected end of input (unclosed parenthesis)'),
+    ('())', 64,
+     SchemeSyntaxError, '1:3: unexpected closing parenthesis'),
+    ('#x', 64,
+     SchemeSyntaxError, '1:1: unknown literal #x'),
+    ("'(. 2)", 64,
+     SchemeSyntaxError, '1:3: misplaced dot'),
+    ('(1 . 2 3)', 64,
+     SchemeSyntaxError, '1:8: form after dotted tail'),
+    ('(car (1 . 2))', 64,
+     SchemeSyntaxError, '1:6: dotted list in code'),
+    ('()', 64,
+     SchemeSyntaxError, '1:1: empty application'),
+    ('(quote)', 64,
+     SchemeSyntaxError, '1:1: quote takes one datum'),
+    ('(define x (if))', 64,
+     SchemeSyntaxError, '1:11: if takes a test and one or two branches'),
+    ('(let loop ((i 0)))', 64,
+     SchemeSyntaxError, '1:1: named let needs bindings and a body'),
+    ('(let ((x 1)))', 64,
+     SchemeSyntaxError, '1:1: let needs bindings and a body'),
+    ('(let 5 1)', 64,
+     SchemeSyntaxError, '1:1: expected a binding list'),
+    ('(let ((x)) x)', 64,
+     SchemeSyntaxError, '1:7: expected (name init) binding'),
+    ('(let (y) y)', 64,
+     SchemeSyntaxError, '1:1: expected (name init) binding'),
+    ('(let ((1 2)) 1)', 64,
+     SchemeSyntaxError, '1:7: expected a binding name'),
+    ('(let (((a) 2)) 1)', 64,
+     SchemeSyntaxError, '1:8: expected a binding name'),
+    ('(lambda (x))', 64,
+     SchemeSyntaxError, '1:1: lambda needs parameters and a body'),
+    ('(lambda x x)', 64,
+     SchemeSyntaxError, '1:1: expected a parameter list'),
+    ('(lambda (a . b) a)', 64,
+     SchemeSyntaxError, '1:9: expected a parameter list'),
+    ('(lambda (1) 1)', 64,
+     SchemeSyntaxError, '1:1: expected a parameter name'),
+    ('(lambda ((p)) 1)', 64,
+     SchemeSyntaxError, '1:10: expected a parameter name'),
+    ('(begin)', 64,
+     SchemeSyntaxError, '1:1: empty begin'),
+    ('(define x)', 64,
+     SchemeSyntaxError, '1:1: define needs a name and a value'),
+    ('(define () 1)', 64,
+     SchemeSyntaxError, '1:9: bad define form'),
+    ('(define (f . g) 1)', 64,
+     SchemeSyntaxError, '1:9: bad define form'),
+    ('(define (1 x) x)', 64,
+     SchemeSyntaxError, '1:1: expected a procedure name'),
+    ('(define ((f) x) x)', 64,
+     SchemeSyntaxError, '1:10: expected a procedure name'),
+    ('(define (f 1) 1)', 64,
+     SchemeSyntaxError, '1:1: expected a parameter name'),
+    ('(define x 1 2)', 64,
+     SchemeSyntaxError, '1:1: define takes one value'),
+    ('(define 1 2)', 64,
+     SchemeSyntaxError, '1:1: expected a name'),
+    ('(define (g) 1) (define (q) 2)\n  (define (h) (k (set! 1 2)))', 64,
+     SchemeSyntaxError, '2:18: expected a name'),
+    ('(set! x)', 64,
+     SchemeSyntaxError, '1:1: set! takes a name and a value'),
+    ('(set! (x) 2)', 64,
+     SchemeSyntaxError, '1:7: expected a name'),
+    ('(if (quote) (if) (let))', 64,
+     SchemeSyntaxError, '1:18: let needs bindings and a body'),
+    ('((quote) (begin) (if))', 64,
+     SchemeSyntaxError, '1:2: quote takes one datum'),
+    ('(define ok 1)\n(display 5)\n  (let ((a 1)) (set! a))\n(begin)', 64,
+     SchemeSyntaxError, '3:16: set! takes a name and a value'),
+    ('(let ((x y)) x)', 64,
+     SchemeRuntimeError, '1:7: unbound variable: y'),
+    ('(define (f)\n  (let ((a 1)\n        (b nope))\n    a))\n(f)', 64,
+     SchemeRuntimeError, '3:9: unbound variable: nope'),
+    ('(set! zz 1)', 64,
+     SchemeRuntimeError, '1:1: set! of unbound variable: zz'),
+    ('(define (f x) x)\n(f 1 2)', 64,
+     SchemeRuntimeError, '2:1: f expects 1 arguments, got 2'),
+    ('(let loop ((i 0)) (loop))', 64,
+     SchemeRuntimeError, '1:19: loop expects 1 arguments, got 0'),
+    ('(car 1 2)', 64,
+     SchemeRuntimeError, '1:1: car: bad argument count 2'),
+    ('(5 1)', 64,
+     SchemeRuntimeError, '1:1: not a procedure: 5'),
+    ('((list 1 2) 3)', 64,
+     SchemeRuntimeError, '1:1: not a procedure: (1 2)'),
+    ('(car 5)', 64,
+     SchemeRuntimeError, '1:1: car: expected a pair, got a number'),
+    ("(cdr '())", 64,
+     SchemeRuntimeError, '1:1: cdr: expected a pair, got the empty list'),
+    ('(set-car! (vector 1) 2)', 64,
+     SchemeRuntimeError, '1:1: set-car!: expected a pair, got a vector'),
+    ('(vector-ref (vector 1 2) 2)', 64,
+     SchemeRuntimeError, '1:1: vector-ref: index 2 out of range for vector of length 2'),
+    ('(vector-set! (make-vector 3 0) -1 0)', 64,
+     SchemeRuntimeError, '1:1: vector-set!: index -1 out of range for vector of length 3'),
+    ('(vector-length (cons 1 2))', 64,
+     SchemeRuntimeError, '1:1: vector-length: expected a vector, got a pair'),
+    ('(vector-ref (vector 1) #t)', 64,
+     SchemeRuntimeError, '1:1: vector-ref: expected a number, got a boolean'),
+    ('(make-vector -2)', 64,
+     SchemeRuntimeError, '1:1: make-vector: negative length -2'),
+    ('(list->vector (cons 1 2))', 64,
+     SchemeRuntimeError, '1:1: list->vector: expected a proper list, got a pair'),
+    ('(define c (list 1 2)) (set-cdr! (cdr c) c) (list->vector c)', 64,
+     SchemeRuntimeError, '1:44: list->vector: cyclic list'),
+    ('(+ 1 #t)', 64,
+     SchemeRuntimeError, '1:1: +: expected a number, got a boolean'),
+    ("(< 1 'a)", 64,
+     SchemeRuntimeError, '1:1: <: expected a number, got a symbol'),
+    ('(cons car 1)', 64,
+     SchemeRuntimeError, '1:1: cons: a procedure cannot be stored in a heap object'),
+    ('(vector 1 (lambda (x) x))', 64,
+     SchemeRuntimeError, '1:1: vector: a procedure cannot be stored in a heap object'),
+    ("'(1 2 3 4 5 6 7 8 9)", 16,
+     OutOfMemory, '1:1: quote: need 2 slots, only 0 free after collection'),
+    ("(define (grow n acc)\n  (if (= n 0) acc (grow (- n 1) (cons n acc))))\n(grow 100 '())", 16,
+     OutOfMemory, '2:33: cons: need 2 slots, only 0 free after collection'),
+    ('(make-vector 40 0)', 16,
+     OutOfMemory, '1:1: make-vector: need 40 slots, only 16 free after collection'),
+]
+
+
+def test_error_messages_byte_identical(capsys):
+    for source, slots, kind, message in ERROR_MESSAGES:
+        with pytest.raises(kind) as err:
+            run_source(source, heap_slots=slots, gc_interval=4)
+        assert str(err.value) == message, source
+        if kind is SchemeSyntaxError:
+            # every form is compiled before any runs: no output
+            assert capsys.readouterr().out == "", source

@@ -70,7 +70,7 @@ def test_pair_with_reference_slot():
     o2 = rt.alloc_pair(2, NIL)
     o1 = rt.alloc_pair(o2, NIL)
     roots.refs.append(o1)
-    car = rt.read_slot(o1, 0)
+    car = rt.heap.read_slot(o1, 0)
     assert type(car) is Ref
     assert car.obj_id == o2.obj_id
 
@@ -78,14 +78,14 @@ def test_pair_with_reference_slot():
 def test_alloc_vector_zero_length():
     rt = make_runtime()
     v = rt.alloc_vector(0, NIL)
-    assert rt.heap.size_of(v) == 0
+    assert rt.heap.objects[v.obj_id].size_slots == 0
     assert rt.heap.used_slots == 0
 
 
 def test_alloc_vector_fill():
     rt = make_runtime()
     v = rt.alloc_vector(3, 7)
-    assert [rt.read_slot(v, i) for i in range(3)] == [7, 7, 7]
+    assert [rt.heap.read_slot(v, i) for i in range(3)] == [7, 7, 7]
 
 
 def test_sixth_vector_forces_collection():
@@ -121,26 +121,26 @@ def test_out_of_memory_when_rooted():
 def test_write_then_read_roundtrip():
     rt = make_runtime()
     p = rt.alloc_pair(NIL, NIL)
-    rt.write_slot(p, 0, 1)
-    assert rt.read_slot(p, 0) == 1
+    rt.heap.write_slot(p, 0, 1)
+    assert rt.heap.read_slot(p, 0) == 1
 
 
 def test_read_slot_bounds():
     rt = make_runtime()
     p = rt.alloc_pair(1, 2)
     with pytest.raises(IndexOutOfBounds):
-        rt.read_slot(p, 2)
+        rt.heap.read_slot(p, 2)
     with pytest.raises(IndexOutOfBounds):
-        rt.read_slot(p, -1)
+        rt.heap.read_slot(p, -1)
     with pytest.raises(IndexOutOfBounds):
-        rt.write_slot(p, 5, 0)
+        rt.heap.write_slot(p, 5, 0)
 
 
 def test_unstorable_value_rejected():
     rt = make_runtime()
     p = rt.alloc_pair(1, 2)
     with pytest.raises(UnstorableValue):
-        rt.write_slot(p, 0, object())
+        rt.heap.write_slot(p, 0, object())
 
 
 def test_dangling_ref_after_collection():
@@ -148,9 +148,9 @@ def test_dangling_ref_after_collection():
     p = rt.alloc_pair(1, 2)
     rt.collect_now()  # nothing rooted
     with pytest.raises(DanglingRef):
-        rt.read_slot(p, 0)
+        rt.heap.read_slot(p, 0)
     with pytest.raises(DanglingRef):
-        rt.write_slot(p, 0, 3)
+        rt.heap.write_slot(p, 0, 3)
 
 
 def test_read_after_move_preserves_values():
@@ -167,7 +167,7 @@ def test_read_after_move_preserves_values():
     rt.collect_now()
     assert rt.heap.objects[outer.obj_id].address != old_addr
     assert canonical_serialization(rt.heap, roots.refs) == before
-    assert rt.read_slot(rt.read_slot(outer, 0), 0) == 1
+    assert rt.heap.read_slot(rt.heap.read_slot(outer, 0), 0) == 1
 
 
 def test_identity_stable_across_collections():

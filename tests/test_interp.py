@@ -4,22 +4,21 @@ import pytest
 
 from dragprof.errors import (
     OutOfMemory,
+    SchemeError,
     SchemeRuntimeError,
     SchemeSyntaxError,
 )
 from dragprof.heap import NIL, PAIR, VECTOR, Nil
 from dragprof.interp import (
-    Apply,
     Interpreter,
-    Let,
-    NamedLet,
-    Var,
+    SrcList,
     parse,
     run_source,
     write_value,
 )
 from dragprof.profiler import format_draglog
 from dragprof.runtime import Runtime
+from support import ProgramGenerator, oracle_checked_collections
 
 WALK_LOOP = """
 (let ((x (list 1 2 3)))
@@ -48,19 +47,21 @@ def interp_fixture(**kw):
 def test_parse_atom_arithmetic():
     program = parse("(+ 1 2)")
     assert len(program) == 1
-    expr = program[0]
-    assert type(expr) is Apply
-    assert type(expr.fn) is Var and expr.fn.name == "+"
-    assert [a.value for a in expr.args] == [1, 2]
+    form = program[0]
+    assert type(form) is SrcList and form.tail is None
+    assert form.items == ["+", 1, 2]
+    assert (form.line, form.col) == (1, 1)
 
 
 def test_parse_walk_loop_shape_named_let_inside_let():
-    expr = parse(WALK_LOOP)[0]
-    assert type(expr) is Let
-    assert expr.bindings[0][0] == "x"
-    assert len(expr.body) == 1
-    assert type(expr.body[0]) is NamedLet
-    assert expr.body[0].name == "loop"
+    form = parse(WALK_LOOP)[0]
+    assert form.items[0] == "let"
+    bindings = form.items[1].items
+    assert bindings[0].items[0] == "x"
+    assert len(form.items) == 3  # let, bindings, one body form
+    inner = form.items[2]
+    assert inner.items[:2] == ["let", "loop"]
+    assert (inner.line, inner.col) == (3, 3)
 
 
 def test_parse_unbalanced_open_reports_end_of_input():
@@ -84,8 +85,10 @@ def test_parse_positions_on_later_lines():
 
 
 def test_parse_dotted_in_code_rejected():
-    with pytest.raises(SchemeSyntaxError):
-        parse("(car (1 . 2))")
+    _, interp = interp_fixture()
+    with pytest.raises(SchemeSyntaxError) as err:
+        interp.eval_program(parse("(car (1 . 2))"))
+    assert (err.value.line, err.value.col) == (1, 6)
 
 
 def test_parse_bad_hash_literal():
@@ -377,7 +380,7 @@ def test_write_value_cycle_marker():
     refs = []
     rt.add_root_provider(lambda: list(refs))
     p = rt.alloc_pair(1, NIL)
-    rt.write_slot(p, 1, p)
+    rt.heap.write_slot(p, 1, p)
     refs.append(p)
     assert "#<cycle>" in write_value(rt.heap, p)
 
@@ -532,3 +535,27 @@ def test_identical_runs_produce_identical_logs():
     b = run(src, gc_interval=3)
     assert format_draglog(a.trace_log) == format_draglog(b.trace_log)
     assert [s.tick for s in a.collections] == [s.tick for s in b.collections]
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_generated_programs_agree_with_the_oracle(k):
+    # every collection of every run is checked against the oracle, and a
+    # second run of each program ends the same way, byte for byte
+    ends = {"value": 0, "error": 0}
+    collections = 0
+    for seed in range(60):
+        source = ProgramGenerator(seed).program()
+        outcomes = []
+        for _ in range(2):
+            with oracle_checked_collections() as checked:
+                try:
+                    r = run(source, gc_interval=k, heap_slots=512)
+                except SchemeError as exc:
+                    outcomes.append(("error", str(exc)))
+                else:
+                    outcomes.append(("value", format_draglog(r.trace_log)))
+            collections += len(checked)
+        assert outcomes[0] == outcomes[1], source
+        ends[outcomes[0][0]] += 1
+    assert ends["value"] >= 40 and ends["error"] >= 5
+    assert collections >= 120
