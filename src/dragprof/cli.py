@@ -1,9 +1,10 @@
 """Batch front-end: run instrumented programs, analyze logs, emit plots.
 
-Exit codes for run: 0 success, 1 unreadable source or syntax error,
-2 runtime error, 3 out of memory.  analyze and plot exit 1 on malformed
-input.  Every output file is written to a temp name and renamed, so a
-failed command never leaves a partial file behind.
+Exit codes for run: 0 success, 1 unreadable source, unwritable log or
+syntax error, 2 runtime error, 3 out of memory.  analyze and plot exit 1
+on input that is unreadable, not UTF-8 or malformed, and on output they
+cannot write.  Every output file is written to a temp name and renamed,
+so a failed command never leaves a partial file behind.
 
 Each command imports only the layers it uses: `run` the interpreter and
 runtime, `analyze` the log parser and the analyzer, `plot` the plot
@@ -46,6 +47,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _cannot(verb: str, path, exc) -> int:
+    """Exit 1 for a file that could not be read (OSError or text that is
+    not UTF-8) or written."""
+    why = (f"not UTF-8 text (byte {exc.start})"
+           if isinstance(exc, UnicodeDecodeError) else exc.strerror)
+    return _fail(f"cannot {verb} {path}: {why}", EXIT_INPUT)
+
+
+def _write_outputs(out_dir: Path, texts) -> int | None:
+    """Write each text to out_dir / its name, making out_dir if needed;
+    the exit code if that fails, else None."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            atomic.write_text(out_dir / name, text)
+    except OSError as exc:
+        return _cannot("write", out_dir, exc)
+    return None
+
+
 def cmd_run(args) -> int:
     from .interp import run_source
     from .profiler import write_draglog
@@ -53,8 +74,8 @@ def cmd_run(args) -> int:
     source_path = Path(args.source)
     try:
         source_text = source_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(f"cannot read {source_path}: {exc.strerror}", EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _cannot("read", source_path, exc)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RUN_RECURSION_LIMIT))
     try:
@@ -76,7 +97,10 @@ def cmd_run(args) -> int:
 
     log_path = (Path(args.log) if args.log
                 else Path(source_path.stem + ".draglog"))
-    write_draglog(result.trace_log, log_path)
+    try:
+        write_draglog(result.trace_log, log_path)
+    except OSError as exc:
+        return _cannot("write", log_path, exc)
 
     triggers = Counter(s.trigger for s in result.collections)
     survivors = sum(s.survivors for s in result.collections)
@@ -101,8 +125,8 @@ def cmd_analyze(args) -> int:
     log_path = Path(args.log)
     try:
         log = read_draglog(log_path)
-    except OSError as exc:
-        return _fail(f"cannot read {log_path}: {exc.strerror}", EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _cannot("read", log_path, exc)
     except DraglogFormatError as exc:
         return _fail(f"malformed log {log_path}: {exc}", EXIT_INPUT)
 
@@ -110,20 +134,19 @@ def cmd_analyze(args) -> int:
                  else log.gc_interval)
     report, series = analyzer.build_report(log, args.sample_interval,
                                            threshold)
+    outputs = {}
+    for name, write_csv, data in [
+            ("report.csv", analyzer.write_report_csv, report),
+            ("curves.csv", analyzer.write_curves_csv, series),
+            ("histogram.csv", analyzer.write_histogram_csv, report.histogram)]:
+        buf = io.StringIO()
+        write_csv(data, buf)
+        outputs[name] = buf.getvalue()
+    text = outputs["report.txt"] = analyzer.format_text_report(report,
+                                                               threshold)
     out_dir = Path(args.out_dir) if args.out_dir else log_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    buf = io.StringIO()
-    analyzer.write_report_csv(report, buf)
-    atomic.write_text(out_dir / "report.csv", buf.getvalue())
-    buf = io.StringIO()
-    analyzer.write_curves_csv(series, buf)
-    atomic.write_text(out_dir / "curves.csv", buf.getvalue())
-    buf = io.StringIO()
-    analyzer.write_histogram_csv(report.histogram, buf)
-    atomic.write_text(out_dir / "histogram.csv", buf.getvalue())
-    text = analyzer.format_text_report(report, threshold)
-    atomic.write_text(out_dir / "report.txt", text)
+    if (code := _write_outputs(out_dir, outputs)) is not None:
+        return code
 
     sys.stdout.write(text)
     print(f"wrote report.csv, curves.csv, histogram.csv, report.txt "
@@ -136,27 +159,27 @@ def cmd_plot(args) -> int:
 
     curves_path = Path(args.curves_csv)
     hist_path = Path(args.histogram_csv)
+    path = curves_path
     try:
-        points = plot.read_curves_csv(curves_path)
-        bins = plot.read_histogram_csv(hist_path)
-    except OSError as exc:
-        return _fail(f"cannot read csv: {exc.strerror}", EXIT_INPUT)
+        points = plot.read_curves_csv(path)
+        path = hist_path
+        bins = plot.read_histogram_csv(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _cannot("read", path, exc)
     except CsvFormatError as exc:
         return _fail(str(exc), EXIT_INPUT)
 
-    out_dir = Path(args.out_dir) if args.out_dir else curves_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.plot_format == "svg":
-        curves_out = out_dir / (curves_path.stem + ".svg")
-        hist_out = out_dir / (hist_path.stem + ".svg")
-        atomic.write_text(curves_out, plot.curves_svg(points))
-        atomic.write_text(hist_out, plot.histogram_svg(bins))
+        suffix, texts = ".svg", [plot.curves_svg(points),
+                                 plot.histogram_svg(bins)]
     else:
-        curves_out = out_dir / (curves_path.stem + ".gp")
-        hist_out = out_dir / (hist_path.stem + ".gp")
-        atomic.write_text(curves_out, plot.curves_gnuplot(args.curves_csv))
-        atomic.write_text(hist_out, plot.histogram_gnuplot(args.histogram_csv))
-    print(f"wrote {curves_out} and {hist_out}")
+        suffix, texts = ".gp", [plot.curves_gnuplot(args.curves_csv),
+                                plot.histogram_gnuplot(args.histogram_csv)]
+    out_dir = Path(args.out_dir) if args.out_dir else curves_path.parent
+    names = [curves_path.stem + suffix, hist_path.stem + suffix]
+    if (code := _write_outputs(out_dir, dict(zip(names, texts)))) is not None:
+        return code
+    print(f"wrote {out_dir / names[0]} and {out_dir / names[1]}")
     return EXIT_OK
 
 

@@ -141,22 +141,12 @@ class Heap:
                  _standby_capacity: int | None = None):
         if capacity_slots < 1:
             raise ValueError("heap capacity must be positive")
-        self._spaces = [
-            Semispace(capacity_slots),
-            Semispace(_standby_capacity
-                      if _standby_capacity is not None else capacity_slots),
-        ]
-        self._active = 0
+        self.active = Semispace(capacity_slots)
+        self.standby = Semispace(_standby_capacity
+                                 if _standby_capacity is not None
+                                 else capacity_slots)
         self.objects: dict[int, LifetimeRecord] = {}
         self._next_id = 0
-
-    @property
-    def active(self) -> Semispace:
-        return self._spaces[self._active]
-
-    @property
-    def standby(self) -> Semispace:
-        return self._spaces[1 - self._active]
 
     @property
     def used_slots(self) -> int:
@@ -220,4 +210,4 @@ class Heap:
 
     def swap_spaces(self):
         self.active.reset()
-        self._active = 1 - self._active
+        self.active, self.standby = self.standby, self.active

@@ -6,13 +6,29 @@ procedure application over the primitive table.
 
 Three parts: the reader, parse(), turns source text into reader forms
 (a SrcList with its line and column per parenthesized form; integers,
-booleans and interned symbols for atoms); the compiler,
+booleans and interned symbols for atoms; the Program's positions give
+the line and column of each top-level form); the compiler,
 Interpreter.eval_program, checks the syntax of every top-level form and
 builds its Python closure code(env) in one walk, then runs the closures
 in order ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
 closures for code generation", 1987); the primitive table binds the
 procedures of the global environment.  Nesting too deep to read or to
 compile is a syntax error.
+
+Fixed primitives: a primitive's name is fixed in a program when no
+binder in it (define, set!, let, named let, lambda) binds the name.  A
+call of a fixed name whose count the primitive accepts calls its body on
+the argument values: no operator lookup, no count check, no operator
+pin.  It first checks primitives_intact, which a define or set! clears
+once a primitive's global name is rebound (a later program may do so);
+if cleared, the ordinary call runs.  A form is pure if, while that
+holds, it can neither allocate nor run the program's own code: a
+constant, a variable, or a call of a fixed non-allocating primitive on
+pure arguments.  The argument values are pinned unless nothing can
+allocate once the first is evaluated: the primitive does not allocate,
+later arguments are pure, and after an impure first one (it may rebind
+a primitive) they are atoms.  With no allocation there is no
+collection, so root sets match the ordinary call's.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call returns a _TailCall instead of making the
@@ -41,6 +57,7 @@ partially built quoted structure) are pinned while further evaluation
 could trigger a collection.
 """
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -164,16 +181,24 @@ class _Reader:
         return _classify_atom(text, line, col)
 
     def read_program(self):
-        forms = []
+        forms = Program()
+        forms.positions = []
         while self.i < len(self.tokens):
+            _, _, line, col = self.tokens[self.i]
+            forms.positions.append((line, col))
             forms.append(self.read_form())
         return forms
 
 
+class Program(list):
+    """A source text's top-level forms; positions holds the line and
+    column each starts at, the only position a top-level atom has."""
+
+
 def parse(source: str):
-    """Read source text into its top-level forms: SrcLists and atoms.
-    Nesting deeper than the Python recursion limit allows is a syntax
-    error."""
+    """Read source text into a Program of top-level forms: SrcLists and
+    atoms.  Nesting deeper than the Python recursion limit allows is a
+    syntax error."""
     reader = _Reader(source)
     try:
         return reader.read_program()
@@ -229,13 +254,21 @@ class Closure:
 
 
 class Primitive:
-    __slots__ = ("name", "min_args", "max_args", "fn")
+    """A procedure of the primitive table: fn is its body, and allocates
+    whether the body can allocate."""
 
-    def __init__(self, name, min_args, max_args, fn):
+    __slots__ = ("name", "min_args", "max_args", "allocates", "fn")
+
+    def __init__(self, name, min_args, max_args, allocates, fn):
         self.name = name
         self.min_args = min_args
         self.max_args = max_args
+        self.allocates = allocates
         self.fn = fn
+
+    def accepts(self, n):
+        return self.min_args <= n and (self.max_args is None
+                                       or n <= self.max_args)
 
     def __repr__(self):
         return f"#<primitive {self.name}>"
@@ -316,15 +349,21 @@ def write_value(heap, value) -> str:
 
 # ---------------------------------------------------------------------------
 # Primitives
+#
+# A primitive's body takes the interpreter, the call's position and the
+# argument values, positionally.
 
 def _record_of(rt, v):
     """The record of the object v refers to; None if v is not a Ref."""
     return rt.heap.record(v) if type(v) is Ref else None
 
 
+_KIND_NAMES = {PAIR: "a pair", VECTOR: "a vector"}
+
+
 def _type_name(rt, v):
     if type(v) is Ref:
-        return "a pair" if _record_of(rt, v).kind == PAIR else "a vector"
+        return _KIND_NAMES[_record_of(rt, v).kind]
     if isinstance(v, bool):
         return "a boolean"
     if isinstance(v, int):
@@ -337,10 +376,10 @@ def _type_name(rt, v):
 
 
 def _use_refs(interp, args):
-    rt = interp.rt
+    record_use = interp.record_use
     for v in args:
         if type(v) is Ref:
-            rt.record_use(v)
+            record_use(v)
 
 
 def _check_storable(interp, v, name, pos):
@@ -349,18 +388,13 @@ def _check_storable(interp, v, name, pos):
                         f"stored in a heap object", pos)
 
 
-def _require_pair(interp, v, name, pos):
+def _require(interp, v, kind, name, pos):
+    """The record of v if it is an object of kind.  The hottest bodies
+    look the record up inline and call this only to raise: DanglingRef
+    for a Ref with no record, else the type error."""
     rec = _record_of(interp.rt, v)
-    if rec is None or rec.kind != PAIR:
-        raise _rt_error(f"{name}: expected a pair, got "
-                        f"{_type_name(interp.rt, v)}", pos)
-    return rec
-
-
-def _require_vector(interp, v, name, pos):
-    rec = _record_of(interp.rt, v)
-    if rec is None or rec.kind != VECTOR:
-        raise _rt_error(f"{name}: expected a vector, got "
+    if rec is None or rec.kind != kind:
+        raise _rt_error(f"{name}: expected {_KIND_NAMES[kind]}, got "
                         f"{_type_name(interp.rt, v)}", pos)
     return rec
 
@@ -371,14 +405,14 @@ def _require_number(interp, v, name, pos):
                         f"{_type_name(interp.rt, v)}", pos)
 
 
-def _prim_cons(interp, args, pos):
-    _check_storable(interp, args[0], "cons", pos)
-    _check_storable(interp, args[1], "cons", pos)
-    _use_refs(interp, args)
-    return interp.rt.alloc_pair(args[0], args[1])
+def _prim_cons(interp, pos, a, b):
+    _check_storable(interp, a, "cons", pos)
+    _check_storable(interp, b, "cons", pos)
+    _use_refs(interp, (a, b))
+    return interp.rt.alloc_pair(a, b)
 
 
-def _prim_list(interp, args, pos):
+def _prim_list(interp, pos, *args):
     for v in args:
         _check_storable(interp, v, "list", pos)
     _use_refs(interp, args)
@@ -388,68 +422,71 @@ def _prim_list(interp, args, pos):
     return result
 
 
-def _prim_car(interp, args, pos):
-    _require_pair(interp, args[0], "car", pos)
-    interp.rt.record_use(args[0])
-    return interp.rt.heap.read_slot(args[0], 0)
+def _prim_car(interp, pos, p):
+    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
+    if rec is None or rec.kind != PAIR:
+        _require(interp, p, PAIR, "car", pos)
+    interp.record_use(p)
+    return interp.heap.active.slots[rec.address]
 
 
-def _prim_cdr(interp, args, pos):
-    _require_pair(interp, args[0], "cdr", pos)
-    interp.rt.record_use(args[0])
-    return interp.rt.heap.read_slot(args[0], 1)
+def _prim_cdr(interp, pos, p):
+    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
+    if rec is None or rec.kind != PAIR:
+        _require(interp, p, PAIR, "cdr", pos)
+    interp.record_use(p)
+    return interp.heap.active.slots[rec.address + 1]
 
 
-def _prim_set_car(interp, args, pos):
-    _require_pair(interp, args[0], "set-car!", pos)
-    _check_storable(interp, args[1], "set-car!", pos)
-    _use_refs(interp, args)
-    interp.rt.heap.write_slot(args[0], 0, args[1])
+def _prim_set_car(interp, pos, p, v):
+    rec = _require(interp, p, PAIR, "set-car!", pos)
+    _check_storable(interp, v, "set-car!", pos)
+    _use_refs(interp, (p, v))
+    interp.heap.active.slots[rec.address] = v
     return NIL
 
 
-def _prim_set_cdr(interp, args, pos):
-    _require_pair(interp, args[0], "set-cdr!", pos)
-    _check_storable(interp, args[1], "set-cdr!", pos)
-    _use_refs(interp, args)
-    interp.rt.heap.write_slot(args[0], 1, args[1])
+def _prim_set_cdr(interp, pos, p, v):
+    rec = _require(interp, p, PAIR, "set-cdr!", pos)
+    _check_storable(interp, v, "set-cdr!", pos)
+    _use_refs(interp, (p, v))
+    interp.heap.active.slots[rec.address + 1] = v
     return NIL
 
 
-def _prim_null_p(interp, args, pos):
-    _use_refs(interp, args)
-    return isinstance(args[0], Nil)
+def _prim_null_p(interp, pos, v):
+    _use_refs(interp, (v,))
+    return type(v) is Nil
 
 
-def _prim_pair_p(interp, args, pos):
-    _use_refs(interp, args)
-    rec = _record_of(interp.rt, args[0])
+def _prim_pair_p(interp, pos, v):
+    _use_refs(interp, (v,))
+    rec = _record_of(interp.rt, v)
     return rec is not None and rec.kind == PAIR
 
 
-def _prim_number_p(interp, args, pos):
-    _use_refs(interp, args)
-    return type(args[0]) is int  # a bool is not a number
+def _prim_number_p(interp, pos, v):
+    _use_refs(interp, (v,))
+    return type(v) is int  # a bool is not a number
 
 
-def _prim_vector(interp, args, pos):
+def _prim_vector(interp, pos, *args):
     for v in args:
         _check_storable(interp, v, "vector", pos)
     _use_refs(interp, args)
     ref = interp.rt.alloc_vector(len(args), NIL)
     for i, v in enumerate(args):
-        interp.rt.heap.write_slot(ref, i, v)
+        interp.heap.write_slot(ref, i, v)
     return ref
 
 
-def _prim_make_vector(interp, args, pos):
-    _require_number(interp, args[0], "make-vector", pos)
-    if args[0] < 0:
-        raise _rt_error(f"make-vector: negative length {args[0]}", pos)
-    fill = args[1] if len(args) == 2 else NIL
+def _prim_make_vector(interp, pos, n, fill=NIL):
+    _require_number(interp, n, "make-vector", pos)
+    if n < 0:
+        raise _rt_error(f"make-vector: negative length {n}", pos)
     _check_storable(interp, fill, "make-vector", pos)
-    _use_refs(interp, args)
-    return interp.rt.alloc_vector(args[0], fill)
+    _use_refs(interp, (fill,))
+    return interp.rt.alloc_vector(n, fill)
 
 
 def _vector_index(interp, rec, i, name, pos):
@@ -460,43 +497,48 @@ def _vector_index(interp, rec, i, name, pos):
                         f"of length {size}", pos)
 
 
-def _prim_vector_ref(interp, args, pos):
-    rec = _require_vector(interp, args[0], "vector-ref", pos)
-    _vector_index(interp, rec, args[1], "vector-ref", pos)
-    _use_refs(interp, args)
-    return interp.rt.heap.read_slot(args[0], args[1])
+def _prim_vector_ref(interp, pos, v, i):
+    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
+    if rec is None or rec.kind != VECTOR:
+        _require(interp, v, VECTOR, "vector-ref", pos)
+    if type(i) is not int or not 0 <= i < rec.size_slots:
+        _vector_index(interp, rec, i, "vector-ref", pos)
+    interp.record_use(v)
+    return interp.heap.active.slots[rec.address + i]
 
 
-def _prim_vector_set(interp, args, pos):
-    rec = _require_vector(interp, args[0], "vector-set!", pos)
-    _vector_index(interp, rec, args[1], "vector-set!", pos)
-    _check_storable(interp, args[2], "vector-set!", pos)
-    _use_refs(interp, args)
-    interp.rt.heap.write_slot(args[0], args[1], args[2])
+def _prim_vector_set(interp, pos, v, i, x):
+    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
+    if rec is None or rec.kind != VECTOR:
+        _require(interp, v, VECTOR, "vector-set!", pos)
+    if type(i) is not int or not 0 <= i < rec.size_slots:
+        _vector_index(interp, rec, i, "vector-set!", pos)
+    _check_storable(interp, x, "vector-set!", pos)
+    _use_refs(interp, (v, x))
+    interp.heap.active.slots[rec.address + i] = x
     return NIL
 
 
-def _prim_vector_length(interp, args, pos):
-    rec = _require_vector(interp, args[0], "vector-length", pos)
-    interp.rt.record_use(args[0])
+def _prim_vector_length(interp, pos, v):
+    rec = _require(interp, v, VECTOR, "vector-length", pos)
+    interp.record_use(v)
     return rec.size_slots
 
 
-def _prim_vector_to_list(interp, args, pos):
-    rec = _require_vector(interp, args[0], "vector->list", pos)
-    rt = interp.rt
-    v = args[0]
-    rt.record_use(v)
+def _prim_vector_to_list(interp, pos, v):
+    rec = _require(interp, v, VECTOR, "vector->list", pos)
+    interp.record_use(v)
+    heap = interp.heap
     result = NIL
+    # each allocation may move the vector, so its slots are read by id
     for i in range(rec.size_slots - 1, -1, -1):
-        result = rt.alloc_pair(rt.heap.read_slot(v, i), result)
+        result = interp.rt.alloc_pair(heap.read_slot(v, i), result)
     return result
 
 
-def _prim_list_to_vector(interp, args, pos):
+def _prim_list_to_vector(interp, pos, lst):
     rt = interp.rt
-    heap = rt.heap
-    lst = args[0]
+    heap = interp.heap
     # validate the spine first so an improper list records no events
     n, cur = 0, lst
     limit = len(heap.objects) + 1
@@ -507,15 +549,15 @@ def _prim_list_to_vector(interp, args, pos):
         cur = heap.read_slot(cur, 1)
     if not isinstance(cur, Nil):
         raise _rt_error(f"list->vector: expected a proper list, got "
-                        f"{_type_name(rt, args[0])}", pos)
+                        f"{_type_name(rt, lst)}", pos)
     items = []
     cur = lst
     while not isinstance(cur, Nil):
-        rt.record_use(cur)
+        interp.record_use(cur)
         items.append(heap.read_slot(cur, 0))
         cur = heap.read_slot(cur, 1)
     # items stay reachable through the pinned argument list
-    vec = rt.alloc_vector(n, NIL)
+    vec = interp.rt.alloc_vector(n, NIL)
     for i, v in enumerate(items):
         heap.write_slot(vec, i, v)
     return vec
@@ -527,12 +569,12 @@ def _arith_args(interp, args, name, pos):
             _require_number(interp, v, name, pos)
 
 
-def _prim_add(interp, args, pos):
+def _prim_add(interp, pos, *args):
     _arith_args(interp, args, "+", pos)
     return sum(args)
 
 
-def _prim_sub(interp, args, pos):
+def _prim_sub(interp, pos, *args):
     _arith_args(interp, args, "-", pos)
     if len(args) == 1:
         return -args[0]
@@ -542,7 +584,7 @@ def _prim_sub(interp, args, pos):
     return total
 
 
-def _prim_mul(interp, args, pos):
+def _prim_mul(interp, pos, *args):
     _arith_args(interp, args, "*", pos)
     total = 1
     for v in args:
@@ -550,19 +592,18 @@ def _prim_mul(interp, args, pos):
     return total
 
 
-def _prim_num_eq(interp, args, pos):
+def _prim_num_eq(interp, pos, *args):
     _arith_args(interp, args, "=", pos)
-    return all(a == args[0] for a in args[1:])
+    return all(map(operator.eq, args, args[1:]))
 
 
-def _prim_lt(interp, args, pos):
+def _prim_lt(interp, pos, *args):
     _arith_args(interp, args, "<", pos)
-    return all(args[i] < args[i + 1] for i in range(len(args) - 1))
+    return all(map(operator.lt, args, args[1:]))
 
 
-def _prim_eq_p(interp, args, pos):
-    _use_refs(interp, args)
-    a, b = args
+def _prim_eq_p(interp, pos, a, b):
+    _use_refs(interp, (a, b))
     if type(a) is Ref:
         return type(b) is Ref and a.obj_id == b.obj_id
     if isinstance(a, bool):
@@ -576,37 +617,39 @@ def _prim_eq_p(interp, args, pos):
     return a is b
 
 
-def _prim_display(interp, args, pos):
-    if type(args[0]) is Ref:
-        interp.rt.record_use(args[0])
-    sys.stdout.write(write_value(interp.rt.heap, args[0]))
+def _prim_display(interp, pos, v):
+    if type(v) is Ref:
+        interp.record_use(v)
+    sys.stdout.write(write_value(interp.heap, v))
     return NIL
 
 
+# name, fewest and most arguments (None: any number), whether the body
+# allocates, body
 _PRIMITIVES = [
-    ("cons", 2, 2, _prim_cons),
-    ("list", 0, None, _prim_list),
-    ("car", 1, 1, _prim_car),
-    ("cdr", 1, 1, _prim_cdr),
-    ("set-car!", 2, 2, _prim_set_car),
-    ("set-cdr!", 2, 2, _prim_set_cdr),
-    ("null?", 1, 1, _prim_null_p),
-    ("pair?", 1, 1, _prim_pair_p),
-    ("number?", 1, 1, _prim_number_p),
-    ("vector", 0, None, _prim_vector),
-    ("make-vector", 1, 2, _prim_make_vector),
-    ("vector-ref", 2, 2, _prim_vector_ref),
-    ("vector-set!", 3, 3, _prim_vector_set),
-    ("vector-length", 1, 1, _prim_vector_length),
-    ("vector->list", 1, 1, _prim_vector_to_list),
-    ("list->vector", 1, 1, _prim_list_to_vector),
-    ("+", 0, None, _prim_add),
-    ("-", 1, None, _prim_sub),
-    ("*", 0, None, _prim_mul),
-    ("=", 2, None, _prim_num_eq),
-    ("<", 2, None, _prim_lt),
-    ("eq?", 2, 2, _prim_eq_p),
-    ("display", 1, 1, _prim_display),
+    ("cons", 2, 2, True, _prim_cons),
+    ("list", 0, None, True, _prim_list),
+    ("car", 1, 1, False, _prim_car),
+    ("cdr", 1, 1, False, _prim_cdr),
+    ("set-car!", 2, 2, False, _prim_set_car),
+    ("set-cdr!", 2, 2, False, _prim_set_cdr),
+    ("null?", 1, 1, False, _prim_null_p),
+    ("pair?", 1, 1, False, _prim_pair_p),
+    ("number?", 1, 1, False, _prim_number_p),
+    ("vector", 0, None, True, _prim_vector),
+    ("make-vector", 1, 2, True, _prim_make_vector),
+    ("vector-ref", 2, 2, False, _prim_vector_ref),
+    ("vector-set!", 3, 3, False, _prim_vector_set),
+    ("vector-length", 1, 1, False, _prim_vector_length),
+    ("vector->list", 1, 1, True, _prim_vector_to_list),
+    ("list->vector", 1, 1, True, _prim_list_to_vector),
+    ("+", 0, None, False, _prim_add),
+    ("-", 1, None, False, _prim_sub),
+    ("*", 0, None, False, _prim_mul),
+    ("=", 2, None, False, _prim_num_eq),
+    ("<", 2, None, False, _prim_lt),
+    ("eq?", 2, 2, False, _prim_eq_p),
+    ("display", 1, 1, False, _prim_display),
 ]
 
 
@@ -628,6 +671,35 @@ def _require_symbol(sx, what, pos):
 
 def _too_deep(form):
     return SchemeSyntaxError("nesting too deep", form.line, form.col)
+
+
+def _binders(forms):
+    """Every name a define (either form), set!, let, named let or lambda
+    in forms binds, found in one iterative walk, so nesting costs no
+    Python frames.  A malformed binder only adds names, which is safe."""
+    names, stack = set(), list(forms)
+    while stack:
+        sx = stack.pop()
+        if type(sx) is not SrcList or not sx.items or sx.items[0] is _QUOTE:
+            continue
+        items = sx.items
+        head = items[0]
+        if head in (_DEFINE, _SET, _LAMBDA) and len(items) > 1:
+            target = items[1]
+            names.update(target.items if type(target) is SrcList
+                         else (target,))
+        elif head is _LET and len(items) > 2:
+            bindings = items[1]
+            if type(bindings) is str:
+                names.add(bindings)
+                bindings = items[2]
+            if type(bindings) is SrcList:
+                names.update(b.items[0] for b in bindings.items
+                             if type(b) is SrcList and b.items)
+        stack.extend(items)
+        if sx.tail is not None:
+            stack.append(sx.tail)
+    return names
 
 
 class _TailCall:
@@ -668,11 +740,20 @@ class Interpreter:
 
     def __init__(self, runtime: Runtime):
         self.rt = runtime
-        self.globals = Env(None, {})
+        self.heap = runtime.heap
+        self.objects = runtime.heap.objects
+        # looked up here, not at import, so a patched Runtime.record_use
+        # (the bench tracer's) is the one the primitives call
+        self.record_use = runtime.record_use
+        self.primitives = {sys.intern(row[0]): Primitive(*row)
+                           for row in _PRIMITIVES}
+        self.globals = Env(None, dict(self.primitives))
+        # cleared once a define or set! rebinds a primitive's global name
+        self.primitives_intact = True
+        self._fixed = {}    # fixed name -> Primitive, while compiling
+        self._pure = set()  # the code of pure forms, while compiling
         self._env_stack = []
         self._pinned = []
-        for name, lo, hi, fn in _PRIMITIVES:
-            self.globals.vars[sys.intern(name)] = Primitive(name, lo, hi, fn)
         runtime.add_root_provider(self._iter_roots)
 
     def _iter_roots(self):
@@ -714,10 +795,11 @@ class Interpreter:
         global environment; returns the last one's value."""
         # compile_program's loop, inlined: calling it would take one more
         # Python frame and lower the deepest nesting that compiles.
+        self._fix_primitives(program)
         codes = []
-        for form in program:
+        for form, pos in zip(program, program.positions):
             try:
-                codes.append(self._compile(form, (1, 1), True))
+                codes.append(self._compile(form, pos, True))
             except RecursionError:
                 raise _too_deep(form) from None
         stack = self._env_stack
@@ -731,16 +813,25 @@ class Interpreter:
                 stack.pop()
         return result
 
-    def compile_program(self, forms):
+    def compile_program(self, program):
         """The code of each top-level form.  A form nested too deep to
         compile is a syntax error at that form."""
+        self._fix_primitives(program)
         codes = []
-        for form in forms:
+        for form, pos in zip(program, program.positions):
             try:
-                codes.append(self._compile(form, (1, 1), True))
+                codes.append(self._compile(form, pos, True))
             except RecursionError:
                 raise _too_deep(form) from None
         return codes
+
+    def _fix_primitives(self, program):
+        """A primitive's name is fixed in a program when no binder in the
+        program binds it."""
+        bound = _binders(program)
+        self._fixed = {name: prim for name, prim in self.primitives.items()
+                       if name not in bound}
+        self._pure.clear()
 
     def _materialize(self, datum):
         """Build a quoted datum, allocating its pairs now."""
@@ -826,9 +917,13 @@ class Interpreter:
                                         *pos)
             name = _require_symbol(items[1], "a name", pos)
             value_code = self._compile(items[2], pos, False)
+            interp, gvars = self, self.globals.vars
+            prim = self.primitives.get(name)
 
             def set_var(env):
                 env.assign(name, value_code(env), pos)
+                if prim is not None and gvars[name] is not prim:
+                    interp.primitives_intact = False
                 return NIL
             return set_var
         return self._compile_apply(items, pos, tail)
@@ -867,11 +962,16 @@ class Interpreter:
             name = _require_symbol(target, "a name", pos)
             value_code = self._compile(items[2], pos, False)
 
+        interp, gvars = self, self.globals.vars
+        prim = self.primitives.get(name)
+
         def define(env):
             value = value_code(env)
             if type(value) is Closure and value.name is None:
                 value.name = name
             env.vars[name] = value
+            if prim is not None and gvars[name] is not prim:
+                interp.primitives_intact = False
             return NIL
         return define
 
@@ -879,7 +979,10 @@ class Interpreter:
         if type(datum) is SrcList and not datum.items and datum.tail is None:
             datum = NIL  # '() allocates nothing, so it is a constant
         if type(datum) is not SrcList:
-            return lambda env: datum
+            def constant(env):
+                return datum
+            self._pure.add(constant)
+            return constant
         materialize = self._materialize
 
         def quote(env):
@@ -943,13 +1046,11 @@ class Interpreter:
                 args.append(arg(env))
             tf = type(fn)
             if tf is Primitive:
-                n = len(args)
-                if n < fn.min_args or (fn.max_args is not None
-                                       and n > fn.max_args):
-                    raise _rt_error(f"{fn.name}: bad argument count {n}",
-                                    pos)
+                if not fn.accepts(len(args)):
+                    raise _rt_error(f"{fn.name}: bad argument count "
+                                    f"{len(args)}", pos)
                 try:
-                    result = fn.fn(interp, args, pos)
+                    result = fn.fn(interp, pos, *args)
                 except OutOfMemory as exc:
                     raise OutOfMemory(f"{pos[0]}:{pos[1]}: "
                                       f"{fn.name}: {exc}") from None
@@ -973,7 +1074,62 @@ class Interpreter:
                 return r
             finally:
                 stack.pop()
-        return apply
+
+        prim = self._fixed.get(items[0])
+        if prim is None or not prim.accepts(len(arg_codes)):
+            return apply
+        return self._compile_primitive_call(prim, items[1:], arg_codes,
+                                            apply, pos)
+
+    def _compile_primitive_call(self, prim, args, codes, generic, pos):
+        """A call of the fixed primitive prim on forms args, compiled to
+        codes, whose count prim accepts (see "Fixed primitives" above);
+        generic is the ordinary call."""
+        pure = self._pure
+        first_pure = (not args or type(args[0]) is not SrcList
+                      or codes[0] in pure)
+        pin = prim.allocates
+        for sx, code in zip(args[1:], codes[1:]):
+            if type(sx) is SrcList and (code not in pure or not first_pure):
+                pin = True
+        interp, body, n = self, prim.fn, len(codes)
+        # Other counts pin even when they need not, as the ordinary call
+        # always does; only one- and two-argument calls are hot.
+        if pin or n not in (1, 2):
+            pins, name = self._pinned, prim.name
+
+            def call(env):
+                if not interp.primitives_intact:
+                    return generic(env)
+                vals = []
+                pins.append(vals)
+                for code in codes:
+                    vals.append(code(env))
+                try:
+                    result = body(interp, pos, *vals)
+                except OutOfMemory as exc:
+                    raise OutOfMemory(f"{pos[0]}:{pos[1]}: {name}: {exc}") \
+                        from None
+                pins.pop()
+                return result
+            return call
+        if n == 1:
+            c0, = codes
+
+            def call(env):
+                if interp.primitives_intact:
+                    return body(interp, pos, c0(env))
+                return generic(env)
+        else:
+            c0, c1 = codes
+
+            def call(env):
+                if interp.primitives_intact:
+                    return body(interp, pos, c0(env), c1(env))
+                return generic(env)
+        if first_pure:  # so every argument is pure
+            pure.add(call)
+        return call
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,12 @@ class ProgramGenerator:
     A program is a run of snippets: lists built by non-tail recursion,
     named-let folds, closures that keep state through set!, procedures
     with internal defines, quoted structure, vectors filled with fresh
-    pairs, pair mutation that makes cycles, dropped references, and
-    sometimes a deliberate runtime error.  Snippets refer to the heap
-    values that earlier ones defined, so the live graph is shared and
-    changes shape over the run.  Sizes stay small enough that 512 heap
+    pairs, pair mutation that makes cycles, dropped references, primitive
+    calls whose later arguments allocate, primitive names rebound locally
+    and globally, a wrong-arity call that never runs, and sometimes a
+    deliberate runtime error.  Snippets refer to the heap values that
+    earlier ones defined, so the live graph is shared and changes shape
+    over the run.  Sizes stay small enough that 512 heap
     slots never run out.
     """
 
@@ -191,7 +193,8 @@ class ProgramGenerator:
         snippets += rng.choices(
             [self._build_list, self._fold, self._counter, self._internal,
              self._quote, self._vector, self._cycle, self._drop,
-             self._temporaries, self._call],
+             self._temporaries, self._call, self._nested, self._shadow,
+             self._rebind],
             k=rng.randrange(2, 7))
         forms = [make() for make in snippets]
         if rng.random() < 0.2:
@@ -290,6 +293,45 @@ class ProgramGenerator:
                 f"    (list (cons (car a) b) (vector (cons 1 2))"
                 f" (car (cons a (cons 3 4))))))")
 
+    def _nested(self):
+        # primitives that do not allocate, over arguments that do: the
+        # earlier argument values are live only as call temporaries
+        name = self._name("nest")
+        n = self.rng.randrange(10)
+        other = self._pick(self.values)
+        self.values.append(name)
+        return (f"(define {name}\n"
+                f"  (let ((x (cons {n} {other})))\n"
+                f"    (list (+ (car x) (car (cons 1 2)))\n"
+                f"          (eq? x (car (cons x '())))\n"
+                f"          (eq? (car (list x)) (cdr x))\n"
+                f"          (vector-ref (vector x (cons 3 {n})) 1)\n"
+                f"          (null? (cdr (list (vector x) x))))))")
+
+    def _shadow(self):
+        # primitive names bound by let, lambda and define, and a call of
+        # a fixed primitive with the wrong count that is never made
+        name, proc = self._name("shadow"), self._name("never")
+        source = self._pick(self.lists)
+        self.values.append(name)
+        return (f"(define ({proc}) (cdr 1 2))\n"
+                f"(define {name}\n"
+                f"  (let ((car cdr) (+ *))\n"
+                f"    (define (vector x) (cons x x))\n"
+                f"    (list (car (cons 1 {source})) (+ 2 3 4) (vector 5)\n"
+                f"          ((lambda (cons a) (cons a a)) list 7))))")
+
+    def _rebind(self):
+        # a global primitive name rebound to a procedure that allocates;
+        # from then on every call of a primitive takes the generic path
+        prim = self.rng.choice(["car", "cdr", "null?", "vector-length"])
+        original = self._name("original")
+        definition = self.rng.choice([
+            f"(set! {prim} (lambda (x) (cons 0 x) ({original} x)))",
+            f"(define ({prim} x) (vector x) ({original} x))",
+        ])
+        return f"(define {original} {prim})\n{definition}"
+
     def _call(self):
         if not self.closures:
             return self._build_list()
@@ -314,6 +356,8 @@ class ProgramGenerator:
             "((lambda (a b) a) 1)",
             "(set! never-defined 1)",
             "(+ 1 '(2))",
+            "(car 1 2)",
+            "(cons (vector 1))",
         ])
 
 

@@ -320,6 +320,41 @@ def test_plot_malformed_csv_exits_1(workdir, capsys):
     assert "bad row" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["run-source", "run-log", "analyze-log",
+                                  "analyze-out-dir", "plot-csv"])
+def test_unusable_files_exit_1_naming_the_file(workdir, capsys, case):
+    # text that is not UTF-8, and outputs that cannot be written, end in
+    # exit 1 with a message naming the file, not in a traceback
+    log = workdir / "small.draglog"
+    out = workdir / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", workdir / "small.scm", "--log", log) == 0
+        assert run_cli("analyze", log, "--out-dir", out) == 0
+    bad = workdir / "latin1.txt"
+    bad.write_bytes(b"(car '(caf\xe9))\n")
+    plain = workdir / "plain.txt"
+    plain.write_text("a file, not a directory\n", encoding="utf-8")
+    missing_dir_log = workdir / "missing" / "small.draglog"
+    argv, named = {
+        "run-source": (["run", bad, "--log", workdir / "x.draglog"], bad),
+        "run-log": (["run", workdir / "small.scm", "--log", missing_dir_log],
+                    missing_dir_log),
+        "analyze-log": (["analyze", bad, "--out-dir", workdir / "o"], bad),
+        "analyze-out-dir": (["analyze", log, "--out-dir", plain / "sub"],
+                            plain / "sub"),
+        "plot-csv": (["plot", out / "curves.csv", bad, "--out-dir",
+                      workdir / "o"], bad),
+    }[case]
+    before = sorted(workdir.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    stdout, err = capsys.readouterr()
+    assert err.startswith("dragprof: cannot ") and str(named) in err, err
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert sorted(workdir.rglob("*")) == before  # no partial output
+
+
 def test_pipeline_reproducible_end_to_end(workdir):
     # run -> analyze -> plot twice and compare every byte
     outputs = []

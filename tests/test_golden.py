@@ -243,6 +243,8 @@ ERROR_MESSAGES = [
      SchemeRuntimeError, '1:7: unbound variable: y'),
     ('(define (f)\n  (let ((a 1)\n        (b nope))\n    a))\n(f)', 64,
      SchemeRuntimeError, '3:9: unbound variable: nope'),
+    ('(define x 1)\n\n   zz', 64,
+     SchemeRuntimeError, '3:4: unbound variable: zz'),
     ('(set! zz 1)', 64,
      SchemeRuntimeError, '1:1: set! of unbound variable: zz'),
     ('(define (f x) x)\n(f 1 2)', 64,

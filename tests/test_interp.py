@@ -1,8 +1,10 @@
 import sys
+from collections import Counter
 
 import pytest
 
 from dragprof.errors import (
+    DanglingRef,
     OutOfMemory,
     SchemeError,
     SchemeRuntimeError,
@@ -462,6 +464,92 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
                 for rec in run(src.format(rest=" 'x"), gc_interval=1)
                 .trace_log.records}
     assert non_tail[0].collect_tick == non_tail[1].collect_tick == 5
+
+
+# ---------------------------------------------------------------------------
+# primitive names: fixed unless a binder in the program binds them
+
+def test_primitive_redefined_by_a_later_program_reaches_earlier_code():
+    _, interp = interp_fixture()
+    interp.eval_program(parse("(define (f p) (car p))"))
+    assert interp.eval_program(parse("(f (cons 1 2))")) == 1
+    assert interp.eval_program(
+        parse("(define (car x) 42) (f (cons 1 2))")) == 42
+
+
+def test_primitive_name_bound_by_let():
+    assert run("(let ((car cdr)) (car '(1 2)))").value_repr == "(2)"
+
+
+def test_primitive_name_as_lambda_parameter():
+    assert run("((lambda (+) (+ 2 3)) *)").value == 6
+
+
+def test_primitive_name_set_in_the_same_program():
+    src = ("(define (f p) (car p))\n"
+           "(define a (f '(1 2)))\n"
+           "(set! car cdr)\n"
+           "(list a (f '(1 2)))")
+    assert run(src).value_repr == "(1 (2))"
+
+
+def test_wrong_arity_primitive_call_fails_only_when_it_runs():
+    assert run("(define (g) (car 1 2)) 7").value == 7
+    with pytest.raises(SchemeRuntimeError) as err:
+        run("(define (g) (car 1 2)) (g)")
+    assert str(err.value) == "1:13: car: bad argument count 2"
+
+
+def test_car_of_a_collected_object_is_a_dangling_ref():
+    for src in ("(car x)", "(let ((f car)) (f x))"):
+        rt, interp = interp_fixture()
+        ref = rt.alloc_pair(1, 2)
+        rt.collect_now()  # nothing roots the pair
+        interp.globals.vars["x"] = ref
+        with pytest.raises(DanglingRef):
+            interp.eval_program(parse(src))
+
+
+def test_primitive_rebound_while_its_call_evaluates_arguments():
+    # eq?'s first argument rebinds car to a procedure that allocates
+    # and returns a pair nothing else holds; under K=1 the collection in
+    # the new car must still see that pair pinned as an argument
+    _, interp = interp_fixture(gc_interval=1)
+    interp.eval_program(parse("(define (f p) (eq? (h) (car p)))"))
+    value = interp.eval_program(parse(
+        "(define g (cons 1 2))\n"
+        "(define (allocating-car x) (cons 3 4) 5)\n"
+        "(define (h)\n"
+        "  (let ((r g))\n"
+        "    (set! g 0)\n"
+        "    (set! car allocating-car)\n"
+        "    r))\n"
+        "(f (cons 7 8))"))
+    assert value is False
+
+
+def test_runtime_entry_points_are_called_for_every_event(monkeypatch):
+    # the bench tracer patches these methods on the class before a run;
+    # the interpreter must call them, not copies taken at import
+    counts = Counter()
+    for name in ("record_use", "alloc_pair", "alloc_vector"):
+        def counted(self, *args, _name=name,
+                    _original=getattr(Runtime, name)):
+            counts[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Runtime, name, counted)
+    src = WALK_LOOP + """
+    (define v (make-vector 3 (cons 1 2)))
+    (vector-set! v 0 (list->vector (vector->list (vector 1 2 3))))
+    (eq? (vector-ref v 1) (car '(a b)))
+    (let ((car cdr)) (car (list v v)))
+    """
+    log = run(src, gc_interval=3).trace_log
+    allocs = len(log.records)
+    assert counts["alloc_pair"] > 0 and counts["alloc_vector"] > 0
+    assert counts["alloc_pair"] + counts["alloc_vector"] == allocs
+    # the clock steps once per creation, once per use and at the end
+    assert counts["record_use"] == log.end_tick - 1 - allocs > 0
 
 
 def test_run_source_leaves_the_recursion_limit_alone():
