@@ -3,8 +3,10 @@
 Exit codes for run: 0 success, 1 unreadable source, unwritable log or
 syntax error, 2 runtime error, 3 out of memory.  analyze and plot exit 1
 on input that is unreadable, not UTF-8 or malformed, and on output they
-cannot write.  Every output file is written to a temp name and renamed,
-so a failed command never leaves a partial file behind.
+cannot write.  A usage error (an unknown command, a missing or malformed
+argument) exits 1 with the usage message.  Every output file is written
+to a temp name and renamed, so a failed command never leaves a partial
+file behind.
 
 Each command imports only the layers it uses: `run` the interpreter and
 runtime, `analyze` the log parser and the analyzer, `plot` the plot
@@ -197,8 +199,17 @@ def _non_negative_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2,
+    which is the exit code of a Scheme runtime error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dragprof",
         description="Run mini-Scheme programs under an instrumented "
                     "copying collector and analyze how long dead objects "

@@ -8,27 +8,27 @@ its previous batch, until no new slot was copied.  Each object moves
 with one slice assignment; its record in the object table takes the new
 address, and the shared forwarding marker FORWARDED is left in its
 evacuated from-space cell.  A Ref is only an id, so the copied slots
-keep their Ref objects and nothing is rewritten.  Then the spaces swap and the profiler flushes
-every record of the object table whose id was not copied.
+keep their Ref objects and nothing is rewritten.  Then the spaces swap
+and the profiler drops every record of the object table whose id was not
+copied and dates its death (profiler.Profiler.flush_unmarked), reading
+the dead objects' slots from the from-space before a later copy reuses
+it.
+
+The runtime decides when to copy (runtime.py): at a manual collection
+point, at a point where the heap has doubled since the last copy, and
+before an allocation that would not fit had every point collected.  So
+one copy may resolve many collection points: the Merlin stamps (heap.py)
+date each object it did not copy to the point at which it became
+unreachable, and each point's statistics follow from those dates.
 
 reachability_oracle() and canonical_serialization() are verification
 helpers for the test suites.  They share the heap's slot accessors but no
 traversal logic with collect(), so they can be used to cross-check it.
 """
 
-from dataclasses import dataclass
-
 from .errors import DanglingRef, ToSpaceOverflow
 from .heap import FORWARDED, PAIR, Heap, Nil, Ref
-
-
-@dataclass(frozen=True)
-class CollectionStats:
-    trigger: str  # "interval" | "exhaustion" | "manual"
-    tick: int
-    survivors: int
-    collected: int
-    slots_copied: int
+from .profiler import CollectionStats
 
 
 class Collector:
@@ -85,7 +85,7 @@ class Collector:
 
         to_space.used_slots = free
         heap.swap_spaces()
-        flushed = self.profiler.flush_unmarked(copied, clock)
+        flushed = self.profiler.flush_unmarked(copied, clock, trigger, src)
         return CollectionStats(trigger, clock, len(copied), len(flushed),
                                free)
 

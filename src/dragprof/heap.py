@@ -16,6 +16,16 @@ immediates or references:
 The object table holds one LifetimeRecord per uncollected object: its
 kind, size and current address for the heap, and its creation, last-use
 and collection ticks for the profiler, which shares the same dict.
+
+Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
+Merlin", TOPLAS 2006): while a record is in the table its collect_tick
+holds a stamp that bounds how late the object was last reachable.  After
+collection point i the heap's stamp is 2i+1 (-1 before the first).  A
+new record starts at the heap's stamp, a collection point that does not
+copy stamps its roots with 2i, and the write barrier, store(), stamps
+the old target of an overwritten Ref slot with the heap's stamp.  The
+copy that later finds the object dead turns the stamp into its
+collection tick (see gc.py).
 """
 
 from dataclasses import dataclass
@@ -86,9 +96,10 @@ class LifetimeRecord:
     """One object's entry in the object table.
 
     kind, size_slots and address serve the heap; the ticks serve the
-    profiler.  last_use_tick stays None for an object never used, and
-    collect_tick is set when the record is finalized: by a collection
-    that did not copy the object, or (censored) at the end of the run.
+    profiler.  last_use_tick stays None for an object never used.  While
+    the object is in the table, collect_tick holds its Merlin stamp; it
+    takes the collection tick when the record is finalized: by the copy
+    that found the object dead, or (censored) at the end of the run.
     """
 
     obj_id: int
@@ -133,8 +144,10 @@ class Heap:
     """Two equal semispaces plus the object table.
 
     This layer is pure storage: it never triggers a collection and never
-    talks to the profiler.  Allocation policy lives in runtime.Runtime,
-    the copying itself in gc.Collector.
+    talks to the profiler; its write barrier only sets stamps, whose
+    value the profiler advances in stamp at each collection point.
+    Allocation policy lives in runtime.Runtime, the copying itself in
+    gc.Collector.
     """
 
     def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS, *,
@@ -147,6 +160,7 @@ class Heap:
                                  else capacity_slots)
         self.objects: dict[int, LifetimeRecord] = {}
         self._next_id = 0
+        self.stamp = -1  # 2i+1 after collection point i
 
     @property
     def used_slots(self) -> int:
@@ -174,8 +188,9 @@ class Heap:
             slots[addr + i] = v
         obj_id = self._next_id
         self._next_id += 1
-        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots,
-                                              address=addr)
+        # positional: keywords double the cost of this hot constructor
+        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots, None,
+                                              None, self.stamp, False, addr)
         return obj_id
 
     def record(self, ref: Ref) -> LifetimeRecord:
@@ -201,7 +216,17 @@ class Heap:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "
                 f"(size {rec.size_slots})")
-        self.active.slots[rec.address + index] = value
+        self.store(rec.address + index, value)
+
+    def store(self, addr: int, value):
+        """Write the active slot at addr through the write barrier: an
+        overwritten Ref's target takes the heap's stamp, since it may
+        have lost its last reference."""
+        slots = self.active.slots
+        old = slots[addr]
+        if type(old) is Ref:
+            self.objects[old.obj_id].collect_tick = self.stamp
+        slots[addr] = value
 
     def slot_value(self, obj_id: int, index: int):
         """Raw slot read by id; used by traversals that already hold ids."""

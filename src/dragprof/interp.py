@@ -442,7 +442,7 @@ def _prim_set_car(interp, pos, p, v):
     rec = _require(interp, p, PAIR, "set-car!", pos)
     _check_storable(interp, v, "set-car!", pos)
     _use_refs(interp, (p, v))
-    interp.heap.active.slots[rec.address] = v
+    interp.heap.store(rec.address, v)
     return NIL
 
 
@@ -450,7 +450,7 @@ def _prim_set_cdr(interp, pos, p, v):
     rec = _require(interp, p, PAIR, "set-cdr!", pos)
     _check_storable(interp, v, "set-cdr!", pos)
     _use_refs(interp, (p, v))
-    interp.heap.active.slots[rec.address + 1] = v
+    interp.heap.store(rec.address + 1, v)
     return NIL
 
 
@@ -515,7 +515,7 @@ def _prim_vector_set(interp, pos, v, i, x):
         _vector_index(interp, rec, i, "vector-set!", pos)
     _check_storable(interp, x, "vector-set!", pos)
     _use_refs(interp, (v, x))
-    interp.heap.active.slots[rec.address + i] = x
+    interp.heap.store(rec.address + i, x)
     return NIL
 
 

@@ -3,14 +3,26 @@
 The profiler stamps the records of the object table it shares with the
 heap: a record's creation tick, its most recent use tick (never-used
 objects keep the sentinel) and, once finalized, its collection tick.
+It also owns the heap's Merlin stamp (see heap.py), which it advances at
+every collection point it opens.
 The logical clock advances by one for every creation and every use;
 collections do not advance it.  A run's termination counts as one final
 clock step, so end_tick is always strictly greater than the tick of the
 last recorded event.
 
-After a collection, flush_unmarked() finalizes and drops every record
-the collection did not copy.  finalize() closes the run, emitting the
-records still in the table as censored.
+Collection points and copies (see runtime.py): the profiler keeps the
+points no copy has resolved yet.  A copy calls flush_unmarked(), which
+drops every record the copy did not keep and dates its death: an object
+whose stamp (spread through the dead subgraph, largest first) is s was
+last reachable at point s // 2 or just after it, so it died at point
+s // 2 + 1.  Every point up to the copy is then resolved: its dead take
+its tick and its CollectionStats joins collections.  An object dead
+after the last point is a ghost; its slots are free, but it waits to be
+counted and ticked at the next point.  A record dated to a point
+before its last use was used after it died, which only a value the
+interpreter forgot to root can cause: UnknownId, as if the use had come
+after a copy at that point.  finalize() closes the run,
+emitting the records still in the table as censored.
 
 Serialized log format (line oriented, UTF-8, bit exact):
 
@@ -22,7 +34,9 @@ Serialized log format (line oriented, UTF-8, bit exact):
 ``F`` one that was collected by the garbage collector.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import atomic
 from .errors import (
@@ -31,9 +45,21 @@ from .errors import (
     ProtocolViolation,
     UnknownId,
 )
-from .heap import PAIR, VECTOR, LifetimeRecord
+from .heap import PAIR, VECTOR, Heap, LifetimeRecord, Ref
 
 NEVER_USED = -1  # wire-format sentinel; in-memory records use None
+
+
+@dataclass(frozen=True)
+class CollectionStats:
+    """One collection point, or (returned by gc.Collector.collect) one
+    copy: survivors and slots_copied count what it kept."""
+
+    trigger: str  # "interval" | "exhaustion" | "manual"
+    tick: int
+    survivors: int
+    collected: int
+    slots_copied: int
 
 
 @dataclass
@@ -46,17 +72,31 @@ class TraceLog:
 
 
 class Profiler:
-    """Owns the clock; stamps the records of a heap's object table."""
+    """Owns the clock and the heap's stamp; stamps the records of the
+    heap's object table."""
 
-    def __init__(self, objects: dict[int, LifetimeRecord], gc_interval: int,
-                 heap_slots: int, source: str = "<memory>"):
-        self.objects = objects
+    def __init__(self, heap: Heap, gc_interval: int, heap_slots: int,
+                 source: str = "<memory>"):
+        self.heap = heap
+        self.objects = heap.objects
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
         self.clock = 0
         self._finalized: list[LifetimeRecord] = []
         self._finished = False
+        self.created = 0        # objects created so far
+        self.created_slots = 0  # and their slots
+        # Resolved points, in order; _points holds the unresolved ones,
+        # each [trigger, tick, created, created_slots, died, died_slots],
+        # and _first is the index of _points[0].
+        self.collections: list[CollectionStats] = []
+        self._points = []
+        self._first = 0
+        self._died = 0          # objects and slots collected at resolved
+        self._died_slots = 0    # points
+        self._ghosts: list[LifetimeRecord] = []
+        self.ghost_slots = 0
 
     @property
     def live_count(self) -> int:
@@ -81,6 +121,8 @@ class Profiler:
             raise DuplicateId(f"object #{obj_id} already registered")
         self.clock += 1
         rec.create_tick = self.clock
+        self.created += 1
+        self.created_slots += rec.size_slots
         return self.clock
 
     def record_use(self, obj_id: int) -> int:
@@ -93,23 +135,93 @@ class Profiler:
         rec.last_use_tick = self.clock
         return self.clock
 
-    def flush_unmarked(self, marked, clock: int) -> list[LifetimeRecord]:
-        """Finalize and drop every record whose id is not in marked (the
-        ids a collection copied), in creation order, with clock as its
-        collection tick.  Returns the flushed records."""
+    def open_point(self, trigger: str, tick: int, roots=()):
+        """Open collection point i at tick: stamp its roots with 2i and
+        the heap with 2i+1; the ghosts died at this point."""
+        objects = self.objects
+        stamp = self.heap.stamp + 1
+        self.heap.stamp = stamp + 1
+        for ref in roots:
+            objects[ref.obj_id].collect_tick = stamp
+        self._points.append([trigger, tick, self.created, self.created_slots,
+                             0, 0])
+        if self._ghosts:
+            ghosts, self._ghosts, self.ghost_slots = self._ghosts, [], 0
+            self._bury(stamp // 2, ghosts)
+
+    def resolve(self):
+        """Turn every open point into its CollectionStats; right after a
+        copy, whose dead are all dated, they are final."""
+        for trigger, tick, created, created_slots, died, died_slots \
+                in self._points:
+            self._died += died
+            self._died_slots += died_slots
+            self.collections.append(CollectionStats(
+                trigger, tick, created - self._died, died,
+                created_slots - self._died_slots))
+        self._first += len(self._points)
+        self._points = []
+
+    def flush_unmarked(self, marked, clock: int, trigger: str,
+                       from_slots) -> list[LifetimeRecord]:
+        """Drop every record whose id is not in marked (the ids a copy
+        kept), in creation order, date each death and resolve every
+        point up to the copy.  A copy with an exhaustion trigger runs
+        before an allocation, between points; any other is itself a
+        point at tick clock.  from_slots is the space the dropped
+        records' addresses point into, read to spread their stamps when
+        they may have died at different points.  Returns the dropped
+        records, ghosts included."""
         if self._finished:
             raise ProtocolViolation("flush after finalize")
         live = self.objects
-        dead_ids = live.keys() - marked
+        dead = [rec for obj_id, rec in live.items() if obj_id not in marked]
         # Every marked id must be in the table: |live - marked| is then
         # exactly |live| - |marked|.
-        if len(live) - len(dead_ids) != len(marked):
+        if len(live) - len(dead) != len(marked):
             raise UnknownId("a marked object has no live record")
-        flushed = [live.pop(obj_id) for obj_id in sorted(dead_ids)]
-        for rec in flushed:
-            rec.collect_tick = clock
-        self._finalized.extend(flushed)
-        return flushed
+        for rec in dead:
+            del live[rec.obj_id]
+        at_point = trigger != "exhaustion"
+        if at_point:
+            self.open_point(trigger, clock)
+        # Every dead object died at a point from first (all in the table
+        # were alive at the last resolved one) to last, which is the next
+        # point when the copy runs between points: a death there makes a
+        # ghost.
+        first = self._first
+        last = first + len(self._points) - at_point
+        if first == last:
+            self._bury(first, dead)
+        else:
+            _spread_stamps(dead, from_slots)
+            deaths = defaultdict(list)
+            for rec in dead:
+                deaths[max(first, rec.collect_tick // 2 + 1)].append(rec)
+            for i, recs in deaths.items():
+                self._bury(i, recs)
+        self.resolve()
+        return dead
+
+    def _bury(self, i: int, recs):
+        """Records that died at point i: ticked and counted there if it
+        is open, else ghosts."""
+        size = sum(map(_size, recs))
+        if i == self._first + len(self._points):
+            self._ghosts.extend(recs)
+            self.ghost_slots += size
+            return
+        point = self._points[i - self._first]
+        tick = point[1]
+        for rec in recs:
+            last_use = rec.last_use_tick
+            if last_use is not None and last_use > tick:
+                raise UnknownId(f"use of object #{rec.obj_id} at tick "
+                                f"{last_use}, after it died at tick {tick}")
+            rec.collect_tick = tick
+        point[4] += len(recs)
+        point[5] += size
+        self._finalized.extend(recs)
 
     def termination_tick(self) -> int:
         """Count the run's termination as one final clock step."""
@@ -129,6 +241,31 @@ class Profiler:
         self._finalized.sort(key=lambda r: (r.collect_tick, r.obj_id))
         return TraceLog(self.gc_interval, self.heap_slots, self.source,
                         self._finalized, end_tick)
+
+
+_stamp = attrgetter("collect_tick")
+_size = attrgetter("size_slots")
+
+
+def _spread_stamps(dead, slots):
+    """Give each dead record the largest stamp of any dead record that
+    reaches it: take the stamps in descending order and spread each one
+    depth-first through the dead records it reaches first."""
+    unreached = {rec.obj_id: rec for rec in dead}
+    for rec in sorted(dead, key=_stamp, reverse=True):
+        if unreached.pop(rec.obj_id, None) is None:
+            continue
+        stamp = rec.collect_tick
+        stack = [rec]
+        while stack:
+            r = stack.pop()
+            base = r.address
+            for v in slots[base:base + r.size_slots]:
+                if type(v) is Ref:
+                    t = unreached.pop(v.obj_id, None)
+                    if t is not None:
+                        t.collect_tick = stamp
+                        stack.append(t)
 
 
 def format_draglog(log: TraceLog) -> str:

@@ -1,12 +1,26 @@
 """Mutator facade: allocation policy, GC triggering and run lifecycle.
 
 A Runtime wires one Heap, one Profiler and one Collector together and
-owns the trigger policy: a collection runs right after every
-gc_interval-th allocation, and on demand when the active space cannot
-satisfy a request (OutOfMemory if it still cannot afterwards).  Setting
-gc_interval to 1 collects after every single allocation, the regime in
-which drag measured from the log approximates the program-determined
-part alone.
+owns the trigger policy.  Collection points are where the log says a
+collection ran: right after every gc_interval-th allocation (the fresh
+object pinned), before an allocation the heap could not hold had every
+point collected (an exhaustion point; OutOfMemory if it still cannot
+after it), and on demand (a manual point).  Setting gc_interval to 1
+makes every allocation a point, the regime in which drag measured from
+the log approximates the program-determined part alone.
+
+A point need not copy.  At a point that does not, the roots are only
+stamped (see heap.py); the Cheney copy (gc.py) runs at a manual point,
+at a point where the heap has doubled since the last copy kept its
+slots (Appel, "Simple generational garbage collection and fast
+allocation", SP&E 1989), and before an allocation when free_slots minus
+the ghosts' slots is short of it.  The ghosts are the objects that such
+a copy between points found dead after the last point: a heap that had
+collected at every point would still hold them, so they count as used
+until the next point.  That allocation is an exhaustion point if it is
+still short after the copy.  Each copy dates the deaths of everything it
+did not copy, so a run's log and CollectionStats are those of a copy at
+every point, while the copying costs a constant per allocated slot.
 
 Root enumeration is pluggable: clients register providers yielding Refs
 (the interpreter walks its environments; test drivers expose plain
@@ -22,9 +36,9 @@ from .errors import (
     ProtocolViolation,
     UnstorableValue,
 )
-from .gc import CollectionStats, Collector
+from .gc import Collector
 from .heap import NIL, PAIR, VECTOR, Heap, Ref, is_storable
-from .profiler import Profiler, TraceLog
+from .profiler import CollectionStats, Profiler, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
 # 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
@@ -44,14 +58,15 @@ class Runtime:
             raise ValueError(f"heap_slots must be at most {MAX_HEAP_SLOTS}")
         self.gc_interval = gc_interval
         self.heap = Heap(heap_slots, _standby_capacity=_standby_capacity)
-        self.profiler = Profiler(self.heap.objects, gc_interval, heap_slots,
+        self.profiler = Profiler(self.heap, gc_interval, heap_slots,
                                  source_name)
         self.collector = Collector(self.heap, self.profiler)
-        self.on_collection = None  # if set: fn(stats, flushed records)
         self.root_providers = []
-        self.collections: list[CollectionStats] = []
+        # the resolved points' stats, in order
+        self.collections: list[CollectionStats] = self.profiler.collections
         self.total_allocations = 0
         self.allocs_since_gc = 0
+        self._kept_slots = 0  # slots the last copy kept
         self._pins = []
         self._terminated = False
 
@@ -73,24 +88,41 @@ class Runtime:
                 roots.append(v)
         return roots
 
-    def collect_now(self, trigger: str = "manual") -> CollectionStats:
-        before = len(self.profiler.finalized_records)
-        stats = self.collector.collect(self.gather_roots(),
-                                       self.profiler.clock, trigger)
+    def collect_now(self) -> CollectionStats:
+        """A manual collection point; it copies, so its stats are final."""
+        self.collection_point("manual", self.gather_roots())
+        return self.collections[-1]
+
+    def collection_point(self, trigger: str, roots: list[Ref]):
+        """The next collection point, over these roots.  An exhaustion
+        point directly follows the copy that found the heap short, so it
+        is resolved at once; a manual one, or one where the heap has
+        doubled, copies; any other only stamps its roots."""
+        heap, profiler = self.heap, self.profiler
+        if trigger == "exhaustion":
+            profiler.open_point(trigger, profiler.clock)
+            profiler.resolve()
+        elif trigger == "manual" or heap.used_slots >= 2 * self._kept_slots:
+            self._copy(roots, trigger)
+        else:
+            profiler.open_point(trigger, profiler.clock, roots)
         self.allocs_since_gc = 0
-        self.collections.append(stats)
-        if self.on_collection is not None:
-            self.on_collection(stats,
-                               self.profiler.finalized_records[before:])
-        return stats
+
+    def _copy(self, roots, trigger):
+        self._kept_slots = self.collector.collect(
+            roots, self.profiler.clock, trigger).slots_copied
 
     def _ensure_space(self, n: int):
-        if not self.heap.can_alloc(n):
-            self.collect_now("exhaustion")
-            if not self.heap.can_alloc(n):
-                raise OutOfMemory(
-                    f"need {n} slots, only {self.heap.free_slots} free "
-                    f"after collection")
+        heap, profiler = self.heap, self.profiler
+        if not heap.can_alloc(n + profiler.ghost_slots):
+            roots = self.gather_roots()
+            self._copy(roots, "exhaustion")
+            if not heap.can_alloc(n + profiler.ghost_slots):
+                self.collection_point("exhaustion", roots)
+                if not heap.can_alloc(n):
+                    raise OutOfMemory(
+                        f"need {n} slots, only {heap.free_slots} free "
+                        f"after collection")
 
     def _finish_alloc(self, obj_id: int) -> Ref:
         self.profiler.record_creation(obj_id)
@@ -101,7 +133,7 @@ class Runtime:
             # The fresh object is pinned through its own trigger.
             self._pins.append(ref)
             try:
-                self.collect_now("interval")
+                self.collection_point("interval", self.gather_roots())
             finally:
                 self._pins.pop()
         return ref
@@ -141,6 +173,6 @@ class Runtime:
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         end_tick = self.profiler.termination_tick()
-        self.collect_now("manual")
+        self.collect_now()
         self._terminated = True
         return self.profiler.finalize(end_tick)

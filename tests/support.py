@@ -1,11 +1,13 @@
 """Shared drivers and program templates for the test suite."""
 
+import bisect
 import contextlib
 import random
 
 import dragprof
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
 from dragprof.heap import NIL
+from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
 
@@ -83,9 +85,15 @@ def checked_collect(rt: Runtime):
     """Collect once, asserting the survivor set matches the independent
     reachability oracle and the reachable graph is unchanged."""
     live_before = len(rt.heap.objects)
-    with oracle_checked_collections() as checked:
-        stats = rt.collect_now("manual")
-    assert checked == [stats]
+    with oracle_checked_copies() as checked:
+        stats = rt.collect_now()
+    # The point and its copy keep the same objects; they count the dead
+    # apart: the point takes the ghosts, the copy those of earlier
+    # uncopied points.
+    [copy] = checked
+    assert copy.trigger == stats.trigger == "manual"
+    assert copy.survivors == stats.survivors
+    assert copy.slots_copied == stats.slots_copied
     assert stats.survivors + stats.collected == live_before
     assert stats.survivors == len(rt.heap.objects)
     # every survivor sits inside the (new) active semispace
@@ -99,16 +107,17 @@ def run_gc_correctness_session(seed: int, objects_budget=120,
                                heap_slots=8192):
     """One randomized mutation program with oracle-checked collections."""
     rng = random.Random(seed)
-    rt = Runtime(heap_slots=heap_slots, gc_interval=10 ** 9)
-    driver = HeapDriver(rt, rng)
-    allocated = 0
-    while allocated < objects_budget:
-        if driver.step() == "alloc":
-            allocated += 1
-        if rng.random() < 0.04:
-            checked_collect(rt)
-    checked_collect(rt)
-    log = rt.terminate()
+    with oracle_checked_points():
+        rt = Runtime(heap_slots=heap_slots, gc_interval=10 ** 9)
+        driver = HeapDriver(rt, rng)
+        allocated = 0
+        while allocated < objects_budget:
+            if driver.step() == "alloc":
+                allocated += 1
+            if rng.random() < 0.04:
+                checked_collect(rt)
+        checked_collect(rt)
+        log = rt.terminate()
     ids = [r.obj_id for r in log.records]
     assert len(ids) == allocated, "records lost or duplicated"
     assert len(set(ids)) == allocated, "an object was finalized twice"
@@ -123,29 +132,14 @@ def run_delta_gc_session(seed: int, gc_interval: int, ops=1200,
                          heap_slots=4096):
     """Randomized run asserting the collection-lag bound: each object is
     collected at most gc_interval allocations after the oracle first
-    reports it unreachable.  The oracle runs after every mutator step.
+    reports it unreachable.  The oracle runs after every mutator step;
+    the log's collect ticks say when each object was collected.
 
     Returns (objects allocated, objects checked against the bound).
     """
     rng = random.Random(seed)
     first_unreachable = {}  # obj_id -> allocation count at that moment
-    violations = []
-    checked = 0
-
     rt = Runtime(heap_slots=heap_slots, gc_interval=gc_interval)
-
-    def on_collection(stats, flushed):
-        nonlocal checked
-        for rec in flushed:
-            # Objects not yet seen unreachable died inside the very step
-            # that triggered this collection: lag zero.
-            u = first_unreachable.get(rec.obj_id, rt.total_allocations)
-            gap = rt.total_allocations - u
-            checked += 1
-            if gap > gc_interval:
-                violations.append((rec.obj_id, gap))
-
-    rt.on_collection = on_collection
     driver = HeapDriver(rt, rng, max_roots=25)
     for _ in range(ops):
         driver.step()
@@ -153,7 +147,21 @@ def run_delta_gc_session(seed: int, gc_interval: int, ops=1200,
         for oid in rt.heap.objects:
             if oid not in reachable and oid not in first_unreachable:
                 first_unreachable[oid] = rt.total_allocations
-    rt.terminate()
+    log = rt.terminate()
+    # the allocations made by tick t: those created at or before it
+    creates = sorted(rec.create_tick for rec in log.records)
+    violations = []
+    checked = 0
+    for rec in log.records:
+        if rec.censored:
+            continue
+        allocs = bisect.bisect_right(creates, rec.collect_tick)
+        # Objects not yet seen unreachable died inside the very step
+        # that reached this collection: lag zero.
+        gap = allocs - first_unreachable.get(rec.obj_id, allocs)
+        checked += 1
+        if gap > gc_interval:
+            violations.append((rec.obj_id, gap))
     assert not violations, f"collection lag exceeded K: {violations[:5]}"
     return rt.total_allocations, checked
 
@@ -164,7 +172,8 @@ class ProgramGenerator:
     A program is a run of snippets: lists built by non-tail recursion,
     named-let folds, closures that keep state through set!, procedures
     with internal defines, quoted structure, vectors filled with fresh
-    pairs, pair mutation that makes cycles, dropped references, primitive
+    pairs, pair mutation that makes cycles, slots whose fresh contents
+    are overwritten in a loop, dropped references, primitive
     calls whose later arguments allocate, primitive names rebound locally
     and globally, a wrong-arity call that never runs, and sometimes a
     deliberate runtime error.  Snippets refer to the heap values that
@@ -194,7 +203,7 @@ class ProgramGenerator:
             [self._build_list, self._fold, self._counter, self._internal,
              self._quote, self._vector, self._cycle, self._drop,
              self._temporaries, self._call, self._nested, self._shadow,
-             self._rebind],
+             self._rebind, self._overwrite],
             k=rng.randrange(2, 7))
         forms = [make() for make in snippets]
         if rng.random() < 0.2:
@@ -305,6 +314,7 @@ class ProgramGenerator:
                 f"    (list (+ (car x) (car (cons 1 2)))\n"
                 f"          (eq? x (car (cons x '())))\n"
                 f"          (eq? (car (list x)) (cdr x))\n"
+                f"          (eq? (cons {n} {n}) (car (cons 1 2)))\n"
                 f"          (vector-ref (vector x (cons 3 {n})) 1)\n"
                 f"          (null? (cdr (list (vector x) x))))))")
 
@@ -331,6 +341,24 @@ class ProgramGenerator:
             f"(define ({prim} x) (vector x) ({original} x))",
         ])
         return f"(define {original} {prim})\n{definition}"
+
+    def _overwrite(self):
+        # a fresh object stored in a slot, then overwritten while the
+        # loop allocates: each store drops the last reference to the
+        # previous one
+        name = self._name("box")
+        n = self.rng.randrange(1, 8)
+        store = self.rng.choice(["set-car! {} v", "set-cdr! {} v",
+                                 "vector-set! {} 1 v"])
+        make = "(make-vector 2 0)" if "vector" in store else "(cons 0 0)"
+        other = self._pick(self.values)
+        self.values.append(name)
+        return (f"(define {name} {make})\n"
+                f"(let fill ((i 0))\n"
+                f"  (if (< i {n})\n"
+                f"      (let ((v (list i {other})))\n"
+                f"        ({store.format(name)})\n"
+                f"        (fill (+ i 1)))))")
 
     def _call(self):
         if not self.closures:
@@ -361,12 +389,75 @@ class ProgramGenerator:
         ])
 
 
+class PointChecks:
+    """What oracle_checked_points saw: the number of collection points
+    and of points a copy ran at, and each copy's stats."""
+
+    def __init__(self):
+        self.points = 0
+        self.copied_points = 0
+        self.copies = []
+        self._runs = {}  # id(runtime) -> _OracleRun
+
+    @property
+    def dated_points(self):
+        """Points that no copy ran at: a later copy dated their dead."""
+        return self.points - self.copied_points
+
+
+class _OracleRun:
+    """The oracle's view of one runtime: each point's expected stats and
+    each object's expected collect tick."""
+
+    def __init__(self, rt):
+        assert rt.heap.stamp == -1, "runtime seen after its first point"
+        self.rt = rt
+        self.alive = set()  # reachable at the last point
+        self.created = 0    # objects created by the last point
+        self.stats = []
+        self.collect_tick = {}
+
+    def point(self, trigger, roots):
+        rt = self.rt
+        reached = reachability_oracle(rt.heap, roots)
+        created = rt.profiler.created
+        candidates = self.alive | set(range(self.created, created))
+        tick = rt.profiler.clock
+        died = candidates - reached
+        for obj_id in died:
+            self.collect_tick[obj_id] = tick
+        self.stats.append(CollectionStats(
+            trigger, tick, len(reached), len(died),
+            sum(rt.heap.objects[i].size_slots for i in reached)))
+        self.alive, self.created = reached, created
+
+    def check(self):
+        """Every resolved point's stats and every finalized record's
+        collect tick match the oracle's, and no record was used after
+        it was collected."""
+        resolved = self.rt.collections
+        assert resolved == self.stats[:len(resolved)], \
+            "collection stats diverge from the oracle"
+        # a manual point copies, which resolves it and every point before
+        manual = [i for i, s in enumerate(self.stats) if s.trigger == "manual"]
+        assert len(resolved) > (manual[-1] if manual else -1), \
+            "a point before a copy is still unresolved"
+        for rec in self.rt.profiler.finalized_records:
+            expected = None if rec.censored else rec.collect_tick
+            assert self.collect_tick.get(rec.obj_id) == expected, \
+                f"object #{rec.obj_id} collected at {rec.collect_tick}, " \
+                f"the oracle says {self.collect_tick.get(rec.obj_id)}"
+            assert rec.last_use_tick is None \
+                or rec.last_use_tick <= rec.collect_tick, \
+                f"object #{rec.obj_id} used at {rec.last_use_tick}, " \
+                f"after it was collected at {rec.collect_tick}"
+
+
 @contextlib.contextmanager
-def oracle_checked_collections():
-    """Check every collection inside the block the way checked_collect
-    does: the survivors are exactly what the oracle finds reachable from
-    the roots, and the reachable graph is unchanged.  Yields a list that
-    gets one entry per checked collection."""
+def oracle_checked_copies():
+    """Check every copy inside the block: it keeps exactly what the
+    oracle finds reachable from its roots and leaves the reachable graph
+    unchanged.  Yields a list that gets each copy's stats."""
     original = Collector.collect
     checked = []
 
@@ -387,3 +478,39 @@ def oracle_checked_collections():
         yield checked
     finally:
         Collector.collect = original
+
+
+@contextlib.contextmanager
+def oracle_checked_points():
+    """Check every collection point of the runtimes made inside the block.
+
+    At each point the oracle computes what the point's roots reach; the
+    objects created before the point that were reachable at the last
+    point (or created since) and are not reached now die here.  When the
+    block ends, every resolved CollectionStats and every finalized
+    record's collect tick must be the oracle's, whether a copy ran at
+    the point or a later one dated it.  Every copy is checked as by
+    oracle_checked_copies.  Yields a PointChecks."""
+    original = Runtime.collection_point
+    checks = PointChecks()
+
+    def collection_point(rt, trigger, roots):
+        run = checks._runs.get(id(rt))
+        if run is None:
+            run = checks._runs[id(rt)] = _OracleRun(rt)
+        run.point(trigger, roots)
+        before = len(copies)
+        original(rt, trigger, roots)
+        checks.points += 1
+        if len(copies) > before or trigger == "exhaustion":
+            checks.copied_points += 1
+
+    Runtime.collection_point = collection_point
+    try:
+        with oracle_checked_copies() as copies:
+            yield checks
+    finally:
+        Runtime.collection_point = original
+    checks.copies = copies
+    for run in checks._runs.values():
+        run.check()

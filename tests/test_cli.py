@@ -416,3 +416,19 @@ def test_commands_load_only_their_own_layers(workdir, command, forbidden):
               if name.startswith("dragprof.")}
     assert "cli" in loaded
     assert not loaded & forbidden
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["run"], "the following arguments are required: source"),
+    (["run", "small.scm", "--gc-interval", "x"],
+     "argument --gc-interval: invalid _positive_int value: 'x'"),
+])
+def test_usage_errors_exit_1_with_the_usage(argv, complaint, capsys):
+    # exit 2 is a Scheme runtime error's, so argparse's own 2 is not used
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dragprof")
+    assert complaint in err

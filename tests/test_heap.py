@@ -214,7 +214,7 @@ def test_heap_standalone_semispace_roles():
     assert heap.used_slots == 2
     assert heap.slot_value(obj_id, 0) == 1
     from_space, to_space = heap.active, heap.standby
-    collector = Collector(heap, Profiler(heap.objects, 1, 32))
+    collector = Collector(heap, Profiler(heap, 1, 32))
     collector.collect([Ref(obj_id)], clock=0)
     assert heap.active is to_space and heap.standby is from_space
     assert heap.used_slots == 2 and from_space.used_slots == 0

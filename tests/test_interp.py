@@ -20,7 +20,7 @@ from dragprof.interp import (
 )
 from dragprof.profiler import format_draglog
 from dragprof.runtime import Runtime
-from support import ProgramGenerator, oracle_checked_collections
+from support import ProgramGenerator, oracle_checked_points
 
 WALK_LOOP = """
 (let ((x (list 1 2 3)))
@@ -513,19 +513,23 @@ def test_car_of_a_collected_object_is_a_dangling_ref():
 def test_primitive_rebound_while_its_call_evaluates_arguments():
     # eq?'s first argument rebinds car to a procedure that allocates
     # and returns a pair nothing else holds; under K=1 the collection in
-    # the new car must still see that pair pinned as an argument
-    _, interp = interp_fixture(gc_interval=1)
-    interp.eval_program(parse("(define (f p) (eq? (h) (car p)))"))
-    value = interp.eval_program(parse(
-        "(define g (cons 1 2))\n"
-        "(define (allocating-car x) (cons 3 4) 5)\n"
-        "(define (h)\n"
-        "  (let ((r g))\n"
-        "    (set! g 0)\n"
-        "    (set! car allocating-car)\n"
-        "    r))\n"
-        "(f (cons 7 8))"))
+    # the new car must still see that pair pinned as an argument; the
+    # oracle flags a use of the pair after a point it did not reach
+    with oracle_checked_points() as checks:
+        rt, interp = interp_fixture(gc_interval=1)
+        interp.eval_program(parse("(define (f p) (eq? (h) (car p)))"))
+        value = interp.eval_program(parse(
+            "(define g (cons 1 2))\n"
+            "(define (allocating-car x) (cons 3 4) 5)\n"
+            "(define (h)\n"
+            "  (let ((r g))\n"
+            "    (set! g 0)\n"
+            "    (set! car allocating-car)\n"
+            "    r))\n"
+            "(f (cons 7 8))"))
+        rt.terminate()
     assert value is False
+    assert checks.dated_points > 0
 
 
 def test_runtime_entry_points_are_called_for_every_event(monkeypatch):
@@ -627,23 +631,26 @@ def test_identical_runs_produce_identical_logs():
 
 @pytest.mark.parametrize("k", [1, 3, 16])
 def test_generated_programs_agree_with_the_oracle(k):
-    # every collection of every run is checked against the oracle, and a
-    # second run of each program ends the same way, byte for byte
+    # every collection point of every run is checked against the oracle,
+    # copied or not, and a second run of each program ends the same way,
+    # byte for byte
     ends = {"value": 0, "error": 0}
-    collections = 0
+    points = dated = 0
     for seed in range(60):
         source = ProgramGenerator(seed).program()
         outcomes = []
         for _ in range(2):
-            with oracle_checked_collections() as checked:
+            with oracle_checked_points() as checked:
                 try:
                     r = run(source, gc_interval=k, heap_slots=512)
                 except SchemeError as exc:
                     outcomes.append(("error", str(exc)))
                 else:
                     outcomes.append(("value", format_draglog(r.trace_log)))
-            collections += len(checked)
+            points += checked.points
+            dated += checked.dated_points
         assert outcomes[0] == outcomes[1], source
         ends[outcomes[0][0]] += 1
     assert ends["value"] >= 40 and ends["error"] >= 5
-    assert collections >= 120
+    assert points >= 120
+    assert dated > 0  # some points were resolved by a later copy

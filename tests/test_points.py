@@ -1,0 +1,106 @@
+"""Collection points, lazy copies and Merlin death dating.
+
+A collection point that does not copy only stamps its roots; a later
+copy dates the deaths in between.  The dating tests run under
+oracle_checked_points, which checks each point's stats and each
+object's collect tick against the reachability oracle, so a missing
+stamp shows as a wrong tick.  The last test bounds the copying itself.
+"""
+
+import pytest
+
+from dragprof.heap import NIL
+from dragprof.interp import run_source
+from dragprof.runtime import Runtime
+
+from support import oracle_checked_copies, oracle_checked_points
+
+# A 100-cell list stays live, so a copy keeps about 200 slots and the
+# next one waits until the heap has doubled: many points pass uncopied.
+KEEP = """
+(define keep (let build ((i 0) (acc '()))
+               (if (= i 100) acc (build (+ i 1) (cons i acc)))))
+"""
+
+# Each round stores a fresh pair in a slot of box, dropping the last
+# reference to the previous round's pair, then allocates enough that a
+# point passes at K=16 too.
+OVERWRITE = KEEP + """
+(define box {make})
+(let loop ((i 0))
+  ({store} (cons i i))
+  (let spin ((k 0))
+    (if (< k 20) (begin (cons k k) (spin (+ k 1)))))
+  (if (< i 40) (loop (+ i 1))))
+(car keep)
+"""
+
+STORES = {
+    "set-car!": ("(cons 0 0)", "set-car! box"),
+    "set-cdr!": ("(cons 0 0)", "set-cdr! box"),
+    "vector-set!": ("(make-vector 3 0)", "vector-set! box 1"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+@pytest.mark.parametrize("primitive", sorted(STORES))
+def test_overwritten_slot_dates_its_old_target(primitive, k):
+    make, store = STORES[primitive]
+    with oracle_checked_points() as checked:
+        r = run_source(OVERWRITE.format(make=make, store=store),
+                       gc_interval=k, heap_slots=4096)
+    assert r.value == 99
+    assert checked.dated_points > len(checked.copies)
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+def test_heap_write_slot_dates_its_old_target(k):
+    with oracle_checked_points() as checked:
+        rt = Runtime(heap_slots=4096, gc_interval=k)
+        roots = [NIL]
+        rt.add_root_provider(lambda: [v for v in roots if v is not NIL])
+        for i in range(100):
+            roots[0] = rt.alloc_pair(i, roots[0])
+        box = rt.alloc_vector(2, NIL)
+        roots.append(box)
+        for i in range(40):
+            rt.heap.write_slot(box, 1, rt.alloc_pair(i, i))
+            for _ in range(20):
+                rt.alloc_pair(0, 0)
+        rt.terminate()
+    assert checked.dated_points > len(checked.copies)
+
+
+def test_copy_between_points_leaves_ghosts():
+    # K=8 in a 40-slot heap that keeps 24 slots live: the heap fills
+    # between points, so copies run before allocations, and some find
+    # the room a heap collected at every point would have, which makes
+    # no exhaustion point.  The pair pinned at the last point, dropped
+    # since, waits as a ghost for the next one.
+    src = KEEP.replace("100", "12") + """
+    (let loop ((i 0))
+      (if (< i 300) (begin (cons i i) (loop (+ i 1)))))
+    (car keep)
+    """
+    with oracle_checked_points() as checked:
+        r = run_source(src, gc_interval=8, heap_slots=40)
+    copies = sum(c.trigger == "exhaustion" for c in checked.copies)
+    points = sum(s.trigger == "exhaustion" for s in r.collections)
+    assert copies > points
+    assert checked.dated_points > 0
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_list_build_copies_a_constant_per_slot(k):
+    # Copying only once the heap has doubled copies each slot of a
+    # growing list a bounded number of times: at most 2 x 2n slots over
+    # the growth plus the closing copy's 2n, where a copy at every
+    # point would copy about n^2 / (2K) cells.
+    n = 5000
+    src = (f"(define (build i acc) (if (= i 0) acc (build (- i 1) "
+           f"(cons i acc))))\n"
+           f"(define xs (build {n} '()))\n"
+           f"(let walk ((l xs)) (if (null? l) 0 (walk (cdr l))))")
+    with oracle_checked_copies() as copies:
+        run_source(src, gc_interval=k, heap_slots=1 << 15)
+    assert sum(c.slots_copied for c in copies) <= 6 * n

@@ -8,7 +8,7 @@ from dragprof.errors import (
     ProtocolViolation,
     UnknownId,
 )
-from dragprof.heap import NIL, PAIR, VECTOR, Heap
+from dragprof.heap import NIL, PAIR, VECTOR, Heap, Ref
 from dragprof.profiler import (
     Profiler,
     format_draglog,
@@ -19,7 +19,13 @@ from dragprof.profiler import (
 def make_profiler(gc_interval=1, heap_slots=256, source="test"):
     """A profiler over the object table of a fresh heap."""
     heap = Heap(heap_slots)
-    return heap, Profiler(heap.objects, gc_interval, heap_slots, source)
+    return heap, Profiler(heap, gc_interval, heap_slots, source)
+
+
+def flush(heap, prof, marked):
+    """A manual collection point at the current tick that keeps marked."""
+    return prof.flush_unmarked(marked, prof.clock, "manual",
+                               heap.active.slots)
 
 
 def create(heap, prof, kind=PAIR, size=2):
@@ -77,17 +83,17 @@ def test_flush_rejects_unrecorded_mark_and_closed_run():
     heap, prof = make_profiler()
     create(heap, prof)
     with pytest.raises(UnknownId):
-        prof.flush_unmarked({0, 7}, prof.clock)
+        flush(heap, prof, {0, 7})
     prof.finalize(prof.termination_tick())
     with pytest.raises(ProtocolViolation):
-        prof.flush_unmarked(set(), prof.clock)
+        flush(heap, prof, set())
 
 
 def test_flush_with_none_marked_collects_everything():
     heap, prof = make_profiler()
     for _ in range(5):
         create(heap, prof)
-    flushed = prof.flush_unmarked(set(), prof.clock)
+    flushed = flush(heap, prof, set())
     assert [r.obj_id for r in flushed] == list(range(5))  # creation order
     assert all(r.collect_tick == 5 and not r.censored for r in flushed)
     assert prof.live_count == 0
@@ -98,7 +104,7 @@ def test_mark_all_then_flush_is_empty():
     heap, prof = make_profiler()
     for _ in range(5):
         create(heap, prof)
-    assert prof.flush_unmarked(set(range(5)), prof.clock) == []
+    assert flush(heap, prof, set(range(5))) == []
     assert prof.live_count == 5
 
 
@@ -108,18 +114,40 @@ def test_flush_returns_exactly_the_unmarked():
     heap, prof = make_profiler()
     ids = [create(heap, prof) for _ in range(100)]
     marked = set(rng.sample(ids, 40))
-    flushed = [r.obj_id for r in prof.flush_unmarked(marked, prof.clock)]
+    flushed = [r.obj_id for r in flush(heap, prof, marked)]
     assert set(flushed) == set(ids) - marked
     assert len(flushed) == 60
     assert flushed == sorted(flushed)  # creation order
     assert set(heap.objects) == marked
 
 
+def test_point_stamps_the_heap_and_its_roots():
+    heap, prof = make_profiler()
+    root, other = create(heap, prof), create(heap, prof)
+    assert heap.stamp == -1
+    prof.open_point("interval", prof.clock, [Ref(root)])
+    assert heap.stamp == 1
+    assert prof.record(root).collect_tick == 0
+    assert prof.record(other).collect_tick == -1  # unreached: died here
+    assert heap.objects[create(heap, prof)].collect_tick == 1
+
+
+def test_use_after_a_dated_death_is_unknown_id():
+    # the object is unreached at the first point, used after it, and a
+    # later copy dates its death to that point
+    heap, prof = make_profiler()
+    obj_id = create(heap, prof)
+    prof.open_point("interval", prof.clock)
+    prof.record_use(obj_id)
+    with pytest.raises(UnknownId, match="after it died at tick 1"):
+        flush(heap, prof, set())
+
+
 def test_finalize_censors_remaining_and_sorts():
     heap, prof = make_profiler()
     for i in range(4):
         create(heap, prof, PAIR if i % 2 else VECTOR)
-    prof.flush_unmarked({1, 3}, prof.clock)  # collects 0 and 2 at tick 4
+    flush(heap, prof, {1, 3})  # collects 0 and 2 at tick 4
     log = prof.finalize(prof.termination_tick())
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
     assert [r.censored for r in log.records] == [False, False, True, True]
@@ -151,7 +179,7 @@ def test_draglog_roundtrip():
     for i in range(3):
         create(heap, prof, PAIR if i else VECTOR, 2 + i)
     prof.record_use(1)
-    prof.flush_unmarked({2}, prof.clock)
+    flush(heap, prof, {2})
     log = prof.finalize(prof.termination_tick())
     parsed = parse_draglog(format_draglog(log))
     assert parsed.gc_interval == 4
@@ -198,7 +226,7 @@ def test_draglog_roundtrip():
 def test_draglog_malformed_reports_line(mutate, bad_line):
     heap, prof = make_profiler()
     create(heap, prof)
-    prof.flush_unmarked(set(), prof.clock)
+    flush(heap, prof, set())
     lines = format_draglog(prof.finalize(prof.termination_tick())) \
         .splitlines()
     text = "\n".join(mutate(lines)) + "\n"

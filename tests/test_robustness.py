@@ -1,0 +1,89 @@
+"""Every input ends in a documented exit code, never a traceback.
+
+Hypothesis drives `run` with generated programs over a range of heap
+sizes and intervals (exit 0-3), and `analyze` with byte-mutated trace
+logs (exit 0 or 1).  The examples are derandomized, so a run of the
+suite checks the same inputs every time.
+"""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dragprof.cli import main
+
+from support import ProgramGenerator
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def quiet_main(argv):
+    """cli.main with its output swallowed; returns the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(seed=st.integers(0, 10 ** 6),
+       k=st.sampled_from([1, 2, 3, 16, 1000]),
+       heap=st.sampled_from([16, 24, 40, 64, 512]))
+def test_run_of_a_generated_program_ends_in_0_to_3(seed, k, heap):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "gen.scm"
+        src.write_text(ProgramGenerator(seed).program(), encoding="utf-8")
+        code = quiet_main(["run", src, "--gc-interval", k,
+                           "--heap-slots", heap, "--log",
+                           Path(tmp) / "gen.draglog"])
+    assert code in (0, 1, 2, 3)
+
+
+def _base_log():
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "base.scm"
+        src.write_text(ProgramGenerator(3).program(), encoding="utf-8")
+        log = Path(tmp) / "base.draglog"
+        assert quiet_main(["run", src, "--gc-interval", 1,
+                           "--log", log]) == 0
+        return log.read_bytes()
+
+
+BASE_LOG = _base_log()
+
+# (offset, action, byte): replace, insert before or delete the byte at
+# offset modulo the log's length
+MUTATIONS = st.lists(
+    st.tuples(st.integers(0, 10 ** 6),
+              st.sampled_from(["replace", "insert", "delete"]),
+              st.one_of(st.sampled_from(b"0123456789"),
+                        st.integers(0, 255))),
+    min_size=1, max_size=4)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for offset, action, byte in mutations:
+        i = offset % (len(out) + 1)
+        if action == "insert":
+            out.insert(i, byte)
+        elif i < len(out):
+            if action == "replace":
+                out[i] = byte
+            else:
+                del out[i]
+    return bytes(out)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(mutations=MUTATIONS)
+def test_analyze_of_a_mutated_log_ends_in_0_or_1(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "mutated.draglog"
+        log.write_bytes(mutate(BASE_LOG, mutations))
+        code = quiet_main(["analyze", log, "--out-dir", Path(tmp) / "out"])
+    assert code in (0, 1)
