@@ -14,7 +14,7 @@ next collection after their last use are not flagged.
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 
 from .profiler import TraceLog
@@ -188,11 +188,9 @@ def build_report(log: TraceLog, sample_interval: int | None = None,
 # ---------------------------------------------------------------------------
 # Output files
 
-REPORT_FIELDS = [
-    "source", "end_tick", "allocated", "dead_count", "dead_pct",
-    "max_drag", "max_drag_pct", "avg_drag", "avg_drag_pct",
-    "reachable_integral", "live_integral", "savings_pct",
-]
+# report.csv's columns: every DragReport field but the histogram
+REPORT_FIELDS = [f.name for f in fields(DragReport) if f.name != "histogram"]
+_FLOAT_FIELDS = {f.name for f in fields(DragReport) if f.type is float}
 
 
 def write_curves_csv(series: CurveSeries, fh):
@@ -212,20 +210,8 @@ def write_histogram_csv(bins, fh):
 def write_report_csv(report: DragReport, fh):
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(REPORT_FIELDS)
-    w.writerow([
-        report.source,
-        report.end_tick,
-        report.allocated,
-        report.dead_count,
-        f"{report.dead_pct:.2f}",
-        report.max_drag,
-        f"{report.max_drag_pct:.2f}",
-        f"{report.avg_drag:.2f}",
-        f"{report.avg_drag_pct:.2f}",
-        report.reachable_integral,
-        report.live_integral,
-        f"{report.savings_pct:.2f}",
-    ])
+    w.writerow([f"{getattr(report, name):.2f}" if name in _FLOAT_FIELDS
+                else getattr(report, name) for name in REPORT_FIELDS])
 
 
 def format_text_report(report: DragReport, dead_threshold: int) -> str:

@@ -8,18 +8,19 @@ its previous batch, until no new slot was copied.  Each object moves
 with one slice assignment; its record in the object table takes the new
 address, and the shared forwarding marker FORWARDED is left in its
 evacuated from-space cell.  A Ref is only an id, so the copied slots
-keep their Ref objects and nothing is rewritten.  Then the spaces swap
-and the profiler drops every record of the object table whose id was not
-copied and dates its death (profiler.Profiler.flush_unmarked), reading
-the dead objects' slots from the from-space before a later copy reuses
-it.
+keep their Ref objects and nothing is rewritten.  Then the heap's two
+slot lists swap and the profiler drops every record of the object table
+whose id was not copied and dates its death
+(profiler.Profiler.flush_unmarked), reading the dead objects' slots from
+the from-space before a later copy reuses it.
 
-The runtime decides when to copy (runtime.py): at a manual collection
-point, at a point where the heap has doubled since the last copy, and
-before an allocation that would not fit had every point collected.  So
-one copy may resolve many collection points: the Merlin stamps (heap.py)
-date each object it did not copy to the point at which it became
-unreachable, and each point's statistics follow from those dates.
+A copy opens no collection point; the runtime opens every point and
+decides when to copy (runtime.py): at a manual point, at a point where
+the heap has doubled since the last copy, and before an allocation that
+would not fit had every point collected.  So one copy resolves every
+point opened since the last one: the Merlin stamps (heap.py) date each
+object it did not copy to the point at which it became unreachable, and
+each point's statistics follow from those dates.
 
 reachability_oracle() and canonical_serialization() are verification
 helpers for the test suites.  They share the heap's slot accessors but no
@@ -41,13 +42,10 @@ class Collector:
     def collect(self, roots, clock: int, trigger: str = "manual"
                 ) -> CollectionStats:
         heap = self.heap
-        to_space = heap.standby
-        if to_space.used_slots:
-            raise AssertionError("standby space not empty before collection")
         objects = heap.objects
-        src = heap.active.slots
-        dst = to_space.slots
-        capacity = to_space.capacity_slots
+        src = heap.slots
+        dst = heap.standby
+        capacity = len(dst)
         copied: set[int] = set()
         free = 0  # next free to-space slot
         scan = 0  # first copied slot not yet handed to the loop
@@ -83,9 +81,9 @@ class Collector:
             batch = dst[scan:free]
             scan = free
 
-        to_space.used_slots = free
-        heap.swap_spaces()
-        flushed = self.profiler.flush_unmarked(copied, clock, trigger, src)
+        heap.slots, heap.standby = dst, src
+        heap.used_slots = free
+        flushed = self.profiler.flush_unmarked(copied, src)
         return CollectionStats(trigger, clock, len(copied), len(flushed),
                                free)
 

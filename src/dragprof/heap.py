@@ -1,4 +1,4 @@
-"""Object model, the object table and semispace storage for the profiled heap.
+"""Object model, the object table and the two slot lists of the profiled heap.
 
 Profiled objects are pairs (exactly two slots) and vectors (one slot per
 element, payload only; there is no header slot).  Slot values are
@@ -21,11 +21,11 @@ Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
 Merlin", TOPLAS 2006): while a record is in the table its collect_tick
 holds a stamp that bounds how late the object was last reachable.  After
 collection point i the heap's stamp is 2i+1 (-1 before the first).  A
-new record starts at the heap's stamp, a collection point that does not
-copy stamps its roots with 2i, and the write barrier, store(), stamps
-the old target of an overwritten Ref slot with the heap's stamp.  The
-copy that later finds the object dead turns the stamp into its
-collection tick (see gc.py).
+new record starts at the heap's stamp, every collection point stamps
+its roots with 2i, and the write barrier, store(), stamps the old
+target of an overwritten Ref slot with the heap's stamp.  The copy that
+later finds the object dead turns the stamp into its collection tick
+(see profiler.py).
 """
 
 from dataclasses import dataclass
@@ -112,66 +112,32 @@ class LifetimeRecord:
     address: int | None = None
 
 
-class Semispace:
-    """One half of the heap: a bump-allocated slot array."""
+class Heap:
+    """Two equal slot lists plus the object table.
 
-    __slots__ = ("capacity_slots", "used_slots", "slots")
+    slots is the active space, bump-allocated up to used_slots; standby
+    is the other half, which gc.Collector.collect copies into before it
+    swaps the two lists.  Its stale contents are never read again: the
+    object table points into slots.  This layer is pure storage: it
+    never triggers a collection and never talks to the profiler; its
+    write barrier only sets stamps, whose value the profiler advances at
+    each collection point.  Allocation policy lives in runtime.Runtime.
+    """
 
-    def __init__(self, capacity_slots: int):
+    def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS):
+        if capacity_slots < 1:
+            raise ValueError("heap capacity must be positive")
         self.capacity_slots = capacity_slots
-        self.used_slots = 0
         self.slots = [None] * capacity_slots
+        self.standby = [None] * capacity_slots
+        self.used_slots = 0
+        self.objects: dict[int, LifetimeRecord] = {}
+        self.allocated = 0  # objects allocated so far, so the next id
+        self.stamp = -1  # 2i+1 after collection point i
 
     @property
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
-
-    def alloc(self, n: int):
-        """Bump-allocate n slots; None when they do not fit."""
-        if self.used_slots + n > self.capacity_slots:
-            return None
-        addr = self.used_slots
-        self.used_slots += n
-        return addr
-
-    def reset(self):
-        # The stale slot contents are discarded wholesale; they are never
-        # read again because the object table points into the other space.
-        self.used_slots = 0
-
-
-class Heap:
-    """Two equal semispaces plus the object table.
-
-    This layer is pure storage: it never triggers a collection and never
-    talks to the profiler; its write barrier only sets stamps, whose
-    value the profiler advances in stamp at each collection point.
-    Allocation policy lives in runtime.Runtime, the copying itself in
-    gc.Collector.
-    """
-
-    def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS, *,
-                 _standby_capacity: int | None = None):
-        if capacity_slots < 1:
-            raise ValueError("heap capacity must be positive")
-        self.active = Semispace(capacity_slots)
-        self.standby = Semispace(_standby_capacity
-                                 if _standby_capacity is not None
-                                 else capacity_slots)
-        self.objects: dict[int, LifetimeRecord] = {}
-        self._next_id = 0
-        self.stamp = -1  # 2i+1 after collection point i
-
-    @property
-    def used_slots(self) -> int:
-        return self.active.used_slots
-
-    @property
-    def free_slots(self) -> int:
-        return self.active.free_slots
-
-    def can_alloc(self, n: int) -> bool:
-        return self.active.free_slots >= n
 
     def alloc_raw(self, kind: str, size_slots: int, values) -> int:
         """Allocate and initialize an object; the caller guarantees room.
@@ -180,14 +146,15 @@ class Heap:
         """
         if size_slots < 0:
             raise NegativeLength(f"negative object size {size_slots}")
-        addr = self.active.alloc(size_slots)
-        if addr is None:
+        addr = self.used_slots
+        if addr + size_slots > self.capacity_slots:
             raise AssertionError("alloc_raw called without free space")
-        slots = self.active.slots
+        self.used_slots = addr + size_slots
+        slots = self.slots
         for i, v in enumerate(values):
             slots[addr + i] = v
-        obj_id = self._next_id
-        self._next_id += 1
+        obj_id = self.allocated
+        self.allocated = obj_id + 1
         # positional: keywords double the cost of this hot constructor
         self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots, None,
                                               None, self.stamp, False, addr)
@@ -206,7 +173,7 @@ class Heap:
             raise IndexOutOfBounds(
                 f"slot {index} of object #{ref.obj_id} "
                 f"(size {rec.size_slots})")
-        return self.active.slots[rec.address + index]
+        return self.slots[rec.address + index]
 
     def write_slot(self, ref: Ref, index: int, value):
         if not is_storable(value):
@@ -222,7 +189,7 @@ class Heap:
         """Write the active slot at addr through the write barrier: an
         overwritten Ref's target takes the heap's stamp, since it may
         have lost its last reference."""
-        slots = self.active.slots
+        slots = self.slots
         old = slots[addr]
         if type(old) is Ref:
             self.objects[old.obj_id].collect_tick = self.stamp
@@ -231,8 +198,4 @@ class Heap:
     def slot_value(self, obj_id: int, index: int):
         """Raw slot read by id; used by traversals that already hold ids."""
         rec = self.objects[obj_id]
-        return self.active.slots[rec.address + index]
-
-    def swap_spaces(self):
-        self.active.reset()
-        self.active, self.standby = self.standby, self.active
+        return self.slots[rec.address + index]

@@ -427,7 +427,7 @@ def _prim_car(interp, pos, p):
     if rec is None or rec.kind != PAIR:
         _require(interp, p, PAIR, "car", pos)
     interp.record_use(p)
-    return interp.heap.active.slots[rec.address]
+    return interp.heap.slots[rec.address]
 
 
 def _prim_cdr(interp, pos, p):
@@ -435,7 +435,7 @@ def _prim_cdr(interp, pos, p):
     if rec is None or rec.kind != PAIR:
         _require(interp, p, PAIR, "cdr", pos)
     interp.record_use(p)
-    return interp.heap.active.slots[rec.address + 1]
+    return interp.heap.slots[rec.address + 1]
 
 
 def _prim_set_car(interp, pos, p, v):
@@ -504,7 +504,7 @@ def _prim_vector_ref(interp, pos, v, i):
     if type(i) is not int or not 0 <= i < rec.size_slots:
         _vector_index(interp, rec, i, "vector-ref", pos)
     interp.record_use(v)
-    return interp.heap.active.slots[rec.address + i]
+    return interp.heap.slots[rec.address + i]
 
 
 def _prim_vector_set(interp, pos, v, i, x):
@@ -793,19 +793,10 @@ class Interpreter:
     def eval_program(self, program):
         """Compile every top-level form, then run them in order in the
         global environment; returns the last one's value."""
-        # compile_program's loop, inlined: calling it would take one more
-        # Python frame and lower the deepest nesting that compiles.
-        self._fix_primitives(program)
-        codes = []
-        for form, pos in zip(program, program.positions):
-            try:
-                codes.append(self._compile(form, pos, True))
-            except RecursionError:
-                raise _too_deep(form) from None
         stack = self._env_stack
         env = self.globals
         result = NIL
-        for code in codes:
+        for code in self.compile_program(program):
             stack.append(env)
             try:
                 result = _trampoline(stack, code(env))

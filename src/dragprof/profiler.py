@@ -4,25 +4,27 @@ The profiler stamps the records of the object table it shares with the
 heap: a record's creation tick, its most recent use tick (never-used
 objects keep the sentinel) and, once finalized, its collection tick.
 It also owns the heap's Merlin stamp (see heap.py), which it advances at
-every collection point it opens.
+every collection point.
 The logical clock advances by one for every creation and every use;
 collections do not advance it.  A run's termination counts as one final
 clock step, so end_tick is always strictly greater than the tick of the
 last recorded event.
 
-Collection points and copies (see runtime.py): the profiler keeps the
-points no copy has resolved yet.  A copy calls flush_unmarked(), which
-drops every record the copy did not keep and dates its death: an object
+Collection points and copies (see runtime.py): the runtime opens every
+point with open_point(), and the profiler keeps the points no copy has
+resolved yet.  A copy calls flush_unmarked(), which opens none: it drops
+every record the copy did not keep and dates its death.  An object
 whose stamp (spread through the dead subgraph, largest first) is s was
 last reachable at point s // 2 or just after it, so it died at point
-s // 2 + 1.  Every point up to the copy is then resolved: its dead take
-its tick and its CollectionStats joins collections.  An object dead
-after the last point is a ghost; its slots are free, but it waits to be
-counted and ticked at the next point.  A record dated to a point
-before its last use was used after it died, which only a value the
-interpreter forgot to root can cause: UnknownId, as if the use had come
-after a copy at that point.  finalize() closes the run,
-emitting the records still in the table as censored.
+s // 2 + 1, or at the first open point if that is later.  Every open
+point is then resolved: its dead take its tick and its CollectionStats
+joins collections.  An object dead after the last point is a ghost; its
+slots are free, but it waits to be counted and ticked at the next
+point.  A record dated to a point before its last use was used after it
+died, which only a value the interpreter forgot to root can cause:
+UnknownId, as if the use had come after a copy at that point.
+finalize() closes the run, emitting the records still in the table as
+censored.
 
 Serialized log format (line oriented, UTF-8, bit exact):
 
@@ -37,6 +39,7 @@ Serialized log format (line oriented, UTF-8, bit exact):
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import atomic
 from .errors import (
@@ -50,8 +53,7 @@ from .heap import PAIR, VECTOR, Heap, LifetimeRecord, Ref
 NEVER_USED = -1  # wire-format sentinel; in-memory records use None
 
 
-@dataclass(frozen=True)
-class CollectionStats:
+class CollectionStats(NamedTuple):
     """One collection point, or (returned by gc.Collector.collect) one
     copy: survivors and slots_copied count what it kept."""
 
@@ -75,24 +77,20 @@ class Profiler:
     """Owns the clock and the heap's stamp; stamps the records of the
     heap's object table."""
 
-    def __init__(self, heap: Heap, gc_interval: int, heap_slots: int,
+    def __init__(self, heap: Heap, gc_interval: int,
                  source: str = "<memory>"):
         self.heap = heap
         self.objects = heap.objects
         self.gc_interval = gc_interval
-        self.heap_slots = heap_slots
         self.source = source
         self.clock = 0
         self._finalized: list[LifetimeRecord] = []
         self._finished = False
-        self.created = 0        # objects created so far
-        self.created_slots = 0  # and their slots
-        # Resolved points, in order; _points holds the unresolved ones,
-        # each [trigger, tick, created, created_slots, died, died_slots],
-        # and _first is the index of _points[0].
+        self.created_slots = 0  # slots of the objects created so far
+        # Resolved points, in order; _points holds the open ones, each
+        # [trigger, tick, created, created_slots, died, died_slots].
         self.collections: list[CollectionStats] = []
         self._points = []
-        self._first = 0
         self._died = 0          # objects and slots collected at resolved
         self._died_slots = 0    # points
         self._ghosts: list[LifetimeRecord] = []
@@ -121,7 +119,6 @@ class Profiler:
             raise DuplicateId(f"object #{obj_id} already registered")
         self.clock += 1
         rec.create_tick = self.clock
-        self.created += 1
         self.created_slots += rec.size_slots
         return self.clock
 
@@ -143,35 +140,19 @@ class Profiler:
         self.heap.stamp = stamp + 1
         for ref in roots:
             objects[ref.obj_id].collect_tick = stamp
-        self._points.append([trigger, tick, self.created, self.created_slots,
-                             0, 0])
+        self._points.append([trigger, tick, self.heap.allocated,
+                             self.created_slots, 0, 0])
         if self._ghosts:
             ghosts, self._ghosts, self.ghost_slots = self._ghosts, [], 0
             self._bury(stamp // 2, ghosts)
 
-    def resolve(self):
-        """Turn every open point into its CollectionStats; right after a
-        copy, whose dead are all dated, they are final."""
-        for trigger, tick, created, created_slots, died, died_slots \
-                in self._points:
-            self._died += died
-            self._died_slots += died_slots
-            self.collections.append(CollectionStats(
-                trigger, tick, created - self._died, died,
-                created_slots - self._died_slots))
-        self._first += len(self._points)
-        self._points = []
-
-    def flush_unmarked(self, marked, clock: int, trigger: str,
-                       from_slots) -> list[LifetimeRecord]:
+    def flush_unmarked(self, marked, from_slots) -> list[LifetimeRecord]:
         """Drop every record whose id is not in marked (the ids a copy
-        kept), in creation order, date each death and resolve every
-        point up to the copy.  A copy with an exhaustion trigger runs
-        before an allocation, between points; any other is itself a
-        point at tick clock.  from_slots is the space the dropped
-        records' addresses point into, read to spread their stamps when
-        they may have died at different points.  Returns the dropped
-        records, ghosts included."""
+        kept), in creation order, date each death and resolve every open
+        point.  from_slots is the space the dropped records' addresses
+        point into, read to spread their stamps when they may have died
+        at different points.  Returns the dropped records, ghosts
+        included."""
         if self._finished:
             raise ProtocolViolation("flush after finalize")
         live = self.objects
@@ -182,16 +163,11 @@ class Profiler:
             raise UnknownId("a marked object has no live record")
         for rec in dead:
             del live[rec.obj_id]
-        at_point = trigger != "exhaustion"
-        if at_point:
-            self.open_point(trigger, clock)
-        # Every dead object died at a point from first (all in the table
-        # were alive at the last resolved one) to last, which is the next
-        # point when the copy runs between points: a death there makes a
-        # ghost.
-        first = self._first
-        last = first + len(self._points) - at_point
-        if first == last:
+        # Every dead object was alive at the last resolved point, so it
+        # died at the first open one or later.  If no stamp dates a death
+        # past it, all died there.
+        first = len(self.collections)
+        if max(map(_stamp, dead), default=-1) // 2 < first:
             self._bury(first, dead)
         else:
             _spread_stamps(dead, from_slots)
@@ -200,18 +176,26 @@ class Profiler:
                 deaths[max(first, rec.collect_tick // 2 + 1)].append(rec)
             for i, recs in deaths.items():
                 self._bury(i, recs)
-        self.resolve()
+        for trigger, tick, created, created_slots, died, died_slots \
+                in self._points:
+            self._died += died
+            self._died_slots += died_slots
+            self.collections.append(CollectionStats(
+                trigger, tick, created - self._died, died,
+                created_slots - self._died_slots))
+        self._points = []
         return dead
 
     def _bury(self, i: int, recs):
         """Records that died at point i: ticked and counted there if it
         is open, else ghosts."""
         size = sum(map(_size, recs))
-        if i == self._first + len(self._points):
+        first = len(self.collections)
+        if i == first + len(self._points):
             self._ghosts.extend(recs)
             self.ghost_slots += size
             return
-        point = self._points[i - self._first]
+        point = self._points[i - first]
         tick = point[1]
         for rec in recs:
             last_use = rec.last_use_tick
@@ -239,8 +223,8 @@ class Profiler:
             rec.censored = True
             self._finalized.append(rec)
         self._finalized.sort(key=lambda r: (r.collect_tick, r.obj_id))
-        return TraceLog(self.gc_interval, self.heap_slots, self.source,
-                        self._finalized, end_tick)
+        return TraceLog(self.gc_interval, self.heap.capacity_slots,
+                        self.source, self._finalized, end_tick)
 
 
 _stamp = attrgetter("collect_tick")

@@ -9,18 +9,19 @@ after it), and on demand (a manual point).  Setting gc_interval to 1
 makes every allocation a point, the regime in which drag measured from
 the log approximates the program-determined part alone.
 
-A point need not copy.  At a point that does not, the roots are only
-stamped (see heap.py); the Cheney copy (gc.py) runs at a manual point,
-at a point where the heap has doubled since the last copy kept its
-slots (Appel, "Simple generational garbage collection and fast
+Only collection_point() opens a point, and every point stamps its roots
+(see heap.py).  A point need not copy: the Cheney copy (gc.py) runs at a
+manual point, at a point where the heap has doubled since the last copy
+kept its slots (Appel, "Simple generational garbage collection and fast
 allocation", SP&E 1989), and before an allocation when free_slots minus
 the ghosts' slots is short of it.  The ghosts are the objects that such
 a copy between points found dead after the last point: a heap that had
 collected at every point would still hold them, so they count as used
 until the next point.  That allocation is an exhaustion point if it is
 still short after the copy.  Each copy dates the deaths of everything it
-did not copy, so a run's log and CollectionStats are those of a copy at
-every point, while the copying costs a constant per allocated slot.
+did not copy and resolves every open point, so a run's log and
+CollectionStats are those of a copy at every point, while the copying
+costs a constant per allocated slot.
 
 Root enumeration is pluggable: clients register providers yielding Refs
 (the interpreter walks its environments; test drivers expose plain
@@ -48,8 +49,7 @@ MAX_HEAP_SLOTS = 2 ** 24
 class Runtime:
     def __init__(self, heap_slots: int = DEFAULT_HEAP_SLOTS,
                  gc_interval: int = DEFAULT_GC_INTERVAL,
-                 source_name: str = "<memory>", *,
-                 _standby_capacity: int | None = None):
+                 source_name: str = "<memory>"):
         if gc_interval < 1:
             raise ValueError("gc_interval must be at least 1")
         if heap_slots < 16:
@@ -57,14 +57,12 @@ class Runtime:
         if heap_slots > MAX_HEAP_SLOTS:
             raise ValueError(f"heap_slots must be at most {MAX_HEAP_SLOTS}")
         self.gc_interval = gc_interval
-        self.heap = Heap(heap_slots, _standby_capacity=_standby_capacity)
-        self.profiler = Profiler(self.heap, gc_interval, heap_slots,
-                                 source_name)
+        self.heap = Heap(heap_slots)
+        self.profiler = Profiler(self.heap, gc_interval, source_name)
         self.collector = Collector(self.heap, self.profiler)
         self.root_providers = []
         # the resolved points' stats, in order
         self.collections: list[CollectionStats] = self.profiler.collections
-        self.total_allocations = 0
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
         self._pins = []
@@ -94,18 +92,12 @@ class Runtime:
         return self.collections[-1]
 
     def collection_point(self, trigger: str, roots: list[Ref]):
-        """The next collection point, over these roots.  An exhaustion
-        point directly follows the copy that found the heap short, so it
-        is resolved at once; a manual one, or one where the heap has
-        doubled, copies; any other only stamps its roots."""
-        heap, profiler = self.heap, self.profiler
-        if trigger == "exhaustion":
-            profiler.open_point(trigger, profiler.clock)
-            profiler.resolve()
-        elif trigger == "manual" or heap.used_slots >= 2 * self._kept_slots:
+        """Open the next collection point over these roots; copy if it
+        is manual or the heap has doubled since the last copy."""
+        profiler = self.profiler
+        profiler.open_point(trigger, profiler.clock, roots)
+        if trigger == "manual" or self.heap.used_slots >= 2 * self._kept_slots:
             self._copy(roots, trigger)
-        else:
-            profiler.open_point(trigger, profiler.clock, roots)
         self.allocs_since_gc = 0
 
     def _copy(self, roots, trigger):
@@ -114,19 +106,18 @@ class Runtime:
 
     def _ensure_space(self, n: int):
         heap, profiler = self.heap, self.profiler
-        if not heap.can_alloc(n + profiler.ghost_slots):
+        if heap.free_slots < n + profiler.ghost_slots:
             roots = self.gather_roots()
             self._copy(roots, "exhaustion")
-            if not heap.can_alloc(n + profiler.ghost_slots):
+            if heap.free_slots < n + profiler.ghost_slots:
                 self.collection_point("exhaustion", roots)
-                if not heap.can_alloc(n):
+                if heap.free_slots < n:
                     raise OutOfMemory(
                         f"need {n} slots, only {heap.free_slots} free "
                         f"after collection")
 
     def _finish_alloc(self, obj_id: int) -> Ref:
         self.profiler.record_creation(obj_id)
-        self.total_allocations += 1
         self.allocs_since_gc += 1
         ref = Ref(obj_id)
         if self.allocs_since_gc >= self.gc_interval:

@@ -96,7 +96,7 @@ def checked_collect(rt: Runtime):
     assert copy.slots_copied == stats.slots_copied
     assert stats.survivors + stats.collected == live_before
     assert stats.survivors == len(rt.heap.objects)
-    # every survivor sits inside the (new) active semispace
+    # every survivor sits inside the (new) active space
     for meta in rt.heap.objects.values():
         assert 0 <= meta.address
         assert meta.address + meta.size_slots <= rt.heap.used_slots
@@ -146,7 +146,7 @@ def run_delta_gc_session(seed: int, gc_interval: int, ops=1200,
         reachable = reachability_oracle(rt.heap, rt.gather_roots())
         for oid in rt.heap.objects:
             if oid not in reachable and oid not in first_unreachable:
-                first_unreachable[oid] = rt.total_allocations
+                first_unreachable[oid] = rt.heap.allocated
     log = rt.terminate()
     # the allocations made by tick t: those created at or before it
     creates = sorted(rec.create_tick for rec in log.records)
@@ -163,7 +163,7 @@ def run_delta_gc_session(seed: int, gc_interval: int, ops=1200,
         if gap > gc_interval:
             violations.append((rec.obj_id, gap))
     assert not violations, f"collection lag exceeded K: {violations[:5]}"
-    return rt.total_allocations, checked
+    return rt.heap.allocated, checked
 
 
 class ProgramGenerator:
@@ -390,19 +390,18 @@ class ProgramGenerator:
 
 
 class PointChecks:
-    """What oracle_checked_points saw: the number of collection points
-    and of points a copy ran at, and each copy's stats."""
+    """What oracle_checked_points saw: the number of collection points,
+    the trigger of each point no copy ran at, and each copy's stats."""
 
     def __init__(self):
         self.points = 0
-        self.copied_points = 0
+        self.dated = []  # a later copy dated these points' dead
         self.copies = []
         self._runs = {}  # id(runtime) -> _OracleRun
 
     @property
     def dated_points(self):
-        """Points that no copy ran at: a later copy dated their dead."""
-        return self.points - self.copied_points
+        return len(self.dated)
 
 
 class _OracleRun:
@@ -420,7 +419,7 @@ class _OracleRun:
     def point(self, trigger, roots):
         rt = self.rt
         reached = reachability_oracle(rt.heap, roots)
-        created = rt.profiler.created
+        created = rt.heap.allocated
         candidates = self.alive | set(range(self.created, created))
         tick = rt.profiler.clock
         died = candidates - reached
@@ -432,17 +431,20 @@ class _OracleRun:
         self.alive, self.created = reached, created
 
     def check(self):
-        """Every resolved point's stats and every finalized record's
-        collect tick match the oracle's, and no record was used after
-        it was collected."""
-        resolved = self.rt.collections
-        assert resolved == self.stats[:len(resolved)], \
-            "collection stats diverge from the oracle"
+        """Every point's stats and every finalized record's collect tick
+        match the oracle's, and no record was used after it was
+        collected.  The points of a run that ended without a copy after
+        them (in an error) are dated by a copy over its current roots."""
+        rt = self.rt
         # a manual point copies, which resolves it and every point before
         manual = [i for i, s in enumerate(self.stats) if s.trigger == "manual"]
-        assert len(resolved) > (manual[-1] if manual else -1), \
+        assert len(rt.collections) > (manual[-1] if manual else -1), \
             "a point before a copy is still unresolved"
-        for rec in self.rt.profiler.finalized_records:
+        if len(rt.collections) < len(self.stats):
+            rt.collector.collect(rt.gather_roots(), rt.profiler.clock)
+        assert rt.collections == self.stats, \
+            "collection stats diverge from the oracle"
+        for rec in rt.profiler.finalized_records:
             expected = None if rec.censored else rec.collect_tick
             assert self.collect_tick.get(rec.obj_id) == expected, \
                 f"object #{rec.obj_id} collected at {rec.collect_tick}, " \
@@ -502,8 +504,8 @@ def oracle_checked_points():
         before = len(copies)
         original(rt, trigger, roots)
         checks.points += 1
-        if len(copies) > before or trigger == "exhaustion":
-            checks.copied_points += 1
+        if len(copies) == before:
+            checks.dated.append(trigger)
 
     Runtime.collection_point = collection_point
     try:

@@ -132,10 +132,10 @@ def test_forwarding_markers_left_in_from_space():
     roots = Roots(rt)
     p = rt.alloc_pair(1, 2)
     roots.refs.append(p)
-    from_space = rt.heap.active
+    from_space = rt.heap.slots
     rt.collect_now()
     # the evacuated cell's first slot was overwritten with a marker
-    assert type(from_space.slots[0]).__name__ == "Forward"
+    assert type(from_space[0]).__name__ == "Forward"
 
 
 def test_slot_ref_kept_across_copy():

@@ -199,7 +199,8 @@ def test_slot_accounting_invariant_random():
 
 
 def test_to_space_overflow_aborts():
-    rt = Runtime(heap_slots=20, gc_interval=10 ** 9, _standby_capacity=4)
+    rt = Runtime(heap_slots=20, gc_interval=10 ** 9)
+    rt.heap.standby = [None] * 4
     roots = Roots(rt)
     for _ in range(3):
         roots.refs.append(rt.alloc_pair(1, 2))
@@ -209,13 +210,13 @@ def test_to_space_overflow_aborts():
 
 def test_heap_standalone_semispace_roles():
     heap = Heap(32)
-    assert heap.active.capacity_slots == heap.standby.capacity_slots == 32
+    assert len(heap.slots) == len(heap.standby) == heap.capacity_slots == 32
     obj_id = heap.alloc_raw(PAIR, 2, (1, 2))
-    assert heap.used_slots == 2
+    assert heap.used_slots == 2 and heap.allocated == 1
     assert heap.slot_value(obj_id, 0) == 1
-    from_space, to_space = heap.active, heap.standby
-    collector = Collector(heap, Profiler(heap, 1, 32))
+    from_space, to_space = heap.slots, heap.standby
+    collector = Collector(heap, Profiler(heap, 1))
     collector.collect([Ref(obj_id)], clock=0)
-    assert heap.active is to_space and heap.standby is from_space
-    assert heap.used_slots == 2 and from_space.used_slots == 0
+    assert heap.slots is to_space and heap.standby is from_space
+    assert heap.used_slots == 2
     assert heap.slot_value(obj_id, 1) == 2

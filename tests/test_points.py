@@ -90,6 +90,30 @@ def test_copy_between_points_leaves_ghosts():
     assert checked.dated_points > 0
 
 
+def test_exhaustion_point_is_dated_by_a_later_copy():
+    # Ten live slots in a 16-slot heap: the heap can never double, so
+    # only exhaustion and manual points copy.  g is a root at the
+    # exhaustion point and dropped before the interval point after it,
+    # so it died at that interval point; only the exhaustion point's
+    # stamp on g tells the closing copy it was alive at the one before.
+    with oracle_checked_points() as checked:
+        rt = Runtime(heap_slots=16, gc_interval=2)
+        roots = []
+        rt.add_root_provider(lambda: list(roots))
+        for i in range(5):
+            roots.append(rt.alloc_pair(i, i))
+        rt.collect_now()
+        roots.append(rt.alloc_pair(0, 0))  # g
+        for i in range(3):  # an interval point, then an exhaustion one
+            rt.alloc_pair(i, i)
+        g = roots.pop()
+        rt.alloc_pair(0, 0)  # an interval point
+        log = rt.terminate()
+    assert checked.dated == ["interval", "exhaustion", "interval"]
+    [rec] = [r for r in log.records if r.obj_id == g.obj_id]
+    assert rec.collect_tick == rt.collections[-2].tick
+
+
 @pytest.mark.parametrize("k", [1, 16])
 def test_list_build_copies_a_constant_per_slot(k):
     # Copying only once the heap has doubled copies each slot of a

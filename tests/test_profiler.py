@@ -10,6 +10,7 @@ from dragprof.errors import (
 )
 from dragprof.heap import NIL, PAIR, VECTOR, Heap, Ref
 from dragprof.profiler import (
+    CollectionStats,
     Profiler,
     format_draglog,
     parse_draglog,
@@ -19,13 +20,13 @@ from dragprof.profiler import (
 def make_profiler(gc_interval=1, heap_slots=256, source="test"):
     """A profiler over the object table of a fresh heap."""
     heap = Heap(heap_slots)
-    return heap, Profiler(heap, gc_interval, heap_slots, source)
+    return heap, Profiler(heap, gc_interval, source)
 
 
 def flush(heap, prof, marked):
     """A manual collection point at the current tick that keeps marked."""
-    return prof.flush_unmarked(marked, prof.clock, "manual",
-                               heap.active.slots)
+    prof.open_point("manual", prof.clock)
+    return prof.flush_unmarked(marked, heap.slots)
 
 
 def create(heap, prof, kind=PAIR, size=2):
@@ -141,6 +142,40 @@ def test_use_after_a_dated_death_is_unknown_id():
     prof.record_use(obj_id)
     with pytest.raises(UnknownId, match="after it died at tick 1"):
         flush(heap, prof, set())
+
+
+def test_dead_stamped_before_the_first_open_point_die_there():
+    # no stamp dates a death past the first open point, so every dead
+    # record is buried at it, not at a later one
+    heap, prof = make_profiler()
+    for _ in range(2):
+        create(heap, prof)
+    prof.open_point("interval", prof.clock)  # reaches neither
+    kept = create(heap, prof)
+    prof.open_point("interval", prof.clock, [Ref(kept)])
+    flushed = prof.flush_unmarked({kept}, heap.slots)
+    assert [r.collect_tick for r in flushed] == [2, 2]
+    assert prof.collections == [CollectionStats("interval", 2, 0, 2, 0),
+                                CollectionStats("interval", 3, 1, 0, 2)]
+
+
+def test_dead_stamped_after_the_last_point_is_a_ghost():
+    # a copy between points: the record created after the last point
+    # died after it, so its slots are freed now and it is counted and
+    # ticked at the next point
+    heap, prof = make_profiler()
+    dead, kept = create(heap, prof), create(heap, prof)
+    prof.open_point("interval", prof.clock, [Ref(kept)])
+    ghost = create(heap, prof)
+    flushed = prof.flush_unmarked({kept}, heap.slots)
+    assert [r.obj_id for r in flushed] == [dead, ghost]
+    assert flushed[0].collect_tick == 2
+    assert prof.collections == [CollectionStats("interval", 2, 1, 1, 2)]
+    assert prof.ghost_slots == 2 and ghost not in heap.objects
+    prof.open_point("exhaustion", prof.clock, [Ref(kept)])
+    assert prof.ghost_slots == 0 and flushed[1].collect_tick == 3
+    prof.flush_unmarked({kept}, heap.slots)
+    assert prof.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
 
 
 def test_finalize_censors_remaining_and_sorts():
