@@ -74,6 +74,13 @@ def cmd_run(args) -> int:
     from .profiler import write_draglog
 
     source_path = Path(args.source)
+    # the name goes on the log's header line, in UTF-8; read_draglog
+    # reads \r as a line break, and a lone surrogate (a byte of the file
+    # name that is not UTF-8) cannot be encoded
+    if any(c in "\r\n" or "\ud800" <= c <= "\udfff"
+           for c in source_path.name):
+        return _fail(f"cannot log {str(source_path)!r}: its name is not "
+                     "one line of UTF-8 text", EXIT_INPUT)
     try:
         source_text = source_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

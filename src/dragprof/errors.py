@@ -50,7 +50,8 @@ class UnknownId(ProfilerError):
 
 class ProtocolViolation(ProfilerError):
     """Flag/scan/flush steps called out of order, events recorded after
-    termination, or finalize run twice."""
+    termination, finalize run twice, or a second program compiled by one
+    Interpreter."""
 
 
 class DraglogFormatError(DragProfError):

@@ -15,20 +15,14 @@ closures for code generation", 1987); the primitive table binds the
 procedures of the global environment.  Nesting too deep to read or to
 compile is a syntax error.
 
-Fixed primitives: a primitive's name is fixed in a program when no
-binder in it (define, set!, let, named let, lambda) binds the name.  A
-call of a fixed name whose count the primitive accepts calls its body on
-the argument values: no operator lookup, no count check, no operator
-pin.  It first checks primitives_intact, which a define or set! clears
-once a primitive's global name is rebound (a later program may do so);
-if cleared, the ordinary call runs.  A form is pure if, while that
-holds, it can neither allocate nor run the program's own code: a
-constant, a variable, or a call of a fixed non-allocating primitive on
-pure arguments.  The argument values are pinned unless nothing can
-allocate once the first is evaluated: the primitive does not allocate,
-later arguments are pure, and after an impure first one (it may rebind
-a primitive) they are atoms.  With no allocation there is no
-collection, so root sets match the ordinary call's.
+Fixed primitives: an Interpreter compiles one program, so a primitive's
+name is fixed for the whole run when no binder in the program (define,
+set!, let, named let, lambda) binds the name.  A call of a fixed name
+whose count the primitive accepts calls its body on the argument values:
+no operator lookup, no count check, no operator pin.  The argument
+values are pinned unless the primitive does not allocate and every
+argument after the first is an atom: then nothing can allocate once the
+first argument is evaluated, so there is no collection to root them for.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call returns a _TailCall instead of making the
@@ -63,7 +57,12 @@ import sys
 from dataclasses import dataclass
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
-from .errors import OutOfMemory, SchemeRuntimeError, SchemeSyntaxError
+from .errors import (
+    OutOfMemory,
+    ProtocolViolation,
+    SchemeRuntimeError,
+    SchemeSyntaxError,
+)
 from .heap import NIL, PAIR, VECTOR, Nil, Ref, is_storable
 from .profiler import TraceLog
 from .runtime import Runtime
@@ -735,8 +734,9 @@ def _trampoline(stack, r):
 
 
 class Interpreter:
-    """One evaluation context over one Runtime.  Single-threaded; after an
-    error propagates out of a run the context should be discarded."""
+    """One evaluation context over one Runtime; it compiles and runs one
+    program.  Single-threaded; after an error propagates out of a run the
+    context should be discarded."""
 
     def __init__(self, runtime: Runtime):
         self.rt = runtime
@@ -748,10 +748,7 @@ class Interpreter:
         self.primitives = {sys.intern(row[0]): Primitive(*row)
                            for row in _PRIMITIVES}
         self.globals = Env(None, dict(self.primitives))
-        # cleared once a define or set! rebinds a primitive's global name
-        self.primitives_intact = True
-        self._fixed = {}    # fixed name -> Primitive, while compiling
-        self._pure = set()  # the code of pure forms, while compiling
+        self._fixed = None  # fixed name -> Primitive, once compiling
         self._env_stack = []
         self._pinned = []
         runtime.add_root_provider(self._iter_roots)
@@ -806,8 +803,13 @@ class Interpreter:
 
     def compile_program(self, program):
         """The code of each top-level form.  A form nested too deep to
-        compile is a syntax error at that form."""
-        self._fix_primitives(program)
+        compile is a syntax error at that form.  A second program is a
+        ProtocolViolation: it could rebind a name fixed in the first."""
+        if self._fixed is not None:
+            raise ProtocolViolation("an Interpreter compiles one program")
+        bound = _binders(program)
+        self._fixed = {name: prim for name, prim in self.primitives.items()
+                       if name not in bound}
         codes = []
         for form, pos in zip(program, program.positions):
             try:
@@ -815,14 +817,6 @@ class Interpreter:
             except RecursionError:
                 raise _too_deep(form) from None
         return codes
-
-    def _fix_primitives(self, program):
-        """A primitive's name is fixed in a program when no binder in the
-        program binds it."""
-        bound = _binders(program)
-        self._fixed = {name: prim for name, prim in self.primitives.items()
-                       if name not in bound}
-        self._pure.clear()
 
     def _materialize(self, datum):
         """Build a quoted datum, allocating its pairs now."""
@@ -908,13 +902,9 @@ class Interpreter:
                                         *pos)
             name = _require_symbol(items[1], "a name", pos)
             value_code = self._compile(items[2], pos, False)
-            interp, gvars = self, self.globals.vars
-            prim = self.primitives.get(name)
 
             def set_var(env):
                 env.assign(name, value_code(env), pos)
-                if prim is not None and gvars[name] is not prim:
-                    interp.primitives_intact = False
                 return NIL
             return set_var
         return self._compile_apply(items, pos, tail)
@@ -953,16 +943,11 @@ class Interpreter:
             name = _require_symbol(target, "a name", pos)
             value_code = self._compile(items[2], pos, False)
 
-        interp, gvars = self, self.globals.vars
-        prim = self.primitives.get(name)
-
         def define(env):
             value = value_code(env)
             if type(value) is Closure and value.name is None:
                 value.name = name
             env.vars[name] = value
-            if prim is not None and gvars[name] is not prim:
-                interp.primitives_intact = False
             return NIL
         return define
 
@@ -970,10 +955,7 @@ class Interpreter:
         if type(datum) is SrcList and not datum.items and datum.tail is None:
             datum = NIL  # '() allocates nothing, so it is a constant
         if type(datum) is not SrcList:
-            def constant(env):
-                return datum
-            self._pure.add(constant)
-            return constant
+            return lambda env: datum
         materialize = self._materialize
 
         def quote(env):
@@ -1026,6 +1008,10 @@ class Interpreter:
     def _compile_apply(self, items, pos, tail):
         fn_code = self._compile(items[0], pos, False)
         arg_codes = [self._compile(a, pos, False) for a in items[1:]]
+        prim = self._fixed.get(items[0])
+        if prim is not None and prim.accepts(len(arg_codes)):
+            return self._compile_primitive_call(prim, items[1:], arg_codes,
+                                                pos)
         interp, stack, pins = self, self._env_stack, self._pinned
 
         def apply(env):
@@ -1065,24 +1051,12 @@ class Interpreter:
                 return r
             finally:
                 stack.pop()
+        return apply
 
-        prim = self._fixed.get(items[0])
-        if prim is None or not prim.accepts(len(arg_codes)):
-            return apply
-        return self._compile_primitive_call(prim, items[1:], arg_codes,
-                                            apply, pos)
-
-    def _compile_primitive_call(self, prim, args, codes, generic, pos):
+    def _compile_primitive_call(self, prim, args, codes, pos):
         """A call of the fixed primitive prim on forms args, compiled to
-        codes, whose count prim accepts (see "Fixed primitives" above);
-        generic is the ordinary call."""
-        pure = self._pure
-        first_pure = (not args or type(args[0]) is not SrcList
-                      or codes[0] in pure)
-        pin = prim.allocates
-        for sx, code in zip(args[1:], codes[1:]):
-            if type(sx) is SrcList and (code not in pure or not first_pure):
-                pin = True
+        codes, whose count prim accepts (see "Fixed primitives" above)."""
+        pin = prim.allocates or any(type(sx) is SrcList for sx in args[1:])
         interp, body, n = self, prim.fn, len(codes)
         # Other counts pin even when they need not, as the ordinary call
         # always does; only one- and two-argument calls are hot.
@@ -1090,8 +1064,6 @@ class Interpreter:
             pins, name = self._pinned, prim.name
 
             def call(env):
-                if not interp.primitives_intact:
-                    return generic(env)
                 vals = []
                 pins.append(vals)
                 for code in codes:
@@ -1106,21 +1078,9 @@ class Interpreter:
             return call
         if n == 1:
             c0, = codes
-
-            def call(env):
-                if interp.primitives_intact:
-                    return body(interp, pos, c0(env))
-                return generic(env)
-        else:
-            c0, c1 = codes
-
-            def call(env):
-                if interp.primitives_intact:
-                    return body(interp, pos, c0(env), c1(env))
-                return generic(env)
-        if first_pure:  # so every argument is pure
-            pure.add(call)
-        return call
+            return lambda env: body(interp, pos, c0(env))
+        c0, c1 = codes
+        return lambda env: body(interp, pos, c0(env), c1(env))
 
 
 # ---------------------------------------------------------------------------

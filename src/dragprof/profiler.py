@@ -12,8 +12,9 @@ last recorded event.
 
 Collection points and copies (see runtime.py): the runtime opens every
 point with open_point(), and the profiler keeps the points no copy has
-resolved yet.  A copy calls flush_unmarked(), which opens none: it drops
-every record the copy did not keep and dates its death.  An object
+resolved yet.  A copy (or a point over an empty heap, with nothing to
+copy) calls flush_unmarked(), which opens none: it drops every record
+the copy did not keep and dates its death.  An object
 whose stamp (spread through the dead subgraph, largest first) is s was
 last reachable at point s // 2 or just after it, so it died at point
 s // 2 + 1, or at the first open point if that is later.  Every open
@@ -26,14 +27,15 @@ UnknownId, as if the use had come after a copy at that point.
 finalize() closes the run, emitting the records still in the table as
 censored.
 
-Serialized log format (line oriented, UTF-8, bit exact):
+Serialized log format (lines end in "\n" only; UTF-8, bit exact):
 
     DRAGLOG 1 gc_interval=<K> heap_slots=<C> source=<name>
     OBJ <id> <P|V> <size_slots> <create> <last_use|-1> <collect> <C|F>
     END <end_tick>
 
 ``C`` marks a censored record (object still reachable at termination),
-``F`` one that was collected by the garbage collector.
+``F`` one that was collected by the garbage collector.  K and C are at
+least 1, and a P record's size is 2.
 """
 
 from collections import defaultdict
@@ -277,7 +279,11 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
 
 
 def parse_draglog(text: str) -> TraceLog:
-    lines = text.splitlines()
+    # format_draglog ends each line with "\n", and a source name may hold
+    # any other line break that str.splitlines would split at
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not lines:
         raise DraglogFormatError("empty file", 1)
     head = lines[0].split(" ", 4)
@@ -288,6 +294,10 @@ def parse_draglog(text: str) -> TraceLog:
         raise DraglogFormatError("bad header", 1)
     gc_interval = _parse_int(head[2][len("gc_interval="):], "gc_interval", 1)
     heap_slots = _parse_int(head[3][len("heap_slots="):], "heap_slots", 1)
+    for what, value in (("gc_interval", gc_interval),
+                        ("heap_slots", heap_slots)):
+        if value < 1:
+            raise DraglogFormatError(f"{what} {value} is not positive", 1)
     source = head[4][len("source="):]
 
     records = []
@@ -341,6 +351,9 @@ def _check_records(records, end_tick: int):
             raise DraglogFormatError(f"duplicate object id {r.obj_id}",
                                      line_no)
         seen.add(r.obj_id)
+        if r.size_slots < 0 or (r.kind == PAIR and r.size_slots != 2):
+            raise DraglogFormatError(
+                f"bad size_slots {r.size_slots} for kind {r.kind}", line_no)
         last_use = (r.create_tick if r.last_use_tick is None
                     else r.last_use_tick)
         if not 0 <= r.create_tick <= last_use <= r.collect_tick <= end_tick:

@@ -19,7 +19,8 @@ a copy between points found dead after the last point: a heap that had
 collected at every point would still hold them, so they count as used
 until the next point.  That allocation is an exhaustion point if it is
 still short after the copy.  Each copy dates the deaths of everything it
-did not copy and resolves every open point, so a run's log and
+did not copy and resolves every open point (a point over an empty heap
+resolves them without a copy), so a run's log and
 CollectionStats are those of a copy at every point, while the copying
 costs a constant per allocated slot.
 
@@ -93,10 +94,13 @@ class Runtime:
 
     def collection_point(self, trigger: str, roots: list[Ref]):
         """Open the next collection point over these roots; copy if it
-        is manual or the heap has doubled since the last copy."""
-        profiler = self.profiler
+        is manual or the heap has doubled since the last copy.  Over an
+        empty heap there is nothing to copy: resolve the open points."""
+        profiler, heap = self.profiler, self.heap
         profiler.open_point(trigger, profiler.clock, roots)
-        if trigger == "manual" or self.heap.used_slots >= 2 * self._kept_slots:
+        if not heap.objects and trigger != "manual":
+            profiler.flush_unmarked((), heap.slots)
+        elif trigger == "manual" or heap.used_slots >= 2 * self._kept_slots:
             self._copy(roots, trigger)
         self.allocs_since_gc = 0
 

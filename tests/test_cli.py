@@ -240,6 +240,42 @@ def test_analyze_truncated_log_exits_1_with_line(workdir, capsys):
     assert "line" in err
 
 
+def test_analyze_log_no_run_could_write_exits_1_naming_line_1(workdir,
+                                                              capsys):
+    log = workdir / "small.draglog"
+    run_cli("run", workdir / "small.scm", "--log", log)
+    text = log.read_text(encoding="utf-8")
+    bad = workdir / "negative.draglog"
+    bad.write_text(text.replace("gc_interval=16 ", "gc_interval=-1 ", 1),
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("analyze", bad, "--out-dir", workdir / "o") == 1
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "Traceback" not in err
+    assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029", "\r", "\n",
+                                  "\udcff"])
+def test_log_of_any_source_name_parses(workdir, capsys, char):
+    # a line break other than \r and \n stays inside the header line;
+    # \r and \n would split it, and a byte that is not UTF-8 (\udcff)
+    # cannot be written, so run refuses such a name before reading it
+    source = workdir / f"a{char}b.scm"
+    log = workdir / "named.draglog"
+    capsys.readouterr()
+    if char in "\r\n\udcff":
+        assert run_cli("run", source, "--log", log) == 1
+        err = capsys.readouterr().err
+        assert repr(str(source)) in err and "not one line of UTF-8" in err
+        assert not log.exists()
+        return
+    source.write_text(SMALL_PROGRAM, encoding="utf-8")
+    assert run_cli("run", source, "--log", log) == 0
+    assert run_cli("analyze", log, "--out-dir", workdir / "o") == 0
+
+
 def test_analyze_respects_dead_threshold_flag(workdir):
     log = workdir / "small.draglog"
     run_cli("run", workdir / "small.scm", "--gc-interval", "1", "--log", log)

@@ -11,6 +11,7 @@ import pytest
 
 from dragprof.heap import NIL
 from dragprof.interp import run_source
+from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
 from support import oracle_checked_copies, oracle_checked_points
@@ -112,6 +113,22 @@ def test_exhaustion_point_is_dated_by_a_later_copy():
     assert checked.dated == ["interval", "exhaustion", "interval"]
     [rec] = [r for r in log.records if r.obj_id == g.obj_id]
     assert rec.collect_tick == rt.collections[-2].tick
+
+
+def test_exhaustion_point_does_not_copy_an_empty_heap():
+    # The ninth pair does not fit: the copy before it keeps nothing, but
+    # the eight dead pairs still count as used until the next point, so
+    # an exhaustion point opens.  The heap is empty, so the point is
+    # resolved at once without a second copy.
+    with oracle_checked_points() as checked:
+        rt = Runtime(heap_slots=16, gc_interval=10 ** 9)
+        for _ in range(9):
+            rt.alloc_pair(1, 2)
+        assert rt.collections == [CollectionStats("exhaustion", 8, 0, 8, 0)]
+        rt.terminate()
+    assert [c.trigger for c in checked.copies] == ["exhaustion", "manual"]
+    assert checked.dated == ["exhaustion"]
+    assert rt.collections[1:] == [CollectionStats("manual", 10, 0, 1, 0)]
 
 
 @pytest.mark.parametrize("k", [1, 16])

@@ -211,8 +211,8 @@ def test_events_after_finalize_rejected():
 def test_draglog_roundtrip():
     heap, prof = make_profiler(gc_interval=4, heap_slots=128,
                                source="roundtrip.scm")
-    for i in range(3):
-        create(heap, prof, PAIR if i else VECTOR, 2 + i)
+    for kind, size in ((VECTOR, 5), (PAIR, 2), (PAIR, 2)):
+        create(heap, prof, kind, size)
     prof.record_use(1)
     flush(heap, prof, {2})
     log = prof.finalize(prof.termination_tick())
@@ -257,6 +257,19 @@ def test_draglog_roundtrip():
                                 lines[-1]], 3, id="unsorted"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 1 C", lines[-1]],
                  2, id="censored-before-end"),
+    pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
+                                                 "gc_interval=-1")]
+                 + lines[1:], 1, id="negative-gc-interval"),
+    pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
+                                                 "gc_interval=0")]
+                 + lines[1:], 1, id="zero-gc-interval"),
+    pytest.param(lambda lines: [lines[0].replace("heap_slots=256",
+                                                 "heap_slots=-5")]
+                 + lines[1:], 1, id="negative-heap-slots"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P -2 1 -1 1 F", lines[-1]],
+                 2, id="pair-of-size-minus-2"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 V -1 1 -1 1 F", lines[-1]],
+                 2, id="vector-of-size-minus-1"),
 ])
 def test_draglog_malformed_reports_line(mutate, bad_line):
     heap, prof = make_profiler()

@@ -1,0 +1,140 @@
+"""Differential check of two checkouts: same programs, same outputs.
+
+    python3 tools/differential.py OLD_ROOT NEW_ROOT
+
+Generates the sources once, in this process: the ProgramGenerator
+corpus of tests/support.py (seeds 0-199) and the bundled programs of
+this checkout's src/dragprof/programs.  Each source runs at every
+gc_interval K in KS and every heap size in HEAPS.  Each checkout runs
+them all in its own child process, with only that checkout's src on
+PYTHONPATH, through dragprof.interp.run_source under the CLI's
+recursion limit.  Per run, the two must agree on the result (the
+value's rendering or the exception's type and text), the DRAGLOG text,
+the CollectionStats list and what the program displayed.
+
+Exits 0 when every run agrees, 1 listing the first differing runs
+otherwise.  Takes a few minutes on two cores.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SEEDS = range(200)
+KS = (1, 3, 16, 1000)
+HEAPS = (16, 24, 40, 64, 128, 512)
+FIELDS = ("result", "draglog", "collections", "display")
+SHOWN = 10  # differing runs listed
+
+
+def corpus():
+    """[(name, source)]: the generated programs, then the bundled ones."""
+    root = HERE.parent
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from support import ProgramGenerator
+    sources = [(f"seed-{seed}", ProgramGenerator(seed).program())
+               for seed in SEEDS]
+    for path in sorted((root / "src" / "dragprof" / "programs")
+                       .glob("*.scm")):
+        sources.append((path.name, path.read_text(encoding="utf-8")))
+    return sources
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")) \
+        .hexdigest()[:16]
+
+
+def child():
+    """Run the jobs read from stdin; print dragprof's location, then
+    one JSON line of field digests per run."""
+    import contextlib
+    import io
+
+    import dragprof
+    from dragprof.cli import RUN_RECURSION_LIMIT
+    from dragprof.interp import run_source
+    from dragprof.profiler import format_draglog
+
+    sys.setrecursionlimit(RUN_RECURSION_LIMIT)
+    print(json.dumps(dragprof.__file__), flush=True)
+    for name, source, k, heap in json.load(sys.stdin):
+        shown = io.StringIO()
+        log = collections = ""
+        try:
+            with contextlib.redirect_stdout(shown):
+                r = run_source(source, gc_interval=k, heap_slots=heap,
+                               source_name=name)
+            result = "value " + r.value_repr
+            log = format_draglog(r.trace_log)
+            collections = repr(r.collections)
+        except Exception as exc:  # every outcome is compared, not judged
+            result = f"error {type(exc).__name__}: {exc}"
+        print(json.dumps([_digest(t) for t in
+                          (result, log, collections, shown.getvalue())]),
+              flush=True)
+
+
+def start(root, jobs):
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    # a file, not a pipe, so neither child waits for the other's reader
+    out = tempfile.TemporaryFile("w+", encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--child"],
+        stdin=subprocess.PIPE, stdout=out, env=env, text=True)
+    proc.stdin.write(json.dumps(jobs))
+    proc.stdin.close()
+    proc.out = out
+    return proc
+
+
+def results(proc, root):
+    """The child's per-run digests; exits 1 if it imported dragprof from
+    anywhere but root/src or did not finish."""
+    src = Path(root).resolve() / "src"
+    proc.wait()
+    proc.out.seek(0)
+    lines = proc.out.read().splitlines()
+    proc.out.close()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"differential: the run of {root} failed "
+                 f"(exit {proc.returncode})")
+    if src not in Path(json.loads(lines[0])).parents:
+        sys.exit(f"differential: {root} imported dragprof from "
+                 f"{json.loads(lines[0])}")
+    return [json.loads(line) for line in lines[1:]]
+
+
+def main(argv):
+    if argv == ["--child"]:
+        child()
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    jobs = [(name, source, k, heap) for name, source in corpus()
+            for k in KS for heap in HEAPS]
+    procs = [start(root, jobs) for root in argv]
+    old, new = (results(proc, root) for proc, root in zip(procs, argv))
+    if len(old) != len(jobs) or len(new) != len(jobs):
+        print(f"differential: expected {len(jobs)} runs, got "
+              f"{len(old)} and {len(new)}", file=sys.stderr)
+        return 1
+    differing = [(job, [f for f, a, b in zip(FIELDS, x, y) if a != b])
+                 for job, x, y in zip(jobs, old, new) if x != y]
+    print(f"{len(jobs)} runs ({len(jobs) // len(KS) // len(HEAPS)} "
+          f"programs x K {list(KS)} x heap {list(HEAPS)}): "
+          f"{len(differing)} differences")
+    for (name, _, k, heap), fields in differing[:SHOWN]:
+        print(f"  {name} K={k} heap={heap}: {', '.join(fields)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
