@@ -40,17 +40,13 @@ class ProfilerError(DragProfError):
     pass
 
 
-class DuplicateId(ProfilerError):
-    pass
-
-
 class UnknownId(ProfilerError):
     pass
 
 
 class ProtocolViolation(ProfilerError):
-    """Flag/scan/flush steps called out of order, events recorded after
-    termination, finalize run twice, or a second program compiled by one
+    """An allocation, a use, a flush or a second terminate after the
+    runtime terminated, or a second program compiled by one
     Interpreter."""
 
 

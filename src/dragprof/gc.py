@@ -9,18 +9,16 @@ with one slice assignment; its record in the object table takes the new
 address, and the shared forwarding marker FORWARDED is left in its
 evacuated from-space cell.  A Ref is only an id, so the copied slots
 keep their Ref objects and nothing is rewritten.  Then the heap's two
-slot lists swap and the profiler drops every record of the object table
-whose id was not copied and dates its death
-(profiler.Profiler.flush_unmarked), reading the dead objects' slots from
-the from-space before a later copy reuses it.
+slot lists swap and the flush callback the Collector was made with
+(runtime.Runtime.flush_unmarked) drops every record of the object table
+whose id was not copied and dates its death, reading the dead objects'
+slots from the from-space before a later copy reuses it.
 
 A copy opens no collection point; the runtime opens every point and
-decides when to copy (runtime.py): at a manual point, at a point where
-the heap has doubled since the last copy, and before an allocation that
-would not fit had every point collected.  So one copy resolves every
-point opened since the last one: the Merlin stamps (heap.py) date each
-object it did not copy to the point at which it became unreachable, and
-each point's statistics follow from those dates.
+decides when to copy (runtime.py).  So one copy resolves every point
+opened since the last one: the Merlin stamps (heap.py) date each object
+it did not copy to the point at which it became unreachable, and each
+point's statistics follow from those dates.
 
 reachability_oracle() and canonical_serialization() are verification
 helpers for the test suites.  They share the heap's slot accessors but no
@@ -33,11 +31,12 @@ from .profiler import CollectionStats
 
 
 class Collector:
-    """Cheney-style copier over one Heap, wired to one Profiler."""
+    """Cheney-style copier over one Heap.  flush(marked, from_slots)
+    drops the records whose ids are not in marked and returns them."""
 
-    def __init__(self, heap: Heap, profiler):
+    def __init__(self, heap: Heap, flush):
         self.heap = heap
-        self.profiler = profiler
+        self.flush = flush
 
     def collect(self, roots, clock: int, trigger: str = "manual"
                 ) -> CollectionStats:
@@ -83,7 +82,7 @@ class Collector:
 
         heap.slots, heap.standby = dst, src
         heap.used_slots = free
-        flushed = self.profiler.flush_unmarked(copied, src)
+        flushed = self.flush(copied, src)
         return CollectionStats(trigger, clock, len(copied), len(flushed),
                                free)
 

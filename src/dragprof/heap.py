@@ -15,7 +15,7 @@ immediates or references:
 
 The object table holds one LifetimeRecord per uncollected object: its
 kind, size and current address for the heap, and its creation, last-use
-and collection ticks for the profiler, which shares the same dict.
+and collection ticks for the runtime, which owns the run's clock.
 
 Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
 Merlin", TOPLAS 2006): while a record is in the table its collect_tick
@@ -25,7 +25,7 @@ new record starts at the heap's stamp, every collection point stamps
 its roots with 2i, and the write barrier, store(), stamps the old
 target of an overwritten Ref slot with the heap's stamp.  The copy that
 later finds the object dead turns the stamp into its collection tick
-(see profiler.py).
+(see runtime.py).
 """
 
 from dataclasses import dataclass
@@ -95,11 +95,13 @@ FORWARDED = Forward()
 class LifetimeRecord:
     """One object's entry in the object table.
 
-    kind, size_slots and address serve the heap; the ticks serve the
-    profiler.  last_use_tick stays None for an object never used.  While
-    the object is in the table, collect_tick holds its Merlin stamp; it
-    takes the collection tick when the record is finalized: by the copy
-    that found the object dead, or (censored) at the end of the run.
+    kind, size_slots and address serve the heap; the runtime sets the
+    ticks: create_tick where the record is made, last_use_tick at each
+    use (None for an object never used).  While the object is in the
+    table, collect_tick holds its Merlin stamp; it takes the collection
+    tick when the runtime dates the death the copy found, or (censored)
+    the end tick when the run terminates.  A parsed log holds the same
+    records without an address.
     """
 
     obj_id: int
@@ -119,9 +121,9 @@ class Heap:
     is the other half, which gc.Collector.collect copies into before it
     swaps the two lists.  Its stale contents are never read again: the
     object table points into slots.  This layer is pure storage: it
-    never triggers a collection and never talks to the profiler; its
-    write barrier only sets stamps, whose value the profiler advances at
-    each collection point.  Allocation policy lives in runtime.Runtime.
+    never triggers a collection and never reads the clock; its write
+    barrier only sets stamps, whose value the runtime advances at each
+    collection point.  Allocation policy lives in runtime.Runtime.
     """
 
     def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS):
@@ -139,7 +141,8 @@ class Heap:
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
 
-    def alloc_raw(self, kind: str, size_slots: int, values) -> int:
+    def alloc_raw(self, kind: str, size_slots: int, values,
+                  create_tick: int | None = None) -> int:
         """Allocate and initialize an object; the caller guarantees room.
 
         Returns its id, which is never reused.
@@ -156,8 +159,9 @@ class Heap:
         obj_id = self.allocated
         self.allocated = obj_id + 1
         # positional: keywords double the cost of this hot constructor
-        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots, None,
-                                              None, self.stamp, False, addr)
+        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots,
+                                              create_tick, None, self.stamp,
+                                              False, addr)
         return obj_id
 
     def record(self, ref: Ref) -> LifetimeRecord:

@@ -124,7 +124,11 @@ def tokenize(source: str):
 
 def _classify_atom(text, line, col):
     if _INT_RE.fullmatch(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise SchemeSyntaxError("integer literal too long",
+                                    line, col) from None
     if text == "#t":
         return True
     if text == "#f":
@@ -334,7 +338,12 @@ def write_value(heap, value) -> str:
         elif v is False:
             out.append("#f")
         elif isinstance(v, int):
-            out.append(str(v))
+            try:
+                out.append(str(v))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise SchemeRuntimeError(
+                    f"integer of {v.bit_length()} bits too long to write"
+                ) from None
         elif isinstance(v, Nil):
             out.append("()")
         elif isinstance(v, str):

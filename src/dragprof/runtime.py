@@ -1,28 +1,42 @@
-"""Mutator facade: allocation policy, GC triggering and run lifecycle.
+"""Mutator facade and owner of the run's timeline.
 
-A Runtime wires one Heap, one Profiler and one Collector together and
-owns the trigger policy.  Collection points are where the log says a
-collection ran: right after every gc_interval-th allocation (the fresh
-object pinned), before an allocation the heap could not hold had every
-point collected (an exhaustion point; OutOfMemory if it still cannot
-after it), and on demand (a manual point).  Setting gc_interval to 1
-makes every allocation a point, the regime in which drag measured from
-the log approximates the program-determined part alone.
+A Runtime wires one Heap and one Collector together, owns the trigger
+policy and the logical clock, and dates every death.  The clock advances
+by one for every creation and every use; collections do not advance it.
+A run's termination counts as one final clock step, so end_tick is
+always strictly greater than the tick of the last recorded event.
 
-Only collection_point() opens a point, and every point stamps its roots
+Collection points are where the log says a collection ran: right after
+every gc_interval-th allocation (the fresh object pinned), before an
+allocation the heap could not hold had every point collected (an
+exhaustion point; OutOfMemory if it still cannot after it), and on
+demand (a manual point).  Setting gc_interval to 1 makes every
+allocation a point, the regime in which drag measured from the log
+approximates the program-determined part alone.
+
+Only collection_point() opens a point, and open_point() stamps its roots
 (see heap.py).  A point need not copy: the Cheney copy (gc.py) runs at a
 manual point, at a point where the heap has doubled since the last copy
 kept its slots (Appel, "Simple generational garbage collection and fast
 allocation", SP&E 1989), and before an allocation when free_slots minus
-the ghosts' slots is short of it.  The ghosts are the objects that such
-a copy between points found dead after the last point: a heap that had
-collected at every point would still hold them, so they count as used
-until the next point.  That allocation is an exhaustion point if it is
-still short after the copy.  Each copy dates the deaths of everything it
-did not copy and resolves every open point (a point over an empty heap
-resolves them without a copy), so a run's log and
-CollectionStats are those of a copy at every point, while the copying
-costs a constant per allocated slot.
+the ghosts' slots is short of it.  That allocation is an exhaustion
+point if it is still short after the copy.
+
+A copy (or a point over an empty heap, with nothing to copy) calls
+flush_unmarked(): it drops every record the copy did not keep and dates
+its death.  An object whose stamp (spread through the dead subgraph,
+largest first) is s was last reachable at point s // 2 or just after
+it, so it died at point s // 2 + 1, or at the first open point if that
+is later.  Every open point is then resolved: its dead take its tick and
+its CollectionStats joins collections.  An object dead after the last
+point is a ghost; its slots are free, but it counts as used, and waits
+to be counted and ticked, until the next point.  A record dated to a
+point before its last use was used after it died, which only a value
+the interpreter forgot to root can cause: UnknownId, as if the use had
+come after a copy at that point.  So a run's log and CollectionStats
+are those of a copy at every point, while the copying costs a constant
+per allocated slot.  terminate() closes the run and emits the records
+still in the table as censored.
 
 Root enumeration is pluggable: clients register providers yielding Refs
 (the interpreter walks its environments; test drivers expose plain
@@ -31,16 +45,20 @@ internally so a collection triggered by that very allocation cannot
 reclaim them.
 """
 
+from collections import defaultdict
+from operator import attrgetter
+
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import (
     NegativeLength,
     OutOfMemory,
     ProtocolViolation,
+    UnknownId,
     UnstorableValue,
 )
 from .gc import Collector
 from .heap import NIL, PAIR, VECTOR, Heap, Ref, is_storable
-from .profiler import CollectionStats, Profiler, TraceLog
+from .profiler import CollectionStats, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
 # 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
@@ -58,12 +76,21 @@ class Runtime:
         if heap_slots > MAX_HEAP_SLOTS:
             raise ValueError(f"heap_slots must be at most {MAX_HEAP_SLOTS}")
         self.gc_interval = gc_interval
+        self.source = source_name
         self.heap = Heap(heap_slots)
-        self.profiler = Profiler(self.heap, gc_interval, source_name)
-        self.collector = Collector(self.heap, self.profiler)
+        self.collector = Collector(self.heap, self.flush_unmarked)
         self.root_providers = []
-        # the resolved points' stats, in order
-        self.collections: list[CollectionStats] = self.profiler.collections
+        self.clock = 0
+        self.created_slots = 0  # slots of the objects created so far
+        # Resolved points, in order; _points holds the open ones, each
+        # [trigger, tick, created, created_slots, died, died_slots].
+        self.collections: list[CollectionStats] = []
+        self._points = []
+        self._died = 0          # objects and slots collected at resolved
+        self._died_slots = 0    # points
+        self._ghosts = []
+        self.ghost_slots = 0
+        self.finalized = []     # records with their collect tick, so far
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
         self._pins = []
@@ -96,34 +123,57 @@ class Runtime:
         """Open the next collection point over these roots; copy if it
         is manual or the heap has doubled since the last copy.  Over an
         empty heap there is nothing to copy: resolve the open points."""
-        profiler, heap = self.profiler, self.heap
-        profiler.open_point(trigger, profiler.clock, roots)
+        heap = self.heap
+        self.open_point(trigger, roots)
         if not heap.objects and trigger != "manual":
-            profiler.flush_unmarked((), heap.slots)
+            self.flush_unmarked((), heap.slots)
         elif trigger == "manual" or heap.used_slots >= 2 * self._kept_slots:
             self._copy(roots, trigger)
         self.allocs_since_gc = 0
 
+    def open_point(self, trigger: str, roots=()):
+        """Open collection point i at the current tick: stamp its roots
+        with 2i and the heap with 2i+1; the ghosts died at this point."""
+        heap = self.heap
+        objects = heap.objects
+        stamp = heap.stamp + 1
+        heap.stamp = stamp + 1
+        for ref in roots:
+            objects[ref.obj_id].collect_tick = stamp
+        self._points.append([trigger, self.clock, heap.allocated,
+                             self.created_slots, 0, 0])
+        if self._ghosts:
+            ghosts, self._ghosts, self.ghost_slots = self._ghosts, [], 0
+            self._bury(stamp // 2, ghosts)
+
     def _copy(self, roots, trigger):
         self._kept_slots = self.collector.collect(
-            roots, self.profiler.clock, trigger).slots_copied
+            roots, self.clock, trigger).slots_copied
 
-    def _ensure_space(self, n: int):
-        heap, profiler = self.heap, self.profiler
-        if heap.free_slots < n + profiler.ghost_slots:
+    def _make_room(self, n: int, pins):
+        """Copy, then open an exhaustion point if n slots are still
+        short; the pins are roots throughout."""
+        heap = self.heap
+        self._pins.extend(pins)
+        try:
             roots = self.gather_roots()
             self._copy(roots, "exhaustion")
-            if heap.free_slots < n + profiler.ghost_slots:
+            if heap.free_slots < n + self.ghost_slots:
                 self.collection_point("exhaustion", roots)
                 if heap.free_slots < n:
                     raise OutOfMemory(
                         f"need {n} slots, only {heap.free_slots} free "
                         f"after collection")
+        finally:
+            del self._pins[len(self._pins) - len(pins):]
 
-    def _finish_alloc(self, obj_id: int) -> Ref:
-        self.profiler.record_creation(obj_id)
+    def _finish_alloc(self, kind: str, size: int, values) -> Ref:
+        if self._terminated:
+            raise ProtocolViolation("allocation after termination")
+        self.clock += 1
+        self.created_slots += size
+        ref = Ref(self.heap.alloc_raw(kind, size, values, self.clock))
         self.allocs_since_gc += 1
-        ref = Ref(obj_id)
         if self.allocs_since_gc >= self.gc_interval:
             # The fresh object is pinned through its own trigger.
             self._pins.append(ref)
@@ -136,38 +186,128 @@ class Runtime:
     def alloc_pair(self, car, cdr) -> Ref:
         if not is_storable(car) or not is_storable(cdr):
             raise UnstorableValue("pair slots must hold values")
-        self._pins.append(car)
-        self._pins.append(cdr)
-        try:
-            self._ensure_space(2)
-            obj_id = self.heap.alloc_raw(PAIR, 2, (car, cdr))
-        finally:
-            self._pins.pop()
-            self._pins.pop()
-        return self._finish_alloc(obj_id)
+        if self.heap.free_slots < 2 + self.ghost_slots:
+            self._make_room(2, (car, cdr))
+        return self._finish_alloc(PAIR, 2, (car, cdr))
 
     def alloc_vector(self, length: int, fill=NIL) -> Ref:
         if length < 0:
             raise NegativeLength(f"vector length {length}")
         if not is_storable(fill):
             raise UnstorableValue("vector slots must hold values")
-        self._pins.append(fill)
-        try:
-            self._ensure_space(length)
-            obj_id = self.heap.alloc_raw(VECTOR, length, [fill] * length)
-        finally:
-            self._pins.pop()
-        return self._finish_alloc(obj_id)
+        if self.heap.free_slots < length + self.ghost_slots:
+            self._make_room(length, (fill,))
+        return self._finish_alloc(VECTOR, length, [fill] * length)
 
     def record_use(self, ref: Ref) -> int:
-        return self.profiler.record_use(ref.obj_id)
+        if self._terminated:
+            raise ProtocolViolation("event recorded after termination")
+        rec = self.heap.objects.get(ref.obj_id)
+        if rec is None:
+            raise UnknownId(f"use of unregistered object #{ref.obj_id}")
+        clock = self.clock = self.clock + 1
+        rec.last_use_tick = clock
+        return clock
+
+    def flush_unmarked(self, marked, from_slots) -> list:
+        """Drop every record whose id is not in marked (the ids a copy
+        kept), in creation order, date each death and resolve every open
+        point.  from_slots is the space the dropped records' addresses
+        point into, read to spread their stamps when they may have died
+        at different points.  Returns the dropped records, ghosts
+        included."""
+        if self._terminated:
+            raise ProtocolViolation("flush after termination")
+        live = self.heap.objects
+        dead = [rec for obj_id, rec in live.items() if obj_id not in marked]
+        # Every marked id must be in the table: |live - marked| is then
+        # exactly |live| - |marked|.
+        if len(live) - len(dead) != len(marked):
+            raise UnknownId("a marked object has no live record")
+        for rec in dead:
+            del live[rec.obj_id]
+        # Every dead object was alive at the last resolved point, so it
+        # died at the first open one or later.  If no stamp dates a death
+        # past it, all died there.
+        first = len(self.collections)
+        if max(map(_stamp, dead), default=-1) // 2 < first:
+            self._bury(first, dead)
+        else:
+            _spread_stamps(dead, from_slots)
+            deaths = defaultdict(list)
+            for rec in dead:
+                deaths[max(first, rec.collect_tick // 2 + 1)].append(rec)
+            for i, recs in deaths.items():
+                self._bury(i, recs)
+        for trigger, tick, created, created_slots, died, died_slots \
+                in self._points:
+            self._died += died
+            self._died_slots += died_slots
+            self.collections.append(CollectionStats(
+                trigger, tick, created - self._died, died,
+                created_slots - self._died_slots))
+        self._points = []
+        return dead
+
+    def _bury(self, i: int, recs):
+        """Records that died at point i: ticked and counted there if it
+        is open, else ghosts."""
+        size = sum(map(_size, recs))
+        first = len(self.collections)
+        if i == first + len(self._points):
+            self._ghosts.extend(recs)
+            self.ghost_slots += size
+            return
+        point = self._points[i - first]
+        tick = point[1]
+        for rec in recs:
+            last_use = rec.last_use_tick
+            if last_use is not None and last_use > tick:
+                raise UnknownId(f"use of object #{rec.obj_id} at tick "
+                                f"{last_use}, after it died at tick {tick}")
+            rec.collect_tick = tick
+        point[4] += len(recs)
+        point[5] += size
+        self.finalized.extend(recs)
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection with the
         registered roots, then censor whatever survived it."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
-        end_tick = self.profiler.termination_tick()
+        self.clock += 1
+        end_tick = self.clock
         self.collect_now()
         self._terminated = True
-        return self.profiler.finalize(end_tick)
+        for rec in self.heap.objects.values():
+            rec.collect_tick = end_tick
+            rec.censored = True
+            self.finalized.append(rec)
+        self.finalized.sort(key=lambda r: (r.collect_tick, r.obj_id))
+        return TraceLog(self.gc_interval, self.heap.capacity_slots,
+                        self.source, self.finalized, end_tick)
+
+
+_stamp = attrgetter("collect_tick")
+_size = attrgetter("size_slots")
+
+
+def _spread_stamps(dead, slots):
+    """Give each dead record the largest stamp of any dead record that
+    reaches it: take the stamps in descending order and spread each one
+    depth-first through the dead records it reaches first."""
+    unreached = {rec.obj_id: rec for rec in dead}
+    for rec in sorted(dead, key=_stamp, reverse=True):
+        if unreached.pop(rec.obj_id, None) is None:
+            continue
+        stamp = rec.collect_tick
+        stack = [rec]
+        while stack:
+            r = stack.pop()
+            base = r.address
+            for v in slots[base:base + r.size_slots]:
+                if type(v) is Ref:
+                    t = unreached.pop(v.obj_id, None)
+                    if t is not None:
+                        t.collect_tick = stamp
+                        stack.append(t)

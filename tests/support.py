@@ -421,7 +421,7 @@ class _OracleRun:
         reached = reachability_oracle(rt.heap, roots)
         created = rt.heap.allocated
         candidates = self.alive | set(range(self.created, created))
-        tick = rt.profiler.clock
+        tick = rt.clock
         died = candidates - reached
         for obj_id in died:
             self.collect_tick[obj_id] = tick
@@ -441,10 +441,10 @@ class _OracleRun:
         assert len(rt.collections) > (manual[-1] if manual else -1), \
             "a point before a copy is still unresolved"
         if len(rt.collections) < len(self.stats):
-            rt.collector.collect(rt.gather_roots(), rt.profiler.clock)
+            rt.collector.collect(rt.gather_roots(), rt.clock)
         assert rt.collections == self.stats, \
             "collection stats diverge from the oracle"
-        for rec in rt.profiler.finalized_records:
+        for rec in rt.finalized:
             expected = None if rec.censored else rec.collect_tick
             assert self.collect_tick.get(rec.obj_id) == expected, \
                 f"object #{rec.obj_id} collected at {rec.collect_tick}, " \

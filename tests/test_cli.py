@@ -77,6 +77,28 @@ def test_run_runtime_error_exits_2_naming_the_form(workdir, capsys):
     assert "runtime error" in err and "car" in err
 
 
+POW = "(define (pow b n) (if (= n 0) 1 (* b (pow b (- n 1)))))\n"
+
+
+@pytest.mark.parametrize("source, code, complaint", [
+    ("(define x 1)\n" + "7" * 5000,
+     1, "syntax error in huge.scm: 2:1: integer literal too long"),
+    (POW + "(pow 10 5000)",
+     2, "runtime error in huge.scm: integer of 16610 bits too long"),
+    (POW + "(display (pow 10 5000))\n1",
+     2, "runtime error in huge.scm: integer of 16610 bits too long"),
+], ids=["literal", "result", "display"])
+def test_run_integer_too_long_for_text_names_the_file(workdir, capsys,
+                                                      source, code,
+                                                      complaint):
+    # CPython converts at most 4300 digits between int and str
+    huge = workdir / "huge.scm"
+    huge.write_text(source, encoding="utf-8")
+    assert run_cli("run", huge, "--log", workdir / "huge.draglog") == code
+    assert complaint in capsys.readouterr().err
+    assert not (workdir / "huge.draglog").exists()
+
+
 def test_run_out_of_memory_exits_3(workdir, capsys):
     grow = workdir / "grow.scm"
     grow.write_text(
@@ -252,6 +274,17 @@ def test_analyze_log_no_run_could_write_exits_1_naming_line_1(workdir,
     assert run_cli("analyze", bad, "--out-dir", workdir / "o") == 1
     err = capsys.readouterr().err
     assert "line 1:" in err and "Traceback" not in err
+    assert not (workdir / "o").exists()
+
+
+def test_analyze_integer_spelling_no_run_writes_exits_1(workdir, capsys):
+    # int() reads every field of this log, but format_draglog writes
+    # neither "_", nor "+", nor a non-ASCII digit
+    bad = workdir / "odd.draglog"
+    bad.write_text("DRAGLOG 1 gc_interval=1_6 heap_slots=+64 source=x.scm\n"
+                   "OBJ 0 P 2 1 -1 ٣ F\nEND 1_0\n", encoding="utf-8")
+    assert run_cli("analyze", bad, "--out-dir", workdir / "o") == 1
+    assert "line 1: bad gc_interval '1_6'" in capsys.readouterr().err
     assert not (workdir / "o").exists()
 
 

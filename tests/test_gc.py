@@ -24,12 +24,12 @@ def test_empty_roots_collect_everything():
     rt = make_runtime()
     for i in range(5):
         rt.alloc_pair(i, i)
-    clock = rt.profiler.clock
+    clock = rt.clock
     stats = rt.collect_now()
     assert stats.survivors == 0
     assert stats.collected == 5
     assert stats.slots_copied == 0
-    flushed = rt.profiler.finalized_records
+    flushed = rt.finalized
     assert len(flushed) == 5
     assert all(r.collect_tick == clock for r in flushed)
 
@@ -52,7 +52,7 @@ def test_memory_graph_roots_x_and_y_then_y_only():
     stats = rt.collect_now()
     assert stats.collected == 1
     assert set(rt.heap.objects) == {o2.obj_id, o3.obj_id}
-    flushed = rt.profiler.finalized_records
+    flushed = rt.finalized
     assert [r.obj_id for r in flushed] == [o1.obj_id]
 
 
@@ -168,9 +168,9 @@ def test_monotone_flush_ids_never_reappear():
     for step in range(400):
         driver.step()
         if step % 60 == 0:
-            before = len(rt.profiler.finalized_records)
+            before = len(rt.finalized)
             rt.collect_now()
-            newly = rt.profiler.finalized_records[before:]
+            newly = rt.finalized[before:]
             for rec in newly:
                 assert rec.obj_id not in seen
                 seen.add(rec.obj_id)

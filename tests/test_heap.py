@@ -12,7 +12,6 @@ from dragprof.errors import (
 )
 from dragprof.gc import Collector, canonical_serialization
 from dragprof.heap import NIL, PAIR, Heap, Ref
-from dragprof.profiler import Profiler
 from dragprof import runtime
 from dragprof.runtime import MAX_HEAP_SLOTS, Runtime
 
@@ -59,7 +58,7 @@ def test_eleventh_alloc_triggers_collection_and_succeeds():
     assert stats.survivors == 0
     # the collection runs before the 11th creation advances the clock
     assert stats.tick == 10
-    assert rt.profiler.record(ref.obj_id).create_tick == 11
+    assert rt.heap.record(ref).create_tick == 11
     assert rt.heap.used_slots == 2
 
 
@@ -104,7 +103,7 @@ def test_negative_length_rejected_before_allocation():
     with pytest.raises(NegativeLength):
         rt.alloc_vector(-1, NIL)
     assert rt.heap.used_slots == 0
-    assert rt.profiler.live_count == 0
+    assert rt.heap.objects == {}
     ref = rt.alloc_pair(NIL, NIL)
     assert ref.obj_id == 0  # no id was burned
 
@@ -215,7 +214,7 @@ def test_heap_standalone_semispace_roles():
     assert heap.used_slots == 2 and heap.allocated == 1
     assert heap.slot_value(obj_id, 0) == 1
     from_space, to_space = heap.slots, heap.standby
-    collector = Collector(heap, Profiler(heap, 1))
+    collector = Collector(heap, lambda marked, from_slots: [])
     collector.collect([Ref(obj_id)], clock=0)
     assert heap.slots is to_space and heap.standby is from_space
     assert heap.used_slots == 2

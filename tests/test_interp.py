@@ -179,7 +179,7 @@ def test_type_error_raised_before_any_use_event():
     rt, interp = interp_fixture()
     with pytest.raises(SchemeRuntimeError):
         interp.eval_program(parse("(define v (vector 1)) (car v)"))
-    assert rt.profiler.record(0).last_use_tick is None
+    assert rt.heap.objects[0].last_use_tick is None
 
 
 def test_vector_index_error_before_use():
@@ -187,7 +187,7 @@ def test_vector_index_error_before_use():
     with pytest.raises(SchemeRuntimeError) as err:
         interp.eval_program(parse("(define v (vector 1 2)) (vector-ref v 2)"))
     assert "out of range" in str(err.value)
-    assert rt.profiler.record(0).last_use_tick is None
+    assert rt.heap.objects[0].last_use_tick is None
 
 
 def test_vector_to_list_event_pattern():

@@ -4,186 +4,177 @@ import pytest
 
 from dragprof.errors import (
     DraglogFormatError,
-    DuplicateId,
     ProtocolViolation,
     UnknownId,
 )
-from dragprof.heap import NIL, PAIR, VECTOR, Heap, Ref
+from dragprof.heap import NIL, PAIR, VECTOR, Ref
 from dragprof.profiler import (
     CollectionStats,
-    Profiler,
     format_draglog,
     parse_draglog,
 )
+from dragprof.runtime import Runtime
 
 
-def make_profiler(gc_interval=1, heap_slots=256, source="test"):
-    """A profiler over the object table of a fresh heap."""
-    heap = Heap(heap_slots)
-    return heap, Profiler(heap, gc_interval, source)
+def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
+    """A runtime whose points the test opens and resolves by hand."""
+    return Runtime(heap_slots=heap_slots, gc_interval=gc_interval,
+                   source_name=source)
 
 
-def flush(heap, prof, marked):
+def flush(rt, marked):
     """A manual collection point at the current tick that keeps marked."""
-    prof.open_point("manual", prof.clock)
-    return prof.flush_unmarked(marked, heap.slots)
+    rt.open_point("manual")
+    return rt.flush_unmarked(marked, rt.heap.slots)
 
 
-def create(heap, prof, kind=PAIR, size=2):
-    """Allocate an object and record its creation; returns its id."""
-    obj_id = heap.alloc_raw(kind, size, [NIL] * size)
-    prof.record_creation(obj_id)
-    return obj_id
+def create(rt, kind=PAIR, size=2):
+    """Allocate an object; returns its id."""
+    ref = rt.alloc_pair(NIL, NIL) if kind == PAIR else rt.alloc_vector(size)
+    return ref.obj_id
 
 
 def test_first_creation_tick_is_one():
-    heap, prof = make_profiler()
-    obj_id = heap.alloc_raw(PAIR, 2, (NIL, NIL))
-    assert prof.record_creation(obj_id) == 1
-    assert prof.record(obj_id).create_tick == 1
-    assert prof.record(obj_id).last_use_tick is None
+    rt = make_runtime()
+    rec = rt.heap.record(rt.alloc_pair(NIL, NIL))
+    assert rt.clock == rec.create_tick == 1
+    assert rec.last_use_tick is None
 
 
 def test_creations_strictly_increasing():
-    heap, prof = make_profiler()
-    t1 = prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
-    t2 = prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
-    assert t1 < t2
-
-
-def test_duplicate_id_rejected():
-    heap, prof = make_profiler()
-    obj_id = create(heap, prof)
-    with pytest.raises(DuplicateId):
-        prof.record_creation(obj_id)
+    rt = make_runtime()
+    first, second = create(rt), create(rt)
+    objects = rt.heap.objects
+    assert objects[first].create_tick < objects[second].create_tick
 
 
 def test_use_most_recent_wins():
-    heap, prof = make_profiler()
-    obj_id = create(heap, prof)
-    first = prof.record_use(obj_id)
-    second = prof.record_use(obj_id)
-    assert prof.record(obj_id).last_use_tick == second > first
+    rt = make_runtime()
+    ref = Ref(create(rt))
+    first = rt.record_use(ref)
+    second = rt.record_use(ref)
+    assert rt.heap.record(ref).last_use_tick == second > first
 
 
 def test_use_of_unknown_id():
-    _, prof = make_profiler()
+    rt = make_runtime()
     with pytest.raises(UnknownId):
-        prof.record_use(7)
+        rt.record_use(Ref(7))
 
 
 def test_never_used_survives_to_the_log_as_sentinel():
-    heap, prof = make_profiler()
-    create(heap, prof)
-    log = prof.finalize(prof.termination_tick())
+    rt = make_runtime()
+    create(rt)
+    log = rt.terminate()
     assert log.records[0].last_use_tick is None
     assert " -1 " in format_draglog(log).splitlines()[1]
 
 
 def test_flush_rejects_unrecorded_mark_and_closed_run():
-    heap, prof = make_profiler()
-    create(heap, prof)
+    rt = make_runtime()
+    create(rt)
     with pytest.raises(UnknownId):
-        flush(heap, prof, {0, 7})
-    prof.finalize(prof.termination_tick())
+        flush(rt, {0, 7})
+    rt.terminate()
     with pytest.raises(ProtocolViolation):
-        flush(heap, prof, set())
+        flush(rt, set())
 
 
 def test_flush_with_none_marked_collects_everything():
-    heap, prof = make_profiler()
+    rt = make_runtime()
     for _ in range(5):
-        create(heap, prof)
-    flushed = flush(heap, prof, set())
+        create(rt)
+    flushed = flush(rt, set())
     assert [r.obj_id for r in flushed] == list(range(5))  # creation order
     assert all(r.collect_tick == 5 and not r.censored for r in flushed)
-    assert prof.live_count == 0
-    assert heap.objects == {}  # the heap's table is the profiler's
+    assert rt.heap.objects == {}
 
 
 def test_mark_all_then_flush_is_empty():
-    heap, prof = make_profiler()
+    rt = make_runtime()
     for _ in range(5):
-        create(heap, prof)
-    assert flush(heap, prof, set(range(5))) == []
-    assert prof.live_count == 5
+        create(rt)
+    assert flush(rt, set(range(5))) == []
+    assert len(rt.heap.objects) == 5
 
 
 def test_flush_returns_exactly_the_unmarked():
     # oracle: plain set difference over a random marked subset
     rng = random.Random(12)
-    heap, prof = make_profiler()
-    ids = [create(heap, prof) for _ in range(100)]
+    rt = make_runtime()
+    ids = [create(rt) for _ in range(100)]
     marked = set(rng.sample(ids, 40))
-    flushed = [r.obj_id for r in flush(heap, prof, marked)]
+    flushed = [r.obj_id for r in flush(rt, marked)]
     assert set(flushed) == set(ids) - marked
     assert len(flushed) == 60
     assert flushed == sorted(flushed)  # creation order
-    assert set(heap.objects) == marked
+    assert set(rt.heap.objects) == marked
 
 
 def test_point_stamps_the_heap_and_its_roots():
-    heap, prof = make_profiler()
-    root, other = create(heap, prof), create(heap, prof)
+    rt = make_runtime()
+    heap = rt.heap
+    root, other = create(rt), create(rt)
     assert heap.stamp == -1
-    prof.open_point("interval", prof.clock, [Ref(root)])
+    rt.open_point("interval", [Ref(root)])
     assert heap.stamp == 1
-    assert prof.record(root).collect_tick == 0
-    assert prof.record(other).collect_tick == -1  # unreached: died here
-    assert heap.objects[create(heap, prof)].collect_tick == 1
+    assert heap.objects[root].collect_tick == 0
+    assert heap.objects[other].collect_tick == -1  # unreached: died here
+    assert heap.objects[create(rt)].collect_tick == 1
 
 
 def test_use_after_a_dated_death_is_unknown_id():
     # the object is unreached at the first point, used after it, and a
     # later copy dates its death to that point
-    heap, prof = make_profiler()
-    obj_id = create(heap, prof)
-    prof.open_point("interval", prof.clock)
-    prof.record_use(obj_id)
+    rt = make_runtime()
+    obj_id = create(rt)
+    rt.open_point("interval")
+    rt.record_use(Ref(obj_id))
     with pytest.raises(UnknownId, match="after it died at tick 1"):
-        flush(heap, prof, set())
+        flush(rt, set())
 
 
 def test_dead_stamped_before_the_first_open_point_die_there():
     # no stamp dates a death past the first open point, so every dead
     # record is buried at it, not at a later one
-    heap, prof = make_profiler()
+    rt = make_runtime()
     for _ in range(2):
-        create(heap, prof)
-    prof.open_point("interval", prof.clock)  # reaches neither
-    kept = create(heap, prof)
-    prof.open_point("interval", prof.clock, [Ref(kept)])
-    flushed = prof.flush_unmarked({kept}, heap.slots)
+        create(rt)
+    rt.open_point("interval")  # reaches neither
+    kept = create(rt)
+    rt.open_point("interval", [Ref(kept)])
+    flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.collect_tick for r in flushed] == [2, 2]
-    assert prof.collections == [CollectionStats("interval", 2, 0, 2, 0),
-                                CollectionStats("interval", 3, 1, 0, 2)]
+    assert rt.collections == [CollectionStats("interval", 2, 0, 2, 0),
+                              CollectionStats("interval", 3, 1, 0, 2)]
 
 
 def test_dead_stamped_after_the_last_point_is_a_ghost():
     # a copy between points: the record created after the last point
     # died after it, so its slots are freed now and it is counted and
     # ticked at the next point
-    heap, prof = make_profiler()
-    dead, kept = create(heap, prof), create(heap, prof)
-    prof.open_point("interval", prof.clock, [Ref(kept)])
-    ghost = create(heap, prof)
-    flushed = prof.flush_unmarked({kept}, heap.slots)
+    rt = make_runtime()
+    dead, kept = create(rt), create(rt)
+    rt.open_point("interval", [Ref(kept)])
+    ghost = create(rt)
+    flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.obj_id for r in flushed] == [dead, ghost]
     assert flushed[0].collect_tick == 2
-    assert prof.collections == [CollectionStats("interval", 2, 1, 1, 2)]
-    assert prof.ghost_slots == 2 and ghost not in heap.objects
-    prof.open_point("exhaustion", prof.clock, [Ref(kept)])
-    assert prof.ghost_slots == 0 and flushed[1].collect_tick == 3
-    prof.flush_unmarked({kept}, heap.slots)
-    assert prof.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
+    assert rt.collections == [CollectionStats("interval", 2, 1, 1, 2)]
+    assert rt.ghost_slots == 2 and ghost not in rt.heap.objects
+    rt.open_point("exhaustion", [Ref(kept)])
+    assert rt.ghost_slots == 0 and flushed[1].collect_tick == 3
+    rt.flush_unmarked({kept}, rt.heap.slots)
+    assert rt.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
 
 
 def test_finalize_censors_remaining_and_sorts():
-    heap, prof = make_profiler()
+    rt = make_runtime()
     for i in range(4):
-        create(heap, prof, PAIR if i % 2 else VECTOR)
-    flush(heap, prof, {1, 3})  # collects 0 and 2 at tick 4
-    log = prof.finalize(prof.termination_tick())
+        create(rt, PAIR if i % 2 else VECTOR)
+    rt.add_root_provider(lambda: [Ref(1), Ref(3)])
+    flush(rt, {1, 3})  # collects 0 and 2 at tick 4
+    log = rt.terminate()
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
     assert [r.censored for r in log.records] == [False, False, True, True]
     # exactly-once: every creation appears once, as collected or censored
@@ -194,28 +185,40 @@ def test_finalize_censors_remaining_and_sorts():
 
 
 def test_refinalize_is_a_protocol_violation():
-    _, prof = make_profiler()
-    end = prof.termination_tick()
-    prof.finalize(end)
+    rt = make_runtime()
+    rt.terminate()
     with pytest.raises(ProtocolViolation):
-        prof.finalize(end)
+        rt.terminate()
 
 
 def test_events_after_finalize_rejected():
-    heap, prof = make_profiler()
-    prof.finalize(prof.termination_tick())
+    rt = make_runtime()
+    rt.terminate()
     with pytest.raises(ProtocolViolation):
-        prof.record_creation(heap.alloc_raw(PAIR, 2, (NIL, NIL)))
+        rt.alloc_pair(NIL, NIL)
+
+
+def test_every_step_after_terminate_is_a_protocol_violation():
+    rt = make_runtime()
+    ref = rt.alloc_pair(NIL, NIL)
+    rt.add_root_provider(lambda: [ref])
+    rt.terminate()
+    for step in (lambda: rt.alloc_pair(NIL, NIL),
+                 lambda: rt.record_use(ref),
+                 lambda: rt.flush_unmarked({ref.obj_id}, rt.heap.slots),
+                 rt.terminate):
+        with pytest.raises(ProtocolViolation):
+            step()
 
 
 def test_draglog_roundtrip():
-    heap, prof = make_profiler(gc_interval=4, heap_slots=128,
-                               source="roundtrip.scm")
+    rt = make_runtime(gc_interval=4, heap_slots=128, source="roundtrip.scm")
     for kind, size in ((VECTOR, 5), (PAIR, 2), (PAIR, 2)):
-        create(heap, prof, kind, size)
-    prof.record_use(1)
-    flush(heap, prof, {2})
-    log = prof.finalize(prof.termination_tick())
+        create(rt, kind, size)
+    rt.record_use(Ref(1))
+    rt.add_root_provider(lambda: [Ref(2)])
+    flush(rt, {2})
+    log = rt.terminate()
     parsed = parse_draglog(format_draglog(log))
     assert parsed.gc_interval == 4
     assert parsed.heap_slots == 128
@@ -270,13 +273,31 @@ def test_draglog_roundtrip():
                  2, id="pair-of-size-minus-2"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 V -1 1 -1 1 F", lines[-1]],
                  2, id="vector-of-size-minus-1"),
+    # Spellings int() accepts but format_draglog never writes.
+    pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
+                                                 "gc_interval=1_6")]
+                 + lines[1:], 1, id="underscore-in-gc-interval"),
+    pytest.param(lambda lines: [lines[0].replace("heap_slots=256",
+                                                 "heap_slots=+256")]
+                 + lines[1:], 1, id="plus-in-heap-slots"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 \u0661 F",
+                                lines[-1]], 2, id="non-ascii-digit"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P +2 1 -1 1 F", lines[-1]],
+                 2, id="plus-in-size"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0_0 P 2 1 -1 1 F",
+                                lines[-1]], 2, id="underscore-in-id"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1\t -1 1 F",
+                                lines[-1]], 2, id="tab-in-create"),
+    pytest.param(lambda lines: lines[:2] + ["END 0_2"], 3,
+                 id="underscore-in-end"),
+    pytest.param(lambda lines: lines[:2] + ["END 2\x0c"], 3,
+                 id="form-feed-in-end"),
 ])
 def test_draglog_malformed_reports_line(mutate, bad_line):
-    heap, prof = make_profiler()
-    create(heap, prof)
-    flush(heap, prof, set())
-    lines = format_draglog(prof.finalize(prof.termination_tick())) \
-        .splitlines()
+    rt = make_runtime(gc_interval=1)
+    create(rt)
+    flush(rt, set())
+    lines = format_draglog(rt.terminate()).splitlines()
     text = "\n".join(mutate(lines)) + "\n"
     with pytest.raises(DraglogFormatError) as err:
         parse_draglog(text)

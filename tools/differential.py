@@ -5,7 +5,9 @@
 Generates the sources once, in this process: the ProgramGenerator
 corpus of tests/support.py (seeds 0-199) and the bundled programs of
 this checkout's src/dragprof/programs.  Each source runs at every
-gc_interval K in KS and every heap size in HEAPS.  Each checkout runs
+gc_interval K in KS and every heap size in HEAPS, where most bundled
+programs run out of memory; the bundled programs also run at every K
+at the default heap, where they run to the end.  Each checkout runs
 them all in its own child process, with only that checkout's src on
 PYTHONPATH, through dragprof.interp.run_source under the CLI's
 recursion limit.  Per run, the two must agree on the result (the
@@ -28,21 +30,23 @@ HERE = Path(__file__).resolve().parent
 SEEDS = range(200)
 KS = (1, 3, 16, 1000)
 HEAPS = (16, 24, 40, 64, 128, 512)
+FULL_HEAP = 2 ** 16  # dragprof.defaults.DEFAULT_HEAP_SLOTS
 FIELDS = ("result", "draglog", "collections", "display")
 SHOWN = 10  # differing runs listed
 
 
 def corpus():
-    """[(name, source)]: the generated programs, then the bundled ones."""
+    """([(name, source)] of the generated programs, the same of the
+    bundled ones)."""
     root = HERE.parent
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from support import ProgramGenerator
-    sources = [(f"seed-{seed}", ProgramGenerator(seed).program())
-               for seed in SEEDS]
-    for path in sorted((root / "src" / "dragprof" / "programs")
-                       .glob("*.scm")):
-        sources.append((path.name, path.read_text(encoding="utf-8")))
-    return sources
+    generated = [(f"seed-{seed}", ProgramGenerator(seed).program())
+                 for seed in SEEDS]
+    bundled = [(path.name, path.read_text(encoding="utf-8"))
+               for path in sorted((root / "src" / "dragprof" / "programs")
+                                  .glob("*.scm"))]
+    return generated, bundled
 
 
 def _digest(text):
@@ -118,8 +122,11 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    jobs = [(name, source, k, heap) for name, source in corpus()
+    generated, bundled = corpus()
+    jobs = [(name, source, k, heap) for name, source in generated + bundled
             for k in KS for heap in HEAPS]
+    jobs += [(name, source, k, FULL_HEAP) for name, source in bundled
+             for k in KS]
     procs = [start(root, jobs) for root in argv]
     old, new = (results(proc, root) for proc, root in zip(procs, argv))
     if len(old) != len(jobs) or len(new) != len(jobs):
@@ -128,9 +135,10 @@ def main(argv):
         return 1
     differing = [(job, [f for f, a, b in zip(FIELDS, x, y) if a != b])
                  for job, x, y in zip(jobs, old, new) if x != y]
-    print(f"{len(jobs)} runs ({len(jobs) // len(KS) // len(HEAPS)} "
-          f"programs x K {list(KS)} x heap {list(HEAPS)}): "
-          f"{len(differing)} differences")
+    print(f"{len(jobs)} runs ({len(generated) + len(bundled)} programs x "
+          f"K {list(KS)} x heap {list(HEAPS)}, {len(bundled)} bundled "
+          f"x K {list(KS)} x heap {FULL_HEAP}): {len(differing)} "
+          "differences")
     for (name, _, k, heap), fields in differing[:SHOWN]:
         print(f"  {name} K={k} heap={heap}: {', '.join(fields)} differ")
     return 1 if differing else 0
