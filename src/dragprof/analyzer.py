@@ -128,7 +128,7 @@ def drag_summary(drags, end_tick: int):
     return max_drag, 0.0, avg_drag, 0.0
 
 
-def dead_objects(drags, end_tick: int, threshold_ticks: int):
+def dead_objects(drags, threshold_ticks: int):
     """(allocated, dead count, dead %) where dead means drag strictly
     above the threshold."""
     if threshold_ticks < 0:
@@ -164,8 +164,7 @@ def build_report(log: TraceLog, sample_interval: int | None = None,
     reachable, live, savings = space_time(series)
     max_drag, max_pct, avg_drag, avg_pct = drag_summary(all_drags,
                                                         log.end_tick)
-    allocated, dead_count, dead_pct = dead_objects(all_drags, log.end_tick,
-                                                   dead_threshold)
+    allocated, dead_count, dead_pct = dead_objects(all_drags, dead_threshold)
     dead_drags = [d for d in all_drags if d > dead_threshold]
     report = DragReport(
         source=log.source,

@@ -1,50 +1,45 @@
-"""Exception types shared across the runtime and the tools."""
+"""Exception types shared across the runtime and the tools, and the one
+rendering of a program's integer that their messages use.
+
+The primitives (interp.py) check every language rule, so the heap and
+the runtime raise only what a program can still cause (OutOfMemory) or
+what signals a bug in dragprof itself (DanglingRef, ToSpaceOverflow,
+UnknownId, ProtocolViolation).
+"""
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or "integer of N bits" when it is longer than
+    str() converts (sys.get_int_max_str_digits())."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"integer of {n.bit_length()} bits"
 
 
 class DragProfError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class HeapError(DragProfError):
-    pass
-
-
-class OutOfMemory(HeapError):
+class OutOfMemory(DragProfError):
     """Allocation still does not fit after a collection."""
 
 
-class NegativeLength(HeapError):
-    """Vector allocation with a negative length, rejected up front."""
-
-
-class IndexOutOfBounds(HeapError):
-    pass
-
-
-class DanglingRef(HeapError):
+class DanglingRef(DragProfError):
     """A Ref whose object was collected.  Signals a runtime/GC bug, not a
     user error."""
 
 
-class UnstorableValue(HeapError):
-    """Attempt to store something that is not a slot value (for example a
-    procedure) in a heap object."""
-
-
-class ToSpaceOverflow(HeapError):
+class ToSpaceOverflow(DragProfError):
     """Survivor volume exceeded the standby space; the run is aborted
     rather than dropping objects."""
 
 
-class ProfilerError(DragProfError):
+class UnknownId(DragProfError):
     pass
 
 
-class UnknownId(ProfilerError):
-    pass
-
-
-class ProtocolViolation(ProfilerError):
+class ProtocolViolation(DragProfError):
     """An allocation, a use, a flush or a second terminate after the
     runtime terminated, or a second program compiled by one
     Interpreter."""

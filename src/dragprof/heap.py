@@ -31,12 +31,7 @@ later finds the object dead turns the stamp into its collection tick
 from dataclasses import dataclass
 
 from .defaults import DEFAULT_HEAP_SLOTS
-from .errors import (
-    DanglingRef,
-    IndexOutOfBounds,
-    NegativeLength,
-    UnstorableValue,
-)
+from .errors import DanglingRef
 
 PAIR = "P"
 VECTOR = "V"
@@ -70,11 +65,6 @@ class Ref:
 
     def __repr__(self):
         return f"<ref #{self.obj_id}>"
-
-
-def is_storable(value) -> bool:
-    """True if the value may live in a heap slot (immediate or Ref)."""
-    return isinstance(value, (int, str, Nil, Ref))
 
 
 class Forward:
@@ -120,10 +110,12 @@ class Heap:
     slots is the active space, bump-allocated up to used_slots; standby
     is the other half, which gc.Collector.collect copies into before it
     swaps the two lists.  Its stale contents are never read again: the
-    object table points into slots.  This layer is pure storage: it
-    never triggers a collection and never reads the clock; its write
-    barrier only sets stamps, whose value the runtime advances at each
-    collection point.  Allocation policy lives in runtime.Runtime.
+    object table points into slots.  This layer is pure storage; values
+    are checked by the primitives (interp.py), so it checks no slot
+    value, index or size.  It never triggers a collection and never
+    reads the clock; its write barrier only sets stamps, whose value the
+    runtime advances at each collection point.  Allocation policy lives
+    in runtime.Runtime.
     """
 
     def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS):
@@ -147,8 +139,6 @@ class Heap:
 
         Returns its id, which is never reused.
         """
-        if size_slots < 0:
-            raise NegativeLength(f"negative object size {size_slots}")
         addr = self.used_slots
         if addr + size_slots > self.capacity_slots:
             raise AssertionError("alloc_raw called without free space")
@@ -171,24 +161,6 @@ class Heap:
             raise DanglingRef(f"object #{ref.obj_id} was collected")
         return rec
 
-    def read_slot(self, ref: Ref, index: int):
-        rec = self.record(ref)
-        if not 0 <= index < rec.size_slots:
-            raise IndexOutOfBounds(
-                f"slot {index} of object #{ref.obj_id} "
-                f"(size {rec.size_slots})")
-        return self.slots[rec.address + index]
-
-    def write_slot(self, ref: Ref, index: int, value):
-        if not is_storable(value):
-            raise UnstorableValue(f"{value!r} cannot live in a heap slot")
-        rec = self.record(ref)
-        if not 0 <= index < rec.size_slots:
-            raise IndexOutOfBounds(
-                f"slot {index} of object #{ref.obj_id} "
-                f"(size {rec.size_slots})")
-        self.store(rec.address + index, value)
-
     def store(self, addr: int, value):
         """Write the active slot at addr through the write barrier: an
         overwritten Ref's target takes the heap's stamp, since it may
@@ -200,6 +172,6 @@ class Heap:
         slots[addr] = value
 
     def slot_value(self, obj_id: int, index: int):
-        """Raw slot read by id; used by traversals that already hold ids."""
+        """Slot index of object obj_id, read through the object table."""
         rec = self.objects[obj_id]
         return self.slots[rec.address + index]

@@ -62,8 +62,9 @@ from .errors import (
     ProtocolViolation,
     SchemeRuntimeError,
     SchemeSyntaxError,
+    int_text,
 )
-from .heap import NIL, PAIR, VECTOR, Nil, Ref, is_storable
+from .heap import NIL, PAIR, VECTOR, Nil, Ref
 from .profiler import TraceLog
 from .runtime import Runtime
 
@@ -338,12 +339,10 @@ def write_value(heap, value) -> str:
         elif v is False:
             out.append("#f")
         elif isinstance(v, int):
-            try:
-                out.append(str(v))
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise SchemeRuntimeError(
-                    f"integer of {v.bit_length()} bits too long to write"
-                ) from None
+            text = int_text(v)
+            if text.startswith("integer"):  # too long for str()
+                raise SchemeRuntimeError(f"{text} too long to write")
+            out.append(text)
         elif isinstance(v, Nil):
             out.append("()")
         elif isinstance(v, str):
@@ -359,7 +358,10 @@ def write_value(heap, value) -> str:
 # Primitives
 #
 # A primitive's body takes the interpreter, the call's position and the
-# argument values, positionally.
+# argument values, positionally.  The bodies are the one place the rules
+# on values are checked (no procedure in a heap slot, no negative vector
+# length, no index out of range): the runtime and the heap take the
+# values they are handed as given.
 
 def _record_of(rt, v):
     """The record of the object v refers to; None if v is not a Ref."""
@@ -391,7 +393,9 @@ def _use_refs(interp, args):
 
 
 def _check_storable(interp, v, name, pos):
-    if not is_storable(v):
+    """The one check that v may live in a heap slot: an immediate or a
+    Ref, never a procedure."""
+    if not isinstance(v, (int, str, Nil, Ref)):
         raise _rt_error(f"{name}: {_type_name(interp.rt, v)} cannot be "
                         f"stored in a heap object", pos)
 
@@ -483,15 +487,16 @@ def _prim_vector(interp, pos, *args):
         _check_storable(interp, v, "vector", pos)
     _use_refs(interp, args)
     ref = interp.rt.alloc_vector(len(args), NIL)
+    addr = interp.objects[ref.obj_id].address
     for i, v in enumerate(args):
-        interp.heap.write_slot(ref, i, v)
+        interp.heap.store(addr + i, v)
     return ref
 
 
 def _prim_make_vector(interp, pos, n, fill=NIL):
     _require_number(interp, n, "make-vector", pos)
     if n < 0:
-        raise _rt_error(f"make-vector: negative length {n}", pos)
+        raise _rt_error(f"make-vector: negative length {int_text(n)}", pos)
     _check_storable(interp, fill, "make-vector", pos)
     _use_refs(interp, (fill,))
     return interp.rt.alloc_vector(n, fill)
@@ -501,8 +506,8 @@ def _vector_index(interp, rec, i, name, pos):
     _require_number(interp, i, name, pos)
     size = rec.size_slots
     if not 0 <= i < size:
-        raise _rt_error(f"{name}: index {i} out of range for vector "
-                        f"of length {size}", pos)
+        raise _rt_error(f"{name}: index {int_text(i)} out of range for "
+                        f"vector of length {size}", pos)
 
 
 def _prim_vector_ref(interp, pos, v, i):
@@ -540,7 +545,7 @@ def _prim_vector_to_list(interp, pos, v):
     result = NIL
     # each allocation may move the vector, so its slots are read by id
     for i in range(rec.size_slots - 1, -1, -1):
-        result = interp.rt.alloc_pair(heap.read_slot(v, i), result)
+        result = interp.rt.alloc_pair(heap.slot_value(v.obj_id, i), result)
     return result
 
 
@@ -554,7 +559,7 @@ def _prim_list_to_vector(interp, pos, lst):
         n += 1
         if n > limit:
             raise _rt_error("list->vector: cyclic list", pos)
-        cur = heap.read_slot(cur, 1)
+        cur = heap.slots[rec.address + 1]
     if not isinstance(cur, Nil):
         raise _rt_error(f"list->vector: expected a proper list, got "
                         f"{_type_name(rt, lst)}", pos)
@@ -562,12 +567,13 @@ def _prim_list_to_vector(interp, pos, lst):
     cur = lst
     while not isinstance(cur, Nil):
         interp.record_use(cur)
-        items.append(heap.read_slot(cur, 0))
-        cur = heap.read_slot(cur, 1)
+        items.append(heap.slot_value(cur.obj_id, 0))
+        cur = heap.slot_value(cur.obj_id, 1)
     # items stay reachable through the pinned argument list
     vec = interp.rt.alloc_vector(n, NIL)
+    addr = interp.objects[vec.obj_id].address
     for i, v in enumerate(items):
-        heap.write_slot(vec, i, v)
+        heap.store(addr + i, v)
     return vec
 
 

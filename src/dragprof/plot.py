@@ -14,34 +14,31 @@ _W, _H = 640, 440
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 610.0, 25.0, 385.0
 
 
-def read_curves_csv(path):
-    points = []
+def read_int_rows(path, header):
+    """The rows after the header line of the CSV file at path, each a
+    tuple of ints, one per header field."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["tick", "reachable", "live"]:
-        raise CsvFormatError(f"{path}: expected a tick,reachable,live header")
+    if not rows or rows[0] != header:
+        raise CsvFormatError(f"{path}: expected a {','.join(header)} header")
+    out = []
     for i, row in enumerate(rows[1:], start=2):
         try:
-            t, reach, live = (int(v) for v in row)
+            values = tuple(map(int, row))
         except ValueError:
-            raise CsvFormatError(f"{path}: bad row at line {i}") from None
-        points.append((t, reach, live))
-    return points
+            values = ()
+        if len(values) != len(header):
+            raise CsvFormatError(f"{path}: bad row at line {i}")
+        out.append(values)
+    return out
+
+
+def read_curves_csv(path):
+    return read_int_rows(path, ["tick", "reachable", "live"])
 
 
 def read_histogram_csv(path):
-    bins = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["bin_lo", "bin_hi", "count"]:
-        raise CsvFormatError(f"{path}: expected a bin_lo,bin_hi,count header")
-    for i, row in enumerate(rows[1:], start=2):
-        try:
-            lo, hi, count = (int(v) for v in row)
-        except ValueError:
-            raise CsvFormatError(f"{path}: bad row at line {i}") from None
-        bins.append((lo, hi, count))
-    return bins
+    return read_int_rows(path, ["bin_lo", "bin_hi", "count"])
 
 
 def _svg_header(title):

@@ -40,24 +40,19 @@ still in the table as censored.
 
 Root enumeration is pluggable: clients register providers yielding Refs
 (the interpreter walks its environments; test drivers expose plain
-lists).  Values handed to an allocation in progress are pinned
-internally so a collection triggered by that very allocation cannot
-reclaim them.
+lists).  Values handed to an allocation are passed to gather_roots as
+pins, so a collection triggered by that very allocation cannot reclaim
+them; so is the fresh object at its interval point.  The primitives
+check the values (interp.py): an allocation takes them as given.
 """
 
 from collections import defaultdict
 from operator import attrgetter
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
-from .errors import (
-    NegativeLength,
-    OutOfMemory,
-    ProtocolViolation,
-    UnknownId,
-    UnstorableValue,
-)
+from .errors import OutOfMemory, ProtocolViolation, UnknownId, int_text
 from .gc import Collector
-from .heap import NIL, PAIR, VECTOR, Heap, Ref, is_storable
+from .heap import NIL, PAIR, VECTOR, Heap, Ref
 from .profiler import CollectionStats, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
@@ -93,14 +88,14 @@ class Runtime:
         self.finalized = []     # records with their collect tick, so far
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
-        self._pins = []
         self._terminated = False
 
     def add_root_provider(self, provider):
         """Register a callable returning an iterable of live Refs."""
         self.root_providers.append(provider)
 
-    def gather_roots(self) -> list[Ref]:
+    def gather_roots(self, pins=()) -> list[Ref]:
+        """The providers' Refs, then the Refs among pins, each once."""
         seen = set()
         roots = []
         for provider in self.root_providers:
@@ -108,7 +103,7 @@ class Runtime:
                 if ref.obj_id not in seen:
                     seen.add(ref.obj_id)
                     roots.append(ref)
-        for v in self._pins:
+        for v in pins:
             if type(v) is Ref and v.obj_id not in seen:
                 seen.add(v.obj_id)
                 roots.append(v)
@@ -152,20 +147,15 @@ class Runtime:
 
     def _make_room(self, n: int, pins):
         """Copy, then open an exhaustion point if n slots are still
-        short; the pins are roots throughout."""
+        short; the pins are roots of both."""
         heap = self.heap
-        self._pins.extend(pins)
-        try:
-            roots = self.gather_roots()
-            self._copy(roots, "exhaustion")
-            if heap.free_slots < n + self.ghost_slots:
-                self.collection_point("exhaustion", roots)
-                if heap.free_slots < n:
-                    raise OutOfMemory(
-                        f"need {n} slots, only {heap.free_slots} free "
-                        f"after collection")
-        finally:
-            del self._pins[len(self._pins) - len(pins):]
+        roots = self.gather_roots(pins)
+        self._copy(roots, "exhaustion")
+        if heap.free_slots < n + self.ghost_slots:
+            self.collection_point("exhaustion", roots)
+            if heap.free_slots < n:
+                raise OutOfMemory(f"need {int_text(n)} slots, only "
+                                  f"{heap.free_slots} free after collection")
 
     def _finish_alloc(self, kind: str, size: int, values) -> Ref:
         if self._terminated:
@@ -175,26 +165,16 @@ class Runtime:
         ref = Ref(self.heap.alloc_raw(kind, size, values, self.clock))
         self.allocs_since_gc += 1
         if self.allocs_since_gc >= self.gc_interval:
-            # The fresh object is pinned through its own trigger.
-            self._pins.append(ref)
-            try:
-                self.collection_point("interval", self.gather_roots())
-            finally:
-                self._pins.pop()
+            # the fresh object is a root of its own trigger
+            self.collection_point("interval", self.gather_roots((ref,)))
         return ref
 
     def alloc_pair(self, car, cdr) -> Ref:
-        if not is_storable(car) or not is_storable(cdr):
-            raise UnstorableValue("pair slots must hold values")
         if self.heap.free_slots < 2 + self.ghost_slots:
             self._make_room(2, (car, cdr))
         return self._finish_alloc(PAIR, 2, (car, cdr))
 
     def alloc_vector(self, length: int, fill=NIL) -> Ref:
-        if length < 0:
-            raise NegativeLength(f"vector length {length}")
-        if not is_storable(fill):
-            raise UnstorableValue("vector slots must hold values")
         if self.heap.free_slots < length + self.ghost_slots:
             self._make_room(length, (fill,))
         return self._finish_alloc(VECTOR, length, [fill] * length)

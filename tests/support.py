@@ -72,10 +72,10 @@ class HeapDriver:
             return "drop"
         if op < 0.80:
             ref = rng.choice(self.roots)
-            size = rt.heap.objects[ref.obj_id].size_slots
-            if size:
-                rt.heap.write_slot(ref, rng.randrange(size),
-                                   self._random_value())
+            rec = rt.heap.objects[ref.obj_id]
+            if rec.size_slots:
+                rt.heap.store(rec.address + rng.randrange(rec.size_slots),
+                              self._random_value())
             return "write"
         rt.record_use(rng.choice(self.roots))
         return "use"

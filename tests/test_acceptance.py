@@ -117,8 +117,7 @@ def test_lingering_list_narrative(motiv_k1, nullified_k1):
     # (a) every list cell drags, and exactly the cells count as dead
     cell_ids = range(1, n + 1)  # scratch is id 0, the tail pair ids n+1..
     assert all(drags[i] > 0 for i in cell_ids)
-    allocated, dead, _ = dead_objects(list(drags.values()),
-                                      log.end_tick, 1)
+    allocated, dead, _ = dead_objects(list(drags.values()), 1)
     assert allocated == n + 3
     assert dead == n
     # (b) reachable plateau at >= n, live monotone after its peak

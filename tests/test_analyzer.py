@@ -194,11 +194,11 @@ def test_drag_summary_empty():
 # dead objects
 
 def test_dead_objects_none_when_all_zero():
-    assert dead_objects([0] * 5, 100, 0) == (5, 0, 0.0)
+    assert dead_objects([0] * 5, 0) == (5, 0, 0.0)
 
 
 def test_dead_objects_threshold_strictly_exceeded():
-    allocated, dead, pct = dead_objects([5, 6], 100, 5)
+    allocated, dead, pct = dead_objects([5, 6], 5)
     assert (allocated, dead) == (2, 1)
     assert pct == pytest.approx(50.0)
 
@@ -207,7 +207,7 @@ def test_motiv_every_cell_dead_at_threshold_k():
     r = run_source(motiv_source(100, 500), gc_interval=1,
                    source_name="motiv.scm")
     drags = drags_of(r.trace_log)
-    allocated, dead, _ = dead_objects(drags, r.trace_log.end_tick, 1)
+    allocated, dead, _ = dead_objects(drags, 1)
     assert allocated == 103  # the cells plus the three scaffold objects
     assert dead == 100
 
@@ -216,7 +216,7 @@ def test_nullified_no_dead_at_threshold_k():
     r = run_source(nullified_source(100), gc_interval=1,
                    source_name="motiv-nullified.scm")
     drags = drags_of(r.trace_log)
-    allocated, dead, _ = dead_objects(drags, r.trace_log.end_tick, 1)
+    allocated, dead, _ = dead_objects(drags, 1)
     assert allocated == 100
     assert dead == 0
 

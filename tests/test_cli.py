@@ -87,7 +87,17 @@ POW = "(define (pow b n) (if (= n 0) 1 (* b (pow b (- n 1)))))\n"
      2, "runtime error in huge.scm: integer of 16610 bits too long"),
     (POW + "(display (pow 10 5000))\n1",
      2, "runtime error in huge.scm: integer of 16610 bits too long"),
-], ids=["literal", "result", "display"])
+    (POW + "(vector-ref (vector 1) (pow 10 5000))",
+     2, "runtime error in huge.scm: 2:1: vector-ref: index integer of "
+        "16610 bits out of range"),
+    (POW + "(make-vector (- 0 (pow 10 5000)))",
+     2, "runtime error in huge.scm: 2:1: make-vector: negative length "
+        "integer of 16610 bits"),
+    (POW + "(make-vector (pow 10 5000))",
+     3, "out of memory in huge.scm: 2:1: make-vector: need integer of "
+        "16610 bits slots"),
+], ids=["literal", "result", "display", "index", "negative-length",
+        "length"])
 def test_run_integer_too_long_for_text_names_the_file(workdir, capsys,
                                                       source, code,
                                                       complaint):
@@ -95,7 +105,9 @@ def test_run_integer_too_long_for_text_names_the_file(workdir, capsys,
     huge = workdir / "huge.scm"
     huge.write_text(source, encoding="utf-8")
     assert run_cli("run", huge, "--log", workdir / "huge.draglog") == code
-    assert complaint in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert complaint in err
+    assert "Exceeds the limit" not in err
     assert not (workdir / "huge.draglog").exists()
 
 

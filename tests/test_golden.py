@@ -285,6 +285,16 @@ ERROR_MESSAGES = [
      SchemeRuntimeError, '1:1: cons: a procedure cannot be stored in a heap object'),
     ('(vector 1 (lambda (x) x))', 64,
      SchemeRuntimeError, '1:1: vector: a procedure cannot be stored in a heap object'),
+    ('(list 1 car)', 64,
+     SchemeRuntimeError, '1:1: list: a procedure cannot be stored in a heap object'),
+    ('(make-vector 2 car)', 64,
+     SchemeRuntimeError, '1:1: make-vector: a procedure cannot be stored in a heap object'),
+    ('(set-car! (cons 1 2) car)', 64,
+     SchemeRuntimeError, '1:1: set-car!: a procedure cannot be stored in a heap object'),
+    ('(set-cdr! (cons 1 2) (lambda (x) x))', 64,
+     SchemeRuntimeError, '1:1: set-cdr!: a procedure cannot be stored in a heap object'),
+    ('(vector-set! (vector 1 2) 1 (lambda () 1))', 64,
+     SchemeRuntimeError, '1:1: vector-set!: a procedure cannot be stored in a heap object'),
     ("'(1 2 3 4 5 6 7 8 9)", 16,
      OutOfMemory, '1:1: quote: need 2 slots, only 0 free after collection'),
     ("(define (grow n acc)\n  (if (= n 0) acc (grow (- n 1) (cons n acc))))\n(grow 100 '())", 16,

@@ -65,7 +65,8 @@ def test_heap_write_slot_dates_its_old_target(k):
         box = rt.alloc_vector(2, NIL)
         roots.append(box)
         for i in range(40):
-            rt.heap.write_slot(box, 1, rt.alloc_pair(i, i))
+            pair = rt.alloc_pair(i, i)  # may move the box
+            rt.heap.store(rt.heap.record(box).address + 1, pair)
             for _ in range(20):
                 rt.alloc_pair(0, 0)
         rt.terminate()
