@@ -9,10 +9,10 @@ Three parts: the reader, parse(), turns source text into reader forms
 booleans and interned symbols for atoms; the Program's positions give
 the line and column of each top-level form); the compiler,
 Interpreter.eval_program, checks the syntax of every top-level form and
-builds its Python closure code(env) in one walk, then runs the closures
+builds its Python closure code(frame) in one walk, then runs the closures
 in order ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
 closures for code generation", 1987); the primitive table binds the
-procedures of the global environment.  Nesting too deep to read or to
+procedures of the global table.  Nesting too deep to read or to
 compile is a syntax error.
 
 Fixed primitives: an Interpreter compiles one program, so a primitive's
@@ -30,12 +30,28 @@ call.  The nearest trampoline (a non-tail call, a non-tail let or named
 let, or the top level) binds the frame and runs the body, so loops run
 in constant control-stack space regardless of iteration count.
 
-Env-slot invariant: the innermost slot of the env stack always holds
-the current environment.  A non-tail closure call, let or named let
-pushes a slot and pops it afterwards; a tail call, let or named let
-overwrites the innermost slot; if, begin and primitive calls push
-nothing.  The slots are the environments the collector treats as roots,
-so a frame a tail call abandons is dead at the next allocation.
+Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
+for Scheme", 1987): the compiler resolves every variable.  A closure
+call or a let makes a frame, a Python list [parent, v1, v2, ...]: the
+parameters or binding names in order, then a slot for each name an
+internal define binds in it.  Those are the defines that run in the
+frame: in the body and in its let inits, not in a nested lambda, let
+body or quote.  A named let's loop closure has a frame of its own,
+[parent, closure], between the let's frame and the enclosing one.  A
+name bound by a parameter compiles to its slot, as (frame links out,
+index); a name no frame binds is looked up in the one global table, the
+dict that top-level defines fill.  A define slot holds _UNSET until its
+define runs, and until then the name means its outer binding: the name
+compiles to its chain of candidate slots, out to the first parameter
+slot or else the global table, and a reference or set! takes the first
+candidate that is set.
+
+Frame stack: its innermost slot always holds the current frame (None at
+top level).  A non-tail closure call, let or named let pushes a slot and
+pops it afterwards; a tail call, let or named let overwrites the
+innermost slot; if, begin and primitive calls push nothing.  The slots
+are the frames the collector walks for roots, so a frame a tail call
+abandons is dead at the next allocation.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -44,7 +60,7 @@ primitive receives, left to right, after the primitive's own validation
 (so a type error never records a use).  Quoted list structure allocates
 each time the quote is evaluated, keeping creation ticks meaningful.
 
-Closures and environment frames live outside the profiled heap; they
+Closures and frames live outside the profiled heap; they
 cannot be stored in heap slots, but any references they capture are part
 of the root set.  Evaluator temporaries (argument lists, let inits,
 partially built quoted structure) are pinned while further evaluation
@@ -214,41 +230,21 @@ def parse(source: str):
 # ---------------------------------------------------------------------------
 # Runtime values
 
-class Env:
-    """Lexical frame: a dict of bindings plus a parent link."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, parent, vars):
-        self.vars = vars
-        self.parent = parent
-
-    def lookup(self, name, pos):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                return env.vars[name]
-            env = env.parent
-        raise _rt_error(f"unbound variable: {name}", pos)
-
-    def assign(self, name, value, pos):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                env.vars[name] = value
-                return
-            env = env.parent
-        raise _rt_error(f"set! of unbound variable: {name}", pos)
+# The value of a define slot whose define has not run yet.
+_UNSET = object()
 
 
 class Closure:
-    """A procedure: its parameters, its body compiled to code(frame), the
-    environment it closes over and the name it was defined under."""
+    """A procedure: its parameter count, the _UNSET slots its frame
+    reserves for internal defines, its body compiled to code(frame), the
+    frame it closes over (None at top level) and the name it was defined
+    under."""
 
-    __slots__ = ("params", "code", "env", "name")
+    __slots__ = ("arity", "unset", "code", "env", "name")
 
-    def __init__(self, params, code, env, name):
-        self.params = params
+    def __init__(self, arity, unset, code, env, name):
+        self.arity = arity
+        self.unset = unset
         self.code = code
         self.env = env
         self.name = name
@@ -716,6 +712,107 @@ def _binders(forms):
     return names
 
 
+def _frame_defines(forms):
+    """The names the defines among forms bind in the frame the forms run
+    in, each once, in order: every define not inside a quote, a lambda
+    or a let body; let inits are entered.  One iterative walk, like
+    _binders; a malformed form only adds names, which is safe."""
+    names, stack = {}, forms[::-1]
+    while stack:
+        sx = stack.pop()
+        if type(sx) is not SrcList or not sx.items:
+            continue
+        items = sx.items
+        head = items[0]
+        if head is _QUOTE or head is _LAMBDA:
+            continue
+        if head is _LET:
+            rest = items[2:] if len(items) > 1 and type(items[1]) is str \
+                else items[1:]
+            if rest and type(rest[0]) is SrcList:
+                stack.extend([b.items[1] for b in reversed(rest[0].items)
+                              if type(b) is SrcList and len(b.items) == 2])
+            continue
+        if head is _DEFINE and len(items) > 1:
+            target = items[1]
+            if type(target) is SrcList:  # the body is a lambda's
+                if target.items and type(target.items[0]) is str:
+                    names[target.items[0]] = None
+                continue
+            if type(target) is str:
+                names[target] = None
+        stack.extend(items[::-1])
+    return list(names)
+
+
+class _Scope:
+    """The compile-time view of a frame: the slot of each name it binds,
+    the names its define slots hold, the _UNSET values those start as,
+    and the scope of the enclosing frame (None: the global table)."""
+
+    __slots__ = ("slots", "late", "unset", "parent")
+
+    def __init__(self, parent, names, body_forms):
+        slots = {name: i for i, name in enumerate(names, 1)}
+        late = [name for name in _frame_defines(body_forms)
+                if name not in slots]
+        for name in late:
+            slots[name] = len(slots) + 1
+        self.slots = slots
+        self.late = late
+        self.unset = (_UNSET,) * len(late)
+        self.parent = parent
+
+
+def _resolve(scope, name):
+    """The slots name may mean at scope, innermost first, as (frame links
+    out, index): each define slot out to the first parameter slot, which
+    is always set.  Returns them and whether that parameter slot ends
+    them; if not, the global table follows them."""
+    chain, depth = [], 0
+    while scope is not None:
+        i = scope.slots.get(name)
+        if i is not None:
+            chain.append((depth, i))
+            if name not in scope.late:
+                return chain, True
+        scope = scope.parent
+        depth += 1
+    return chain, False
+
+
+def _slot_ref(depth, i):
+    """The code of a reference to slot i of the frame depth links out."""
+    if depth == 0:
+        return lambda frame: frame[i]
+    if depth == 1:
+        return lambda frame: frame[0][i]
+    if depth == 2:
+        return lambda frame: frame[0][0][i]
+    if depth == 3:
+        return lambda frame: frame[0][0][0][i]
+
+    def ref(frame):
+        d = depth
+        while d:
+            frame = frame[0]
+            d -= 1
+        return frame[i]
+    return ref
+
+
+def _find(frame, chain):
+    """The frame and index of the first set slot of chain (see _resolve),
+    or (None, None) if none is: the name means its global."""
+    for depth, i in chain:
+        f = frame
+        for _ in range(depth):
+            f = f[0]
+        if f[i] is not _UNSET:
+            return f, i
+    return None, None
+
+
 class _TailCall:
     """A closure call in tail position, returned to the nearest trampoline
     instead of made where it appears."""
@@ -729,17 +826,19 @@ class _TailCall:
 
 
 def _bind(fn, args, pos):
-    """The frame of a call of closure fn on args."""
-    params = fn.params
-    if len(args) != len(params):
-        raise _rt_error(f"{fn.name or 'procedure'} expects {len(params)} "
-                        f"arguments, got {len(args)}", pos)
-    return Env(fn.env, dict(zip(params, args)))
+    """Make args, [None, argument values...], the frame of a call of
+    closure fn."""
+    if len(args) - 1 != fn.arity:
+        raise _rt_error(f"{fn.name or 'procedure'} expects {fn.arity} "
+                        f"arguments, got {len(args) - 1}", pos)
+    args[0] = fn.env
+    args += fn.unset
+    return args
 
 
 def _trampoline(stack, r):
-    """Make the tail calls r leads to, each in the innermost env slot,
-    until a value results."""
+    """Make the tail calls r leads to, each in the innermost frame stack
+    slot, until a value results."""
     while type(r) is _TailCall:
         fn = r.fn
         frame = _bind(fn, r.args, r.pos)
@@ -762,27 +861,27 @@ class Interpreter:
         self.record_use = runtime.record_use
         self.primitives = {sys.intern(row[0]): Primitive(*row)
                            for row in _PRIMITIVES}
-        self.globals = Env(None, dict(self.primitives))
+        self.globals = dict(self.primitives)
         self._fixed = None  # fixed name -> Primitive, once compiling
-        self._env_stack = []
+        self._frames = []
         self._pinned = []
         runtime.add_root_provider(self._iter_roots)
 
     def _iter_roots(self):
-        """Yield every Ref reachable from the environments in use and the
-        pinned temporaries, walking closure captures, cycle-safely."""
-        seen_envs = set()
-        env_queue = []
+        """Yield every Ref reachable from the global table, the frames in
+        use and the pinned temporaries, walking closure captures,
+        cycle-safely."""
+        seen_frames = set()
+        queue = [self.globals.values()]
 
-        def push_env(env):
-            while env is not None and id(env) not in seen_envs:
-                seen_envs.add(id(env))
-                env_queue.append(env)
-                env = env.parent
+        def push_frame(frame):
+            while frame is not None and id(frame) not in seen_frames:
+                seen_frames.add(id(frame))
+                queue.append(frame)
+                frame = frame[0]
 
-        push_env(self.globals)
-        for env in self._env_stack:
-            push_env(env)
+        for frame in self._frames:
+            push_frame(frame)
         values = []
         for v in self._pinned:
             if type(v) is list:
@@ -790,28 +889,28 @@ class Interpreter:
             else:
                 values.append(v)
         qi = 0
-        while values or qi < len(env_queue):
+        while values or qi < len(queue):
             while values:
                 v = values.pop()
                 tv = type(v)
                 if tv is Ref:
                     yield v
                 elif tv is Closure:
-                    push_env(v.env)
-            if qi < len(env_queue):
-                values.extend(env_queue[qi].vars.values())
+                    push_frame(v.env)
+            if qi < len(queue):
+                # a frame's parent link and its _UNSET slots are skipped
+                values.extend(queue[qi])
                 qi += 1
 
     def eval_program(self, program):
-        """Compile every top-level form, then run them in order in the
-        global environment; returns the last one's value."""
-        stack = self._env_stack
-        env = self.globals
+        """Compile every top-level form, then run them in order at top
+        level; returns the last one's value."""
+        stack = self._frames
         result = NIL
         for code in self.compile_program(program):
-            stack.append(env)
+            stack.append(None)
             try:
-                result = _trampoline(stack, code(env))
+                result = _trampoline(stack, code(None))
             finally:
                 stack.pop()
         return result
@@ -828,7 +927,7 @@ class Interpreter:
         codes = []
         for form, pos in zip(program, program.positions):
             try:
-                codes.append(self._compile(form, pos, True))
+                codes.append(self._compile(form, None, pos, True))
             except RecursionError:
                 raise _too_deep(form) from None
         return codes
@@ -852,14 +951,15 @@ class Interpreter:
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
     # stack, which deep nesting overflows before the recursion limit.
-    def _compile(self, sx, pos, tail):
-        """Check reader form sx and return the closure code(env) that
-        evaluates it; an atom reports pos, its enclosing form's position.
-        In tail position (tail set) code may return a _TailCall."""
+    def _compile(self, sx, scope, pos, tail):
+        """Check reader form sx and return the closure code(frame) that
+        evaluates it in a frame of scope; an atom reports pos, its
+        enclosing form's position.  In tail position (tail set) code may
+        return a _TailCall."""
         if type(sx) is str:
-            return lambda env: env.lookup(sx, pos)
+            return self._compile_ref(sx, scope, pos)
         if type(sx) is not SrcList:  # an integer or a boolean
-            return lambda env: sx
+            return lambda frame: sx
         pos = (sx.line, sx.col)
         if sx.tail is not None:
             raise SchemeSyntaxError("dotted list in code", *pos)
@@ -876,27 +976,28 @@ class Interpreter:
                 raise SchemeSyntaxError(
                     "if takes a test and one or two branches", *pos)
             # The alternative's errors are reported before the test's.
-            alt = (self._compile(items[3], pos, tail) if len(items) == 4
-                   else lambda env: NIL)
-            test = self._compile(items[1], pos, False)
-            then = self._compile(items[2], pos, tail)
+            alt = (self._compile(items[3], scope, pos, tail)
+                   if len(items) == 4 else lambda frame: NIL)
+            test = self._compile(items[1], scope, pos, False)
+            then = self._compile(items[2], scope, pos, tail)
 
-            def if_(env):
-                if test(env) is not False:
-                    return then(env)
-                return alt(env)
+            def if_(frame):
+                if test(frame) is not False:
+                    return then(frame)
+                return alt(frame)
             return if_
         if head is _LET:
             if len(items) >= 2 and type(items[1]) is str:
                 if len(items) < 4:
                     raise SchemeSyntaxError(
                         "named let needs bindings and a body", *pos)
-                return self._compile_let(items[1], items[2], items[3:], pos,
-                                         tail)
+                return self._compile_let(items[1], items[2], items[3:],
+                                         scope, pos, tail)
             if len(items) < 3:
                 raise SchemeSyntaxError("let needs bindings and a body",
                                         *pos)
-            return self._compile_let(None, items[1], items[2:], pos, tail)
+            return self._compile_let(None, items[1], items[2:], scope, pos,
+                                     tail)
         if head is _LAMBDA:
             if len(items) < 3:
                 raise SchemeSyntaxError("lambda needs parameters and a body",
@@ -904,45 +1005,81 @@ class Interpreter:
             plist = items[1]
             if type(plist) is not SrcList or plist.tail is not None:
                 _syntax_error("expected a parameter list", plist, pos)
-            return self._compile_lambda(plist.items, items[2:], pos)
+            return self._compile_lambda(plist.items, items[2:], scope, pos)
         if head is _BEGIN:
             if len(items) < 2:
                 raise SchemeSyntaxError("empty begin", *pos)
-            return self._compile_body(items[1:], pos, tail)
+            return self._compile_body(items[1:], scope, pos, tail)
         if head is _DEFINE:
-            return self._compile_define(items, pos)
+            return self._compile_define(items, scope, pos)
         if head is _SET:
-            if len(items) != 3:
-                raise SchemeSyntaxError("set! takes a name and a value",
-                                        *pos)
-            name = _require_symbol(items[1], "a name", pos)
-            value_code = self._compile(items[2], pos, False)
+            return self._compile_set(items, scope, pos)
+        return self._compile_apply(items, scope, pos, tail)
 
-            def set_var(env):
-                env.assign(name, value_code(env), pos)
-                return NIL
-            return set_var
-        return self._compile_apply(items, pos, tail)
+    def _compile_ref(self, name, scope, pos):
+        chain, local = _resolve(scope, name)
+        if local and len(chain) == 1:
+            return _slot_ref(*chain[0])
+        table = self.globals
 
-    def _compile_body(self, forms, pos, tail):
-        codes = [self._compile(f, pos, False) for f in forms[:-1]]
-        last = self._compile(forms[-1], pos, tail)
+        def global_ref(frame):
+            try:
+                return table[name]
+            except KeyError:
+                raise _rt_error(f"unbound variable: {name}", pos) from None
+        if not chain:
+            return global_ref
+
+        def late_ref(frame):
+            f, i = _find(frame, chain)
+            return global_ref(frame) if f is None else f[i]
+        return late_ref
+
+    def _compile_set(self, items, scope, pos):
+        if len(items) != 3:
+            raise SchemeSyntaxError("set! takes a name and a value", *pos)
+        name = _require_symbol(items[1], "a name", pos)
+        value_code = self._compile(items[2], scope, pos, False)
+        chain, _ = _resolve(scope, name)
+        table = self.globals
+
+        def set_var(frame):
+            value = value_code(frame)
+            f, i = _find(frame, chain)
+            if f is not None:
+                f[i] = value
+            elif name in table:
+                table[name] = value
+            else:
+                raise _rt_error(f"set! of unbound variable: {name}", pos)
+            return NIL
+        return set_var
+
+    def _compile_body(self, forms, scope, pos, tail):
+        codes = [self._compile(f, scope, pos, False) for f in forms[:-1]]
+        last = self._compile(forms[-1], scope, pos, tail)
         if not codes:
             return last
 
-        def body(env):
+        def body(frame):
             for code in codes:
-                code(env)
-            return last(env)
+                code(frame)
+            return last(frame)
         return body
 
-    def _compile_lambda(self, plist, body_forms, pos):
-        params = tuple([_require_symbol(p, "a parameter name", pos)
-                        for p in plist])
-        body = self._compile_body(body_forms, pos, True)
-        return lambda env: Closure(params, body, env, None)
+    def _compile_lambda(self, plist, body_forms, scope, pos):
+        params = []
+        for p in plist:
+            name = _require_symbol(p, "a parameter name", pos)
+            if name in params:
+                raise SchemeSyntaxError(f"duplicate parameter {name}", *pos)
+            params.append(name)
+        inner = _Scope(scope, params, body_forms)
+        body = self._compile_body(body_forms, inner, pos, True)
+        arity, unset = len(params), inner.unset
+        return lambda frame: Closure(arity, unset, body, frame, None)
 
-    def _compile_define(self, items, pos):
+    def _compile_define(self, items, scope, pos):
         if len(items) < 3:
             raise SchemeSyntaxError("define needs a name and a value", *pos)
         target = items[1]
@@ -951,18 +1088,24 @@ class Interpreter:
                 _syntax_error("bad define form", target, pos)
             name = _require_symbol(target.items[0], "a procedure name", pos)
             value_code = self._compile_lambda(target.items[1:], items[2:],
-                                              pos)
+                                              scope, pos)
         else:
             if len(items) != 3:
                 raise SchemeSyntaxError("define takes one value", *pos)
             name = _require_symbol(target, "a name", pos)
-            value_code = self._compile(items[2], pos, False)
+            value_code = self._compile(items[2], scope, pos, False)
+        # at top level the name is a global; else it has a slot
+        slot = None if scope is None else scope.slots[name]
+        table = self.globals
 
-        def define(env):
-            value = value_code(env)
+        def define(frame):
+            value = value_code(frame)
             if type(value) is Closure and value.name is None:
                 value.name = name
-            env.vars[name] = value
+            if slot is None:
+                table[name] = value
+            else:
+                frame[slot] = value
             return NIL
         return define
 
@@ -970,10 +1113,10 @@ class Interpreter:
         if type(datum) is SrcList and not datum.items and datum.tail is None:
             datum = NIL  # '() allocates nothing, so it is a constant
         if type(datum) is not SrcList:
-            return lambda env: datum
+            return lambda frame: datum
         materialize = self._materialize
 
-        def quote(env):
+        def quote(frame):
             try:
                 return materialize(datum)
             except OutOfMemory as exc:
@@ -981,7 +1124,8 @@ class Interpreter:
                     from None
         return quote
 
-    def _compile_let(self, loop_name, bindings, body_forms, pos, tail):
+    def _compile_let(self, loop_name, bindings, body_forms, scope, pos,
+                     tail):
         """A let, or a named let; an init reports its binding's position."""
         if type(bindings) is not SrcList or bindings.tail is not None:
             _syntax_error("expected a binding list", bindings, pos)
@@ -991,53 +1135,60 @@ class Interpreter:
                     or len(b.items) != 2):
                 _syntax_error("expected (name init) binding", b, pos)
             bpos = (b.line, b.col)
-            names.append(_require_symbol(b.items[0], "a binding name", bpos))
-            inits.append(self._compile(b.items[1], bpos, False))
-        names = tuple(names)
-        body = self._compile_body(body_forms, pos, True)
-        stack, pins = self._env_stack, self._pinned
+            name = _require_symbol(b.items[0], "a binding name", bpos)
+            if name in names:
+                raise SchemeSyntaxError(f"duplicate binding name {name}",
+                                        *pos)
+            names.append(name)
+            inits.append(self._compile(b.items[1], scope, bpos, False))
+        if loop_name is not None:
+            scope = _Scope(scope, [loop_name], [])
+        inner = _Scope(scope, names, body_forms)
+        body = self._compile_body(body_forms, inner, pos, True)
+        arity, unset = len(names), inner.unset
+        stack, pins = self._frames, self._pinned
 
-        def let(env):
-            parent = env
-            if loop_name is not None:
-                # the loop name binds a closure over its own frame
-                parent = Env(env, {})
-                parent.vars[loop_name] = Closure(names, body, parent,
-                                                 loop_name)
-            vals = []
+        def let(frame):
+            vals = [frame]
             pins.append(vals)
             for init in inits:
-                vals.append(init(env))
-            frame = Env(parent, dict(zip(names, vals)))
+                vals.append(init(frame))
             pins.pop()
+            if loop_name is not None:
+                # the loop name binds a closure over its own frame
+                loop = [frame, None]
+                loop[1] = Closure(arity, unset, body, loop, loop_name)
+                vals[0] = loop
+            vals += unset
             if tail:
-                stack[-1] = frame
-                return body(frame)
-            stack.append(frame)
+                stack[-1] = vals
+                return body(vals)
+            stack.append(vals)
             try:
-                return _trampoline(stack, body(frame))
+                return _trampoline(stack, body(vals))
             finally:
                 stack.pop()
         return let
 
-    def _compile_apply(self, items, pos, tail):
-        fn_code = self._compile(items[0], pos, False)
-        arg_codes = [self._compile(a, pos, False) for a in items[1:]]
+    def _compile_apply(self, items, scope, pos, tail):
+        fn_code = self._compile(items[0], scope, pos, False)
+        arg_codes = [self._compile(a, scope, pos, False) for a in items[1:]]
         prim = self._fixed.get(items[0])
         if prim is not None and prim.accepts(len(arg_codes)):
             return self._compile_primitive_call(prim, items[1:], arg_codes,
                                                 pos)
-        interp, stack, pins = self, self._env_stack, self._pinned
+        interp, stack, pins = self, self._frames, self._pinned
 
-        def apply(env):
-            fn = fn_code(env)
+        def apply(frame):
+            fn = fn_code(frame)
             pins.append(fn)
-            args = []
+            args = [None]  # the parent link, if fn is a closure
             pins.append(args)
             for arg in arg_codes:
-                args.append(arg(env))
+                args.append(arg(frame))
             tf = type(fn)
             if tf is Primitive:
+                del args[0]
                 if not fn.accepts(len(args)):
                     raise _rt_error(f"{fn.name}: bad argument count "
                                     f"{len(args)}", pos)
@@ -1057,10 +1208,10 @@ class Interpreter:
             pins.pop()
             if tail:
                 return _TailCall(fn, args, pos)
-            frame = _bind(fn, args, pos)
-            stack.append(frame)
+            callee = _bind(fn, args, pos)
+            stack.append(callee)
             try:
-                r = fn.code(frame)
+                r = fn.code(callee)
                 if type(r) is _TailCall:
                     r = _trampoline(stack, r)
                 return r
@@ -1078,11 +1229,11 @@ class Interpreter:
         if pin or n not in (1, 2):
             pins, name = self._pinned, prim.name
 
-            def call(env):
+            def call(frame):
                 vals = []
                 pins.append(vals)
                 for code in codes:
-                    vals.append(code(env))
+                    vals.append(code(frame))
                 try:
                     result = body(interp, pos, *vals)
                 except OutOfMemory as exc:
@@ -1093,9 +1244,9 @@ class Interpreter:
             return call
         if n == 1:
             c0, = codes
-            return lambda env: body(interp, pos, c0(env))
+            return lambda frame: body(interp, pos, c0(frame))
         c0, c1 = codes
-        return lambda env: body(interp, pos, c0(env), c1(env))
+        return lambda frame: body(interp, pos, c0(frame), c1(frame))
 
 
 # ---------------------------------------------------------------------------

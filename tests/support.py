@@ -171,7 +171,8 @@ class ProgramGenerator:
 
     A program is a run of snippets: lists built by non-tail recursion,
     named-let folds, closures that keep state through set!, procedures
-    with internal defines, quoted structure, vectors filled with fresh
+    with internal defines (some that a read, a set! and a closure of
+    their name precede), quoted structure, vectors filled with fresh
     pairs, pair mutation that makes cycles, slots whose fresh contents
     are overwritten in a loop, dropped references, primitive
     calls whose later arguments allocate, primitive names rebound locally
@@ -203,7 +204,7 @@ class ProgramGenerator:
             [self._build_list, self._fold, self._counter, self._internal,
              self._quote, self._vector, self._cycle, self._drop,
              self._temporaries, self._call, self._nested, self._shadow,
-             self._rebind, self._overwrite],
+             self._rebind, self._overwrite, self._late_define],
             k=rng.randrange(2, 7))
         forms = [make() for make in snippets]
         if rng.random() < 0.2:
@@ -258,6 +259,25 @@ class ProgramGenerator:
                 f"    (if (null? l) acc\n"
                 f"        (begin (set! acc (cons (swap (cons (car l) l)) acc))\n"
                 f"               (walk (cdr l))))))\n"
+                f"(define {name} ({proc} {self._pick(self.lists)}))")
+
+    def _late_define(self):
+        # before the internal define runs, its name means the global: a
+        # read sees it, a set! assigns it, and a closure made then sees
+        # the global until the define runs and the inner binding after
+        var, proc, peek = (self._name("late"), self._name("shadowing"),
+                           self._name("peek"))
+        name = self._name("late-pairs")
+        other = self._pick(self.values)
+        self.values += [var, name]
+        return (f"(define {var} (cons 0 {other}))\n"
+                f"(define ({proc} l)\n"
+                f"  (define ({peek}) {var})\n"
+                f"  (define before (cons {var} l))\n"
+                f"  (set! {var} (cons 1 before))\n"
+                f"  (define early ({peek}))\n"
+                f"  (define {var} (list l early))\n"
+                f"  (cons ({peek}) before))\n"
                 f"(define {name} ({proc} {self._pick(self.lists)}))")
 
     def _quote(self):

@@ -199,6 +199,8 @@ ERROR_MESSAGES = [
      SchemeSyntaxError, '1:7: expected a binding name'),
     ('(let (((a) 2)) 1)', 64,
      SchemeSyntaxError, '1:8: expected a binding name'),
+    ('(let ((x 1) (x 2)) x)', 64,
+     SchemeSyntaxError, '1:1: duplicate binding name x'),
     ('(lambda (x))', 64,
      SchemeSyntaxError, '1:1: lambda needs parameters and a body'),
     ('(lambda x x)', 64,
@@ -209,6 +211,10 @@ ERROR_MESSAGES = [
      SchemeSyntaxError, '1:1: expected a parameter name'),
     ('(lambda ((p)) 1)', 64,
      SchemeSyntaxError, '1:10: expected a parameter name'),
+    ('(lambda (x x) x)', 64,
+     SchemeSyntaxError, '1:1: duplicate parameter x'),
+    ('(define (g)\n  (define (f a b a) a) 1)', 64,
+     SchemeSyntaxError, '2:3: duplicate parameter a'),
     ('(begin)', 64,
      SchemeSyntaxError, '1:1: empty begin'),
     ('(define x)', 64,

@@ -285,6 +285,55 @@ def test_set_mutates_nearest_binding():
     assert r.value == 3
 
 
+# Internal define: a define binds its name in the frame it runs in, from
+# the moment it runs.  Before that, the name means its outer binding.
+INTERNAL_DEFINES = {
+    "reference-before-define":
+        ("(define x 1) (define (f) (define y x) (define x 2) (list y x)) "
+         "(f)", "(1 2)"),
+    "set-before-define-assigns-the-global":
+        ("(define x 1) (define (f) (set! x 2) (define x 5) x) "
+         "(define r (f)) (list x r)", "(2 5)"),
+    "closure-made-before-the-define":
+        ("(define x 1) "
+         "(define (f) (define (g) x) (define a (g)) (define x 2) "
+         "(list a (g))) (f)", "(1 2)"),
+    "define-in-an-untaken-branch":
+        ("(define x 1) (define (f b) (if b (define x 2)) x) "
+         "(list (f #f) (f #t) x)", "(1 2 1)"),
+    "define-in-a-let-init-binds-the-enclosing-frame":
+        ("(define z 0) "
+         "(define (f) (let ((a (begin (define z 3) 4))) (+ a z))) "
+         "(list (f) z)", "(7 0)"),
+    "define-in-a-top-level-let-init-binds-the-global":
+        ("(let ((a (begin (define z 3) 4))) a) z", "3"),
+    "define-of-a-parameter-name":
+        ("(define (f x) (define y x) (define x 5) (list y x)) (f 1)",
+         "(1 5)"),
+    "named-let-body":
+        ("(let loop ((i 0) (acc '())) (define d (* i i)) "
+         "(if (= i 3) acc (loop (+ i 1) (cons d acc))))", "(4 1 0)"),
+    "shadowed-by-a-nested-let":
+        ("(define (f) (define x 1) (let ((x 2)) (define y x) y)) (f)",
+         "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERNAL_DEFINES))
+def test_internal_define_scoping(case):
+    source, expected = INTERNAL_DEFINES[case]
+    assert run(source).value_repr == expected
+
+
+def test_internal_define_errors_before_the_define_runs():
+    with pytest.raises(SchemeRuntimeError) as err:
+        run("(define (f) (define r r) r)\n(f)")
+    assert str(err.value) == "1:13: unbound variable: r"
+    with pytest.raises(SchemeRuntimeError) as err:
+        run("(define (f)\n  (set! q 1)\n  (define q 2)\n  q)\n(f)")
+    assert str(err.value) == "2:3: set! of unbound variable: q"
+
+
 def test_set_unbound_is_an_error():
     with pytest.raises(SchemeRuntimeError) as err:
         run("(set! nope 1)")
@@ -504,7 +553,7 @@ def test_car_of_a_collected_object_is_a_dangling_ref():
         rt, interp = interp_fixture()
         ref = rt.alloc_pair(1, 2)
         rt.collect_now()  # nothing roots the pair
-        interp.globals.vars["x"] = ref
+        interp.globals["x"] = ref
         with pytest.raises(DanglingRef):
             interp.eval_program(parse(src))
 

@@ -7,7 +7,9 @@ corpus of tests/support.py (seeds 0-199) and the bundled programs of
 this checkout's src/dragprof/programs.  Each source runs at every
 gc_interval K in KS and every heap size in HEAPS, where most bundled
 programs run out of memory; the bundled programs also run at every K
-at the default heap, where they run to the end.  Each checkout runs
+at the default heap, where they run to the end.  The benchmark's
+workload programs (perfbench/workloads.py) run in full at every seed in
+WORKLOAD_SEEDS, each at its own K and heap size.  Each checkout runs
 them all in its own child process, with only that checkout's src on
 PYTHONPATH, through dragprof.interp.run_source under the CLI's
 recursion limit.  Per run, the two must agree on the result (the
@@ -19,6 +21,7 @@ otherwise.  Takes a few minutes on two cores.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,6 +34,7 @@ SEEDS = range(200)
 KS = (1, 3, 16, 1000)
 HEAPS = (16, 24, 40, 64, 128, 512)
 FULL_HEAP = 2 ** 16  # dragprof.defaults.DEFAULT_HEAP_SLOTS
+WORKLOAD_SEEDS = (0, 1)
 FIELDS = ("result", "draglog", "collections", "display")
 SHOWN = 10  # differing runs listed
 
@@ -47,6 +51,23 @@ def corpus():
                for path in sorted((root / "src" / "dragprof" / "programs")
                                   .glob("*.scm"))]
     return generated, bundled
+
+
+def workload_jobs():
+    """A job per benchmark workload and seed in WORKLOAD_SEEDS, at the
+    workload's own K and heap size.  perfbench is no package, so its
+    workloads module is loaded by path."""
+    path = HERE.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = []
+    for name in workloads.NAMES:
+        for seed in WORKLOAD_SEEDS:
+            w = workloads.make(name, seed)
+            jobs.append((f"{name}-seed-{seed}", w.source, w.gc_interval,
+                         w.heap_slots))
+    return jobs
 
 
 def _digest(text):
@@ -127,6 +148,8 @@ def main(argv):
             for k in KS for heap in HEAPS]
     jobs += [(name, source, k, FULL_HEAP) for name, source in bundled
              for k in KS]
+    workload = workload_jobs()
+    jobs += workload
     procs = [start(root, jobs) for root in argv]
     old, new = (results(proc, root) for proc, root in zip(procs, argv))
     if len(old) != len(jobs) or len(new) != len(jobs):
@@ -137,8 +160,8 @@ def main(argv):
                  for job, x, y in zip(jobs, old, new) if x != y]
     print(f"{len(jobs)} runs ({len(generated) + len(bundled)} programs x "
           f"K {list(KS)} x heap {list(HEAPS)}, {len(bundled)} bundled "
-          f"x K {list(KS)} x heap {FULL_HEAP}): {len(differing)} "
-          "differences")
+          f"x K {list(KS)} x heap {FULL_HEAP}, {len(workload)} workload "
+          f"runs): {len(differing)} differences")
     for (name, _, k, heap), fields in differing[:SHOWN]:
         print(f"  {name} K={k} heap={heap}: {', '.join(fields)} differ")
     return 1 if differing else 0
