@@ -16,13 +16,14 @@ procedures of the global table.  Nesting too deep to read or to
 compile is a syntax error.
 
 Fixed primitives: an Interpreter compiles one program, so a primitive's
-name is fixed for the whole run when no binder in the program (define,
-set!, let, named let, lambda) binds the name.  A call of a fixed name
-whose count the primitive accepts calls its body on the argument values:
-no operator lookup, no count check, no operator pin.  The argument
-values are pinned unless the primitive does not allocate and every
-argument after the first is an atom: then nothing can allocate once the
-first argument is evaluated, so there is no collection to root them for.
+global is fixed for the whole run when no define or set! in the program
+targets its name.  A call whose head is a fixed name that no frame in
+scope binds, with a count the primitive accepts, calls the primitive's
+body on the argument values: no operator lookup, no count check, no
+operator pin.  The argument values are pinned unless the primitive does
+not allocate and every argument after the first is an atom: then
+nothing can allocate once the first argument is evaluated, so there is
+no collection to root them for.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call returns a _TailCall instead of making the
@@ -46,12 +47,18 @@ compiles to its chain of candidate slots, out to the first parameter
 slot or else the global table, and a reference or set! takes the first
 candidate that is set.
 
-Frame stack: its innermost slot always holds the current frame (None at
-top level).  A non-tail closure call, let or named let pushes a slot and
-pops it afterwards; a tail call, let or named let overwrites the
-innermost slot; if, begin and primitive calls push nothing.  The slots
-are the frames the collector walks for roots, so a frame a tail call
-abandons is dead at the next allocation.
+The stack: one list of roots, each None (top level) or a list: a frame
+or a list of pinned values.  A call pushes [operator, argument values]
+while its arguments run, so the operator and the values so far are
+roots; a closure call turns that list into its frame in place.  A let
+likewise pushes [frame, init values] and keeps it as its frame.  A
+non-tail closure call, let or named let pops its list when it returns.
+A tail call, a tail let or named let and a primitive call pop it before
+they return, and a tail call or tail let then puts its frame in the
+innermost slot, in place of the current frame (None at top level).  So
+a frame a tail call abandons is dead at the next allocation.  A call of
+a fixed primitive and a quote push their value lists while further
+evaluation could allocate; if and begin push nothing.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -60,11 +67,10 @@ primitive receives, left to right, after the primitive's own validation
 (so a type error never records a use).  Quoted list structure allocates
 each time the quote is evaluated, keeping creation ticks meaningful.
 
-Closures and frames live outside the profiled heap; they
-cannot be stored in heap slots, but any references they capture are part
-of the root set.  Evaluator temporaries (argument lists, let inits,
-partially built quoted structure) are pinned while further evaluation
-could trigger a collection.
+Closures and frames live outside the profiled heap; they cannot be
+stored in heap slots, but any references they capture are part of the
+root set: the global table's values and the stack, with each closure's
+frame and each frame's parent.
 """
 
 import operator
@@ -683,29 +689,22 @@ def _too_deep(form):
     return SchemeSyntaxError("nesting too deep", form.line, form.col)
 
 
-def _binders(forms):
-    """Every name a define (either form), set!, let, named let or lambda
-    in forms binds, found in one iterative walk, so nesting costs no
-    Python frames.  A malformed binder only adds names, which is safe."""
+def _assigned(forms):
+    """Every name a define (either form) or set! in forms targets, found
+    in one iterative walk, so nesting costs no Python frames.  A
+    malformed form only adds names, which is safe."""
     names, stack = set(), list(forms)
     while stack:
         sx = stack.pop()
         if type(sx) is not SrcList or not sx.items or sx.items[0] is _QUOTE:
             continue
         items = sx.items
-        head = items[0]
-        if head in (_DEFINE, _SET, _LAMBDA) and len(items) > 1:
+        if items[0] in (_DEFINE, _SET) and len(items) > 1:
             target = items[1]
-            names.update(target.items if type(target) is SrcList
-                         else (target,))
-        elif head is _LET and len(items) > 2:
-            bindings = items[1]
-            if type(bindings) is str:
-                names.add(bindings)
-                bindings = items[2]
-            if type(bindings) is SrcList:
-                names.update(b.items[0] for b in bindings.items
-                             if type(b) is SrcList and b.items)
+            if type(target) is SrcList:
+                names.update(target.items[:1])
+            else:
+                names.add(target)
         stack.extend(items)
         if sx.tail is not None:
             stack.append(sx.tail)
@@ -716,7 +715,7 @@ def _frame_defines(forms):
     """The names the defines among forms bind in the frame the forms run
     in, each once, in order: every define not inside a quote, a lambda
     or a let body; let inits are entered.  One iterative walk, like
-    _binders; a malformed form only adds names, which is safe."""
+    _assigned; a malformed form only adds names, which is safe."""
     names, stack = {}, forms[::-1]
     while stack:
         sx = stack.pop()
@@ -826,8 +825,8 @@ class _TailCall:
 
 
 def _bind(fn, args, pos):
-    """Make args, [None, argument values...], the frame of a call of
-    closure fn."""
+    """Make args, [operator, argument values...], the frame of a call of
+    closure fn: the operator's slot becomes the parent link."""
     if len(args) - 1 != fn.arity:
         raise _rt_error(f"{fn.name or 'procedure'} expects {fn.arity} "
                         f"arguments, got {len(args) - 1}", pos)
@@ -837,8 +836,8 @@ def _bind(fn, args, pos):
 
 
 def _trampoline(stack, r):
-    """Make the tail calls r leads to, each in the innermost frame stack
-    slot, until a value results."""
+    """Make the tail calls r leads to, each in the innermost stack slot,
+    until a value results."""
     while type(r) is _TailCall:
         fn = r.fn
         frame = _bind(fn, r.args, r.pos)
@@ -863,49 +862,31 @@ class Interpreter:
                            for row in _PRIMITIVES}
         self.globals = dict(self.primitives)
         self._fixed = None  # fixed name -> Primitive, once compiling
-        self._frames = []
-        self._pinned = []
+        self._stack = []  # see "The stack" above
         runtime.add_root_provider(self._iter_roots)
 
     def _iter_roots(self):
-        """Yield every Ref reachable from the global table, the frames in
-        use and the pinned temporaries, walking closure captures,
-        cycle-safely."""
-        seen_frames = set()
-        queue = [self.globals.values()]
-
-        def push_frame(frame):
-            while frame is not None and id(frame) not in seen_frames:
-                seen_frames.add(id(frame))
-                queue.append(frame)
-                frame = frame[0]
-
-        for frame in self._frames:
-            push_frame(frame)
-        values = []
-        for v in self._pinned:
-            if type(v) is list:
-                values.extend(v)
-            else:
-                values.append(v)
-        qi = 0
-        while values or qi < len(queue):
-            while values:
-                v = values.pop()
-                tv = type(v)
-                if tv is Ref:
-                    yield v
-                elif tv is Closure:
-                    push_frame(v.env)
-            if qi < len(queue):
-                # a frame's parent link and its _UNSET slots are skipped
-                values.extend(queue[qi])
-                qi += 1
+        """Yield every Ref reachable from the global table and the stack:
+        a closure adds the frame it captures, a list (a frame, whose
+        parent is its slot 0, or pinned values) adds its items, once per
+        list, so shared and cyclic frames are walked once."""
+        seen = set()
+        values = [*self.globals.values(), *self._stack]
+        while values:
+            v = values.pop()
+            tv = type(v)
+            if tv is Ref:
+                yield v
+            elif tv is Closure:
+                values.append(v.env)
+            elif tv is list and id(v) not in seen:
+                seen.add(id(v))
+                values += v
 
     def eval_program(self, program):
         """Compile every top-level form, then run them in order at top
         level; returns the last one's value."""
-        stack = self._frames
+        stack = self._stack
         result = NIL
         for code in self.compile_program(program):
             stack.append(None)
@@ -921,9 +902,9 @@ class Interpreter:
         ProtocolViolation: it could rebind a name fixed in the first."""
         if self._fixed is not None:
             raise ProtocolViolation("an Interpreter compiles one program")
-        bound = _binders(program)
+        assigned = _assigned(program)
         self._fixed = {name: prim for name, prim in self.primitives.items()
-                       if name not in bound}
+                       if name not in assigned}
         codes = []
         for form, pos in zip(program, program.positions):
             try:
@@ -936,16 +917,16 @@ class Interpreter:
         """Build a quoted datum, allocating its pairs now."""
         if type(datum) is not SrcList:
             return datum
-        pins = self._pinned
+        stack = self._stack
         vals = []
-        pins.append(vals)
+        stack.append(vals)
         for item in datum.items:
             vals.append(self._materialize(item))
         result = self._materialize(datum.tail) if datum.tail is not None \
             else NIL
         for v in reversed(vals):
             result = self.rt.alloc_pair(v, result)
-        pins.pop()
+        stack.pop()
         return result
 
     # The compile methods recurse per nesting level, so they build lists
@@ -1146,14 +1127,13 @@ class Interpreter:
         inner = _Scope(scope, names, body_forms)
         body = self._compile_body(body_forms, inner, pos, True)
         arity, unset = len(names), inner.unset
-        stack, pins = self._frames, self._pinned
+        stack = self._stack
 
         def let(frame):
-            vals = [frame]
-            pins.append(vals)
+            vals = [frame]  # pinned while the inits run, then the frame
+            stack.append(vals)
             for init in inits:
                 vals.append(init(frame))
-            pins.pop()
             if loop_name is not None:
                 # the loop name binds a closure over its own frame
                 loop = [frame, None]
@@ -1161,9 +1141,9 @@ class Interpreter:
                 vals[0] = loop
             vals += unset
             if tail:
+                stack.pop()
                 stack[-1] = vals
                 return body(vals)
-            stack.append(vals)
             try:
                 return _trampoline(stack, body(vals))
             finally:
@@ -1174,18 +1154,19 @@ class Interpreter:
         fn_code = self._compile(items[0], scope, pos, False)
         arg_codes = [self._compile(a, scope, pos, False) for a in items[1:]]
         prim = self._fixed.get(items[0])
-        if prim is not None and prim.accepts(len(arg_codes)):
+        if (prim is not None and prim.accepts(len(arg_codes))
+                and not _resolve(scope, items[0])[0]):
             return self._compile_primitive_call(prim, items[1:], arg_codes,
                                                 pos)
-        interp, stack, pins = self, self._frames, self._pinned
+        interp, stack = self, self._stack
 
         def apply(frame):
-            fn = fn_code(frame)
-            pins.append(fn)
-            args = [None]  # the parent link, if fn is a closure
-            pins.append(args)
+            # pinned while the arguments run; the frame if fn is a closure
+            args = [fn_code(frame)]
+            stack.append(args)
             for arg in arg_codes:
                 args.append(arg(frame))
+            fn = args[0]
             tf = type(fn)
             if tf is Primitive:
                 del args[0]
@@ -1197,21 +1178,17 @@ class Interpreter:
                 except OutOfMemory as exc:
                     raise OutOfMemory(f"{pos[0]}:{pos[1]}: "
                                       f"{fn.name}: {exc}") from None
-                pins.pop()
-                pins.pop()
+                stack.pop()
                 return result
             if tf is not Closure:
                 raise _rt_error(
                     f"not a procedure: {write_value(interp.rt.heap, fn)}",
                     pos)
-            pins.pop()
-            pins.pop()
             if tail:
+                stack.pop()
                 return _TailCall(fn, args, pos)
-            callee = _bind(fn, args, pos)
-            stack.append(callee)
             try:
-                r = fn.code(callee)
+                r = fn.code(_bind(fn, args, pos))
                 if type(r) is _TailCall:
                     r = _trampoline(stack, r)
                 return r
@@ -1227,11 +1204,11 @@ class Interpreter:
         # Other counts pin even when they need not, as the ordinary call
         # always does; only one- and two-argument calls are hot.
         if pin or n not in (1, 2):
-            pins, name = self._pinned, prim.name
+            stack, name = self._stack, prim.name
 
             def call(frame):
                 vals = []
-                pins.append(vals)
+                stack.append(vals)
                 for code in codes:
                     vals.append(code(frame))
                 try:
@@ -1239,7 +1216,7 @@ class Interpreter:
                 except OutOfMemory as exc:
                     raise OutOfMemory(f"{pos[0]}:{pos[1]}: {name}: {exc}") \
                         from None
-                pins.pop()
+                stack.pop()
                 return result
             return call
         if n == 1:

@@ -39,10 +39,11 @@ per allocated slot.  terminate() closes the run and emits the records
 still in the table as censored.
 
 Root enumeration is pluggable: clients register providers yielding Refs
-(the interpreter walks its environments; test drivers expose plain
-lists).  Values handed to an allocation are passed to gather_roots as
-pins, so a collection triggered by that very allocation cannot reclaim
-them; so is the fresh object at its interval point.  The primitives
+(the interpreter walks its global table and its root stack; test
+drivers expose plain lists).  Values handed to an allocation are passed
+to gather_roots as pins, so a collection triggered by that very
+allocation cannot reclaim them; so is the fresh object at its interval
+point.  The primitives
 check the values (interp.py): an allocation takes them as given.
 """
 

@@ -279,6 +279,16 @@ def test_closure_captured_pair_survives_collections():
     assert len(r.collections) > 32
 
 
+def test_operator_closure_is_a_root_while_its_arguments_allocate():
+    # the operator is a fresh closure, the only holder of v's pair, and
+    # the argument's cons collects at K=1 before the call is made
+    call = "((let ((v (cons 1 2))) (lambda (z) (car v))) (cons 3 4))"
+    for src in (call, f"(define (f) {call}) (f)"):
+        with oracle_checked_points() as checked:
+            assert run(src, gc_interval=1).value == 1
+        assert checked.points >= 2
+
+
 def test_set_mutates_nearest_binding():
     r = run("(define x 1) (define (bump) (set! x (+ x 1))) "
             "(bump) (bump) x")
@@ -515,7 +525,8 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
 
 
 # ---------------------------------------------------------------------------
-# primitive names: fixed unless a binder in the program binds them
+# primitive names: fixed unless a define or set! in the program targets
+# them; a call of a name a frame in scope binds is an ordinary call
 
 def test_an_interpreter_runs_one_program():
     # a later program could rebind a name fixed in the first
@@ -531,6 +542,15 @@ def test_primitive_name_bound_by_let():
 
 def test_primitive_name_as_lambda_parameter():
     assert run("((lambda (+) (+ 2 3)) *)").value == 6
+
+
+def test_a_local_binding_leaves_a_primitive_name_fixed():
+    # only a define or set! of the name unfixes it, for the whole program
+    _, interp = interp_fixture()
+    interp.compile_program(parse("(define (f list) (car list)) "
+                                 "(let ((cons 1)) cons) (set! cdr car)"))
+    assert {"list", "cons", "car"} <= interp._fixed.keys()
+    assert "cdr" not in interp._fixed
 
 
 def test_primitive_name_set_in_the_same_program():

@@ -14,7 +14,9 @@ them all in its own child process, with only that checkout's src on
 PYTHONPATH, through dragprof.interp.run_source under the CLI's
 recursion limit.  Per run, the two must agree on the result (the
 value's rendering or the exception's type and text), the DRAGLOG text,
-the CollectionStats list and what the program displayed.
+the CollectionStats list, what the program displayed and the root set
+of every collection point (as sorted object ids, so the order the
+interpreter walks its roots in may change).
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
@@ -35,7 +37,7 @@ KS = (1, 3, 16, 1000)
 HEAPS = (16, 24, 40, 64, 128, 512)
 FULL_HEAP = 2 ** 16  # dragprof.defaults.DEFAULT_HEAP_SLOTS
 WORKLOAD_SEEDS = (0, 1)
-FIELDS = ("result", "draglog", "collections", "display")
+FIELDS = ("result", "draglog", "collections", "display", "roots")
 SHOWN = 10  # differing runs listed
 
 
@@ -85,12 +87,22 @@ def child():
     from dragprof.cli import RUN_RECURSION_LIMIT
     from dragprof.interp import run_source
     from dragprof.profiler import format_draglog
+    from dragprof.runtime import Runtime
+
+    points = []
+    open_point = Runtime.open_point
+
+    def recording_open_point(rt, trigger, roots=()):
+        points.append(sorted(ref.obj_id for ref in roots))
+        open_point(rt, trigger, roots)
+    Runtime.open_point = recording_open_point
 
     sys.setrecursionlimit(RUN_RECURSION_LIMIT)
     print(json.dumps(dragprof.__file__), flush=True)
     for name, source, k, heap in json.load(sys.stdin):
         shown = io.StringIO()
         log = collections = ""
+        points.clear()
         try:
             with contextlib.redirect_stdout(shown):
                 r = run_source(source, gc_interval=k, heap_slots=heap,
@@ -101,7 +113,8 @@ def child():
         except Exception as exc:  # every outcome is compared, not judged
             result = f"error {type(exc).__name__}: {exc}"
         print(json.dumps([_digest(t) for t in
-                          (result, log, collections, shown.getvalue())]),
+                          (result, log, collections, shown.getvalue(),
+                           repr(points))]),
               flush=True)
 
 
