@@ -72,6 +72,7 @@ def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
     index ceil(tick / s); an index past the final sample lands in a
     spare bucket that is never summed.  The counts are prefix sums of
     those buckets.  Ticks are non-negative, as parse_draglog checks.
+    More samples than memory can hold are a ValueError.
     """
     end = log.end_tick
     if sample_interval is None:
@@ -80,8 +81,12 @@ def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
         raise ValueError("sample_interval must be at least 1")
     s = sample_interval
     n = end // s + 1  # samples at 0, s, ..., the last one <= end
-    reach = [0] * (n + 1)
-    live = [0] * (n + 1)
+    try:
+        reach = [0] * (n + 1)
+        live = [0] * (n + 1)
+    except (MemoryError, OverflowError):
+        raise ValueError(f"{n} samples at interval {s} do not fit in "
+                         "memory") from None
     for r in log.records:
         first = -(-r.create_tick // s)
         if first > n:

@@ -141,8 +141,11 @@ def cmd_analyze(args) -> int:
 
     threshold = (args.dead_threshold if args.dead_threshold is not None
                  else log.gc_interval)
-    report, series = analyzer.build_report(log, args.sample_interval,
-                                           threshold)
+    try:
+        report, series = analyzer.build_report(log, args.sample_interval,
+                                               threshold)
+    except ValueError as exc:  # too many samples to hold
+        return _fail(f"cannot analyze {log_path}: {exc}", EXIT_INPUT)
     outputs = {}
     for name, write_csv, data in [
             ("report.csv", analyzer.write_report_csv, report),

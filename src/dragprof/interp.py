@@ -15,21 +15,34 @@ closures for code generation", 1987); the primitive table binds the
 procedures of the global table.  Nesting too deep to read or to
 compile is a syntax error.
 
+Which code can allocate: a collection point comes only with an
+allocation, so a value needs a root only while code that can allocate
+runs (the stack-map argument of Diwan, Moss and Hudson, "Compiler
+support for garbage collection in a statically typed language", 1992).
+The compiler puts each code that can allocate in one set: a closure
+call (any call but one of a fixed primitive), a call of a primitive
+that allocates, a quote of a non-empty list, and an if, begin, let,
+set!, define or primitive call with a part that can.  Atoms, variable
+references and lambda cannot.
+
 Fixed primitives: an Interpreter compiles one program, so a primitive's
 global is fixed for the whole run when no define or set! in the program
 targets its name.  A call whose head is a fixed name that no frame in
 scope binds, with a count the primitive accepts, calls the primitive's
 body on the argument values: no operator lookup, no count check, no
-operator pin.  The argument values are pinned unless the primitive does
-not allocate and every argument after the first is an atom: then
-nothing can allocate once the first argument is evaluated, so there is
-no collection to root them for.
+operator pin; a two-argument + - * = or < calls a two-argument body.
+Whatever the count, the argument values are pinned only when the
+primitive allocates or an argument after the first can: else nothing
+can allocate once the first argument is evaluated, so there is no
+collection to root them for.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
-begin or body) a closure call returns a _TailCall instead of making the
-call.  The nearest trampoline (a non-tail call, a non-tail let or named
-let, or the top level) binds the frame and runs the body, so loops run
-in constant control-stack space regardless of iteration count.
+begin or body) a closure call checks the count, binds the callee's
+frame and returns the tuple (code, frame) instead of making the call; no
+Scheme value is a tuple.  The nearest trampoline (a non-tail call, a
+non-tail let or named let, or the top level) puts the frame in the
+innermost stack slot and runs the code, so loops run in constant
+control-stack space regardless of iteration count.
 
 Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
 for Scheme", 1987): the compiler resolves every variable.  A closure
@@ -40,7 +53,8 @@ frame: in the body and in its let inits, not in a nested lambda, let
 body or quote.  A named let's loop closure has a frame of its own,
 [parent, closure], between the let's frame and the enclosing one.  A
 name bound by a parameter compiles to its slot, as (frame links out,
-index); a name no frame binds is looked up in the one global table, the
+index), which a reference reads and a set! stores into directly; a name
+no frame binds is looked up in the one global table, the
 dict that top-level defines fill.  A define slot holds _UNSET until its
 define runs, and until then the name means its outer binding: the name
 compiles to its chain of candidate slots, out to the first parameter
@@ -48,17 +62,21 @@ slot or else the global table, and a reference or set! takes the first
 candidate that is set.
 
 The stack: one list of roots, each None (top level) or a list: a frame
-or a list of pinned values.  A call pushes [operator, argument values]
-while its arguments run, so the operator and the values so far are
-roots; a closure call turns that list into its frame in place.  A let
-likewise pushes [frame, init values] and keeps it as its frame.  A
-non-tail closure call, let or named let pops its list when it returns.
-A tail call, a tail let or named let and a primitive call pop it before
-they return, and a tail call or tail let then puts its frame in the
-innermost slot, in place of the current frame (None at top level).  So
-a frame a tail call abandons is dead at the next allocation.  A call of
-a fixed primitive and a quote push their value lists while further
-evaluation could allocate; if and begin push nothing.
+or a list of pinned values; the current frame is always on it.  A call
+makes the list [operator, argument values] and a let [frame, init
+values].  If none of those parts can allocate, the list is made in one
+expression; else it is pushed while they run, so the values so far are
+roots, and popped after.  A closure call turns its list into the
+callee's frame in place, the operator's slot becoming the parent link;
+a let keeps its list as its frame.  A non-tail closure call, let or
+named let pushes its frame once and pops it when it returns.  A tail
+call, tail let or tail named let pushes none: its frame takes the
+innermost slot, in place of the current frame (None at top level), so
+a frame a tail call abandons is dead at the next allocation.  A call
+that reaches a primitive at run time pushes its argument values while
+the primitive runs.  A pinning fixed call and a quote push their value
+lists while further evaluation could allocate; if and begin push
+nothing.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -618,6 +636,22 @@ def _prim_lt(interp, pos, *args):
     return all(map(operator.lt, args, args[1:]))
 
 
+def _two_arg_body(name, op):
+    """The body of a two-argument call of arithmetic primitive name: the
+    same value and errors as its body for any count, with one type test
+    per argument."""
+    def body(interp, pos, a, b):
+        if type(a) is int and type(b) is int:
+            return op(a, b)
+        _arith_args(interp, (a, b), name, pos)
+    return body
+
+
+_TWO_ARG_BODIES = {name: _two_arg_body(name, op) for name, op in [
+    ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+    ("=", operator.eq), ("<", operator.lt)]}
+
+
 def _prim_eq_p(interp, pos, a, b):
     _use_refs(interp, (a, b))
     if type(a) is Ref:
@@ -800,6 +834,23 @@ def _slot_ref(depth, i):
     return ref
 
 
+def _slot_set(depth, i, value_code):
+    """The code of a set! of slot i of the frame depth links out: a
+    store into the current frame, or into the frame that _slot_ref's
+    read of slot 0 one frame in finds."""
+    if depth == 0:
+        def set_slot(frame):
+            frame[i] = value_code(frame)
+            return NIL
+        return set_slot
+    outer = _slot_ref(depth - 1, 0)  # the frame depth links out
+
+    def set_outer_slot(frame):
+        outer(frame)[i] = value_code(frame)
+        return NIL
+    return set_outer_slot
+
+
 def _find(frame, chain):
     """The frame and index of the first set slot of chain (see _resolve),
     or (None, None) if none is: the name means its global."""
@@ -812,37 +863,51 @@ def _find(frame, chain):
     return None, None
 
 
-class _TailCall:
-    """A closure call in tail position, returned to the nearest trampoline
-    instead of made where it appears."""
+def _direct_call(interp, body, pos, codes):
+    """The code of a primitive call of body on codes' values that pins
+    none of them."""
+    if len(codes) == 1:
+        a, = codes
+        return lambda frame: body(interp, pos, a(frame))
+    if len(codes) == 2:
+        a, b = codes
+        return lambda frame: body(interp, pos, a(frame), b(frame))
+    if len(codes) == 3:
+        a, b, c = codes
+        return lambda frame: body(interp, pos, a(frame), b(frame), c(frame))
 
-    __slots__ = ("fn", "args", "pos")
+    def call(frame):
+        vals = []
+        for code in codes:
+            vals.append(code(frame))
+        return body(interp, pos, *vals)
+    return call
 
-    def __init__(self, fn, args, pos):
-        self.fn = fn
-        self.args = args
-        self.pos = pos
 
-
-def _bind(fn, args, pos):
-    """Make args, [operator, argument values...], the frame of a call of
-    closure fn: the operator's slot becomes the parent link."""
-    if len(args) - 1 != fn.arity:
-        raise _rt_error(f"{fn.name or 'procedure'} expects {fn.arity} "
-                        f"arguments, got {len(args) - 1}", pos)
-    args[0] = fn.env
-    args += fn.unset
-    return args
+def _call_procedure(interp, fn, args, pos):
+    """Call fn, not a closure, on args[1:], pinned while it runs."""
+    if type(fn) is not Primitive:
+        raise _rt_error(f"not a procedure: {write_value(interp.heap, fn)}",
+                        pos)
+    del args[0]
+    if not fn.accepts(len(args)):
+        raise _rt_error(f"{fn.name}: bad argument count {len(args)}", pos)
+    interp._stack.append(args)
+    try:
+        result = fn.fn(interp, pos, *args)
+    except OutOfMemory as exc:
+        raise OutOfMemory(f"{pos[0]}:{pos[1]}: {fn.name}: {exc}") from None
+    interp._stack.pop()
+    return result
 
 
 def _trampoline(stack, r):
-    """Make the tail calls r leads to, each in the innermost stack slot,
-    until a value results."""
-    while type(r) is _TailCall:
-        fn = r.fn
-        frame = _bind(fn, r.args, r.pos)
+    """Run the tail calls r leads to, each a (code, frame) tuple with its
+    frame in the innermost stack slot, until a value results."""
+    while type(r) is tuple:
+        code, frame = r
         stack[-1] = frame
-        r = fn.code(frame)
+        r = code(frame)
     return r
 
 
@@ -862,6 +927,7 @@ class Interpreter:
                            for row in _PRIMITIVES}
         self.globals = dict(self.primitives)
         self._fixed = None  # fixed name -> Primitive, once compiling
+        self._allocating = set()  # the codes that can allocate
         self._stack = []  # see "The stack" above
         runtime.add_root_provider(self._iter_roots)
 
@@ -929,6 +995,31 @@ class Interpreter:
         stack.pop()
         return result
 
+    def _marked(self, code, parts, allocates=False):
+        """code, put in _allocating if it allocates or any of parts can."""
+        if allocates or not self._allocating.isdisjoint(parts):
+            self._allocating.add(code)
+        return code
+
+    def _list_code(self, codes):
+        """The code of the list of codes' values, made in one expression,
+        if none of them can allocate; else None."""
+        if not self._allocating.isdisjoint(codes):
+            return None
+        if len(codes) == 1:
+            a, = codes
+            return lambda frame: [a(frame)]
+        if len(codes) == 2:
+            a, b = codes
+            return lambda frame: [a(frame), b(frame)]
+        if len(codes) == 3:
+            a, b, c = codes
+            return lambda frame: [a(frame), b(frame), c(frame)]
+        if len(codes) == 4:
+            a, b, c, d = codes
+            return lambda frame: [a(frame), b(frame), c(frame), d(frame)]
+        return lambda frame: [code(frame) for code in codes]
+
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
     # stack, which deep nesting overflows before the recursion limit.
@@ -936,7 +1027,8 @@ class Interpreter:
         """Check reader form sx and return the closure code(frame) that
         evaluates it in a frame of scope; an atom reports pos, its
         enclosing form's position.  In tail position (tail set) code may
-        return a _TailCall."""
+        return a tail call, a (code, frame) tuple.  A code that can
+        allocate is put in _allocating once its parts are compiled."""
         if type(sx) is str:
             return self._compile_ref(sx, scope, pos)
         if type(sx) is not SrcList:  # an integer or a boolean
@@ -966,7 +1058,7 @@ class Interpreter:
                 if test(frame) is not False:
                     return then(frame)
                 return alt(frame)
-            return if_
+            return self._marked(if_, (test, then, alt))
         if head is _LET:
             if len(items) >= 2 and type(items[1]) is str:
                 if len(items) < 4:
@@ -1021,7 +1113,10 @@ class Interpreter:
             raise SchemeSyntaxError("set! takes a name and a value", *pos)
         name = _require_symbol(items[1], "a name", pos)
         value_code = self._compile(items[2], scope, pos, False)
-        chain, _ = _resolve(scope, name)
+        chain, local = _resolve(scope, name)
+        if local and len(chain) == 1:
+            return self._marked(_slot_set(*chain[0], value_code),
+                                (value_code,))
         table = self.globals
 
         def set_var(frame):
@@ -1034,7 +1129,7 @@ class Interpreter:
             else:
                 raise _rt_error(f"set! of unbound variable: {name}", pos)
             return NIL
-        return set_var
+        return self._marked(set_var, (value_code,))
 
     def _compile_body(self, forms, scope, pos, tail):
         codes = [self._compile(f, scope, pos, False) for f in forms[:-1]]
@@ -1046,7 +1141,7 @@ class Interpreter:
             for code in codes:
                 code(frame)
             return last(frame)
-        return body
+        return self._marked(body, codes + [last])
 
     def _compile_lambda(self, plist, body_forms, scope, pos):
         params = []
@@ -1088,7 +1183,7 @@ class Interpreter:
             else:
                 frame[slot] = value
             return NIL
-        return define
+        return self._marked(define, (value_code,))
 
     def _compile_quote(self, datum, pos):
         if type(datum) is SrcList and not datum.items and datum.tail is None:
@@ -1103,7 +1198,7 @@ class Interpreter:
             except OutOfMemory as exc:
                 raise OutOfMemory(f"{pos[0]}:{pos[1]}: quote: {exc}") \
                     from None
-        return quote
+        return self._marked(quote, (), True)
 
     def _compile_let(self, loop_name, bindings, body_forms, scope, pos,
                      tail):
@@ -1128,12 +1223,17 @@ class Interpreter:
         body = self._compile_body(body_forms, inner, pos, True)
         arity, unset = len(names), inner.unset
         stack = self._stack
+        build = self._list_code([lambda frame: frame, *inits])
 
         def let(frame):
-            vals = [frame]  # pinned while the inits run, then the frame
-            stack.append(vals)
-            for init in inits:
-                vals.append(init(frame))
+            if build is not None:
+                vals = build(frame)
+            else:  # pinned while the inits run
+                vals = [frame]
+                stack.append(vals)
+                for init in inits:
+                    vals.append(init(frame))
+                stack.pop()
             if loop_name is not None:
                 # the loop name binds a closure over its own frame
                 loop = [frame, None]
@@ -1141,14 +1241,15 @@ class Interpreter:
                 vals[0] = loop
             vals += unset
             if tail:
-                stack.pop()
                 stack[-1] = vals
                 return body(vals)
+            stack.append(vals)
             try:
-                return _trampoline(stack, body(vals))
+                r = body(vals)
+                return _trampoline(stack, r) if type(r) is tuple else r
             finally:
                 stack.pop()
-        return let
+        return self._marked(let, inits + [body])
 
     def _compile_apply(self, items, scope, pos, tail):
         fn_code = self._compile(items[0], scope, pos, False)
@@ -1156,54 +1257,45 @@ class Interpreter:
         prim = self._fixed.get(items[0])
         if (prim is not None and prim.accepts(len(arg_codes))
                 and not _resolve(scope, items[0])[0]):
-            return self._compile_primitive_call(prim, items[1:], arg_codes,
-                                                pos)
+            return self._compile_primitive_call(prim, arg_codes, pos)
         interp, stack = self, self._stack
+        build = self._list_code([fn_code, *arg_codes])
 
         def apply(frame):
-            # pinned while the arguments run; the frame if fn is a closure
-            args = [fn_code(frame)]
-            stack.append(args)
-            for arg in arg_codes:
-                args.append(arg(frame))
+            if build is not None:
+                args = build(frame)
+            else:  # pinned while the arguments run
+                args = [fn_code(frame)]
+                stack.append(args)
+                for arg in arg_codes:
+                    args.append(arg(frame))
+                stack.pop()
             fn = args[0]
-            tf = type(fn)
-            if tf is Primitive:
-                del args[0]
-                if not fn.accepts(len(args)):
-                    raise _rt_error(f"{fn.name}: bad argument count "
-                                    f"{len(args)}", pos)
-                try:
-                    result = fn.fn(interp, pos, *args)
-                except OutOfMemory as exc:
-                    raise OutOfMemory(f"{pos[0]}:{pos[1]}: "
-                                      f"{fn.name}: {exc}") from None
-                stack.pop()
-                return result
-            if tf is not Closure:
-                raise _rt_error(
-                    f"not a procedure: {write_value(interp.rt.heap, fn)}",
-                    pos)
+            if type(fn) is not Closure:
+                return _call_procedure(interp, fn, args, pos)
+            if len(args) - 1 != fn.arity:
+                raise _rt_error(f"{fn.name or 'procedure'} expects "
+                                f"{fn.arity} arguments, got {len(args) - 1}",
+                                pos)
+            # the operator's slot becomes the parent link
+            args[0] = fn.env
+            args += fn.unset
             if tail:
-                stack.pop()
-                return _TailCall(fn, args, pos)
+                return fn.code, args
+            stack.append(args)
             try:
-                r = fn.code(_bind(fn, args, pos))
-                if type(r) is _TailCall:
-                    r = _trampoline(stack, r)
-                return r
+                r = fn.code(args)
+                return _trampoline(stack, r) if type(r) is tuple else r
             finally:
                 stack.pop()
-        return apply
+        return self._marked(apply, (), True)
 
-    def _compile_primitive_call(self, prim, args, codes, pos):
-        """A call of the fixed primitive prim on forms args, compiled to
+    def _compile_primitive_call(self, prim, codes, pos):
+        """A call of the fixed primitive prim on the arguments compiled to
         codes, whose count prim accepts (see "Fixed primitives" above)."""
-        pin = prim.allocates or any(type(sx) is SrcList for sx in args[1:])
-        interp, body, n = self, prim.fn, len(codes)
-        # Other counts pin even when they need not, as the ordinary call
-        # always does; only one- and two-argument calls are hot.
-        if pin or n not in (1, 2):
+        interp = self
+        body = (len(codes) == 2 and _TWO_ARG_BODIES.get(prim.name)) or prim.fn
+        if prim.allocates or not self._allocating.isdisjoint(codes[1:]):
             stack, name = self._stack, prim.name
 
             def call(frame):
@@ -1218,12 +1310,9 @@ class Interpreter:
                         from None
                 stack.pop()
                 return result
-            return call
-        if n == 1:
-            c0, = codes
-            return lambda frame: body(interp, pos, c0(frame))
-        c0, c1 = codes
-        return lambda frame: body(interp, pos, c0(frame), c1(frame))
+        else:
+            call = _direct_call(interp, body, pos, codes)
+        return self._marked(call, codes, prim.allocates)
 
 
 # ---------------------------------------------------------------------------

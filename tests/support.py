@@ -175,7 +175,9 @@ class ProgramGenerator:
     their name precede), quoted structure, vectors filled with fresh
     pairs, pair mutation that makes cycles, slots whose fresh contents
     are overwritten in a loop, dropped references, primitive
-    calls whose later arguments allocate, primitive names rebound locally
+    calls whose later arguments allocate, fixed and closure calls whose
+    first value is fresh and whose later arguments may allocate or not,
+    primitive names rebound locally
     and globally, a wrong-arity call that never runs, and sometimes a
     deliberate runtime error.  Snippets refer to the heap values that
     earlier ones defined, so the live graph is shared and changes shape
@@ -204,7 +206,8 @@ class ProgramGenerator:
             [self._build_list, self._fold, self._counter, self._internal,
              self._quote, self._vector, self._cycle, self._drop,
              self._temporaries, self._call, self._nested, self._shadow,
-             self._rebind, self._overwrite, self._late_define],
+             self._rebind, self._overwrite, self._late_define,
+             self._mixed_args],
             k=rng.randrange(2, 7))
         forms = [make() for make in snippets]
         if rng.random() < 0.2:
@@ -379,6 +382,34 @@ class ProgramGenerator:
                 f"      (let ((v (list i {other})))\n"
                 f"        ({store.format(name)})\n"
                 f"        (fill (+ i 1)))))")
+
+    def _mixed_args(self):
+        # fixed calls of 3 and 4 arguments and closure calls, in tail
+        # position and not, whose later arguments each allocate or not:
+        # both sides of the rule that pins a call's values only while a
+        # later argument can allocate
+        rng = self.rng
+        name, pick, keep = (self._name("mixed"), self._name("pick"),
+                            self._name("keep"))
+        n = rng.randrange(10)
+        other = self._pick(self.values)
+        self.values.append(name)
+
+        def later(fresh):
+            return rng.choice([str(n), fresh])
+        return (f"(define ({pick} v a b)\n"
+                f"  (vector-set! v 1 b)\n"
+                f"  (vector-ref v 0))\n"
+                f"(define ({keep} v a) ({pick} v {later('(cons a a)')} a))\n"
+                f"(define {name}\n"
+                f"  (list (vector-set! (make-vector 2 0) 1"
+                f" {later(f'(cons {n} {other})')})\n"
+                f"        (+ (vector-length (make-vector 3 0)) {n}"
+                f" {later(f'(car (cons {n} 0))')} 1)\n"
+                f"        ({pick} (make-vector 2 (cons {n} {other})) {n}"
+                f" {later('(list 1 2)')})\n"
+                f"        ({keep} (make-vector 2 (cons {n} {n}))"
+                f" {later('(vector 3)')})))")
 
     def _call(self):
         if not self.closures:

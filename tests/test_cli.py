@@ -131,9 +131,10 @@ BUILD = ("(define (build n) (if (= n 0) '() (cons n (build (- n 1)))))\n"
 def test_run_deep_non_tail_recursion_exits_0(workdir, capsys):
     limit = sys.getrecursionlimit()
     deep = workdir / "deep.scm"
-    deep.write_text(BUILD.format(n=2000), encoding="utf-8")
+    # the depth RUN_RECURSION_LIMIT's comment promises
+    deep.write_text(BUILD.format(n=10_000), encoding="utf-8")
     assert run_cli("run", deep, "--log", workdir / "deep.draglog") == 0
-    assert "result: 2000" in capsys.readouterr().out
+    assert "result: 10000" in capsys.readouterr().out
     assert sys.getrecursionlimit() == limit
     # nesting as deep as this compiles and runs too
     deep.write_text("(+ 1 " * 13_000 + "1" + ")" * 13_000, encoding="utf-8")
@@ -261,6 +262,22 @@ def test_analyze_empty_body_log_is_all_zero(workdir, capsys):
     assert fields[2] == "0"              # allocated
     assert fields[3] == "0"              # dead
     assert fields[11] == "0.00"          # savings
+
+
+@pytest.mark.parametrize("end", [
+    2_000_000_000_000_000_000,   # a sample list too large to allocate
+    10_000_000_000_000_000_000,  # a sample count past sys.maxsize
+])
+def test_analyze_too_many_samples_exits_1(workdir, capsys, end):
+    log = workdir / "long.draglog"
+    log.write_text("DRAGLOG 1 gc_interval=4 heap_slots=64 source=e.scm\n"
+                   f"END {end}\n", encoding="utf-8")
+    assert run_cli("analyze", log, "--sample-interval", 1,
+                   "--out-dir", workdir / "o") == 1
+    err = capsys.readouterr().err
+    assert err == (f"dragprof: cannot analyze {log}: {end + 1} samples at "
+                   "interval 1 do not fit in memory\n")
+    assert not (workdir / "o").exists()
 
 
 def test_analyze_truncated_log_exits_1_with_line(workdir, capsys):

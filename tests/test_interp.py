@@ -289,6 +289,59 @@ def test_operator_closure_is_a_root_while_its_arguments_allocate():
         assert checked.points >= 2
 
 
+# The pin rule: a call's or a let's values must be roots while a later
+# part can allocate.  In the first group the first value is the only
+# holder of a fresh object (the ints of + aside) and a later argument
+# allocates, so at K=1 a collection point comes before the object's use
+# (a one-argument closure call is the test above); in the second,
+# nothing after the first argument can allocate.
+LATER_PART_ALLOCATES = {
+    "fixed-1": ("(vector->list (make-vector 2 (cons 1 2)))",
+                "((1 . 2) (1 . 2))"),
+    "fixed-2": ("(eq? (cons 1 2) (car (cons 3 4)))", "#f"),
+    "fixed-3": ("(vector-set! (make-vector 1 0) 0 (car (cons 1 2)))", "()"),
+    "fixed-3-int": ("(+ (car (cons 1 2)) (car (cons 3 4)) 5)", "9"),
+    "fixed-4": ("(list (cons 1 2) 3 4 (car (cons 5 6)))",
+                "((1 . 2) 3 4 5)"),
+    "fixed-4-int": ("(+ (car (cons 1 2)) 2 3 (car (cons 3 4)))", "9"),
+    "closure-2": ("((lambda (v a) (vector-ref v 0)) (make-vector 1 7)"
+                  " (car (cons 1 2)))", "7"),
+    "closure-3": ("((lambda (v a b) (vector-ref v 0)) (make-vector 1 7) 1"
+                  " (car (cons 1 2)))", "7"),
+    "closure-4": ("((lambda (v a b c) (vector-ref v 0)) (make-vector 1 7)"
+                  " 1 (car (cons 1 2)) 2)", "7"),
+    "let-2": ("(let ((v (make-vector 1 7)) (a (car (cons 1 2))))"
+              " (vector-ref v 0))", "7"),
+    "let-3": ("(let ((v (make-vector 1 7)) (a 1) (b (car (cons 1 2))))"
+              " (vector-ref v 0))", "7"),
+    "let-4": ("(let loop ((v (make-vector 1 7)) (a 1) (b (car (cons 1 2)))"
+              " (c 2)) (vector-ref v 0))", "7"),
+}
+NOTHING_LATER_ALLOCATES = {
+    "fixed-2": ("(eq? (cons 1 2) 5)", "#f"),
+    "fixed-3": ("(vector-set! (make-vector 1 0) 0 5)", "()"),
+    "fixed-4": ("(+ (vector-length (make-vector 2 0)) 1 2 3)", "8"),
+    "closure-3": ("((lambda (v a b) (vector-ref v 0)) (make-vector 1 7)"
+                  " 1 2)", "7"),
+    "closure-op": ("((let ((v (cons 1 2))) (lambda (z) (car v))) 3)", "1"),
+    "let-3": ("(let ((v (make-vector 1 7)) (a 1) (b 2)) (vector-ref v 0))",
+              "7"),
+}
+
+
+@pytest.mark.parametrize("src, expected", [
+    *LATER_PART_ALLOCATES.values(), *NOTHING_LATER_ALLOCATES.values()],
+    ids=[*(f"later-{k}" for k in LATER_PART_ALLOCATES),
+         *(f"first-{k}" for k in NOTHING_LATER_ALLOCATES)])
+def test_values_are_pinned_while_a_later_part_can_allocate(src, expected):
+    # plain, then in tail position: the body of a procedure
+    for program in (src, f"(define (f) {src}) (f)"):
+        with oracle_checked_points() as checked:
+            r = run(program, gc_interval=1, heap_slots=32)
+        assert r.value_repr == expected
+        assert checked.points >= 2
+
+
 def test_set_mutates_nearest_binding():
     r = run("(define x 1) (define (bump) (set! x (+ x 1))) "
             "(bump) (bump) x")
