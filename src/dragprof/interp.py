@@ -9,20 +9,37 @@ Three parts: the reader, parse(), turns source text into reader forms
 booleans and interned symbols for atoms; the Program's positions give
 the line and column of each top-level form); the compiler,
 Interpreter.eval_program, checks the syntax of every top-level form and
-builds its Python closure code(frame) in one walk, then runs the closures
-in order ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
-closures for code generation", 1987); the primitive table binds the
-procedures of the global table.  Nesting too deep to read or to
-compile is a syntax error.
+lowers it to Python source in one walk, compiling each function of it
+as soon as its text is complete, then runs the top-level functions in
+order; the primitive table (dragprof.primitives, with write_value)
+binds the procedures of the global table.  Nesting too deep to read or
+to compile is a syntax error.
+
+Generated code: one Python function of one argument, its frame, per
+lambda body, named-let body and top-level form (a unit).  Within a
+unit the code is in A-normal form (Flanagan, Sabry, Duba and
+Felleisen, "The essence of compiling with continuations", 1993): if,
+begin and let are statements, every intermediate value is a local or a
+flat expression over locals, slots and constants, so no expression
+nests brackets.  It replaces a tree of closures, one Python call per
+node ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
+closures for code generation", 1987).  A let's frame is a local of its
+unit, so a slot of it is read as f3[1]; a slot of a frame outside the
+unit is read through the parent links of its argument, f0[0][2].
+Every constant (integer, symbol, quoted list, position, the _UNSET
+slots of a frame) is a global of the generated module, never a literal
+of its text.  Branches nested _SPLIT deep move into a unit of their
+own, called on the current frame, as Python allows 100 levels of
+indentation.
 
 Which code can allocate: a collection point comes only with an
 allocation, so a value needs a root only while code that can allocate
 runs (the stack-map argument of Diwan, Moss and Hudson, "Compiler
 support for garbage collection in a statically typed language", 1992).
-The compiler puts each code that can allocate in one set: a closure
-call (any call but one of a fixed primitive), a call of a primitive
-that allocates, a quote of a non-empty list, and an if, begin, let,
-set!, define or primitive call with a part that can.  Atoms, variable
+The compiler marks each code that can allocate: a closure call (any
+call but one of a fixed primitive), a call of a primitive that
+allocates, a quote of a non-empty list, and an if, begin, let, set!,
+define or primitive call with a part that can.  Atoms, variable
 references and lambda cannot.
 
 Fixed primitives: an Interpreter compiles one program, so a primitive's
@@ -30,19 +47,19 @@ global is fixed for the whole run when no define or set! in the program
 targets its name.  A call whose head is a fixed name that no frame in
 scope binds, with a count the primitive accepts, calls the primitive's
 body on the argument values: no operator lookup, no count check, no
-operator pin; a two-argument + - * = or < calls a two-argument body.
-Whatever the count, the argument values are pinned only when the
-primitive allocates or an argument after the first can: else nothing
-can allocate once the first argument is evaluated, so there is no
-collection to root them for.
+operator pin; a call of + - * = or < on two to four arguments runs the
+Python operator, with a type test of each argument that is not an
+integer literal, and calls the body only to raise its error.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call checks the count, binds the callee's
 frame and returns the tuple (code, frame) instead of making the call; no
-Scheme value is a tuple.  The nearest trampoline (a non-tail call, a
-non-tail let or named let, or the top level) puts the frame in the
-innermost stack slot and runs the code, so loops run in constant
-control-stack space regardless of iteration count.
+Scheme value is a tuple.  The nearest trampoline (inline after a
+non-tail call, a non-tail let or named let, and at the top level) puts
+the frame in the innermost stack slot and runs the code, so loops run
+in constant control-stack space regardless of iteration count.  The
+tail of a non-tail let's body runs inline: a tail call there takes the
+let's stack slot and runs its trampoline at once.
 
 Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
 for Scheme", 1987): the compiler resolves every variable.  A closure
@@ -64,19 +81,21 @@ candidate that is set.
 The stack: one list of roots, each None (top level) or a list: a frame
 or a list of pinned values; the current frame is always on it.  A call
 makes the list [operator, argument values] and a let [frame, init
-values].  If none of those parts can allocate, the list is made in one
-expression; else it is pushed while they run, so the values so far are
-roots, and popped after.  A closure call turns its list into the
-callee's frame in place, the operator's slot becoming the parent link;
-a let keeps its list as its frame.  A non-tail closure call, let or
-named let pushes its frame once and pops it when it returns.  A tail
-call, tail let or tail named let pushes none: its frame takes the
-innermost slot, in place of the current frame (None at top level), so
-a frame a tail call abandons is dead at the next allocation.  A call
-that reaches a primitive at run time pushes its argument values while
-the primitive runs.  A pinning fixed call and a quote push their value
-lists while further evaluation could allocate; if and begin push
-nothing.
+values].  If no part after the first can allocate, the list is made in
+one expression once the parts have run; else it is pushed once the
+first part has run, so the values so far are roots while the others
+run, and popped after.  A closure call turns its list into the callee's
+frame in place, the operator's slot becoming the parent link; a let
+keeps its list as its frame.  A non-tail closure call, let or named let
+pushes its frame once and pops it when it returns.  A tail call, tail
+let or tail named let pushes none: its frame takes the innermost slot,
+in place of the current frame (None at top level), so a frame a tail
+call abandons is dead at the next allocation.  A call that reaches a
+primitive at run time pushes its argument values while the primitive
+runs.  A fixed primitive call pins its argument values as a closure
+call does; if the primitive allocates, they are pushed while its body
+runs too.  A quote pushes its value lists while further evaluation
+could allocate; if and begin push nothing.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -91,7 +110,6 @@ root set: the global table's values and the stack, with each closure's
 frame and each frame's parent.
 """
 
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -102,9 +120,9 @@ from .errors import (
     ProtocolViolation,
     SchemeRuntimeError,
     SchemeSyntaxError,
-    int_text,
 )
-from .heap import NIL, PAIR, VECTOR, Nil, Ref
+from .heap import NIL, Ref
+from .primitives import PRIMITIVES, Primitive, rt_error, write_value
 from .profiler import TraceLog
 from .runtime import Runtime
 
@@ -277,434 +295,8 @@ class Closure:
         return f"#<procedure {self.name}>" if self.name else "#<procedure>"
 
 
-class Primitive:
-    """A procedure of the primitive table: fn is its body, and allocates
-    whether the body can allocate."""
-
-    __slots__ = ("name", "min_args", "max_args", "allocates", "fn")
-
-    def __init__(self, name, min_args, max_args, allocates, fn):
-        self.name = name
-        self.min_args = min_args
-        self.max_args = max_args
-        self.allocates = allocates
-        self.fn = fn
-
-    def accepts(self, n):
-        return self.min_args <= n and (self.max_args is None
-                                       or n <= self.max_args)
-
-    def __repr__(self):
-        return f"#<primitive {self.name}>"
-
-
-def _rt_error(msg, pos):
-    if pos is not None:
-        return SchemeRuntimeError(f"{pos[0]}:{pos[1]}: {msg}")
-    return SchemeRuntimeError(msg)
-
-
-def write_value(heap, value) -> str:
-    """Scheme-style rendering; cycles are cut with a #<cycle> marker."""
-    out = []
-    on_path = set()
-
-    def emit(v):
-        if type(v) is Ref:
-            meta = heap.objects.get(v.obj_id)
-            if meta is None:
-                out.append(f"#<collected {v.obj_id}>")
-                return
-            if v.obj_id in on_path:
-                out.append("#<cycle>")
-                return
-            if meta.kind == VECTOR:
-                on_path.add(v.obj_id)
-                out.append("#(")
-                for i in range(meta.size_slots):
-                    if i:
-                        out.append(" ")
-                    emit(heap.slot_value(v.obj_id, i))
-                out.append(")")
-                on_path.discard(v.obj_id)
-                return
-            # pair: iterate over the cdr chain
-            on_path.add(v.obj_id)
-            chain = [v.obj_id]
-            out.append("(")
-            emit(heap.slot_value(v.obj_id, 0))
-            cur = heap.slot_value(v.obj_id, 1)
-            while True:
-                if (type(cur) is Ref and cur.obj_id in heap.objects
-                        and heap.objects[cur.obj_id].kind == PAIR):
-                    if cur.obj_id in on_path:
-                        out.append(" . #<cycle>")
-                        break
-                    on_path.add(cur.obj_id)
-                    chain.append(cur.obj_id)
-                    out.append(" ")
-                    emit(heap.slot_value(cur.obj_id, 0))
-                    cur = heap.slot_value(cur.obj_id, 1)
-                    continue
-                if isinstance(cur, Nil):
-                    break
-                out.append(" . ")
-                emit(cur)
-                break
-            out.append(")")
-            for oid in chain:
-                on_path.discard(oid)
-        elif v is True:
-            out.append("#t")
-        elif v is False:
-            out.append("#f")
-        elif isinstance(v, int):
-            text = int_text(v)
-            if text.startswith("integer"):  # too long for str()
-                raise SchemeRuntimeError(f"{text} too long to write")
-            out.append(text)
-        elif isinstance(v, Nil):
-            out.append("()")
-        elif isinstance(v, str):
-            out.append(v)
-        else:
-            out.append(repr(v))
-
-    emit(value)
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
-# Primitives
-#
-# A primitive's body takes the interpreter, the call's position and the
-# argument values, positionally.  The bodies are the one place the rules
-# on values are checked (no procedure in a heap slot, no negative vector
-# length, no index out of range): the runtime and the heap take the
-# values they are handed as given.
-
-def _record_of(rt, v):
-    """The record of the object v refers to; None if v is not a Ref."""
-    return rt.heap.record(v) if type(v) is Ref else None
-
-
-_KIND_NAMES = {PAIR: "a pair", VECTOR: "a vector"}
-
-
-def _type_name(rt, v):
-    if type(v) is Ref:
-        return _KIND_NAMES[_record_of(rt, v).kind]
-    if isinstance(v, bool):
-        return "a boolean"
-    if isinstance(v, int):
-        return "a number"
-    if isinstance(v, Nil):
-        return "the empty list"
-    if isinstance(v, str):
-        return "a symbol"
-    return "a procedure"
-
-
-def _use_refs(interp, args):
-    record_use = interp.record_use
-    for v in args:
-        if type(v) is Ref:
-            record_use(v)
-
-
-def _check_storable(interp, v, name, pos):
-    """The one check that v may live in a heap slot: an immediate or a
-    Ref, never a procedure."""
-    if not isinstance(v, (int, str, Nil, Ref)):
-        raise _rt_error(f"{name}: {_type_name(interp.rt, v)} cannot be "
-                        f"stored in a heap object", pos)
-
-
-def _require(interp, v, kind, name, pos):
-    """The record of v if it is an object of kind.  The hottest bodies
-    look the record up inline and call this only to raise: DanglingRef
-    for a Ref with no record, else the type error."""
-    rec = _record_of(interp.rt, v)
-    if rec is None or rec.kind != kind:
-        raise _rt_error(f"{name}: expected {_KIND_NAMES[kind]}, got "
-                        f"{_type_name(interp.rt, v)}", pos)
-    return rec
-
-
-def _require_number(interp, v, name, pos):
-    if type(v) is not int:
-        raise _rt_error(f"{name}: expected a number, got "
-                        f"{_type_name(interp.rt, v)}", pos)
-
-
-def _prim_cons(interp, pos, a, b):
-    _check_storable(interp, a, "cons", pos)
-    _check_storable(interp, b, "cons", pos)
-    _use_refs(interp, (a, b))
-    return interp.rt.alloc_pair(a, b)
-
-
-def _prim_list(interp, pos, *args):
-    for v in args:
-        _check_storable(interp, v, "list", pos)
-    _use_refs(interp, args)
-    result = NIL
-    for v in reversed(args):
-        result = interp.rt.alloc_pair(v, result)
-    return result
-
-
-def _prim_car(interp, pos, p):
-    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
-    if rec is None or rec.kind != PAIR:
-        _require(interp, p, PAIR, "car", pos)
-    interp.record_use(p)
-    return interp.heap.slots[rec.address]
-
-
-def _prim_cdr(interp, pos, p):
-    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
-    if rec is None or rec.kind != PAIR:
-        _require(interp, p, PAIR, "cdr", pos)
-    interp.record_use(p)
-    return interp.heap.slots[rec.address + 1]
-
-
-def _prim_set_car(interp, pos, p, v):
-    rec = _require(interp, p, PAIR, "set-car!", pos)
-    _check_storable(interp, v, "set-car!", pos)
-    _use_refs(interp, (p, v))
-    interp.heap.store(rec.address, v)
-    return NIL
-
-
-def _prim_set_cdr(interp, pos, p, v):
-    rec = _require(interp, p, PAIR, "set-cdr!", pos)
-    _check_storable(interp, v, "set-cdr!", pos)
-    _use_refs(interp, (p, v))
-    interp.heap.store(rec.address + 1, v)
-    return NIL
-
-
-def _prim_null_p(interp, pos, v):
-    _use_refs(interp, (v,))
-    return type(v) is Nil
-
-
-def _prim_pair_p(interp, pos, v):
-    _use_refs(interp, (v,))
-    rec = _record_of(interp.rt, v)
-    return rec is not None and rec.kind == PAIR
-
-
-def _prim_number_p(interp, pos, v):
-    _use_refs(interp, (v,))
-    return type(v) is int  # a bool is not a number
-
-
-def _prim_vector(interp, pos, *args):
-    for v in args:
-        _check_storable(interp, v, "vector", pos)
-    _use_refs(interp, args)
-    ref = interp.rt.alloc_vector(len(args), NIL)
-    addr = interp.objects[ref.obj_id].address
-    for i, v in enumerate(args):
-        interp.heap.store(addr + i, v)
-    return ref
-
-
-def _prim_make_vector(interp, pos, n, fill=NIL):
-    _require_number(interp, n, "make-vector", pos)
-    if n < 0:
-        raise _rt_error(f"make-vector: negative length {int_text(n)}", pos)
-    _check_storable(interp, fill, "make-vector", pos)
-    _use_refs(interp, (fill,))
-    return interp.rt.alloc_vector(n, fill)
-
-
-def _vector_index(interp, rec, i, name, pos):
-    _require_number(interp, i, name, pos)
-    size = rec.size_slots
-    if not 0 <= i < size:
-        raise _rt_error(f"{name}: index {int_text(i)} out of range for "
-                        f"vector of length {size}", pos)
-
-
-def _prim_vector_ref(interp, pos, v, i):
-    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
-    if rec is None or rec.kind != VECTOR:
-        _require(interp, v, VECTOR, "vector-ref", pos)
-    if type(i) is not int or not 0 <= i < rec.size_slots:
-        _vector_index(interp, rec, i, "vector-ref", pos)
-    interp.record_use(v)
-    return interp.heap.slots[rec.address + i]
-
-
-def _prim_vector_set(interp, pos, v, i, x):
-    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
-    if rec is None or rec.kind != VECTOR:
-        _require(interp, v, VECTOR, "vector-set!", pos)
-    if type(i) is not int or not 0 <= i < rec.size_slots:
-        _vector_index(interp, rec, i, "vector-set!", pos)
-    _check_storable(interp, x, "vector-set!", pos)
-    _use_refs(interp, (v, x))
-    interp.heap.store(rec.address + i, x)
-    return NIL
-
-
-def _prim_vector_length(interp, pos, v):
-    rec = _require(interp, v, VECTOR, "vector-length", pos)
-    interp.record_use(v)
-    return rec.size_slots
-
-
-def _prim_vector_to_list(interp, pos, v):
-    rec = _require(interp, v, VECTOR, "vector->list", pos)
-    interp.record_use(v)
-    heap = interp.heap
-    result = NIL
-    # each allocation may move the vector, so its slots are read by id
-    for i in range(rec.size_slots - 1, -1, -1):
-        result = interp.rt.alloc_pair(heap.slot_value(v.obj_id, i), result)
-    return result
-
-
-def _prim_list_to_vector(interp, pos, lst):
-    rt = interp.rt
-    heap = interp.heap
-    # validate the spine first so an improper list records no events
-    n, cur = 0, lst
-    limit = len(heap.objects) + 1
-    while (rec := _record_of(rt, cur)) is not None and rec.kind == PAIR:
-        n += 1
-        if n > limit:
-            raise _rt_error("list->vector: cyclic list", pos)
-        cur = heap.slots[rec.address + 1]
-    if not isinstance(cur, Nil):
-        raise _rt_error(f"list->vector: expected a proper list, got "
-                        f"{_type_name(rt, lst)}", pos)
-    items = []
-    cur = lst
-    while not isinstance(cur, Nil):
-        interp.record_use(cur)
-        items.append(heap.slot_value(cur.obj_id, 0))
-        cur = heap.slot_value(cur.obj_id, 1)
-    # items stay reachable through the pinned argument list
-    vec = interp.rt.alloc_vector(n, NIL)
-    addr = interp.objects[vec.obj_id].address
-    for i, v in enumerate(items):
-        heap.store(addr + i, v)
-    return vec
-
-
-def _arith_args(interp, args, name, pos):
-    for v in args:
-        if type(v) is not int:
-            _require_number(interp, v, name, pos)
-
-
-def _prim_add(interp, pos, *args):
-    _arith_args(interp, args, "+", pos)
-    return sum(args)
-
-
-def _prim_sub(interp, pos, *args):
-    _arith_args(interp, args, "-", pos)
-    if len(args) == 1:
-        return -args[0]
-    total = args[0]
-    for v in args[1:]:
-        total -= v
-    return total
-
-
-def _prim_mul(interp, pos, *args):
-    _arith_args(interp, args, "*", pos)
-    total = 1
-    for v in args:
-        total *= v
-    return total
-
-
-def _prim_num_eq(interp, pos, *args):
-    _arith_args(interp, args, "=", pos)
-    return all(map(operator.eq, args, args[1:]))
-
-
-def _prim_lt(interp, pos, *args):
-    _arith_args(interp, args, "<", pos)
-    return all(map(operator.lt, args, args[1:]))
-
-
-def _two_arg_body(name, op):
-    """The body of a two-argument call of arithmetic primitive name: the
-    same value and errors as its body for any count, with one type test
-    per argument."""
-    def body(interp, pos, a, b):
-        if type(a) is int and type(b) is int:
-            return op(a, b)
-        _arith_args(interp, (a, b), name, pos)
-    return body
-
-
-_TWO_ARG_BODIES = {name: _two_arg_body(name, op) for name, op in [
-    ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
-    ("=", operator.eq), ("<", operator.lt)]}
-
-
-def _prim_eq_p(interp, pos, a, b):
-    _use_refs(interp, (a, b))
-    if type(a) is Ref:
-        return type(b) is Ref and a.obj_id == b.obj_id
-    if isinstance(a, bool):
-        return a is b
-    if isinstance(a, int):
-        return type(b) is int and a == b
-    if isinstance(a, str):
-        return isinstance(b, str) and a == b
-    if isinstance(a, Nil):
-        return isinstance(b, Nil)
-    return a is b
-
-
-def _prim_display(interp, pos, v):
-    if type(v) is Ref:
-        interp.record_use(v)
-    sys.stdout.write(write_value(interp.heap, v))
-    return NIL
-
-
-# name, fewest and most arguments (None: any number), whether the body
-# allocates, body
-_PRIMITIVES = [
-    ("cons", 2, 2, True, _prim_cons),
-    ("list", 0, None, True, _prim_list),
-    ("car", 1, 1, False, _prim_car),
-    ("cdr", 1, 1, False, _prim_cdr),
-    ("set-car!", 2, 2, False, _prim_set_car),
-    ("set-cdr!", 2, 2, False, _prim_set_cdr),
-    ("null?", 1, 1, False, _prim_null_p),
-    ("pair?", 1, 1, False, _prim_pair_p),
-    ("number?", 1, 1, False, _prim_number_p),
-    ("vector", 0, None, True, _prim_vector),
-    ("make-vector", 1, 2, True, _prim_make_vector),
-    ("vector-ref", 2, 2, False, _prim_vector_ref),
-    ("vector-set!", 3, 3, False, _prim_vector_set),
-    ("vector-length", 1, 1, False, _prim_vector_length),
-    ("vector->list", 1, 1, True, _prim_vector_to_list),
-    ("list->vector", 1, 1, True, _prim_list_to_vector),
-    ("+", 0, None, False, _prim_add),
-    ("-", 1, None, False, _prim_sub),
-    ("*", 0, None, False, _prim_mul),
-    ("=", 2, None, False, _prim_num_eq),
-    ("<", 2, None, False, _prim_lt),
-    ("eq?", 2, 2, False, _prim_eq_p),
-    ("display", 1, 1, False, _prim_display),
-]
-
-
-# ---------------------------------------------------------------------------
-# Compiler: reader forms -> closures
+# Compiler: reader forms -> generated Python functions
 
 def _syntax_error(msg, sx, pos):
     """Raise msg at sx's own position if it is a form, else at pos."""
@@ -814,101 +406,142 @@ def _resolve(scope, name):
     return chain, False
 
 
-def _slot_ref(depth, i):
-    """The code of a reference to slot i of the frame depth links out."""
-    if depth == 0:
-        return lambda frame: frame[i]
-    if depth == 1:
-        return lambda frame: frame[0][i]
-    if depth == 2:
-        return lambda frame: frame[0][0][i]
-    if depth == 3:
-        return lambda frame: frame[0][0][0][i]
-
-    def ref(frame):
-        d = depth
-        while d:
-            frame = frame[0]
-            d -= 1
-        return frame[i]
-    return ref
+def _up(frame, depth):
+    """The frame depth links out of frame."""
+    for _ in range(depth):
+        frame = frame[0]
+    return frame
 
 
-def _slot_set(depth, i, value_code):
-    """The code of a set! of slot i of the frame depth links out: a
-    store into the current frame, or into the frame that _slot_ref's
-    read of slot 0 one frame in finds."""
-    if depth == 0:
-        def set_slot(frame):
-            frame[i] = value_code(frame)
-            return NIL
-        return set_slot
-    outer = _slot_ref(depth - 1, 0)  # the frame depth links out
-
-    def set_outer_slot(frame):
-        outer(frame)[i] = value_code(frame)
-        return NIL
-    return set_outer_slot
-
-
-def _find(frame, chain):
+def _find(frame, chain, table, name):
     """The frame and index of the first set slot of chain (see _resolve),
-    or (None, None) if none is: the name means its global."""
+    or if none is, table and name: the name means its global."""
     for depth, i in chain:
-        f = frame
-        for _ in range(depth):
-            f = f[0]
+        f = _up(frame, depth)
         if f[i] is not _UNSET:
             return f, i
-    return None, None
+    return table, name
 
 
-def _direct_call(interp, body, pos, codes):
-    """The code of a primitive call of body on codes' values that pins
-    none of them."""
-    if len(codes) == 1:
-        a, = codes
-        return lambda frame: body(interp, pos, a(frame))
-    if len(codes) == 2:
-        a, b = codes
-        return lambda frame: body(interp, pos, a(frame), b(frame))
-    if len(codes) == 3:
-        a, b, c = codes
-        return lambda frame: body(interp, pos, a(frame), b(frame), c(frame))
+# The helpers of the generated code, for what is rare or raises.
 
-    def call(frame):
-        vals = []
-        for code in codes:
-            vals.append(code(frame))
-        return body(interp, pos, *vals)
-    return call
+def _unbound(name, pos):
+    return rt_error(f"unbound variable: {name}", pos)
 
 
-def _call_procedure(interp, fn, args, pos):
-    """Call fn, not a closure, on args[1:], pinned while it runs."""
+def _late_ref(table, frame, chain, name, pos):
+    """The value of a name whose chain (see _resolve) holds define
+    slots: the first that is set, else its global."""
+    f, i = _find(frame, chain, table, name)
+    if f is table and name not in table:
+        raise _unbound(name, pos)
+    return f[i]
+
+
+def _set_var(table, frame, chain, name, pos, value):
+    """A set! of a name that is not one parameter slot."""
+    f, i = _find(frame, chain, table, name)
+    if f is table and name not in table:
+        raise rt_error(f"set! of unbound variable: {name}", pos)
+    f[i] = value
+
+
+def _oom(exc, pos, name):
+    """The OutOfMemory exc, at the call of name at pos."""
+    return OutOfMemory(f"{pos[0]}:{pos[1]}: {name}: {exc}")
+
+
+def _call_procedure(interp, args, pos):
+    """Call args[0] on args[1:] when it is not a closure of their count:
+    an arity error for a closure, else a primitive, pinned while it
+    runs."""
+    fn = args[0]
+    if type(fn) is Closure:
+        raise rt_error(f"{fn.name or 'procedure'} expects {fn.arity} "
+                        f"arguments, got {len(args) - 1}", pos)
     if type(fn) is not Primitive:
-        raise _rt_error(f"not a procedure: {write_value(interp.heap, fn)}",
+        raise rt_error(f"not a procedure: {write_value(interp.heap, fn)}",
                         pos)
     del args[0]
     if not fn.accepts(len(args)):
-        raise _rt_error(f"{fn.name}: bad argument count {len(args)}", pos)
+        raise rt_error(f"{fn.name}: bad argument count {len(args)}", pos)
     interp._stack.append(args)
     try:
         result = fn.fn(interp, pos, *args)
     except OutOfMemory as exc:
-        raise OutOfMemory(f"{pos[0]}:{pos[1]}: {fn.name}: {exc}") from None
+        raise _oom(exc, pos, fn.name) from None
     interp._stack.pop()
     return result
 
 
-def _trampoline(stack, r):
-    """Run the tail calls r leads to, each a (code, frame) tuple with its
-    frame in the innermost stack slot, until a value results."""
-    while type(r) is tuple:
-        code, frame = r
-        stack[-1] = frame
-        r = code(frame)
-    return r
+def _run(var, call):
+    """The lines that make call and run the tail calls it returns, each a
+    (code, frame) tuple, with its frame in the innermost stack slot, until
+    a value results in var: the trampoline."""
+    return [f"{var} = {call}", f"while type({var}) is tuple:",
+            (f"stack[-1] = {var}[1]", f"{var} = {var}[0]({var}[1])")]
+
+
+def _flatten(node, lines):
+    """Append node's lines to lines, indented.  A node is a list of lines
+    and nodes; a tuple is a node indented one level more.  Walked with a
+    stack, so nesting costs no Python frames."""
+    stack = [(iter(node), 1)]
+    while stack:
+        items, depth = stack[-1]
+        for item in items:
+            if type(item) is str:
+                lines.append("    " * depth + item)
+            else:
+                stack.append((iter(item), depth + (type(item) is tuple)))
+                break
+        else:
+            stack.pop()
+
+
+# The kinds of a value's expression: a constant (never a Ref) or a
+# temporary, read any number of times; a frame slot, whose reads differ
+# once a slot is written; a flat expression with effects, evaluated once
+# and in order.
+_CONST, _STABLE, _SLOT, _OP = range(4)
+
+
+class _Code:
+    """A compiled expression: the node of statements that run first, the
+    expression of its value and that expression's kind (expr is None once
+    the value is returned or stored), whether it can allocate and whether
+    it can write a frame slot, which it can if any of parts can."""
+
+    __slots__ = ("node", "expr", "kind", "alloc", "writes")
+
+    def __init__(self, node, expr, kind=_STABLE, parts=(), alloc=False,
+                 writes=False):
+        self.node, self.expr, self.kind = node, expr, kind
+        self.alloc = alloc or any(p.alloc for p in parts)
+        self.writes = writes or any(p.writes for p in parts)
+
+
+def _deliver(code, tail, target):
+    """code with its value stored in target if that is set, else returned
+    if tail is set; else as it is."""
+    if code.expr is None or not (tail or target):
+        return code
+    line = f"{target} = {code.expr}" if target else f"return {code.expr}"
+    return _Code([code.node, line], None, _STABLE, [code])
+
+
+# The Python operator a call of 2 to 4 arguments of these runs inline.
+_INLINE = {"+": " + ", "-": " - ", "*": " * ", "=": " == ", "<": " < "}
+
+# Branches nested this deep in one generated function move into a
+# function of their own: Python allows 100 levels of indentation.
+_SPLIT = 50
+
+# The globals every generated module starts with.
+_GENERATED = {v.__name__: v for v in (
+    Closure, OutOfMemory, _call_procedure, _late_ref, _oom, _set_var,
+    _unbound, _up, *[row[4] for row in PRIMITIVES])}
+_GENERATED["NIL"] = NIL
 
 
 class Interpreter:
@@ -924,10 +557,9 @@ class Interpreter:
         # (the bench tracer's) is the one the primitives call
         self.record_use = runtime.record_use
         self.primitives = {sys.intern(row[0]): Primitive(*row)
-                           for row in _PRIMITIVES}
+                           for row in PRIMITIVES}
         self.globals = dict(self.primitives)
         self._fixed = None  # fixed name -> Primitive, once compiling
-        self._allocating = set()  # the codes that can allocate
         self._stack = []  # see "The stack" above
         runtime.add_root_provider(self._iter_roots)
 
@@ -957,82 +589,150 @@ class Interpreter:
         for code in self.compile_program(program):
             stack.append(None)
             try:
-                result = _trampoline(stack, code(None))
+                result = code(None)
+                while type(result) is tuple:  # the trampoline (see _run)
+                    stack[-1] = result[1]
+                    result = result[0](result[1])
             finally:
                 stack.pop()
         return result
 
     def compile_program(self, program):
-        """The code of each top-level form.  A form nested too deep to
-        compile is a syntax error at that form.  A second program is a
-        ProtocolViolation: it could rebind a name fixed in the first."""
+        """The generated function of each top-level form.  A form nested
+        too deep to compile is a syntax error at that form.  A second
+        program is a ProtocolViolation: it could rebind a name fixed in
+        the first."""
         if self._fixed is not None:
             raise ProtocolViolation("an Interpreter compiles one program")
         assigned = _assigned(program)
         self._fixed = {name: prim for name, prim in self.primitives.items()
                        if name not in assigned}
-        codes = []
+        stack = self._stack
+        self._env = dict(_GENERATED, G=self.globals, interp=self,
+                         stack=stack, push=stack.append, pop=stack.pop,
+                         quote=self._quote)
+        self._consts, self._n, self._vars, self._depth = {}, 0, {}, 0
+        names = []
         for form, pos in zip(program, program.positions):
             try:
-                codes.append(self._compile(form, None, pos, True))
+                names.append(self._unit([form], None, pos, True)[0])
             except RecursionError:
                 raise _too_deep(form) from None
-        return codes
+        return [self._env[name] for name in names]
 
     def _materialize(self, datum):
         """Build a quoted datum, allocating its pairs now."""
         if type(datum) is not SrcList:
             return datum
-        stack = self._stack
         vals = []
-        stack.append(vals)
+        self._stack.append(vals)
         for item in datum.items:
             vals.append(self._materialize(item))
         result = self._materialize(datum.tail) if datum.tail is not None \
             else NIL
         for v in reversed(vals):
             result = self.rt.alloc_pair(v, result)
-        stack.pop()
+        self._stack.pop()
         return result
 
-    def _marked(self, code, parts, allocates=False):
-        """code, put in _allocating if it allocates or any of parts can."""
-        if allocates or not self._allocating.isdisjoint(parts):
-            self._allocating.add(code)
-        return code
+    def _quote(self, datum, pos):
+        try:
+            return self._materialize(datum)
+        except OutOfMemory as exc:
+            raise _oom(exc, pos, "quote") from None
 
-    def _list_code(self, codes):
-        """The code of the list of codes' values, made in one expression,
-        if none of them can allocate; else None."""
-        if not self._allocating.isdisjoint(codes):
-            return None
-        if len(codes) == 1:
-            a, = codes
-            return lambda frame: [a(frame)]
-        if len(codes) == 2:
-            a, b = codes
-            return lambda frame: [a(frame), b(frame)]
-        if len(codes) == 3:
-            a, b, c = codes
-            return lambda frame: [a(frame), b(frame), c(frame)]
-        if len(codes) == 4:
-            a, b, c, d = codes
-            return lambda frame: [a(frame), b(frame), c(frame), d(frame)]
-        return lambda frame: [code(frame) for code in codes]
+    def _name(self, prefix="t"):
+        """A fresh name for a generated local or function."""
+        self._n += 1
+        return f"{prefix}{self._n}"
+
+    def _const(self, value, key=None):
+        """The global of the generated module that holds value, found by
+        key, by default value and its type (1 == True): no constant is
+        written into the source text."""
+        key = key or (type(value), value)
+        name = self._consts.get(key)
+        if name is None:
+            name = self._consts[key] = f"c{len(self._consts)}"
+            self._env[name] = value
+        return name
+
+    def _unit(self, forms, scope, pos, tail):
+        """Generate the function of a frame of scope, f0, that runs forms
+        as a body (in tail position if tail); returns its name and code.
+        The unit's frames are locals: f0 and a variable per inline let."""
+        saved = self._vars, self._depth
+        self._vars, self._depth = {scope: "f0"}, 0
+        code = self._compile_body(forms, scope, pos, tail)
+        self._vars, self._depth = saved
+        name = self._name("u")
+        lines = [f"def {name}(f0):"]
+        _flatten([code.node, f"return {code.expr}"] if code.expr else
+                 code.node, lines)
+        # one compile() per unit bounds the parser's memory by the largest
+        # unit's text, not the whole program's
+        exec(compile("\n".join(lines), "<dragprof>", "exec"), self._env)
+        return name, code
+
+    def _slot(self, scope, depth, i):
+        """The expression of slot i of the frame depth links out of
+        scope's, read from the nearest frame held in a local."""
+        while depth and scope.parent in self._vars:
+            scope, depth = scope.parent, depth - 1
+        frame = self._vars[scope]
+        if depth > 3:
+            return f"_up({frame}, {depth})[{i}]"
+        return f"{frame}{'[0]' * depth}[{i}]"
+
+    def _operands(self, parts, var=None, keep=False):
+        """(node, atoms, pinned): the statements that evaluate the codes
+        parts in order, and the expression of each value.  With var the
+        list of the values is made as var, each read once; without, each
+        atom is a constant, temporary or slot that can be read again
+        after all parts.  While a part after the first can allocate, the
+        values so far are pinned: their list (var or a temporary, named
+        by pinned) is pushed once the first is made, and popped after the
+        last unless keep is set."""
+        pin = any(p.alloc for p in parts[1:])
+        late = var is None or not pin  # atoms read after every part
+        spills, has_node, writes = [], False, False
+        for p in reversed(parts):
+            spills.append(late and (p.kind == _OP and (var is None or has_node)
+                                    or p.kind == _SLOT and writes))
+            has_node = has_node or bool(p.node)
+            writes = writes or p.writes
+        node, atoms, pinned = [], [], None
+        for p, spill in zip(parts, reversed(spills)):
+            node.append(p.node)
+            atom = p.expr
+            if spill:
+                atom = self._name()
+                node.append(f"{atom} = {p.expr}")
+            atoms.append(atom)
+            if pinned:
+                node.append(f"{pinned}.append({atom})")
+            elif pin:
+                pinned = var or self._name("a")
+                node += [f"{pinned} = [{atom}]", f"push({pinned})"]
+        if var and not pin:
+            node.append(f"{var} = [{', '.join(atoms)}]")
+        if pinned and not keep:
+            node.append("pop()")
+        return node, atoms, pinned
 
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
     # stack, which deep nesting overflows before the recursion limit.
-    def _compile(self, sx, scope, pos, tail):
-        """Check reader form sx and return the closure code(frame) that
-        evaluates it in a frame of scope; an atom reports pos, its
-        enclosing form's position.  In tail position (tail set) code may
-        return a tail call, a (code, frame) tuple.  A code that can
-        allocate is put in _allocating once its parts are compiled."""
+    def _compile(self, sx, scope, pos, tail=False, target=None):
+        """Check reader form sx and compile it to the _Code that evaluates
+        it in a frame of scope; an atom reports pos, its enclosing form's
+        position.  In tail position (tail set) the value is returned, or
+        stored in target if that is set, and a tail call is made in place
+        (see "Tail calls" above); else the value goes to target if set."""
         if type(sx) is str:
-            return self._compile_ref(sx, scope, pos)
+            return _deliver(self._compile_ref(sx, scope, pos), tail, target)
         if type(sx) is not SrcList:  # an integer or a boolean
-            return lambda frame: sx
+            return _deliver(_Code([], self._const(sx), _CONST), tail, target)
         pos = (sx.line, sx.col)
         if sx.tail is not None:
             raise SchemeSyntaxError("dotted list in code", *pos)
@@ -1040,120 +740,118 @@ class Interpreter:
         if not items:
             raise SchemeSyntaxError("empty application", *pos)
         head = items[0]
-        if head is _QUOTE:
-            if len(items) != 2:
-                raise SchemeSyntaxError("quote takes one datum", *pos)
-            return self._compile_quote(items[1], pos)
         if head is _IF:
-            if len(items) not in (3, 4):
-                raise SchemeSyntaxError(
-                    "if takes a test and one or two branches", *pos)
-            # The alternative's errors are reported before the test's.
-            alt = (self._compile(items[3], scope, pos, tail)
-                   if len(items) == 4 else lambda frame: NIL)
-            test = self._compile(items[1], scope, pos, False)
-            then = self._compile(items[2], scope, pos, tail)
-
-            def if_(frame):
-                if test(frame) is not False:
-                    return then(frame)
-                return alt(frame)
-            return self._marked(if_, (test, then, alt))
+            return self._compile_if(sx, scope, pos, tail, target)
         if head is _LET:
             if len(items) >= 2 and type(items[1]) is str:
                 if len(items) < 4:
                     raise SchemeSyntaxError(
                         "named let needs bindings and a body", *pos)
                 return self._compile_let(items[1], items[2], items[3:],
-                                         scope, pos, tail)
+                                         scope, pos, tail, target)
             if len(items) < 3:
                 raise SchemeSyntaxError("let needs bindings and a body",
                                         *pos)
             return self._compile_let(None, items[1], items[2:], scope, pos,
-                                     tail)
-        if head is _LAMBDA:
+                                     tail, target)
+        if head is _BEGIN:
+            if len(items) < 2:
+                raise SchemeSyntaxError("empty begin", *pos)
+            return self._compile_body(items[1:], scope, pos, tail, target)
+        if head is _QUOTE:
+            if len(items) != 2:
+                raise SchemeSyntaxError("quote takes one datum", *pos)
+            code = self._compile_quote(items[1], pos)
+        elif head is _LAMBDA:
             if len(items) < 3:
                 raise SchemeSyntaxError("lambda needs parameters and a body",
                                         *pos)
             plist = items[1]
             if type(plist) is not SrcList or plist.tail is not None:
                 _syntax_error("expected a parameter list", plist, pos)
-            return self._compile_lambda(plist.items, items[2:], scope, pos)
-        if head is _BEGIN:
-            if len(items) < 2:
-                raise SchemeSyntaxError("empty begin", *pos)
-            return self._compile_body(items[1:], scope, pos, tail)
-        if head is _DEFINE:
-            return self._compile_define(items, scope, pos)
-        if head is _SET:
-            return self._compile_set(items, scope, pos)
-        return self._compile_apply(items, scope, pos, tail)
+            code = self._compile_lambda(plist.items, items[2:], scope, pos)
+        elif head is _DEFINE:
+            code = self._compile_define(items, scope, pos)
+        elif head is _SET:
+            code = self._compile_set(items, scope, pos)
+        else:
+            return self._compile_apply(items, scope, pos, tail, target)
+        return _deliver(code, tail, target)
 
     def _compile_ref(self, name, scope, pos):
         chain, local = _resolve(scope, name)
         if local and len(chain) == 1:
-            return _slot_ref(*chain[0])
-        table = self.globals
+            return _Code([], self._slot(scope, *chain[0]), _SLOT)
+        t, n, p = self._name(), self._const(name), self._const(pos)
+        if chain:
+            return _Code([f"{t} = _late_ref(G, {self._vars[scope]}, "
+                          f"{self._const(tuple(chain))}, {n}, {p})"], t)
+        return _Code(["try:", (f"{t} = G[{n}]",), "except KeyError:",
+                      (f"raise _unbound({n}, {p}) from None",)], t)
 
-        def global_ref(frame):
-            try:
-                return table[name]
-            except KeyError:
-                raise _rt_error(f"unbound variable: {name}", pos) from None
-        if not chain:
-            return global_ref
-
-        def late_ref(frame):
-            f, i = _find(frame, chain)
-            return global_ref(frame) if f is None else f[i]
-        return late_ref
+    def _compile_if(self, sx, scope, pos, tail, target):
+        items = sx.items
+        if len(items) not in (3, 4):
+            raise SchemeSyntaxError(
+                "if takes a test and one or two branches", *pos)
+        if self._depth >= _SPLIT:  # into a function of its own
+            name, code = self._unit([sx], scope, pos, tail)
+            call = f"{name}({self._vars[scope]})"
+            if tail and target:
+                return _Code(_run(target, call), None, _STABLE, [code])
+            return _deliver(_Code([], call, _OP, [code]), tail, target)
+        value = None
+        if not (tail or target):
+            target = value = self._name()
+        self._depth += 1
+        # The alternative's errors are reported before the test's.
+        alt = (self._compile(items[3], scope, pos, tail, target)
+               if len(items) == 4 else _deliver(_Code([], "NIL"), tail,
+                                                target))
+        test = self._compile(items[1], scope, pos)
+        then = self._compile(items[2], scope, pos, tail, target)
+        self._depth -= 1
+        expr = f"({test.expr})" if test.kind == _OP else test.expr
+        return _Code([test.node, f"if {expr} is not False:", (then.node,),
+                      "else:", (alt.node,)], value, _STABLE,
+                     [test, then, alt])
 
     def _compile_set(self, items, scope, pos):
         if len(items) != 3:
             raise SchemeSyntaxError("set! takes a name and a value", *pos)
         name = _require_symbol(items[1], "a name", pos)
-        value_code = self._compile(items[2], scope, pos, False)
+        value = self._compile(items[2], scope, pos)
         chain, local = _resolve(scope, name)
         if local and len(chain) == 1:
-            return self._marked(_slot_set(*chain[0], value_code),
-                                (value_code,))
-        table = self.globals
+            line = f"{self._slot(scope, *chain[0])} = {value.expr}"
+        else:
+            line = (f"_set_var(G, {self._vars[scope]}, "
+                    f"{self._const(tuple(chain))}, {self._const(name)}, "
+                    f"{self._const(pos)}, {value.expr})")
+        return _Code([value.node, line], "NIL", _STABLE, [value],
+                     writes=True)
 
-        def set_var(frame):
-            value = value_code(frame)
-            f, i = _find(frame, chain)
-            if f is not None:
-                f[i] = value
-            elif name in table:
-                table[name] = value
-            else:
-                raise _rt_error(f"set! of unbound variable: {name}", pos)
-            return NIL
-        return self._marked(set_var, (value_code,))
-
-    def _compile_body(self, forms, scope, pos, tail):
-        codes = [self._compile(f, scope, pos, False) for f in forms[:-1]]
-        last = self._compile(forms[-1], scope, pos, tail)
-        if not codes:
+    def _compile_body(self, forms, scope, pos, tail, target=None):
+        effects = [self._compile(f, scope, pos) for f in forms[:-1]]
+        last = self._compile(forms[-1], scope, pos, tail, target)
+        if not effects:
             return last
-
-        def body(frame):
-            for code in codes:
-                code(frame)
-            return last(frame)
-        return self._marked(body, codes + [last])
+        node = [[c.node, c.expr] if c.kind == _OP else c.node
+                for c in effects]
+        return _Code(node + [last.node], last.expr, last.kind,
+                     effects + [last])
 
     def _compile_lambda(self, plist, body_forms, scope, pos):
         params = []
         for p in plist:
-            name = _require_symbol(p, "a parameter name", pos)
-            if name in params:
-                raise SchemeSyntaxError(f"duplicate parameter {name}", *pos)
-            params.append(name)
+            param = _require_symbol(p, "a parameter name", pos)
+            if param in params:
+                raise SchemeSyntaxError(f"duplicate parameter {param}", *pos)
+            params.append(param)
         inner = _Scope(scope, params, body_forms)
-        body = self._compile_body(body_forms, inner, pos, True)
-        arity, unset = len(params), inner.unset
-        return lambda frame: Closure(arity, unset, body, frame, None)
+        fn, _ = self._unit(body_forms, inner, pos, True)
+        return _Code([], f"Closure({len(params)}, {self._const(inner.unset)},"
+                         f" {fn}, {self._vars[scope]}, None)", _OP)
 
     def _compile_define(self, items, scope, pos):
         if len(items) < 3:
@@ -1163,46 +861,35 @@ class Interpreter:
             if target.tail is not None or not target.items:
                 _syntax_error("bad define form", target, pos)
             name = _require_symbol(target.items[0], "a procedure name", pos)
-            value_code = self._compile_lambda(target.items[1:], items[2:],
-                                              scope, pos)
+            value = self._compile_lambda(target.items[1:], items[2:], scope,
+                                         pos)
         else:
             if len(items) != 3:
                 raise SchemeSyntaxError("define takes one value", *pos)
             name = _require_symbol(target, "a name", pos)
-            value_code = self._compile(items[2], scope, pos, False)
+            value = self._compile(items[2], scope, pos)
+        t, n = self._name(), self._const(name)
         # at top level the name is a global; else it has a slot
-        slot = None if scope is None else scope.slots[name]
-        table = self.globals
-
-        def define(frame):
-            value = value_code(frame)
-            if type(value) is Closure and value.name is None:
-                value.name = name
-            if slot is None:
-                table[name] = value
-            else:
-                frame[slot] = value
-            return NIL
-        return self._marked(define, (value_code,))
+        slot = (f"G[{n}]" if scope is None else
+                f"{self._vars[scope]}[{scope.slots[name]}]")
+        return _Code([value.node, f"{t} = {value.expr}",
+                      f"if type({t}) is Closure and {t}.name is None: "
+                      f"{t}.name = {n}", f"{slot} = {t}"], "NIL", _STABLE,
+                     [value], writes=True)
 
     def _compile_quote(self, datum, pos):
         if type(datum) is SrcList and not datum.items and datum.tail is None:
-            datum = NIL  # '() allocates nothing, so it is a constant
+            return _Code([], "NIL", _CONST)  # '() allocates nothing
         if type(datum) is not SrcList:
-            return lambda frame: datum
-        materialize = self._materialize
-
-        def quote(frame):
-            try:
-                return materialize(datum)
-            except OutOfMemory as exc:
-                raise OutOfMemory(f"{pos[0]}:{pos[1]}: quote: {exc}") \
-                    from None
-        return self._marked(quote, (), True)
+            return _Code([], self._const(datum), _CONST)
+        return _Code([], f"quote({self._const(datum)}, {self._const(pos)})",
+                     _OP, alloc=True)
 
     def _compile_let(self, loop_name, bindings, body_forms, scope, pos,
-                     tail):
-        """A let, or a named let; an init reports its binding's position."""
+                     tail, target):
+        """A let, or a named let; an init reports its binding's position.
+        A let's frame is a local and its body runs inline; a named let's
+        body is a function of its own, the code of its loop closure."""
         if type(bindings) is not SrcList or bindings.tail is not None:
             _syntax_error("expected a binding list", bindings, pos)
         names, inits = [], []
@@ -1216,103 +903,87 @@ class Interpreter:
                 raise SchemeSyntaxError(f"duplicate binding name {name}",
                                         *pos)
             names.append(name)
-            inits.append(self._compile(b.items[1], scope, bpos, False))
-        if loop_name is not None:
-            scope = _Scope(scope, [loop_name], [])
-        inner = _Scope(scope, names, body_forms)
-        body = self._compile_body(body_forms, inner, pos, True)
-        arity, unset = len(names), inner.unset
-        stack = self._stack
-        build = self._list_code([lambda frame: frame, *inits])
+            inits.append(self._compile(b.items[1], scope, bpos))
+        frame, f, value = self._vars[scope], self._name("f"), None
+        if not (tail or target):
+            target = value = self._name()
+        inner = _Scope(scope if loop_name is None else
+                       _Scope(scope, [loop_name], []), names, body_forms)
+        node, _, _ = self._operands([_Code([], frame), *inits], f)
+        if loop_name is None:
+            self._vars[inner] = f
+            body = self._compile_body(body_forms, inner, pos, True, target)
+            run = [body.node]
+        else:  # the loop name binds a closure over its own frame
+            fn, body = self._unit(body_forms, inner, pos, True)
+            loop = self._name("l")
+            node += [f"{f}[0] = {loop} = [{frame}, None]",
+                     f"{loop}[1] = Closure({len(names)}, "
+                     f"{self._const(inner.unset)}, {fn}, {loop}, "
+                     f"{self._const(loop_name)})"]
+            run = _run(target, f"{fn}({f})") if target else [
+                f"return {fn}({f})"]
+        if inner.unset:
+            node.append(f"{f} += {self._const(inner.unset)}")
+        node += ([f"stack[-1] = {f}", *run] if tail else
+                 [f"push({f})", *run, "pop()"])
+        return _Code(node, value, _STABLE, [*inits, body])
 
-        def let(frame):
-            if build is not None:
-                vals = build(frame)
-            else:  # pinned while the inits run
-                vals = [frame]
-                stack.append(vals)
-                for init in inits:
-                    vals.append(init(frame))
-                stack.pop()
-            if loop_name is not None:
-                # the loop name binds a closure over its own frame
-                loop = [frame, None]
-                loop[1] = Closure(arity, unset, body, loop, loop_name)
-                vals[0] = loop
-            vals += unset
-            if tail:
-                stack[-1] = vals
-                return body(vals)
-            stack.append(vals)
-            try:
-                r = body(vals)
-                return _trampoline(stack, r) if type(r) is tuple else r
-            finally:
-                stack.pop()
-        return self._marked(let, inits + [body])
-
-    def _compile_apply(self, items, scope, pos, tail):
-        fn_code = self._compile(items[0], scope, pos, False)
-        arg_codes = [self._compile(a, scope, pos, False) for a in items[1:]]
+    def _compile_apply(self, items, scope, pos, tail, target):
+        fn = self._compile(items[0], scope, pos)
+        args = [self._compile(a, scope, pos) for a in items[1:]]
         prim = self._fixed.get(items[0])
-        if (prim is not None and prim.accepts(len(arg_codes))
+        if (prim is not None and prim.accepts(len(args))
                 and not _resolve(scope, items[0])[0]):
-            return self._compile_primitive_call(prim, arg_codes, pos)
-        interp, stack = self, self._stack
-        build = self._list_code([fn_code, *arg_codes])
+            return _deliver(self._compile_primitive_call(prim, args, pos,
+                                                         items[1:]),
+                            tail, target)
+        if fn.kind > _STABLE:  # the operator is read more than once
+            t = self._name()
+            fn = _Code([fn.node, f"{t} = {fn.expr}"], t, _STABLE, [fn])
+        a = self._name("a")
+        node, atoms, _ = self._operands([fn, *args], a)
+        f, call = atoms[0], f"_call_procedure(interp, {a}, {self._const(pos)})"
+        # the operator's slot becomes the parent link
+        head = f"if type({f}) is Closure and {f}.arity == {len(args)}:"
+        bind = (f"{a}[0] = {f}.env", f"{a} += {f}.unset")
+        if tail and not target:
+            node += [head, (*bind, f"return ({f}.code, {a})"),
+                     f"return {call}"]
+            return _Code(node, None, _STABLE, (), True, True)
+        value = target or self._name()
+        run = _run(value, f"{f}.code({a})")
+        node += [head, (*bind, f"stack[-1] = {a}", *run) if tail else
+                 (*bind, f"push({a})", *run, "pop()"),
+                 "else:", (f"{value} = {call}",)]
+        return _Code(node, None if target else value, _STABLE, (), True,
+                     True)
 
-        def apply(frame):
-            if build is not None:
-                args = build(frame)
-            else:  # pinned while the arguments run
-                args = [fn_code(frame)]
-                stack.append(args)
-                for arg in arg_codes:
-                    args.append(arg(frame))
-                stack.pop()
-            fn = args[0]
-            if type(fn) is not Closure:
-                return _call_procedure(interp, fn, args, pos)
-            if len(args) - 1 != fn.arity:
-                raise _rt_error(f"{fn.name or 'procedure'} expects "
-                                f"{fn.arity} arguments, got {len(args) - 1}",
-                                pos)
-            # the operator's slot becomes the parent link
-            args[0] = fn.env
-            args += fn.unset
-            if tail:
-                return fn.code, args
-            stack.append(args)
-            try:
-                r = fn.code(args)
-                return _trampoline(stack, r) if type(r) is tuple else r
-            finally:
-                stack.pop()
-        return self._marked(apply, (), True)
-
-    def _compile_primitive_call(self, prim, codes, pos):
+    def _compile_primitive_call(self, prim, args, pos, forms):
         """A call of the fixed primitive prim on the arguments compiled to
-        codes, whose count prim accepts (see "Fixed primitives" above)."""
-        interp = self
-        body = (len(codes) == 2 and _TWO_ARG_BODIES.get(prim.name)) or prim.fn
-        if prim.allocates or not self._allocating.isdisjoint(codes[1:]):
-            stack, name = self._stack, prim.name
-
-            def call(frame):
-                vals = []
-                stack.append(vals)
-                for code in codes:
-                    vals.append(code(frame))
-                try:
-                    result = body(interp, pos, *vals)
-                except OutOfMemory as exc:
-                    raise OutOfMemory(f"{pos[0]}:{pos[1]}: {name}: {exc}") \
-                        from None
-                stack.pop()
-                return result
-        else:
-            call = _direct_call(interp, body, pos, codes)
-        return self._marked(call, codes, prim.allocates)
+        args, whose count prim accepts (see "Fixed primitives" above)."""
+        node, atoms, pinned = self._operands(args, keep=prim.allocates)
+        p = self._const(pos)
+        consts = len(args) > 4 and all(a.kind == _CONST for a in args)
+        if consts:  # one constant tuple, which holds no Ref to pin
+            atoms = ["*" + self._const(tuple(self._env[a] for a in atoms),
+                                       tuple(atoms))]
+        expr = f"{prim.fn.__name__}(interp, {', '.join([p, *atoms])})"
+        if prim.name in _INLINE and 2 <= len(atoms) <= 4:
+            tests = [f"type({a}) is int" for a, sx in zip(atoms, forms)
+                     if type(sx) is not int]
+            expr = _INLINE[prim.name].join(atoms) + (
+                f" if {' and '.join(tests)} else {expr}" if tests else "")
+        if not prim.allocates:  # so nothing can once the arguments ran
+            return _Code(node, expr, _OP, args)
+        if not (pinned or consts):
+            pinned = self._name("a")
+            node += [f"{pinned} = [{', '.join(atoms)}]", f"push({pinned})"]
+        t = self._name()
+        node += ["try:", (f"{t} = {expr}",), "except OutOfMemory as exc:",
+                 (f"raise _oom(exc, {p}, {self._const(prim.name)}) "
+                  "from None",), *["pop()"] * (not consts)]
+        return _Code(node, t, _STABLE, args, alloc=True)
 
 
 # ---------------------------------------------------------------------------

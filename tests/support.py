@@ -29,6 +29,51 @@ def nullified_source(n):
     return _substitute(text, "(define n 1000)", f"(define n {n})")
 
 
+def _nested_ifs(depth, inner):
+    """depth ifs, nested in the then branch and the else branch by turns,
+    around inner; t is #t and f is #f."""
+    src = inner
+    for i in range(depth):
+        src = f"(if t {src} 0)" if i % 2 else f"(if f 0 {src})"
+    return src
+
+
+def _nested_lets(depth):
+    """A let depth deep whose innermost body reads the outermost and the
+    innermost binding; each binding conses onto the one before."""
+    src = f"(cons (car a0) a{depth - 1})"
+    for i in range(depth - 1, 0, -1):
+        src = f"(let ((a{i} (cons {i} a{i - 1}))) {src})"
+    return f"(cdr (let ((a0 (cons 0 '()))) {src}))"
+
+
+_ALLOCATING_ARGS = " ".join(f"(car '({i}))" for i in range(300))
+_LONG_INT = "7" * 4000
+_INNER = "(car (list 7 (cons 8 9)))"
+
+# Programs at Python's static limits, which a compiler to Python source
+# must split or keep out of the text: 100 levels of indentation, 200
+# nested brackets, the longest integer str() converts (4300 digits), and
+# symbols that are no Python identifier or string literal.
+LIMIT_PROGRAMS = {
+    "nested-ifs": ("(define t #t) (define f #f)\n"
+                   f"(define (g x) (+ x {_nested_ifs(150, _INNER)}))\n"
+                   f"(cons (g 1) {_nested_ifs(150, _INNER)})"),
+    "nested-lets": _nested_lets(120),
+    "long-begin": "(define x '()) (begin " + " ".join(
+        f"(set! x (cons {i} x))" for i in range(5000)) + " (car x))",
+    "wide-plus": f"(+ {_ALLOCATING_ARGS})",
+    "wide-list": f"(list {_ALLOCATING_ARGS})",
+    "wide-vector": f"(vector {_ALLOCATING_ARGS})",
+    "deep-plus": "(+ 1 " * 250 + "(car '(1))" + ")" * 250,
+    "long-integer": f"(display {_LONG_INT}) "
+                    f"(car (list {_LONG_INT} -{_LONG_INT}))",
+    "odd-symbols": ("(define a\"b 'a\"b\\c)\n"
+                    "(display (let ((x\\y a\"b)) (car (list x\\y))))\n"
+                    "a\"b"),
+}
+
+
 class HeapDriver:
     """Random mutator over a Runtime, no interpreter involved.
 

@@ -143,6 +143,35 @@ def test_run_deep_non_tail_recursion_exits_0(workdir, capsys):
     assert sys.getrecursionlimit() == limit
 
 
+def test_run_non_tail_recursion_takes_one_python_frame_per_call(workdir,
+                                                                capsys):
+    # the budget RUN_RECURSION_LIMIT's comment states: 35,000 calls deep
+    # needs fewer than 40,000 Python frames; a root walk per collection
+    # point would cost as much as the whole stack, hence few points
+    deep = workdir / "deep.scm"
+    deep.write_text(BUILD.format(n=35_000), encoding="utf-8")
+    assert run_cli("run", deep, "--heap-slots", 2 ** 17, "--gc-interval",
+                   10_000, "--log", workdir / "deep.draglog") == 0
+    assert "result: 35000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("wrap, opening", [("(cons acc '())", "("),
+                                           ("(vector acc)", "#(")])
+def test_run_writes_a_value_nested_50000_deep(workdir, capsys, wrap,
+                                              opening):
+    # writing a value takes no Python frame per level of nesting
+    deep = workdir / "deep.scm"
+    deep.write_text("(define v (let loop ((i 0) (acc '()))\n"
+                    f"  (if (= i 50000) acc (loop (+ i 1) {wrap}))))\n"
+                    "(display v)\nv\n", encoding="utf-8")
+    assert run_cli("run", deep, "--heap-slots", 200_000,
+                   "--log", workdir / "deep.draglog") == 0
+    text = opening * 50_000 + "()" + ")" * 50_000
+    out = capsys.readouterr().out
+    assert out.startswith(text)
+    assert f"result: {text}\n" in out
+
+
 def test_run_unbounded_recursion_exits_2_without_traceback(workdir, capsys):
     limit = sys.getrecursionlimit()
     deep = workdir / "deep.scm"

@@ -21,7 +21,11 @@ from dragprof.interp import (
 )
 from dragprof.profiler import format_draglog
 from dragprof.runtime import Runtime
-from support import ProgramGenerator, oracle_checked_points
+from support import (
+    LIMIT_PROGRAMS,
+    ProgramGenerator,
+    oracle_checked_points,
+)
 
 WALK_LOOP = """
 (let ((x (list 1 2 3)))
@@ -715,6 +719,48 @@ def test_out_of_memory_exit_path():
     # the failing allocation site and primitive are named
     assert "cons" in str(err.value)
     assert "6:27:" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# programs at Python's static limits: 100 levels of indentation, 200
+# nested brackets, the longest integer str() converts, and symbols that
+# are not Python identifiers
+
+@pytest.mark.parametrize("name, value_repr, records", [
+    ("nested-ifs", "(8 . 7)", 2 * 3 + 1),
+    ("nested-lets", "(" + " ".join(map(str, range(119, -1, -1))) + ")", 121),
+    ("long-begin", "4999", 5000),
+    ("wide-plus", str(sum(range(300))), 300),
+    ("wide-list", "(" + " ".join(map(str, range(300))) + ")", 600),
+    ("wide-vector", "#(" + " ".join(map(str, range(300))) + ")", 301),
+    ("deep-plus", "251", 1),
+    ("long-integer", "7" * 4000, 2),
+    ("odd-symbols", 'a"b\\c', 1),
+])
+def test_programs_at_python_limits(name, value_repr, records, capsys):
+    r = run(LIMIT_PROGRAMS[name], heap_slots=2 ** 15)
+    assert r.value_repr == value_repr
+    assert len(r.trace_log.records) == records
+    if name in ("long-integer", "odd-symbols"):
+        assert capsys.readouterr().out == value_repr
+
+
+def test_equal_constants_of_other_types_stay_apart():
+    # 1 == True and 0 == False in Python; each call of five constants
+    # keeps its own values
+    src = ("(list (list 1 1 1 1 1) (list 1 1 1 1 #t) (vector 0 0 0 0 0) "
+           "(vector 0 0 0 0 #f) (+ 1 1) (eq? 1 #t) (eq? #f 0))")
+    assert run(src).value_repr == ("((1 1 1 1 1) (1 1 1 1 #t) #(0 0 0 0 0) "
+                                   "#(0 0 0 0 #f) 2 #f #f)")
+
+
+def test_odd_symbols_in_error_messages():
+    with pytest.raises(SchemeRuntimeError) as err:
+        run("(car 'x\"y) (cons u\"v\\ 1)")
+    assert str(err.value) == "1:1: car: expected a pair, got a symbol"
+    with pytest.raises(SchemeRuntimeError) as err:
+        run("(cons u\"v\\ 1)")
+    assert str(err.value) == '1:1: unbound variable: u"v\\'
 
 
 # ---------------------------------------------------------------------------
