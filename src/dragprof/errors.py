@@ -26,8 +26,8 @@ class OutOfMemory(DragProfError):
 
 
 class DanglingRef(DragProfError):
-    """A Ref whose object was collected.  Signals a runtime/GC bug, not a
-    user error."""
+    """A reference whose object was collected.  Signals a runtime/GC bug,
+    not a user error."""
 
 
 class ToSpaceOverflow(DragProfError):

@@ -5,10 +5,10 @@ the standby space (Cheney, "A nonrecursive list compacting algorithm",
 CACM 1970).  The copied part of the standby space is the work queue: one
 loop forwards the roots, then, batch by batch, the slots copied since
 its previous batch, until no new slot was copied.  Each object moves
-with one slice assignment; its record in the object table takes the new
-address, and the shared forwarding marker FORWARDED is left in its
-evacuated from-space cell.  A Ref is only an id, so the copied slots
-keep their Ref objects and nothing is rewritten.  Then the heap's two
+with one slice assignment; its record takes the new address, and the
+shared forwarding marker FORWARDED is left in its evacuated from-space
+cell.  A reference is the record itself (heap.py), so the copied slots
+keep their references and nothing is rewritten.  Then the heap's two
 slot lists swap and the flush callback the Collector was made with
 (runtime.Runtime.flush_unmarked) drops every record of the object table
 whose id was not copied and dates its death, reading the dead objects'
@@ -26,7 +26,7 @@ traversal logic with collect(), so they can be used to cross-check it.
 """
 
 from .errors import DanglingRef, ToSpaceOverflow
-from .heap import FORWARDED, PAIR, Heap, Nil, Ref
+from .heap import FORWARDED, PAIR, Heap, LifetimeRecord, Nil
 from .profiler import CollectionStats
 
 
@@ -41,7 +41,6 @@ class Collector:
     def collect(self, roots, clock: int, trigger: str = "manual"
                 ) -> CollectionStats:
         heap = self.heap
-        objects = heap.objects
         src = heap.slots
         dst = heap.standby
         capacity = len(dst)
@@ -51,7 +50,7 @@ class Collector:
         batch = roots
         while True:
             for v in batch:
-                if type(v) is not Ref:
+                if type(v) is not LifetimeRecord:
                     if v is FORWARDED:
                         raise AssertionError(
                             "forwarding marker leaked into to-space")
@@ -59,19 +58,18 @@ class Collector:
                 obj_id = v.obj_id
                 if obj_id in copied:
                     continue
-                rec = objects.get(obj_id)
-                if rec is None:
+                base = v.address
+                if base is None:
                     raise DanglingRef(f"root/slot points at collected "
                                       f"object #{obj_id}")
-                size = rec.size_slots
+                size = v.size_slots
                 if free + size > capacity:
                     raise ToSpaceOverflow(f"standby space full while "
                                           f"copying object #{obj_id}")
-                base = rec.address
                 dst[free:free + size] = src[base:base + size]
                 if size:
                     src[base] = FORWARDED
-                rec.address = free
+                v.address = free
                 free += size
                 copied.add(obj_id)
             if scan == free:
@@ -88,7 +86,8 @@ class Collector:
 
 
 def reachability_oracle(heap: Heap, roots) -> set[int]:
-    """Exact transitive closure over Ref slots, by brute-force worklist.
+    """Exact transitive closure over reference slots, by brute-force
+    worklist, through the object table by id.
 
     Shares no traversal code with Collector.collect; tests compare the two.
     """
@@ -104,7 +103,7 @@ def reachability_oracle(heap: Heap, roots) -> set[int]:
         obj_id = stack.pop()
         for i in range(heap.objects[obj_id].size_slots):
             v = heap.slot_value(obj_id, i)
-            if type(v) is Ref and v.obj_id not in reached:
+            if type(v) is LifetimeRecord and v.obj_id not in reached:
                 if v.obj_id not in heap.objects:
                     raise DanglingRef(f"slot points at collected "
                                       f"object #{v.obj_id}")
@@ -122,7 +121,7 @@ def canonical_serialization(heap: Heap, roots) -> str:
     order).  Tokens are type-prefixed to keep the encoding injective.
     """
     out: list[str] = []
-    seen: dict[int, int] = {}
+    seen: dict[LifetimeRecord, int] = {}
     # Frames: ("val", value) emits one value, ("lit", token) emits a token.
     stack = []
     for ref in reversed(list(roots)):
@@ -133,20 +132,18 @@ def canonical_serialization(heap: Heap, roots) -> str:
             out.append(payload)
             continue
         v = payload
-        if type(v) is Ref:
-            obj_id = v.obj_id
-            if obj_id in seen:
-                out.append(f"@{seen[obj_id]}")
+        if type(v) is LifetimeRecord:
+            if v in seen:
+                out.append(f"@{seen[v]}")
                 continue
-            if obj_id not in heap.objects:
-                raise DanglingRef(f"serializing collected object #{obj_id}")
-            seen[obj_id] = len(seen)
-            meta = heap.objects[obj_id]
-            out.append("p(" if meta.kind == PAIR
-                       else f"v{meta.size_slots}(")
+            if heap.objects.get(v.obj_id) is not v:
+                raise DanglingRef(f"serializing collected object #{v.obj_id}")
+            seen[v] = len(seen)
+            out.append("p(" if v.kind == PAIR else f"v{v.size_slots}(")
             stack.append(("lit", ")"))
-            for i in range(meta.size_slots - 1, -1, -1):
-                stack.append(("val", heap.slot_value(obj_id, i)))
+            base = v.address
+            for i in range(v.size_slots - 1, -1, -1):
+                stack.append(("val", heap.slots[base + i]))
         elif v is True:
             out.append("b:t")
         elif v is False:

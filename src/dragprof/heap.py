@@ -8,14 +8,17 @@ immediates or references:
 * the empty list is the ``NIL`` singleton and never touches the heap;
 * symbols are interned Python strings kept in a side table outside the
   profiled heap;
-* ``Ref`` carries only the stable object id.  Objects move during
-  collections, but a Ref does not: every access resolves the current
-  address through the object table, which is keyed by the id and never
-  reuses one, so a slot keeps the same Ref object across collections.
+* a reference is the object's LifetimeRecord itself: its kind, size and
+  current address for the heap, and its creation, last-use and
+  collection ticks for the runtime, which owns the run's clock.  A
+  collection moves the object and updates the record's address, so a
+  slot, frame or root keeps the same record across collections and
+  ``eq?`` is identity.
 
-The object table holds one LifetimeRecord per uncollected object: its
-kind, size and current address for the heap, and its creation, last-use
-and collection ticks for the runtime, which owns the run's clock.
+The object table maps each uncollected object's id, never reused, to
+its record, in creation order.  The runtime drops a dead record from
+the table and sets its address to None, so a later use or slot read of
+it fails (UnknownId, DanglingRef) instead of reading a reused slot.
 
 Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
 Merlin", TOPLAS 2006): while a record is in the table its collect_tick
@@ -23,7 +26,7 @@ holds a stamp that bounds how late the object was last reachable.  After
 collection point i the heap's stamp is 2i+1 (-1 before the first).  A
 new record starts at the heap's stamp, every collection point stamps
 its roots with 2i, and the write barrier, store(), stamps the old
-target of an overwritten Ref slot with the heap's stamp.  The copy that
+target of an overwritten reference with the heap's stamp.  The copy that
 later finds the object dead turns the stamp into its collection tick
 (see runtime.py).
 """
@@ -49,24 +52,6 @@ class Nil:
 NIL = Nil()
 
 
-class Ref:
-    """Reference to a heap object by its stable id."""
-
-    __slots__ = ("obj_id",)
-
-    def __init__(self, obj_id: int):
-        self.obj_id = obj_id
-
-    def __eq__(self, other):
-        return type(other) is Ref and other.obj_id == self.obj_id
-
-    def __hash__(self):
-        return hash(self.obj_id)
-
-    def __repr__(self):
-        return f"<ref #{self.obj_id}>"
-
-
 class Forward:
     """Marker written over slot 0 of an evacuated object in from-space.
     FORWARDED is the one instance; the object table holds the new
@@ -81,17 +66,19 @@ class Forward:
 FORWARDED = Forward()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class LifetimeRecord:
-    """One object's entry in the object table.
+    """One object, and every reference to it; records compare by
+    identity.
 
-    kind, size_slots and address serve the heap; the runtime sets the
-    ticks: create_tick where the record is made, last_use_tick at each
-    use (None for an object never used).  While the object is in the
-    table, collect_tick holds its Merlin stamp; it takes the collection
-    tick when the runtime dates the death the copy found, or (censored)
-    the end tick when the run terminates.  A parsed log holds the same
-    records without an address.
+    kind, size_slots and address serve the heap; address is None once
+    the object is collected.  The runtime sets the ticks: create_tick
+    where the record is made, last_use_tick at each use (None for an
+    object never used).  While the object is in the table, collect_tick
+    holds its Merlin stamp; it takes the collection tick when the
+    runtime dates the death the copy found, or (censored) the end tick
+    when the run terminates.  A parsed log holds the same records
+    without an address.
     """
 
     obj_id: int
@@ -107,15 +94,15 @@ class LifetimeRecord:
 class Heap:
     """Two equal slot lists plus the object table.
 
-    slots is the active space, bump-allocated up to used_slots; standby
-    is the other half, which gc.Collector.collect copies into before it
-    swaps the two lists.  Its stale contents are never read again: the
-    object table points into slots.  This layer is pure storage; values
-    are checked by the primitives (interp.py), so it checks no slot
-    value, index or size.  It never triggers a collection and never
-    reads the clock; its write barrier only sets stamps, whose value the
-    runtime advances at each collection point.  Allocation policy lives
-    in runtime.Runtime.
+    slots is the active space, bump-allocated up to used_slots by
+    runtime.Runtime, which makes the records and owns the allocation
+    policy; standby is the other half, which gc.Collector.collect copies
+    into before it swaps the two lists.  Its stale contents are never
+    read again: the records' addresses point into slots.  This layer is
+    pure storage; values are checked by the primitives (primitives.py),
+    so it checks no slot value, index or size.  It never triggers a
+    collection and never reads the clock; its write barrier only sets
+    stamps, whose value the runtime advances at each collection point.
     """
 
     def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS):
@@ -133,42 +120,20 @@ class Heap:
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
 
-    def alloc_raw(self, kind: str, size_slots: int, values,
-                  create_tick: int | None = None) -> int:
-        """Allocate and initialize an object; the caller guarantees room.
-
-        Returns its id, which is never reused.
-        """
-        addr = self.used_slots
-        if addr + size_slots > self.capacity_slots:
-            raise AssertionError("alloc_raw called without free space")
-        self.used_slots = addr + size_slots
-        slots = self.slots
-        for i, v in enumerate(values):
-            slots[addr + i] = v
-        obj_id = self.allocated
-        self.allocated = obj_id + 1
-        # positional: keywords double the cost of this hot constructor
-        self.objects[obj_id] = LifetimeRecord(obj_id, kind, size_slots,
-                                              create_tick, None, self.stamp,
-                                              False, addr)
-        return obj_id
-
-    def record(self, ref: Ref) -> LifetimeRecord:
-        """The record of the object ref refers to."""
-        rec = self.objects.get(ref.obj_id)
-        if rec is None:
-            raise DanglingRef(f"object #{ref.obj_id} was collected")
+    def record(self, rec: LifetimeRecord) -> LifetimeRecord:
+        """rec, if its object is not collected."""
+        if rec.address is None:
+            raise DanglingRef(f"object #{rec.obj_id} was collected")
         return rec
 
     def store(self, addr: int, value):
         """Write the active slot at addr through the write barrier: an
-        overwritten Ref's target takes the heap's stamp, since it may
-        have lost its last reference."""
+        overwritten reference's target takes the heap's stamp, since it
+        may have lost its last reference."""
         slots = self.slots
         old = slots[addr]
-        if type(old) is Ref:
-            self.objects[old.obj_id].collect_tick = self.stamp
+        if type(old) is LifetimeRecord:
+            old.collect_tick = self.stamp
         slots[addr] = value
 
     def slot_value(self, obj_id: int, index: int):

@@ -84,7 +84,9 @@ makes the list [operator, argument values] and a let [frame, init
 values].  If no part after the first can allocate, the list is made in
 one expression once the parts have run; else it is pushed once the
 first part has run, so the values so far are roots while the others
-run, and popped after.  A closure call turns its list into the callee's
+run, and popped after.  A let's first part, the current frame, is on
+the stack already, so its list is pushed only while an init after the
+first can allocate.  A closure call turns its list into the callee's
 frame in place, the operator's slot becoming the parent link; a let
 keeps its list as its frame.  A non-tail closure call, let or named let
 pushes its frame once and pops it when it returns.  A tail call, tail
@@ -107,7 +109,11 @@ each time the quote is evaluated, keeping creation ticks meaningful.
 Closures and frames live outside the profiled heap; they cannot be
 stored in heap slots, but any references they capture are part of the
 root set: the global table's values and the stack, with each closure's
-frame and each frame's parent.
+frame and each frame's parent.  A reference is the object's record
+(heap.py), so a frame slot, a pinned list and the stack hold the
+records themselves; the generated code never looks an object up by id,
+and every allocation and use goes through the Runtime's alloc_pair,
+alloc_vector and record_use.
 """
 
 import re
@@ -121,7 +127,7 @@ from .errors import (
     SchemeRuntimeError,
     SchemeSyntaxError,
 )
-from .heap import NIL, Ref
+from .heap import NIL, LifetimeRecord
 from .primitives import PRIMITIVES, Primitive, rt_error, write_value
 from .profiler import TraceLog
 from .runtime import Runtime
@@ -499,7 +505,7 @@ def _flatten(node, lines):
             stack.pop()
 
 
-# The kinds of a value's expression: a constant (never a Ref) or a
+# The kinds of a value's expression: a constant (never a reference) or a
 # temporary, read any number of times; a frame slot, whose reads differ
 # once a slot is written; a flat expression with effects, evaluated once
 # and in order.
@@ -552,7 +558,6 @@ class Interpreter:
     def __init__(self, runtime: Runtime):
         self.rt = runtime
         self.heap = runtime.heap
-        self.objects = runtime.heap.objects
         # looked up here, not at import, so a patched Runtime.record_use
         # (the bench tracer's) is the one the primitives call
         self.record_use = runtime.record_use
@@ -564,16 +569,17 @@ class Interpreter:
         runtime.add_root_provider(self._iter_roots)
 
     def _iter_roots(self):
-        """Yield every Ref reachable from the global table and the stack:
-        a closure adds the frame it captures, a list (a frame, whose
-        parent is its slot 0, or pinned values) adds its items, once per
-        list, so shared and cyclic frames are walked once."""
+        """Yield every reference (a record) reachable from the global
+        table and the stack: a closure adds the frame it captures, a
+        list (a frame, whose parent is its slot 0, or pinned values)
+        adds its items, once per list, so shared and cyclic frames are
+        walked once."""
         seen = set()
         values = [*self.globals.values(), *self._stack]
         while values:
             v = values.pop()
             tv = type(v)
-            if tv is Ref:
+            if tv is LifetimeRecord:
                 yield v
             elif tv is Closure:
                 values.append(v.env)
@@ -684,7 +690,7 @@ class Interpreter:
             return f"_up({frame}, {depth})[{i}]"
         return f"{frame}{'[0]' * depth}[{i}]"
 
-    def _operands(self, parts, var=None, keep=False):
+    def _operands(self, parts, var=None, keep=False, rooted=False):
         """(node, atoms, pinned): the statements that evaluate the codes
         parts in order, and the expression of each value.  With var the
         list of the values is made as var, each read once; without, each
@@ -692,8 +698,10 @@ class Interpreter:
         after all parts.  While a part after the first can allocate, the
         values so far are pinned: their list (var or a temporary, named
         by pinned) is pushed once the first is made, and popped after the
-        last unless keep is set."""
-        pin = any(p.alloc for p in parts[1:])
+        last unless keep is set.  With rooted the first value is a root
+        already, so a pin is needed only while a part after the second
+        can allocate."""
+        pin = any(p.alloc for p in parts[2 if rooted else 1:])
         late = var is None or not pin  # atoms read after every part
         spills, has_node, writes = [], False, False
         for p in reversed(parts):
@@ -909,7 +917,9 @@ class Interpreter:
             target = value = self._name()
         inner = _Scope(scope if loop_name is None else
                        _Scope(scope, [loop_name], []), names, body_forms)
-        node, _, _ = self._operands([_Code([], frame), *inits], f)
+        # the current frame is on the stack already
+        node, _, _ = self._operands([_Code([], frame), *inits], f,
+                                    rooted=True)
         if loop_name is None:
             self._vars[inner] = f
             body = self._compile_body(body_forms, inner, pos, True, target)
@@ -965,7 +975,7 @@ class Interpreter:
         node, atoms, pinned = self._operands(args, keep=prim.allocates)
         p = self._const(pos)
         consts = len(args) > 4 and all(a.kind == _CONST for a in args)
-        if consts:  # one constant tuple, which holds no Ref to pin
+        if consts:  # one constant tuple, which holds no reference to pin
             atoms = ["*" + self._const(tuple(self._env[a] for a in atoms),
                                        tuple(atoms))]
         expr = f"{prim.fn.__name__}(interp, {', '.join([p, *atoms])})"

@@ -4,9 +4,12 @@ A primitive's body takes the interpreter, the call's position and the
 argument values, positionally.  The bodies are the one place the rules
 on values are checked (no procedure in a heap slot, no negative vector
 length, no index out of range): the runtime and the heap take the
-values they are handed as given.  Each body that receives a heap
-reference records a use of it, left to right, after its own validation,
-so a type error never records a use.
+values they are handed as given.  A heap reference is the object's
+record (heap.py), read directly: no body looks an object up by id.
+Each body that receives a heap reference records a use of it through
+Runtime.record_use, left to right, after its own validation, so a type
+error never records a use; a body of a fixed number of values checks
+and records them inline.
 """
 
 import math
@@ -14,7 +17,7 @@ import operator
 import sys
 
 from .errors import SchemeRuntimeError, int_text
-from .heap import NIL, PAIR, VECTOR, Nil, Ref
+from .heap import NIL, PAIR, VECTOR, LifetimeRecord, Nil
 
 
 class Primitive:
@@ -48,10 +51,10 @@ def write_value(heap, value) -> str:
     """Scheme-style rendering; cycles are cut with a #<cycle> marker.
     The values still to write wait on a stack, with the steps between
     them as tuples (no value is one), so nesting costs no Python frames:
-    (text,) writes text; (ids, None) closes the list or vector of ids;
-    (ids, cur) goes on with a list whose pairs so far are ids at cur, the
-    cdr of the last (its first pair if ids is empty)."""
-    objects = heap.objects
+    (text,) writes text; (recs, None) closes the list or vector of recs;
+    (recs, cur) goes on with a list whose pairs so far are recs at cur,
+    the cdr of the last (its first pair if recs is empty)."""
+    slots = heap.slots
     out, on_path, todo = [], set(), [value]
     while todo:
         v = todo.pop()
@@ -59,36 +62,34 @@ def write_value(heap, value) -> str:
             if len(v) == 1:
                 out.append(v[0])
                 continue
-            ids, cur = v
-            rec = objects.get(cur.obj_id) if type(cur) is Ref else None
+            recs, cur = v
             if cur is None or isinstance(cur, Nil):
                 out.append(")")
-                on_path.difference_update(ids)
-            elif rec is None or rec.kind != PAIR:
+                on_path.difference_update(recs)
+            elif (type(cur) is not LifetimeRecord or cur.address is None
+                  or cur.kind != PAIR):
                 out.append(" . ")
-                todo += [(ids, None), cur]
-            elif cur.obj_id in on_path:
+                todo += [(recs, None), cur]
+            elif cur in on_path:
                 out.append(" . #<cycle>")
-                todo.append((ids, None))
+                todo.append((recs, None))
             else:
-                if ids:
+                if recs:
                     out.append(" ")
-                on_path.add(cur.obj_id)
-                ids.append(cur.obj_id)
-                todo += [(ids, heap.slot_value(cur.obj_id, 1)),
-                         heap.slot_value(cur.obj_id, 0)]
-        elif type(v) is Ref:
-            meta = objects.get(v.obj_id)
-            if meta is None:
+                on_path.add(cur)
+                recs.append(cur)
+                todo += [(recs, slots[cur.address + 1]), slots[cur.address]]
+        elif type(v) is LifetimeRecord:
+            if v.address is None:
                 out.append(f"#<collected {v.obj_id}>")
-            elif v.obj_id in on_path:
+            elif v in on_path:
                 out.append("#<cycle>")
-            elif meta.kind == VECTOR:
-                on_path.add(v.obj_id)
+            elif v.kind == VECTOR:
+                on_path.add(v)
                 out.append("#(")
-                todo.append(([v.obj_id], None))
-                for i in range(meta.size_slots - 1, -1, -1):
-                    todo.append(heap.slot_value(v.obj_id, i))
+                todo.append(([v], None))
+                for i in range(v.size_slots - 1, -1, -1):
+                    todo.append(slots[v.address + i])
                     if i:
                         todo.append((" ",))
             else:
@@ -113,15 +114,19 @@ def write_value(heap, value) -> str:
 
 
 def _record_of(rt, v):
-    """The record of the object v refers to; None if v is not a Ref."""
-    return rt.heap.record(v) if type(v) is Ref else None
+    """v if it is a reference; None if it is not.  DanglingRef if its
+    object was collected."""
+    return rt.heap.record(v) if type(v) is LifetimeRecord else None
 
 
 _KIND_NAMES = {PAIR: "a pair", VECTOR: "a vector"}
 
+# The types of the values a heap slot may hold: no procedure.
+_STORABLE = frozenset((int, bool, str, Nil, LifetimeRecord))
+
 
 def _type_name(rt, v):
-    if type(v) is Ref:
+    if type(v) is LifetimeRecord:
         return _KIND_NAMES[_record_of(rt, v).kind]
     if isinstance(v, bool):
         return "a boolean"
@@ -137,22 +142,23 @@ def _type_name(rt, v):
 def _use_refs(interp, args):
     record_use = interp.record_use
     for v in args:
-        if type(v) is Ref:
+        if type(v) is LifetimeRecord:
             record_use(v)
 
 
 def _check_storable(interp, v, name, pos):
     """The one check that v may live in a heap slot: an immediate or a
-    Ref, never a procedure."""
-    if not isinstance(v, (int, str, Nil, Ref)):
+    reference, never a procedure.  The bodies of a fixed number of
+    values test inline and call this only to raise."""
+    if type(v) not in _STORABLE:
         raise rt_error(f"{name}: {_type_name(interp.rt, v)} cannot be "
                         f"stored in a heap object", pos)
 
 
 def _require(interp, v, kind, name, pos):
-    """The record of v if it is an object of kind.  The hottest bodies
-    look the record up inline and call this only to raise: DanglingRef
-    for a Ref with no record, else the type error."""
+    """v if it is a live object of kind.  The hottest bodies test inline
+    and call this only to raise: DanglingRef for a collected object,
+    else the type error."""
     rec = _record_of(interp.rt, v)
     if rec is None or rec.kind != kind:
         raise rt_error(f"{name}: expected {_KIND_NAMES[kind]}, got "
@@ -167,9 +173,13 @@ def _require_number(interp, v, name, pos):
 
 
 def _prim_cons(interp, pos, a, b):
-    _check_storable(interp, a, "cons", pos)
-    _check_storable(interp, b, "cons", pos)
-    _use_refs(interp, (a, b))
+    if type(a) not in _STORABLE or type(b) not in _STORABLE:
+        _check_storable(interp, a, "cons", pos)
+        _check_storable(interp, b, "cons", pos)
+    if type(a) is LifetimeRecord:
+        interp.record_use(a)
+    if type(b) is LifetimeRecord:
+        interp.record_use(b)
     return interp.rt.alloc_pair(a, b)
 
 
@@ -184,26 +194,27 @@ def _prim_list(interp, pos, *args):
 
 
 def _prim_car(interp, pos, p):
-    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
-    if rec is None or rec.kind != PAIR:
+    if type(p) is not LifetimeRecord or p.kind != PAIR or p.address is None:
         _require(interp, p, PAIR, "car", pos)
     interp.record_use(p)
-    return interp.heap.slots[rec.address]
+    return interp.heap.slots[p.address]
 
 
 def _prim_cdr(interp, pos, p):
-    rec = interp.objects.get(p.obj_id) if type(p) is Ref else None
-    if rec is None or rec.kind != PAIR:
+    if type(p) is not LifetimeRecord or p.kind != PAIR or p.address is None:
         _require(interp, p, PAIR, "cdr", pos)
     interp.record_use(p)
-    return interp.heap.slots[rec.address + 1]
+    return interp.heap.slots[p.address + 1]
 
 
 def _set_field(interp, pos, p, v, name, offset):
-    rec = _require(interp, p, PAIR, name, pos)
-    _check_storable(interp, v, name, pos)
-    _use_refs(interp, (p, v))
-    interp.heap.store(rec.address + offset, v)
+    _require(interp, p, PAIR, name, pos)
+    if type(v) not in _STORABLE:
+        _check_storable(interp, v, name, pos)
+    interp.record_use(p)
+    if type(v) is LifetimeRecord:
+        interp.record_use(v)
+    interp.heap.store(p.address + offset, v)
     return NIL
 
 
@@ -216,18 +227,21 @@ def _prim_set_cdr(interp, pos, p, v):
 
 
 def _prim_null_p(interp, pos, v):
-    _use_refs(interp, (v,))
+    if type(v) is LifetimeRecord:
+        interp.record_use(v)
     return type(v) is Nil
 
 
 def _prim_pair_p(interp, pos, v):
-    _use_refs(interp, (v,))
-    rec = _record_of(interp.rt, v)
-    return rec is not None and rec.kind == PAIR
+    if type(v) is LifetimeRecord:
+        interp.record_use(v)
+        return v.kind == PAIR
+    return False
 
 
 def _prim_number_p(interp, pos, v):
-    _use_refs(interp, (v,))
+    if type(v) is LifetimeRecord:
+        interp.record_use(v)
     return type(v) is int  # a bool is not a number
 
 
@@ -240,19 +254,20 @@ def _prim_vector(interp, pos, *args):
 
 def _vector_of(interp, items):
     """A new vector of items, which the caller keeps pinned."""
-    ref = interp.rt.alloc_vector(len(items), NIL)
-    addr = interp.objects[ref.obj_id].address
+    rec = interp.rt.alloc_vector(len(items), NIL)
     for i, v in enumerate(items):
-        interp.heap.store(addr + i, v)
-    return ref
+        interp.heap.store(rec.address + i, v)
+    return rec
 
 
 def _prim_make_vector(interp, pos, n, fill=NIL):
     _require_number(interp, n, "make-vector", pos)
     if n < 0:
         raise rt_error(f"make-vector: negative length {int_text(n)}", pos)
-    _check_storable(interp, fill, "make-vector", pos)
-    _use_refs(interp, (fill,))
+    if type(fill) not in _STORABLE:
+        _check_storable(interp, fill, "make-vector", pos)
+    if type(fill) is LifetimeRecord:
+        interp.record_use(fill)
     return interp.rt.alloc_vector(n, fill)
 
 
@@ -265,24 +280,25 @@ def _vector_index(interp, rec, i, name, pos):
 
 
 def _prim_vector_ref(interp, pos, v, i):
-    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
-    if rec is None or rec.kind != VECTOR:
+    if type(v) is not LifetimeRecord or v.kind != VECTOR or v.address is None:
         _require(interp, v, VECTOR, "vector-ref", pos)
-    if type(i) is not int or not 0 <= i < rec.size_slots:
-        _vector_index(interp, rec, i, "vector-ref", pos)
+    if type(i) is not int or not 0 <= i < v.size_slots:
+        _vector_index(interp, v, i, "vector-ref", pos)
     interp.record_use(v)
-    return interp.heap.slots[rec.address + i]
+    return interp.heap.slots[v.address + i]
 
 
 def _prim_vector_set(interp, pos, v, i, x):
-    rec = interp.objects.get(v.obj_id) if type(v) is Ref else None
-    if rec is None or rec.kind != VECTOR:
+    if type(v) is not LifetimeRecord or v.kind != VECTOR or v.address is None:
         _require(interp, v, VECTOR, "vector-set!", pos)
-    if type(i) is not int or not 0 <= i < rec.size_slots:
-        _vector_index(interp, rec, i, "vector-set!", pos)
-    _check_storable(interp, x, "vector-set!", pos)
-    _use_refs(interp, (v, x))
-    interp.heap.store(rec.address + i, x)
+    if type(i) is not int or not 0 <= i < v.size_slots:
+        _vector_index(interp, v, i, "vector-set!", pos)
+    if type(x) not in _STORABLE:
+        _check_storable(interp, x, "vector-set!", pos)
+    interp.record_use(v)
+    if type(x) is LifetimeRecord:
+        interp.record_use(x)
+    interp.heap.store(v.address + i, x)
     return NIL
 
 
@@ -293,13 +309,13 @@ def _prim_vector_length(interp, pos, v):
 
 
 def _prim_vector_to_list(interp, pos, v):
-    rec = _require(interp, v, VECTOR, "vector->list", pos)
+    _require(interp, v, VECTOR, "vector->list", pos)
     interp.record_use(v)
     heap = interp.heap
     result = NIL
-    # each allocation may move the vector, so its slots are read by id
-    for i in range(rec.size_slots - 1, -1, -1):
-        result = interp.rt.alloc_pair(heap.slot_value(v.obj_id, i), result)
+    # each allocation may move the vector, so its address is read anew
+    for i in range(v.size_slots - 1, -1, -1):
+        result = interp.rt.alloc_pair(heap.slots[v.address + i], result)
     return result
 
 
@@ -354,16 +370,18 @@ def _prim_lt(interp, pos, *args):
 
 
 def _prim_eq_p(interp, pos, a, b):
-    _use_refs(interp, (a, b))
-    if type(a) is Ref:
-        return type(b) is Ref and a.obj_id == b.obj_id
-    # numbers and symbols by value; booleans, () and procedures by identity
-    return type(a) is type(b) and (a == b if type(a) in (int, str) else
-                                   a is b or type(a) is Nil)
+    if type(a) is LifetimeRecord:
+        interp.record_use(a)
+    if type(b) is LifetimeRecord:
+        interp.record_use(b)
+    # numbers and symbols by value; objects, booleans, () and procedures
+    # by identity
+    return a is b or (type(a) is type(b) and type(a) in (int, str)
+                      and a == b)
 
 
 def _prim_display(interp, pos, v):
-    if type(v) is Ref:
+    if type(v) is LifetimeRecord:
         interp.record_use(v)
     sys.stdout.write(write_value(interp.heap, v))
     return NIL

@@ -38,22 +38,25 @@ are those of a copy at every point, while the copying costs a constant
 per allocated slot.  terminate() closes the run and emits the records
 still in the table as censored.
 
-Root enumeration is pluggable: clients register providers yielding Refs
-(the interpreter walks its global table and its root stack; test
-drivers expose plain lists).  Values handed to an allocation are passed
-to gather_roots as pins, so a collection triggered by that very
-allocation cannot reclaim them; so is the fresh object at its interval
-point.  The primitives
-check the values (interp.py): an allocation takes them as given.
+Root enumeration is pluggable: clients register providers yielding
+references, which are the objects' records (heap.py).  The interpreter
+walks its global table and its root stack; test drivers expose plain
+lists.  Values handed to an allocation are passed to gather_roots as
+pins, so a collection triggered by that very allocation cannot reclaim
+them; so is the fresh object at its interval point.  The primitives
+check the values (primitives.py): an allocation takes them as given.
+alloc_pair and alloc_vector each do a whole allocation inline (room
+check, clock, slots, record), so a pair costs one object and one call.
 """
 
 from collections import defaultdict
+from itertools import chain
 from operator import attrgetter
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import OutOfMemory, ProtocolViolation, UnknownId, int_text
 from .gc import Collector
-from .heap import NIL, PAIR, VECTOR, Heap, Ref
+from .heap import NIL, PAIR, VECTOR, Heap, LifetimeRecord
 from .profiler import CollectionStats, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
@@ -92,30 +95,22 @@ class Runtime:
         self._terminated = False
 
     def add_root_provider(self, provider):
-        """Register a callable returning an iterable of live Refs."""
+        """Register a callable returning an iterable of live records."""
         self.root_providers.append(provider)
 
-    def gather_roots(self, pins=()) -> list[Ref]:
-        """The providers' Refs, then the Refs among pins, each once."""
-        seen = set()
-        roots = []
-        for provider in self.root_providers:
-            for ref in provider():
-                if ref.obj_id not in seen:
-                    seen.add(ref.obj_id)
-                    roots.append(ref)
-        for v in pins:
-            if type(v) is Ref and v.obj_id not in seen:
-                seen.add(v.obj_id)
-                roots.append(v)
-        return roots
+    def gather_roots(self, pins=()) -> list[LifetimeRecord]:
+        """The providers' records, then the records among pins, each
+        once."""
+        return list(dict.fromkeys(chain(
+            *[provider() for provider in self.root_providers],
+            [v for v in pins if type(v) is LifetimeRecord])))
 
     def collect_now(self) -> CollectionStats:
         """A manual collection point; it copies, so its stats are final."""
         self.collection_point("manual", self.gather_roots())
         return self.collections[-1]
 
-    def collection_point(self, trigger: str, roots: list[Ref]):
+    def collection_point(self, trigger: str, roots: list[LifetimeRecord]):
         """Open the next collection point over these roots; copy if it
         is manual or the heap has doubled since the last copy.  Over an
         empty heap there is nothing to copy: resolve the open points."""
@@ -131,11 +126,10 @@ class Runtime:
         """Open collection point i at the current tick: stamp its roots
         with 2i and the heap with 2i+1; the ghosts died at this point."""
         heap = self.heap
-        objects = heap.objects
         stamp = heap.stamp + 1
         heap.stamp = stamp + 1
-        for ref in roots:
-            objects[ref.obj_id].collect_tick = stamp
+        for rec in roots:
+            rec.collect_tick = stamp
         self._points.append([trigger, self.clock, heap.allocated,
                              self.created_slots, 0, 0])
         if self._ghosts:
@@ -158,34 +152,61 @@ class Runtime:
                 raise OutOfMemory(f"need {int_text(n)} slots, only "
                                   f"{heap.free_slots} free after collection")
 
-    def _finish_alloc(self, kind: str, size: int, values) -> Ref:
+    def alloc_pair(self, car, cdr) -> LifetimeRecord:
         if self._terminated:
             raise ProtocolViolation("allocation after termination")
-        self.clock += 1
-        self.created_slots += size
-        ref = Ref(self.heap.alloc_raw(kind, size, values, self.clock))
+        heap = self.heap
+        if heap.capacity_slots - heap.used_slots < 2 + self.ghost_slots:
+            self._make_room(2, (car, cdr))
+        clock = self.clock = self.clock + 1
+        self.created_slots += 2
+        addr = heap.used_slots
+        heap.used_slots = addr + 2
+        slots = heap.slots
+        slots[addr] = car
+        slots[addr + 1] = cdr
+        # one call fewer than LifetimeRecord(...), whose __init__ is Python
+        rec = _new(LifetimeRecord)
+        rec.obj_id = obj_id = heap.allocated
+        rec.kind, rec.size_slots, rec.create_tick = PAIR, 2, clock
+        rec.last_use_tick, rec.collect_tick = None, heap.stamp
+        rec.censored, rec.address = False, addr
+        heap.objects[obj_id] = rec
+        heap.allocated = obj_id + 1
         self.allocs_since_gc += 1
         if self.allocs_since_gc >= self.gc_interval:
             # the fresh object is a root of its own trigger
-            self.collection_point("interval", self.gather_roots((ref,)))
-        return ref
+            self.collection_point("interval", self.gather_roots((rec,)))
+        return rec
 
-    def alloc_pair(self, car, cdr) -> Ref:
-        if self.heap.free_slots < 2 + self.ghost_slots:
-            self._make_room(2, (car, cdr))
-        return self._finish_alloc(PAIR, 2, (car, cdr))
-
-    def alloc_vector(self, length: int, fill=NIL) -> Ref:
-        if self.heap.free_slots < length + self.ghost_slots:
+    def alloc_vector(self, length: int, fill=NIL) -> LifetimeRecord:
+        if self._terminated:
+            raise ProtocolViolation("allocation after termination")
+        heap = self.heap
+        if heap.capacity_slots - heap.used_slots < length + self.ghost_slots:
             self._make_room(length, (fill,))
-        return self._finish_alloc(VECTOR, length, [fill] * length)
+        clock = self.clock = self.clock + 1
+        self.created_slots += length
+        addr = heap.used_slots
+        heap.used_slots = addr + length
+        heap.slots[addr:addr + length] = [fill] * length
+        rec = _new(LifetimeRecord)
+        rec.obj_id = obj_id = heap.allocated
+        rec.kind, rec.size_slots, rec.create_tick = VECTOR, length, clock
+        rec.last_use_tick, rec.collect_tick = None, heap.stamp
+        rec.censored, rec.address = False, addr
+        heap.objects[obj_id] = rec
+        heap.allocated = obj_id + 1
+        self.allocs_since_gc += 1
+        if self.allocs_since_gc >= self.gc_interval:
+            self.collection_point("interval", self.gather_roots((rec,)))
+        return rec
 
-    def record_use(self, ref: Ref) -> int:
+    def record_use(self, rec: LifetimeRecord) -> int:
         if self._terminated:
             raise ProtocolViolation("event recorded after termination")
-        rec = self.heap.objects.get(ref.obj_id)
-        if rec is None:
-            raise UnknownId(f"use of unregistered object #{ref.obj_id}")
+        if rec.address is None:
+            raise UnknownId(f"use of unregistered object #{rec.obj_id}")
         clock = self.clock = self.clock + 1
         rec.last_use_tick = clock
         return clock
@@ -195,8 +216,8 @@ class Runtime:
         kept), in creation order, date each death and resolve every open
         point.  from_slots is the space the dropped records' addresses
         point into, read to spread their stamps when they may have died
-        at different points.  Returns the dropped records, ghosts
-        included."""
+        at different points; then each dropped record's address becomes
+        None.  Returns the dropped records, ghosts included."""
         if self._terminated:
             raise ProtocolViolation("flush after termination")
         live = self.heap.objects
@@ -205,8 +226,6 @@ class Runtime:
         # exactly |live| - |marked|.
         if len(live) - len(dead) != len(marked):
             raise UnknownId("a marked object has no live record")
-        for rec in dead:
-            del live[rec.obj_id]
         # Every dead object was alive at the last resolved point, so it
         # died at the first open one or later.  If no stamp dates a death
         # past it, all died there.
@@ -220,6 +239,9 @@ class Runtime:
                 deaths[max(first, rec.collect_tick // 2 + 1)].append(rec)
             for i, recs in deaths.items():
                 self._bury(i, recs)
+        for rec in dead:
+            del live[rec.obj_id]
+            rec.address = None
         for trigger, tick, created, created_slots, died, died_slots \
                 in self._points:
             self._died += died
@@ -269,6 +291,7 @@ class Runtime:
                         self.source, self.finalized, end_tick)
 
 
+_new = object.__new__
 _stamp = attrgetter("collect_tick")
 _size = attrgetter("size_slots")
 
@@ -277,18 +300,18 @@ def _spread_stamps(dead, slots):
     """Give each dead record the largest stamp of any dead record that
     reaches it: take the stamps in descending order and spread each one
     depth-first through the dead records it reaches first."""
-    unreached = {rec.obj_id: rec for rec in dead}
+    unreached = set(dead)
     for rec in sorted(dead, key=_stamp, reverse=True):
-        if unreached.pop(rec.obj_id, None) is None:
+        if rec not in unreached:
             continue
+        unreached.remove(rec)
         stamp = rec.collect_tick
         stack = [rec]
         while stack:
             r = stack.pop()
             base = r.address
             for v in slots[base:base + r.size_slots]:
-                if type(v) is Ref:
-                    t = unreached.pop(v.obj_id, None)
-                    if t is not None:
-                        t.collect_tick = stamp
-                        stack.append(t)
+                if v in unreached:
+                    unreached.remove(v)
+                    v.collect_tick = stamp
+                    stack.append(v)

@@ -139,8 +139,8 @@ def test_forwarding_markers_left_in_from_space():
 
 
 def test_slot_ref_kept_across_copy():
-    # Refs hold ids only: the Ref stored in a slot is the same object
-    # after its target moved, and still resolves to that target.
+    # a slot holds its target's record: the same object after the
+    # target moved, and still resolves to that target.
     rt = make_runtime()
     roots = Roots(rt)
     inner = rt.alloc_pair(7, NIL)
@@ -152,6 +152,22 @@ def test_slot_ref_kept_across_copy():
     assert rt.heap.objects[inner.obj_id].address != old_addr
     assert rt.heap.slot_value(outer.obj_id, 0) is stored
     assert rt.heap.slot_value(stored.obj_id, 0) == 7
+
+
+def test_a_slot_holds_the_record_in_the_table():
+    rt = make_runtime()
+    roots = Roots(rt)
+    for _ in range(3):  # garbage in front, so the copy moves both
+        rt.alloc_pair(0, 0)
+    inner = rt.alloc_pair(7, NIL)
+    outer = rt.alloc_pair(inner, NIL)
+    roots.refs[:] = [outer]
+    heap = rt.heap
+    assert heap.slot_value(outer.obj_id, 0) is heap.objects[inner.obj_id]
+    rt.collect_now()
+    assert heap.objects[inner.obj_id].address == 2
+    assert heap.slot_value(outer.obj_id, 0) is heap.objects[inner.obj_id]
+    assert heap.objects[inner.obj_id] is inner
 
 
 def test_randomized_sessions_oracle_equivalence():

@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from dragprof.errors import DanglingRef, OutOfMemory, ToSpaceOverflow
+from dragprof.errors import (
+    DanglingRef,
+    OutOfMemory,
+    ToSpaceOverflow,
+    UnknownId,
+)
 from dragprof.gc import Collector, canonical_serialization
-from dragprof.heap import NIL, PAIR, Heap, Ref
+from dragprof.heap import NIL, LifetimeRecord
 from dragprof import runtime
 from dragprof.runtime import MAX_HEAP_SLOTS, Runtime
 
@@ -37,6 +42,23 @@ def test_first_allocation_on_empty_heap():
     assert rt.heap.used_slots == 2
 
 
+def test_an_allocation_returns_the_record_in_the_table():
+    rt = make_runtime()
+    assert rt.alloc_pair(1, 2) is rt.heap.objects[0]
+    assert rt.alloc_vector(3) is rt.heap.objects[1]
+
+
+def test_a_collected_record_is_unknown_to_uses_and_dangling_to_reads():
+    rt = make_runtime()
+    p = rt.alloc_pair(1, 2)
+    rt.collect_now()  # nothing rooted
+    assert p.address is None and p.obj_id not in rt.heap.objects
+    with pytest.raises(UnknownId, match="use of unregistered object #0"):
+        rt.record_use(p)
+    with pytest.raises(DanglingRef, match="object #0 was collected"):
+        rt.heap.record(p)
+
+
 def test_eleventh_alloc_triggers_collection_and_succeeds():
     # 20 slots hold exactly 10 pairs; nothing is rooted, so the 11th
     # allocation exhausts the space, collects all 10, then succeeds.
@@ -63,7 +85,7 @@ def test_pair_with_reference_slot():
     o1 = rt.alloc_pair(o2, NIL)
     roots.refs.append(o1)
     car = rt.heap.slot_value(o1.obj_id, 0)
-    assert type(car) is Ref
+    assert type(car) is LifetimeRecord
     assert car.obj_id == o2.obj_id
 
 
@@ -172,14 +194,16 @@ def test_to_space_overflow_aborts():
 
 
 def test_heap_standalone_semispace_roles():
-    heap = Heap(32)
+    # the runtime allocates; a Collector of the heap's own then copies
+    rt = make_runtime(heap_slots=32)
+    heap = rt.heap
     assert len(heap.slots) == len(heap.standby) == heap.capacity_slots == 32
-    obj_id = heap.alloc_raw(PAIR, 2, (1, 2))
+    obj_id = rt.alloc_pair(1, 2).obj_id
     assert heap.used_slots == 2 and heap.allocated == 1
     assert heap.slot_value(obj_id, 0) == 1
     from_space, to_space = heap.slots, heap.standby
     collector = Collector(heap, lambda marked, from_slots: [])
-    collector.collect([Ref(obj_id)], clock=0)
+    collector.collect([heap.objects[obj_id]], clock=0)
     assert heap.slots is to_space and heap.standby is from_space
     assert heap.used_slots == 2
     assert heap.slot_value(obj_id, 1) == 2

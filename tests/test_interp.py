@@ -659,6 +659,29 @@ def test_runtime_entry_points_are_called_for_every_event(monkeypatch):
     assert counts["record_use"] == log.end_tick - 1 - allocs > 0
 
 
+def test_a_cons_is_two_python_calls_and_one_record():
+    # no collection point: the body and Runtime.alloc_pair, and the
+    # record is the only object the heap keeps for the pair
+    rt, interp = interp_fixture(gc_interval=10 ** 9)
+    cons = interp.primitives["cons"].fn
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    records = len(rt.heap.objects)
+    sys.setprofile(profile)
+    try:
+        pair = cons(interp, None, 1, NIL)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["_prim_cons", "alloc_pair"]
+    assert len(rt.heap.objects) == records + 1
+    assert rt.heap.objects[pair.obj_id] is pair
+    assert rt.heap.slots[pair.address:pair.address + 2] == [1, NIL]
+
+
 def test_run_source_leaves_the_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     with pytest.raises(SchemeRuntimeError, match="recursion too deep"):

@@ -7,7 +7,7 @@ from dragprof.errors import (
     ProtocolViolation,
     UnknownId,
 )
-from dragprof.heap import NIL, PAIR, VECTOR, Ref
+from dragprof.heap import NIL, PAIR, VECTOR, LifetimeRecord
 from dragprof.profiler import (
     CollectionStats,
     format_draglog,
@@ -50,7 +50,7 @@ def test_creations_strictly_increasing():
 
 def test_use_most_recent_wins():
     rt = make_runtime()
-    ref = Ref(create(rt))
+    ref = rt.heap.objects[create(rt)]
     first = rt.record_use(ref)
     second = rt.record_use(ref)
     assert rt.heap.record(ref).last_use_tick == second > first
@@ -59,7 +59,7 @@ def test_use_most_recent_wins():
 def test_use_of_unknown_id():
     rt = make_runtime()
     with pytest.raises(UnknownId):
-        rt.record_use(Ref(7))
+        rt.record_use(LifetimeRecord(7, PAIR, 2))  # not in the table
 
 
 def test_never_used_survives_to_the_log_as_sentinel():
@@ -116,7 +116,7 @@ def test_point_stamps_the_heap_and_its_roots():
     heap = rt.heap
     root, other = create(rt), create(rt)
     assert heap.stamp == -1
-    rt.open_point("interval", [Ref(root)])
+    rt.open_point("interval", [heap.objects[root]])
     assert heap.stamp == 1
     assert heap.objects[root].collect_tick == 0
     assert heap.objects[other].collect_tick == -1  # unreached: died here
@@ -129,7 +129,7 @@ def test_use_after_a_dated_death_is_unknown_id():
     rt = make_runtime()
     obj_id = create(rt)
     rt.open_point("interval")
-    rt.record_use(Ref(obj_id))
+    rt.record_use(rt.heap.objects[obj_id])
     with pytest.raises(UnknownId, match="after it died at tick 1"):
         flush(rt, set())
 
@@ -142,7 +142,7 @@ def test_dead_stamped_before_the_first_open_point_die_there():
         create(rt)
     rt.open_point("interval")  # reaches neither
     kept = create(rt)
-    rt.open_point("interval", [Ref(kept)])
+    rt.open_point("interval", [rt.heap.objects[kept]])
     flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.collect_tick for r in flushed] == [2, 2]
     assert rt.collections == [CollectionStats("interval", 2, 0, 2, 0),
@@ -155,14 +155,14 @@ def test_dead_stamped_after_the_last_point_is_a_ghost():
     # ticked at the next point
     rt = make_runtime()
     dead, kept = create(rt), create(rt)
-    rt.open_point("interval", [Ref(kept)])
+    rt.open_point("interval", [rt.heap.objects[kept]])
     ghost = create(rt)
     flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.obj_id for r in flushed] == [dead, ghost]
     assert flushed[0].collect_tick == 2
     assert rt.collections == [CollectionStats("interval", 2, 1, 1, 2)]
     assert rt.ghost_slots == 2 and ghost not in rt.heap.objects
-    rt.open_point("exhaustion", [Ref(kept)])
+    rt.open_point("exhaustion", [rt.heap.objects[kept]])
     assert rt.ghost_slots == 0 and flushed[1].collect_tick == 3
     rt.flush_unmarked({kept}, rt.heap.slots)
     assert rt.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
@@ -172,7 +172,8 @@ def test_finalize_censors_remaining_and_sorts():
     rt = make_runtime()
     for i in range(4):
         create(rt, PAIR if i % 2 else VECTOR)
-    rt.add_root_provider(lambda: [Ref(1), Ref(3)])
+    roots = [rt.heap.objects[1], rt.heap.objects[3]]
+    rt.add_root_provider(lambda: roots)
     flush(rt, {1, 3})  # collects 0 and 2 at tick 4
     log = rt.terminate()
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
@@ -215,8 +216,9 @@ def test_draglog_roundtrip():
     rt = make_runtime(gc_interval=4, heap_slots=128, source="roundtrip.scm")
     for kind, size in ((VECTOR, 5), (PAIR, 2), (PAIR, 2)):
         create(rt, kind, size)
-    rt.record_use(Ref(1))
-    rt.add_root_provider(lambda: [Ref(2)])
+    rt.record_use(rt.heap.objects[1])
+    root = rt.heap.objects[2]
+    rt.add_root_provider(lambda: [root])
     flush(rt, {2})
     log = rt.terminate()
     parsed = parse_draglog(format_draglog(log))
