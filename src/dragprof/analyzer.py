@@ -1,9 +1,11 @@
 """Post-processing of trace logs into drag statistics and plot series.
 
-Everything here is a pure function over an immutable TraceLog: per-object
-drag, reachable/live curves, space-time integrals with the potential
-savings percentage, dead-object counts against a threshold, the drag
-summary and the drag distribution histogram.
+Everything here is a pure function over a TraceLog's columns
+(profiler.Columns: one list per record field), never its records:
+per-object drag, reachable/live curves, space-time integrals with the
+potential savings percentage, dead-object counts against a threshold,
+the drag summary and the drag distribution histogram.  A parsed log is
+columns already; a run's log derives them once.
 
 Conventions: runtime is the log's end_tick; percentages are computed at
 full precision and rendered with two decimals in the reports.  An object
@@ -13,37 +15,23 @@ next collection after their last use are not flagged.
 """
 
 import csv
-from collections import Counter
-from dataclasses import dataclass, fields
-from itertools import accumulate
+from collections import Counter, namedtuple
+from itertools import accumulate, compress, repeat
+from operator import add, gt, sub
 
-from .profiler import TraceLog
+from .profiler import NEVER_USED, TraceLog
 
 HISTOGRAM_BINS = 20
 BIN_WIDTH_PCT = 100 / HISTOGRAM_BINS
 
+# points: (tick, reachable_count, live_count) triples
+CurveSeries = namedtuple("CurveSeries", "sample_interval points")
 
-@dataclass(frozen=True)
-class CurveSeries:
-    sample_interval: int
-    points: list  # (tick, reachable_count, live_count) triples
-
-
-@dataclass(frozen=True)
-class DragReport:
-    source: str
-    end_tick: int
-    allocated: int
-    dead_count: int
-    dead_pct: float
-    max_drag: int
-    max_drag_pct: float
-    avg_drag: float
-    avg_drag_pct: float
-    reachable_integral: int
-    live_integral: int
-    savings_pct: float
-    histogram: list  # dead objects per drag-percentage bin
+# histogram: dead objects per drag-percentage bin
+DragReport = namedtuple(
+    "DragReport", "source end_tick allocated dead_count dead_pct max_drag "
+                  "max_drag_pct avg_drag avg_drag_pct reachable_integral "
+                  "live_integral savings_pct histogram")
 
 
 def drag(record) -> int:
@@ -57,7 +45,22 @@ def drag(record) -> int:
 
 def drags_of(log: TraceLog) -> list:
     """The drag of every record of log, in record order."""
-    return list(map(drag, log.records))
+    c = log.columns
+    drags = list(map(sub, c.collect_tick, c.last_use_tick))
+    for i in _indices(c.last_use_tick, NEVER_USED):
+        drags[i] = c.collect_tick[i] - c.create_tick[i]
+    return drags
+
+
+def _indices(values: list, x):
+    """The indices at which x occurs in values, in order."""
+    i = -1
+    try:
+        while True:
+            i = values.index(x, i + 1)
+            yield i
+    except ValueError:
+        return
 
 
 def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
@@ -87,16 +90,18 @@ def curves(log: TraceLog, sample_interval: int | None = None) -> CurveSeries:
     except (MemoryError, OverflowError):
         raise ValueError(f"{n} samples at interval {s} do not fit in "
                          "memory") from None
-    for r in log.records:
-        first = -(-r.create_tick // s)
+    c = log.columns
+    for create, last_use, gone in zip(c.create_tick, c.last_use_tick,
+                                      map(add, c.collect_tick, c.censored)):
+        first = -(-create // s)
         if first > n:
             first = n
         reach[first] += 1
-        gone = -(-(r.collect_tick + r.censored) // s)
+        gone = -(-gone // s)
         reach[gone if gone < n else n] -= 1
-        if r.last_use_tick is not None:
+        if last_use != NEVER_USED:
             live[first] += 1
-            dead = -(-(r.last_use_tick + 1) // s)
+            dead = -(-(last_use + 1) // s)
             live[dead if dead < n else n] -= 1
     points = list(zip(range(0, end + 1, s), accumulate(reach),
                       accumulate(live)))
@@ -139,7 +144,7 @@ def dead_objects(drags, threshold_ticks: int):
     if threshold_ticks < 0:
         raise ValueError("threshold_ticks must be non-negative")
     allocated = len(drags)
-    dead = sum(1 for d in drags if d > threshold_ticks)
+    dead = sum(map(gt, drags, repeat(threshold_ticks)))
     pct = (dead / allocated * 100) if allocated else 0.0
     return allocated, dead, pct
 
@@ -170,7 +175,8 @@ def build_report(log: TraceLog, sample_interval: int | None = None,
     max_drag, max_pct, avg_drag, avg_pct = drag_summary(all_drags,
                                                         log.end_tick)
     allocated, dead_count, dead_pct = dead_objects(all_drags, dead_threshold)
-    dead_drags = [d for d in all_drags if d > dead_threshold]
+    dead_drags = list(compress(all_drags,
+                               map(gt, all_drags, repeat(dead_threshold))))
     report = DragReport(
         source=log.source,
         end_tick=log.end_tick,
@@ -193,8 +199,9 @@ def build_report(log: TraceLog, sample_interval: int | None = None,
 # Output files
 
 # report.csv's columns: every DragReport field but the histogram
-REPORT_FIELDS = [f.name for f in fields(DragReport) if f.name != "histogram"]
-_FLOAT_FIELDS = {f.name for f in fields(DragReport) if f.type is float}
+REPORT_FIELDS = [name for name in DragReport._fields if name != "histogram"]
+_FLOAT_FIELDS = {"dead_pct", "max_drag_pct", "avg_drag", "avg_drag_pct",
+                 "savings_pct"}
 
 
 def write_curves_csv(series: CurveSeries, fh):

@@ -77,8 +77,9 @@ class LifetimeRecord:
     object never used).  While the object is in the table, collect_tick
     holds its Merlin stamp; it takes the collection tick when the
     runtime dates the death the copy found, or (censored) the end tick
-    when the run terminates.  A parsed log holds the same records
-    without an address.
+    when the run terminates.  A parsed log holds the same fields as
+    columns (profiler.Columns), and makes records, without an address,
+    only when a caller iterates them.
     """
 
     obj_id: int

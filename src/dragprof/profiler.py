@@ -2,11 +2,16 @@
 
 A run's log (runtime.Runtime.terminate) is a TraceLog: one
 LifetimeRecord per object the run created, sorted by (collect tick, id),
-and the end tick.  CollectionStats describe one collection point, or one
-copy.  This module only writes, reads and checks logs; it imports neither
-the runtime nor the collector, so `dragprof analyze` loads neither.
+and the end tick.  A parsed log (parse_draglog) is columns instead: one
+list per record field, in record order (Columns), and it makes its
+LifetimeRecords only when a caller iterates them.  A run's log derives
+its columns once, when first asked, so the analyzer reads columns of
+either.  CollectionStats describe one collection point, or one copy.
+This module only writes, reads and checks logs; it imports neither the
+runtime nor the collector, and the heap only to make a parsed log's
+records, so `dragprof analyze` loads none of them.
 
-Serialized log format (lines end in "\n" only; UTF-8, bit exact):
+Serialized log format (lines end in "\\n" only; UTF-8, bit exact):
 
     DRAGLOG 1 gc_interval=<K> heap_slots=<C> source=<name>
     OBJ <id> <P|V> <size_slots> <create> <last_use|-1> <collect> <C|F>
@@ -16,36 +21,98 @@ Serialized log format (lines end in "\n" only; UTF-8, bit exact):
 ``F`` one that was collected by the garbage collector.  K and C are at
 least 1, and a P record's size is 2.  Every integer is ASCII digits
 after an optional minus sign.
+
+Reading and checking.  parse_draglog splits the records' lines into
+fields once, a slice of lines at a time, and makes each integer column
+with map(int, ...).  It accepts the log through checks over whole
+columns: of the lines' shape, then of the records' values (_records_ok).
+Only when such a check fails does it read the log line by line
+(_check_lines), then record by record (_check_records), to raise the
+first fault with its line: a fault of a line's format beats any fault
+of a record's values, the first record's fault wins among those, and
+within one record the order is duplicate id, size, ticks, censored,
+sort.  This diagnosis makes no records and no second set of columns.
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
+from itertools import compress, islice
+from operator import attrgetter, le
 
 from . import atomic
 from .errors import DraglogFormatError
-from .heap import PAIR, VECTOR, LifetimeRecord
 
-NEVER_USED = -1  # wire-format sentinel; in-memory records use None
+NEVER_USED = -1  # wire-format sentinel; records use None, columns -1
+# heap.PAIR and heap.VECTOR, the kinds a record holds; spelled here so
+# that reading a log does not import the heap
+PAIR = "P"
+VECTOR = "V"
+
+CollectionStats = namedtuple(
+    "CollectionStats", "trigger tick survivors collected slots_copied")
+CollectionStats.__doc__ = """One collection point, or (returned by
+gc.Collector.collect) one copy: survivors and slots_copied count what
+it kept.  trigger is "interval", "exhaustion" or "manual"."""
+
+# One list per LifetimeRecord field but the address, named after it;
+# last_use_tick holds NEVER_USED for an object never used.
+Columns = namedtuple("Columns", "obj_id kind size_slots create_tick "
+                                "last_use_tick collect_tick censored")
 
 
-class CollectionStats(NamedTuple):
-    """One collection point, or (returned by gc.Collector.collect) one
-    copy: survivors and slots_copied count what it kept."""
-
-    trigger: str  # "interval" | "exhaustion" | "manual"
-    tick: int
-    survivors: int
-    collected: int
-    slots_copied: int
-
-
-@dataclass
 class TraceLog:
-    gc_interval: int
-    heap_slots: int
-    source: str
-    records: list[LifetimeRecord] = field(default_factory=list)
-    end_tick: int = 0
+    """A log's header fields, its records and its end tick.
+
+    A run makes it from its records; parse_draglog from columns, when
+    records is a ParsedRecords.  columns is derived from the records
+    the first time it is read."""
+
+    def __init__(self, gc_interval: int, heap_slots: int, source: str,
+                 records=None, end_tick: int = 0, columns=None):
+        self.gc_interval = gc_interval
+        self.heap_slots = heap_slots
+        self.source = source
+        if records is None:
+            records = [] if columns is None else ParsedRecords(columns)
+        self.records = records
+        self.end_tick = end_tick
+        self._columns = columns
+
+    @property
+    def columns(self) -> Columns:
+        if self._columns is None:
+            self._columns = _columns_of(self.records)
+        return self._columns
+
+
+_fields = attrgetter(*Columns._fields)
+
+
+def _columns_of(records) -> Columns:
+    columns = ([list(c) for c in zip(*map(_fields, records))]
+               or [[] for _ in Columns._fields])
+    columns[4] = [NEVER_USED if u is None else u for u in columns[4]]
+    return Columns(*columns)
+
+
+class ParsedRecords:
+    """A parsed log's records: len() is the columns' length, and the
+    LifetimeRecords (without an address) are made when first read."""
+
+    def __init__(self, columns: Columns):
+        self.columns = columns
+        self._made = None
+
+    def __len__(self):
+        return len(self.columns.obj_id)
+
+    def __iter__(self):
+        if self._made is None:
+            from .heap import LifetimeRecord
+            self._made = [LifetimeRecord(*row) for row in zip(*self.columns)]
+            for rec in self._made:
+                if rec.last_use_tick == NEVER_USED:
+                    rec.last_use_tick = None
+        return iter(self._made)
 
 
 def format_draglog(log: TraceLog) -> str:
@@ -73,6 +140,12 @@ def _plain(text: str) -> bool:
             and "_" not in text and "+" not in text)
 
 
+# What int() accepts in an ASCII number besides digits and "-", apart
+# from the space and the line break that separate the fields; any other
+# unprintable character makes int() fail.
+_NOT_PLAIN = "_+\t\x0b\x0c\r"
+
+
 def _parse_int(text: str, what: str, line_no: int) -> int:
     try:
         if _plain(text):
@@ -83,14 +156,12 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
 
 
 def parse_draglog(text: str) -> TraceLog:
+    if not text:
+        raise DraglogFormatError("empty file", 1)
     # format_draglog ends each line with "\n", and a source name may hold
     # any other line break that str.splitlines would split at
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if not lines:
-        raise DraglogFormatError("empty file", 1)
-    head = lines[0].split(" ", 4)
+    header, _, rest = text.partition("\n")
+    head = header.split(" ", 4)
     if (len(head) != 5 or head[0] != "DRAGLOG" or head[1] != "1"
             or not head[2].startswith("gc_interval=")
             or not head[3].startswith("heap_slots=")
@@ -104,11 +175,70 @@ def parse_draglog(text: str) -> TraceLog:
             raise DraglogFormatError(f"{what} {value} is not positive", 1)
     source = head[4][len("source="):]
 
-    records = []
-    end_tick = None
-    for i, line in enumerate(lines[1:], start=2):
+    read = _read_columns(rest)
+    if read is None:
+        _check_lines(rest)
+        raise AssertionError("a column check rejected lines that pass")
+    columns, end_tick = read
+    if not _records_ok(columns, end_tick):
+        _check_records(columns, end_tick)
+        raise AssertionError("a column check rejected records that pass")
+    return TraceLog(gc_interval, heap_slots, source, end_tick=end_tick,
+                    columns=columns)
+
+
+# Characters of records split into fields at a time, so that one slice's
+# fields are freed, and their memory reused, before the next is split.
+_SLICE = 1 << 16
+
+
+def _read_columns(rest: str):
+    """(Columns, end tick) of the lines after the header, or None if a
+    line is not an OBJ line followed, last, by the END line."""
+    stop = len(rest) - rest.endswith("\n")
+    last = rest.rfind("\n", 0, stop) + 1  # where the last line starts
+    # Each line before it starts with the field OBJ, which no other
+    # column can hold once the kinds, flags and integers are checked, so
+    # n such lines in 8n fields have eight fields each.
+    if (not rest.startswith("END ", last, stop) or not rest.isascii()
+            or any(c in rest for c in _NOT_PLAIN)
+            or last and not (rest.startswith("OBJ ")
+                             and rest.count("\nOBJ ", 0, last)
+                             == rest.count("\n", 0, last) - 1)):
+        return None
+    columns = Columns(*([] for _ in Columns._fields))
+    ids, kinds, sizes, creates, uses, collects, censored = columns
+    start = 0
+    try:
+        while start < last:
+            cut = rest.find("\n", min(start + _SLICE, last - 1))
+            n = rest.count("\n", start, cut) + 1
+            fields = rest[start:cut].replace("\n", " ").split(" ")
+            start = cut + 1
+            kind, flag = fields[2::8], fields[7::8]
+            if (len(fields) != 8 * n
+                    or kind.count(PAIR) + kind.count(VECTOR) != n
+                    or flag.count("C") + flag.count("F") != n):
+                return None
+            kinds += kind
+            censored += map("C".__eq__, flag)
+            for column, i in ((ids, 1), (sizes, 3), (creates, 4),
+                              (uses, 5), (collects, 6)):
+                column += map(int, fields[i::8])
+        return columns, int(rest[last + 4:stop])
+    except ValueError:
+        return None
+
+
+def _check_lines(rest: str):
+    """Raise the first fault of a line's format after the header."""
+    lines = rest.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    end_seen = False
+    for i, line in enumerate(lines, start=2):
         if line.startswith("OBJ "):
-            if end_tick is not None:
+            if end_seen:
                 raise DraglogFormatError("record after END line", i)
             parts = line.split(" ")
             if len(parts) != 8:
@@ -119,59 +249,69 @@ def parse_draglog(text: str) -> TraceLog:
                 raise DraglogFormatError(f"bad kind {kind!r}", i)
             if flag not in ("C", "F"):
                 raise DraglogFormatError(f"bad censored flag {flag!r}", i)
-            try:
-                if not (line.isascii() and line.isprintable()) \
-                        or "_" in line or "+" in line:  # _plain, inline
-                    raise ValueError
-                rec = LifetimeRecord(int(obj_id), kind, int(size),
-                                     int(create), int(last_use),
-                                     int(collect), flag == "C")
-            except ValueError:
-                for field_text, what in (
-                        (last_use, "last_use"), (obj_id, "obj_id"),
-                        (size, "size_slots"), (create, "create_tick"),
-                        (collect, "collect_tick")):
-                    _parse_int(field_text, what, i)
-                raise
-            if rec.last_use_tick == NEVER_USED:
-                rec.last_use_tick = None
-            records.append(rec)
+            for field_text, what in (
+                    (last_use, "last_use"), (obj_id, "obj_id"),
+                    (size, "size_slots"), (create, "create_tick"),
+                    (collect, "collect_tick")):
+                _parse_int(field_text, what, i)
         elif line.startswith("END "):
-            if end_tick is not None:
+            if end_seen:
                 raise DraglogFormatError("duplicate END line", i)
-            end_tick = _parse_int(line[4:], "end_tick", i)
+            _parse_int(line[4:], "end_tick", i)
+            end_seen = True
         else:
             raise DraglogFormatError(f"unrecognized line {line!r}", i)
-    if end_tick is None:
-        raise DraglogFormatError("missing END line", len(lines) + 1)
-    _check_records(records, end_tick)
-    return TraceLog(gc_interval, heap_slots, source, records, end_tick)
+    if not end_seen:
+        raise DraglogFormatError("missing END line", len(lines) + 2)
 
 
-def _check_records(records, end_tick: int):
+def _records_ok(c: Columns, end_tick: int) -> bool:
+    """Whether every record passes _check_records, checked per column."""
+    n = len(c.obj_id)
+    if not n:
+        return True
+    creates, uses, collects = c.create_tick, c.last_use_tick, c.collect_tick
+    return (len(set(c.obj_id)) == n
+            and min(c.size_slots) >= 0
+            and {*compress(c.size_slots, map(PAIR.__eq__, c.kind))} <= {2}
+            and min(creates) >= 0
+            # each record is never used or used no earlier than created,
+            and uses.count(NEVER_USED) + sum(map(le, creates, uses)) == n
+            # and collected no earlier than either
+            and all(map(le, creates, collects))
+            and all(map(le, uses, collects))
+            and max(collects) <= end_tick
+            and {*compress(collects, c.censored)} <= {end_tick}
+            and all(map(le, zip(collects, c.obj_id),
+                        zip(islice(collects, 1, None),
+                            islice(c.obj_id, 1, None)))))
+
+
+def _check_records(c: Columns, end_tick: int):
     """Reject a log that no run could have written.  The records sit on
     lines 2, 3, ... in order, since any other line before END fails."""
     seen = set()
     prev_key = None
-    for line_no, r in enumerate(records, start=2):
-        if r.obj_id in seen:
-            raise DraglogFormatError(f"duplicate object id {r.obj_id}",
+    for line_no, (obj_id, kind, size, create, last_use, collect,
+                  censored) in enumerate(zip(*c), start=2):
+        if obj_id in seen:
+            raise DraglogFormatError(f"duplicate object id {obj_id}",
                                      line_no)
-        seen.add(r.obj_id)
-        if r.size_slots < 0 or (r.kind == PAIR and r.size_slots != 2):
+        seen.add(obj_id)
+        if size < 0 or (kind == PAIR and size != 2):
             raise DraglogFormatError(
-                f"bad size_slots {r.size_slots} for kind {r.kind}", line_no)
-        last_use = (r.create_tick if r.last_use_tick is None
-                    else r.last_use_tick)
-        if not 0 <= r.create_tick <= last_use <= r.collect_tick <= end_tick:
+                f"bad size_slots {size} for kind {kind}", line_no)
+        if last_use == NEVER_USED:
+            last_use = create
+        if not 0 <= create <= last_use <= collect <= end_tick:
             raise DraglogFormatError(
                 "ticks out of order: need 0 <= create <= last_use <= "
                 f"collect <= end ({end_tick})", line_no)
-        if r.censored and r.collect_tick != end_tick:
+        if censored and collect != end_tick:
             raise DraglogFormatError(
-                f"censored record collected at {r.collect_tick}, "
+                f"censored record collected at {collect}, "
                 f"not at end ({end_tick})", line_no)
-        key = (r.collect_tick, r.obj_id)
+        key = (collect, obj_id)
         if prev_key is not None and key < prev_key:
             raise DraglogFormatError(
                 "records not sorted by (collect, id)", line_no)

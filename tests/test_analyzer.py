@@ -16,9 +16,9 @@ from dragprof.analyzer import (
     savings_pct,
     space_time,
 )
-from dragprof.heap import PAIR
+from dragprof.heap import PAIR, LifetimeRecord
 from dragprof.interp import run_source
-from dragprof.profiler import LifetimeRecord, TraceLog
+from dragprof.profiler import TraceLog
 
 from support import motiv_source, nullified_source, \
     run_gc_correctness_session

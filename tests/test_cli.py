@@ -510,14 +510,9 @@ def test_bundled_programs_run_through_cli(workdir):
             == 0
 
 
-@pytest.mark.parametrize("command, forbidden", [
-    (None, {"interp", "runtime", "gc", "heap", "profiler", "analyzer",
-            "plot"}),
-    ("plot", {"interp", "runtime", "analyzer", "profiler"}),
-    ("analyze", {"interp", "runtime", "plot"}),
-], ids=["import", "plot", "analyze"])
-def test_commands_load_only_their_own_layers(workdir, command, forbidden):
-    # a fresh interpreter imports the CLI and runs at most one command
+def modules_after(workdir, command):
+    """The modules a fresh interpreter holds after it imports the CLI and
+    runs at most one command on a small program's log."""
     log = workdir / "small.draglog"
     out = workdir / "out"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -539,10 +534,27 @@ def test_commands_load_only_their_own_layers(workdir, command, forbidden):
         [str(Path(dragprof.__file__).parents[1]), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    loaded = {name.split(".", 1)[1] for name in json.loads(proc.stdout)
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("command, forbidden", [
+    (None, {"interp", "runtime", "gc", "heap", "profiler", "analyzer",
+            "plot"}),
+    ("plot", {"interp", "runtime", "analyzer", "profiler"}),
+    ("analyze", {"interp", "runtime", "plot"}),
+], ids=["import", "plot", "analyze"])
+def test_commands_load_only_their_own_layers(workdir, command, forbidden):
+    loaded = {name.split(".", 1)[1] for name in modules_after(workdir, command)
               if name.startswith("dragprof.")}
     assert "cli" in loaded
     assert not loaded & forbidden
+
+
+def test_analyze_makes_no_record_and_loads_no_dataclasses(workdir):
+    # LifetimeRecord lives in dragprof.heap, so no record was made
+    loaded = modules_after(workdir, "analyze")
+    assert "dragprof.analyzer" in loaded
+    assert not loaded & {"dataclasses", "dragprof.heap"}
 
 
 @pytest.mark.parametrize("argv, complaint", [

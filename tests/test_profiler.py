@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dragprof import analyzer, heap, profiler
 from dragprof.errors import (
     DraglogFormatError,
     ProtocolViolation,
@@ -238,64 +239,139 @@ def test_draglog_roundtrip():
     assert parsed_fields == serialized_fields
 
 
-@pytest.mark.parametrize("mutate, bad_line", [
-    (lambda lines: lines[:-1], 3),                      # truncated: no END
-    (lambda lines: ["BOGUS"] + lines[1:], 1),           # bad header
-    (lambda lines: [lines[0], "OBJ x P 2 1 -1 2 F", lines[-1]], 2),
-    (lambda lines: [lines[0], "OBJ 0 Q 2 1 -1 2 F", lines[-1]], 2),
-    (lambda lines: [lines[0], "OBJ 0 P 2 1 -1 2 Z", lines[-1]], 2),
-    (lambda lines: [lines[0], "junk", lines[-1]], 2),
-    (lambda lines: lines + ["END 9"], 4),               # duplicate END
-    (lambda lines: lines + ["OBJ 1 P 2 1 -1 2 F"], 4),  # record after END
+def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
+    made = []
+
+    def counted(*fields):
+        made.append(fields[0])
+        return LifetimeRecord(*fields)
+
+    monkeypatch.setattr(heap, "LifetimeRecord", counted)
+    text = ("DRAGLOG 1 gc_interval=1 heap_slots=64 source=t\n"
+            "OBJ 1 V 3 1 -1 2 F\nOBJ 0 P 2 2 3 4 C\nEND 4\n")
+    log = parse_draglog(text)
+    assert len(log.records) == 2
+    analyzer.build_report(log)
+    assert made == []
+    assert [(r.obj_id, r.last_use_tick, r.censored, r.address)
+            for r in log.records] == [(1, None, False, None),
+                                      (0, 3, True, None)]
+    assert made == [1, 0]
+    assert format_draglog(log) == text
+
+
+def test_a_log_read_in_slices_reads_as_a_whole(monkeypatch):
+    rt = make_runtime(gc_interval=3, heap_slots=64)
+    keep = []
+    rt.add_root_provider(lambda: keep)
+    for i in range(40):
+        ref = rt.alloc_pair(NIL, NIL) if i % 3 else rt.alloc_vector(i % 5)
+        if i % 4 == 0:
+            keep.append(ref)
+        if i % 2:
+            rt.record_use(ref)
+    text = format_draglog(rt.terminate())
+    lines = text.splitlines()
+    faulty = "\n".join(lines[:9] + [lines[20]] + lines[10:-1]
+                       + ["OBJ 1 Q 2 1 -1 1 F", lines[-1]]) + "\n"
+    whole = parse_draglog(text).columns
+    with pytest.raises(DraglogFormatError) as whole_error:
+        parse_draglog(faulty)
+    for chars in (1, 10, 100):
+        monkeypatch.setattr(profiler, "_SLICE", chars)
+        assert parse_draglog(text).columns == whole
+        with pytest.raises(DraglogFormatError) as err:
+            parse_draglog(faulty)
+        assert str(err.value) == str(whole_error.value)
+
+
+def test_the_log_kinds_are_the_heaps():
+    assert (profiler.PAIR, profiler.VECTOR) == (PAIR, VECTOR)
+
+
+TICKS_OUT_OF_ORDER = ("ticks out of order: need 0 <= create <= last_use <= "
+                      "collect <= end (2)")
+
+
+@pytest.mark.parametrize("mutate, bad_line, message", [
+    # ids as pytest named these cases when they had no message
+    pytest.param(lambda lines: lines[:-1], 3, "missing END line",
+                 id="<lambda>-3"),                           # truncated
+    pytest.param(lambda lines: ["BOGUS"] + lines[1:], 1, "bad header",
+                 id="<lambda>-1"),
+    pytest.param(lambda lines: [lines[0], "OBJ x P 2 1 -1 2 F", lines[-1]],
+                 2, "bad obj_id 'x'", id="<lambda>-2_0"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 Q 2 1 -1 2 F", lines[-1]],
+                 2, "bad kind 'Q'", id="<lambda>-2_1"),
+    pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 2 Z", lines[-1]],
+                 2, "bad censored flag 'Z'", id="<lambda>-2_2"),
+    pytest.param(lambda lines: [lines[0], "junk", lines[-1]], 2,
+                 "unrecognized line 'junk'", id="<lambda>-2_3"),
+    pytest.param(lambda lines: lines + ["END 9"], 4, "duplicate END line",
+                 id="<lambda>-4_0"),
+    pytest.param(lambda lines: lines + ["OBJ 1 P 2 1 -1 2 F"], 4,
+                 "record after END line", id="<lambda>-4_1"),
     # Semantic checks.  The base log is one record collected at tick 1:
     # "OBJ 0 P 2 1 -1 1 F" and "END 2".
-    pytest.param(lambda lines: lines[:2] + lines[1:], 3, id="duplicate-id"),
+    pytest.param(lambda lines: lines[:2] + lines[1:], 3,
+                 "duplicate object id 0", id="duplicate-id"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 2 -1 1 F", lines[-1]],
-                 2, id="collect-before-create"),
+                 2, TICKS_OUT_OF_ORDER, id="collect-before-create"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 2 1 F", lines[-1]],
-                 2, id="use-after-collect"),
+                 2, TICKS_OUT_OF_ORDER, id="use-after-collect"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 3 F", lines[-1]],
-                 2, id="collect-after-end"),
+                 2, TICKS_OUT_OF_ORDER, id="collect-after-end"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 -3 -2 1 F", lines[-1]],
-                 2, id="negative-create"),
+                 2, TICKS_OUT_OF_ORDER, id="negative-create"),
     pytest.param(lambda lines: [lines[0], "OBJ 1 P 2 1 -1 2 F", lines[1],
-                                lines[-1]], 3, id="unsorted"),
+                                lines[-1]], 3,
+                 "records not sorted by (collect, id)", id="unsorted"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 1 C", lines[-1]],
-                 2, id="censored-before-end"),
+                 2, "censored record collected at 1, not at end (2)",
+                 id="censored-before-end"),
     pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
                                                  "gc_interval=-1")]
-                 + lines[1:], 1, id="negative-gc-interval"),
+                 + lines[1:], 1, "gc_interval -1 is not positive",
+                 id="negative-gc-interval"),
     pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
                                                  "gc_interval=0")]
-                 + lines[1:], 1, id="zero-gc-interval"),
+                 + lines[1:], 1, "gc_interval 0 is not positive",
+                 id="zero-gc-interval"),
     pytest.param(lambda lines: [lines[0].replace("heap_slots=256",
                                                  "heap_slots=-5")]
-                 + lines[1:], 1, id="negative-heap-slots"),
+                 + lines[1:], 1, "heap_slots -5 is not positive",
+                 id="negative-heap-slots"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P -2 1 -1 1 F", lines[-1]],
-                 2, id="pair-of-size-minus-2"),
+                 2, "bad size_slots -2 for kind P", id="pair-of-size-minus-2"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 V -1 1 -1 1 F", lines[-1]],
-                 2, id="vector-of-size-minus-1"),
+                 2, "bad size_slots -1 for kind V",
+                 id="vector-of-size-minus-1"),
     # Spellings int() accepts but format_draglog never writes.
     pytest.param(lambda lines: [lines[0].replace("gc_interval=1",
                                                  "gc_interval=1_6")]
-                 + lines[1:], 1, id="underscore-in-gc-interval"),
+                 + lines[1:], 1, "bad gc_interval '1_6'",
+                 id="underscore-in-gc-interval"),
     pytest.param(lambda lines: [lines[0].replace("heap_slots=256",
                                                  "heap_slots=+256")]
-                 + lines[1:], 1, id="plus-in-heap-slots"),
+                 + lines[1:], 1, "bad heap_slots '+256'",
+                 id="plus-in-heap-slots"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1 -1 \u0661 F",
-                                lines[-1]], 2, id="non-ascii-digit"),
+                                lines[-1]], 2, "bad collect_tick '\u0661'",
+                 id="non-ascii-digit"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P +2 1 -1 1 F", lines[-1]],
-                 2, id="plus-in-size"),
+                 2, "bad size_slots '+2'", id="plus-in-size"),
     pytest.param(lambda lines: [lines[0], "OBJ 0_0 P 2 1 -1 1 F",
-                                lines[-1]], 2, id="underscore-in-id"),
+                                lines[-1]], 2, "bad obj_id '0_0'",
+                 id="underscore-in-id"),
     pytest.param(lambda lines: [lines[0], "OBJ 0 P 2 1\t -1 1 F",
-                                lines[-1]], 2, id="tab-in-create"),
+                                lines[-1]], 2, "bad create_tick '1\\t'",
+                 id="tab-in-create"),
     pytest.param(lambda lines: lines[:2] + ["END 0_2"], 3,
-                 id="underscore-in-end"),
+                 "bad end_tick '0_2'", id="underscore-in-end"),
     pytest.param(lambda lines: lines[:2] + ["END 2\x0c"], 3,
-                 id="form-feed-in-end"),
+                 "bad end_tick '2\\x0c'", id="form-feed-in-end"),
 ])
-def test_draglog_malformed_reports_line(mutate, bad_line):
+def test_draglog_malformed_reports_line(mutate, bad_line, message):
     rt = make_runtime(gc_interval=1)
     create(rt)
     flush(rt, set())
@@ -304,6 +380,53 @@ def test_draglog_malformed_reports_line(mutate, bad_line):
     with pytest.raises(DraglogFormatError) as err:
         parse_draglog(text)
     assert err.value.line_no == bad_line
+    assert str(err.value) == f"line {bad_line}: {message}"
+
+
+# A log of several faults reports the one the line-by-line reading meets
+# first: any fault of a line's format before any fault of a record's
+# values, the first record's fault among those, and within one record
+# duplicate id, size, ticks, censored, sort.
+@pytest.mark.parametrize("records, end, error", [
+    pytest.param(["OBJ 1 P 2 1 -1 1 F", "OBJ 1 P 2 2 -1 2 F",
+                  "OBJ 2 Q 2 3 -1 3 F"], 4, "line 4: bad kind 'Q'",
+                 id="format-beats-an-earlier-record-fault"),
+    pytest.param(["junk", "OBJ 0 P 2 1 -1 1 F"], "x",
+                 "line 2: unrecognized line 'junk'",
+                 id="format-beats-a-later-format-fault"),
+    pytest.param(["OBJ x P 2 1 y 1 F"], 4, "line 2: bad last_use 'y'",
+                 id="last-use-is-read-first"),
+    pytest.param(["OBJ 0 P 2 1 -1 1 C", "OBJ 1 P 3 2 -1 2 F"], 4,
+                 "line 2: censored record collected at 1, not at end (4)",
+                 id="first-record-wins"),
+    pytest.param(["OBJ 1 P 2 1 -1 1 F", "OBJ 1 P 2 5 -1 2 F"], 4,
+                 "line 3: duplicate object id 1",
+                 id="duplicate-before-ticks"),
+    pytest.param(["OBJ 1 P 2 1 -1 1 F", "OBJ 1 P 3 2 -1 2 F"], 4,
+                 "line 3: duplicate object id 1",
+                 id="duplicate-before-size"),
+    pytest.param(["OBJ 0 P 3 5 -1 1 F"], 4,
+                 "line 2: bad size_slots 3 for kind P",
+                 id="size-before-ticks"),
+    pytest.param(["OBJ 0 P 2 3 -1 1 C"], 4,
+                 "line 2: ticks out of order: need 0 <= create <= last_use "
+                 "<= collect <= end (4)", id="ticks-before-censored"),
+    pytest.param(["OBJ 1 P 2 1 -1 2 F", "OBJ 0 P 2 1 -1 1 C"], 4,
+                 "line 3: censored record collected at 1, not at end (4)",
+                 id="censored-before-sort"),
+    pytest.param(["OBJ 1 P 2 1 -1 1 F", "OBJ 01 P 2 2 -1 2 F"], 4,
+                 "line 3: duplicate object id 1", id="01-is-1"),
+    pytest.param(["OBJ 0 P 2 1 -1 2 F", "OBJ 1 P 2 1 -1 1 F",
+                  "OBJ 2 P 2 1 -1 3 C"], 4,
+                 "line 3: records not sorted by (collect, id)",
+                 id="unsorted-before-a-later-censored"),
+])
+def test_draglog_of_several_faults_reports_the_first(records, end, error):
+    text = "\n".join(["DRAGLOG 1 gc_interval=1 heap_slots=256 source=t",
+                      *records, f"END {end}"]) + "\n"
+    with pytest.raises(DraglogFormatError) as err:
+        parse_draglog(text)
+    assert str(err.value) == error
 
 
 def test_parse_empty_file():

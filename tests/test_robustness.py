@@ -2,8 +2,9 @@
 
 Hypothesis drives `run` with generated programs over a range of heap
 sizes and intervals (exit 0-3), and `analyze` with byte-mutated trace
-logs (exit 0 or 1).  The examples are derandomized, so a run of the
-suite checks the same inputs every time.
+logs (exit 0 or 1).  A generated program's log also reads back as the
+columns, and the report, of the run that wrote it.  The examples are
+derandomized, so a run of the suite checks the same inputs every time.
 """
 
 import contextlib
@@ -14,7 +15,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dragprof.analyzer import build_report
 from dragprof.cli import main
+from dragprof.errors import DragProfError
+from dragprof.interp import run_source
+from dragprof.profiler import format_draglog, parse_draglog
 
 from support import ProgramGenerator
 
@@ -41,6 +46,21 @@ def test_run_of_a_generated_program_ends_in_0_to_3(seed, k, heap):
                            "--heap-slots", heap, "--log",
                            Path(tmp) / "gen.draglog"])
     assert code in (0, 1, 2, 3)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(seed=st.integers(0, 10 ** 6),
+       k=st.sampled_from([1, 3, 16]),
+       heap=st.sampled_from([64, 512]))
+def test_a_log_reads_back_as_the_runs_columns_and_report(seed, k, heap):
+    try:
+        log = run_source(ProgramGenerator(seed).program(), gc_interval=k,
+                         heap_slots=heap).trace_log
+    except DragProfError:  # a runtime error or out of memory: no log
+        return
+    parsed = parse_draglog(format_draglog(log))
+    assert parsed.columns == log.columns
+    assert build_report(parsed) == build_report(log)
 
 
 def _base_log():

@@ -16,9 +16,13 @@ them all in its own child process, with only that checkout's src on
 PYTHONPATH, through dragprof.interp.run_source under the CLI's
 recursion limit.  Per run, the two must agree on the result (the
 value's rendering or the exception's type and text), the DRAGLOG text,
-the CollectionStats list, what the program displayed and the root set
+the CollectionStats list, what the program displayed, the root set
 of every collection point (as sorted object ids, so the order the
-interpreter walks its roots in may change).
+interpreter walks its roots in may change) and the analysis of the
+log: the four outputs of `dragprof analyze` (parse_draglog,
+build_report, the three CSV writers and format_text_report), and how
+the log parses with one line mutated, the line and the mutation picked
+by the run's index: its columns, or the error's line and message.
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
@@ -26,8 +30,10 @@ otherwise.  Takes a few minutes on two cores.
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -39,7 +45,8 @@ KS = (1, 3, 16, 1000)
 HEAPS = (16, 24, 40, 64, 128, 512)
 FULL_HEAP = 2 ** 16  # dragprof.defaults.DEFAULT_HEAP_SLOTS
 WORKLOAD_SEEDS = (0, 1)
-FIELDS = ("result", "draglog", "collections", "display", "roots")
+FIELDS = ("result", "draglog", "collections", "display", "roots",
+          "analysis")
 SHOWN = 10  # differing runs listed
 
 
@@ -83,7 +90,6 @@ def child():
     """Run the jobs read from stdin; print dragprof's location, then
     one JSON line of field digests per run."""
     import contextlib
-    import io
 
     import dragprof
     from dragprof.cli import RUN_RECURSION_LIMIT
@@ -101,7 +107,7 @@ def child():
 
     sys.setrecursionlimit(RUN_RECURSION_LIMIT)
     print(json.dumps(dragprof.__file__), flush=True)
-    for name, source, k, heap in json.load(sys.stdin):
+    for index, (name, source, k, heap) in enumerate(json.load(sys.stdin)):
         shown = io.StringIO()
         log = collections = ""
         points.clear()
@@ -116,8 +122,74 @@ def child():
             result = f"error {type(exc).__name__}: {exc}"
         print(json.dumps([_digest(t) for t in
                           (result, log, collections, shown.getvalue(),
-                           repr(points))]),
+                           repr(points), analysis(log, index))]),
               flush=True)
+
+
+def analysis(text, index):
+    """What analyze makes of a DRAGLOG text, and how the text parses with
+    one line mutated as the run's index picks."""
+    if not text:
+        return ""
+    from dragprof import analyzer
+    from dragprof.profiler import parse_draglog
+    log = parse_draglog(text)
+    report, series = analyzer.build_report(log)
+    out = io.StringIO()
+    analyzer.write_report_csv(report, out)
+    analyzer.write_curves_csv(series, out)
+    analyzer.write_histogram_csv(report.histogram, out)
+    out.write(analyzer.format_text_report(report, log.gc_interval))
+    try:
+        mutated = parse_draglog(mutate_line(text, index))
+        outcome = repr((mutated.gc_interval, mutated.heap_slots,
+                        mutated.source, mutated.end_tick, columns(mutated)))
+    except Exception as exc:  # compared, not judged
+        outcome = f"{type(exc).__name__}: {exc}"
+    return _digest(out.getvalue()) + " " + _digest(outcome)
+
+
+def mutate_line(text, index):
+    """text with one line changed: a field replaced by a bad or a shifted
+    value or respelled with a leading zero, a field added, or the line
+    emptied, dropped, doubled or swapped with the next."""
+    rng = random.Random(index)
+    lines = text.split("\n")[:-1]
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(" ")
+    j = rng.randrange(len(fields))
+    how = rng.randrange(8)
+    if how == 0:
+        fields[j] = rng.choice(["x", "", "+1", "1_0", "Q"])
+    elif how == 1:
+        if fields[j].lstrip("-").isdigit():
+            fields[j] = str(int(fields[j]) + rng.choice([-2, -1, 1, 2]))
+    elif how == 2:
+        fields[j] = "0" + fields[j]
+    elif how == 3:
+        fields.insert(j, "0")
+    elif how == 4:
+        fields = [""]
+    if how < 5:
+        lines[i] = " ".join(fields)
+    elif how == 5:
+        del lines[i]
+    elif how == 6:
+        lines.insert(i, lines[i])
+    else:
+        lines[i:i + 2] = reversed(lines[i:i + 2])
+    return "\n".join(lines) + "\n"
+
+
+def columns(log):
+    """A parsed log's columns, as lists; made from its records, as
+    profiler.Columns holds them, for a TraceLog without columns."""
+    if hasattr(log, "columns"):
+        return [list(c) for c in log.columns]
+    rows = [(r.obj_id, r.kind, r.size_slots, r.create_tick,
+             -1 if r.last_use_tick is None else r.last_use_tick,
+             r.collect_tick, r.censored) for r in log.records]
+    return [list(c) for c in zip(*rows)] or [[] for _ in range(7)]
 
 
 def start(root, jobs):
