@@ -31,8 +31,6 @@ later finds the object dead turns the stamp into its collection tick
 (see runtime.py).
 """
 
-from dataclasses import dataclass
-
 from .defaults import DEFAULT_HEAP_SLOTS
 from .errors import DanglingRef
 
@@ -66,7 +64,6 @@ class Forward:
 FORWARDED = Forward()
 
 
-@dataclass(slots=True, eq=False)
 class LifetimeRecord:
     """One object, and every reference to it; records compare by
     identity.
@@ -79,17 +76,29 @@ class LifetimeRecord:
     runtime dates the death the copy found, or (censored) the end tick
     when the run terminates.  A parsed log holds the same fields as
     columns (profiler.Columns), and makes records, without an address,
-    only when a caller iterates them.
+    only when a caller iterates them.  A plain slotted class, not a
+    dataclass, so a run does not load dataclasses and what it imports.
     """
 
-    obj_id: int
-    kind: str
-    size_slots: int
-    create_tick: int | None = None
-    last_use_tick: int | None = None
-    collect_tick: int | None = None
-    censored: bool = False
-    address: int | None = None
+    __slots__ = ("obj_id", "kind", "size_slots", "create_tick",
+                 "last_use_tick", "collect_tick", "censored", "address")
+
+    def __init__(self, obj_id, kind, size_slots, create_tick=None,
+                 last_use_tick=None, collect_tick=None, censored=False,
+                 address=None):
+        self.obj_id = obj_id
+        self.kind = kind
+        self.size_slots = size_slots
+        self.create_tick = create_tick
+        self.last_use_tick = last_use_tick
+        self.collect_tick = collect_tick
+        self.censored = censored
+        self.address = address
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"LifetimeRecord({fields})"
 
 
 class Heap:

@@ -49,7 +49,15 @@ scope binds, with a count the primitive accepts, calls the primitive's
 body on the argument values: no operator lookup, no count check, no
 operator pin; a call of + - * = or < on two to four arguments runs the
 Python operator, with a type test of each argument that is not an
-integer literal, and calls the body only to raise its error.
+integer literal, and calls the body only to raise its error.  car, cdr,
+vector-ref and null? run inline too: when the values pass the body's
+own tests (a live pair; a live vector and an integer index in range; a
+reference), the generated code records the use through the
+Interpreter's record_use and reads heap.slots, read anew at each access
+as a copy swaps the spaces; else it calls the body, which raises.  A
+cons whose values are immediates (integers, booleans, symbols, the
+empty list) needs no use and no check, so it calls the Runtime's
+alloc_pair at once; with any other value it calls the body.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call checks the count, binds the callee's
@@ -60,6 +68,20 @@ the frame in the innermost stack slot and runs the code, so loops run
 in constant control-stack space regardless of iteration count.  The
 tail of a non-tail let's body runs inline: a tail call there takes the
 let's stack slot and runs its trampoline at once.
+
+A self tail call is a jump with arguments (Steele, "Debunking the
+'expensive procedure call' myth, or, LAMBDA: the ultimate GOTO", 1977):
+a call in tail position of a unit's own function (not of a unit split
+off it) that can reach only that unit's body runs as a turn of a
+while loop around the body.  That is a call of a named let's loop name
+that no define or set! in the program targets and no inner binding
+shadows, or of a global f whose one define in the program, with no
+set!, is (define (f ...) ...) or (define f (lambda ...)) and that no
+binding shadows; in either case with the loop's count.  The call makes
+the callee frame a call would, [parent, argument values] plus the
+define slots, its parent the unit frame's own, puts it in the
+innermost stack slot and continues the loop on it: a fresh frame per
+turn, so a closure made in one turn keeps that turn's bindings.
 
 Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
 for Scheme", 1987): the compiler resolves every variable.  A closure
@@ -118,7 +140,7 @@ alloc_vector and record_use.
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import (
@@ -127,9 +149,8 @@ from .errors import (
     SchemeRuntimeError,
     SchemeSyntaxError,
 )
-from .heap import NIL, LifetimeRecord
+from .heap import NIL, PAIR, VECTOR, LifetimeRecord, Nil
 from .primitives import PRIMITIVES, Primitive, rt_error, write_value
-from .profiler import TraceLog
 from .runtime import Runtime
 
 # ---------------------------------------------------------------------------
@@ -321,11 +342,11 @@ def _too_deep(form):
     return SchemeSyntaxError("nesting too deep", form.line, form.col)
 
 
-def _assigned(forms):
-    """Every name a define (either form) or set! in forms targets, found
-    in one iterative walk, so nesting costs no Python frames.  A
-    malformed form only adds names, which is safe."""
-    names, stack = set(), list(forms)
+def _targets(forms):
+    """How many defines (either form) and set!s in forms target each
+    name, found in one iterative walk, so nesting costs no Python frames.
+    A malformed form only adds counts, which is safe."""
+    names, stack = Counter(), list(forms)
     while stack:
         sx = stack.pop()
         if type(sx) is not SrcList or not sx.items or sx.items[0] is _QUOTE:
@@ -333,10 +354,8 @@ def _assigned(forms):
         items = sx.items
         if items[0] in (_DEFINE, _SET) and len(items) > 1:
             target = items[1]
-            if type(target) is SrcList:
-                names.update(target.items[:1])
-            else:
-                names.add(target)
+            names.update(target.items[:1] if type(target) is SrcList
+                         else [target])
         stack.extend(items)
         if sx.tail is not None:
             stack.append(sx.tail)
@@ -410,6 +429,13 @@ def _resolve(scope, name):
         scope = scope.parent
         depth += 1
     return chain, False
+
+
+def _binder(scope, name):
+    """The innermost scope that binds name; None if no frame does."""
+    while scope is not None and name not in scope.slots:
+        scope = scope.parent
+    return scope
 
 
 def _up(frame, depth):
@@ -539,6 +565,9 @@ def _deliver(code, tail, target):
 # The Python operator a call of 2 to 4 arguments of these runs inline.
 _INLINE = {"+": " + ", "-": " - ", "*": " * ", "=": " == ", "<": " < "}
 
+# The types of the values a cons stores as they are, with no use.
+_IMMEDIATE = frozenset((int, bool, str, Nil))
+
 # Branches nested this deep in one generated function move into a
 # function of their own: Python allows 100 levels of indentation.
 _SPLIT = 50
@@ -547,7 +576,8 @@ _SPLIT = 50
 _GENERATED = {v.__name__: v for v in (
     Closure, OutOfMemory, _call_procedure, _late_ref, _oom, _set_var,
     _unbound, _up, *[row[4] for row in PRIMITIVES])}
-_GENERATED["NIL"] = NIL
+_GENERATED.update(NIL=NIL, PAIR=PAIR, VECTOR=VECTOR, Nil=Nil,
+                  LifetimeRecord=LifetimeRecord, IMMEDIATE=_IMMEDIATE)
 
 
 class Interpreter:
@@ -559,23 +589,27 @@ class Interpreter:
         self.rt = runtime
         self.heap = runtime.heap
         # looked up here, not at import, so a patched Runtime.record_use
-        # (the bench tracer's) is the one the primitives call
+        # or alloc_pair (the bench tracer's) is the one the primitives
+        # and the generated code call
         self.record_use = runtime.record_use
+        self.alloc_pair = runtime.alloc_pair
         self.primitives = {sys.intern(row[0]): Primitive(*row)
                            for row in PRIMITIVES}
         self.globals = dict(self.primitives)
         self._fixed = None  # fixed name -> Primitive, once compiling
+        self._assigned = ()  # the globals a define or set! can change
         self._stack = []  # see "The stack" above
         runtime.add_root_provider(self._iter_roots)
 
     def _iter_roots(self):
-        """Yield every reference (a record) reachable from the global
-        table and the stack: a closure adds the frame it captures, a
-        list (a frame, whose parent is its slot 0, or pinned values)
-        adds its items, once per list, so shared and cyclic frames are
-        walked once."""
+        """Yield every reference (a record) reachable from the globals a
+        define or set! in the program can change (the others hold their
+        primitives) and from the stack: a closure adds the frame it
+        captures, a list (a frame, whose parent is its slot 0, or pinned
+        values) adds its items, once per list, so shared and cyclic
+        frames are walked once."""
         seen = set()
-        values = [*self.globals.values(), *self._stack]
+        values = [*map(self.globals.get, self._assigned), *self._stack]
         while values:
             v = values.pop()
             tv = type(v)
@@ -610,14 +644,19 @@ class Interpreter:
         the first."""
         if self._fixed is not None:
             raise ProtocolViolation("an Interpreter compiles one program")
-        assigned = _assigned(program)
+        self._targets = targets = _targets(program)
         self._fixed = {name: prim for name, prim in self.primitives.items()
-                       if name not in assigned}
+                       if name not in targets}
+        # sorted, so the roots come in the same order in every process
+        self._assigned = sorted(name for name in targets
+                                if type(name) is str)
         stack = self._stack
         self._env = dict(_GENERATED, G=self.globals, interp=self,
                          stack=stack, push=stack.append, pop=stack.pop,
-                         quote=self._quote)
+                         quote=self._quote, heap=self.heap,
+                         use=self.record_use, alloc=self.alloc_pair)
         self._consts, self._n, self._vars, self._depth = {}, 0, {}, 0
+        self._loop, self._looped = None, False
         names = []
         for form, pos in zip(program, program.positions):
             try:
@@ -663,18 +702,25 @@ class Interpreter:
             self._env[name] = value
         return name
 
-    def _unit(self, forms, scope, pos, tail):
+    def _unit(self, forms, scope, pos, tail, loop=None):
         """Generate the function of a frame of scope, f0, that runs forms
         as a body (in tail position if tail); returns its name and code.
-        The unit's frames are locals: f0 and a variable per inline let."""
-        saved = self._vars, self._depth
+        The unit's frames are locals: f0 and a variable per inline let.
+        loop is (name, binder, arity) if the body is a procedure's whose
+        calls of name, bound by binder, may loop (see "Tail calls")."""
+        saved = self._vars, self._depth, self._loop, self._looped
         self._vars, self._depth = {scope: "f0"}, 0
+        # a turn's frame takes the _UNSET slots a call's would
+        self._loop = loop and (*loop, scope.unset)
+        self._looped = False  # whether a call loops, so the body needs one
         code = self._compile_body(forms, scope, pos, tail)
-        self._vars, self._depth = saved
+        node = [code.node, f"return {code.expr}"] if code.expr else code.node
+        if self._looped:
+            node = ["while True:", tuple(node)]
+        self._vars, self._depth, self._loop, self._looped = saved
         name = self._name("u")
         lines = [f"def {name}(f0):"]
-        _flatten([code.node, f"return {code.expr}"] if code.expr else
-                 code.node, lines)
+        _flatten(node, lines)
         # one compile() per unit bounds the parser's memory by the largest
         # unit's text, not the whole program's
         exec(compile("\n".join(lines), "<dragprof>", "exec"), self._env)
@@ -731,12 +777,13 @@ class Interpreter:
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
     # stack, which deep nesting overflows before the recursion limit.
-    def _compile(self, sx, scope, pos, tail=False, target=None):
+    def _compile(self, sx, scope, pos, tail=False, target=None, name=None):
         """Check reader form sx and compile it to the _Code that evaluates
         it in a frame of scope; an atom reports pos, its enclosing form's
         position.  In tail position (tail set) the value is returned, or
         stored in target if that is set, and a tail call is made in place
-        (see "Tail calls" above); else the value goes to target if set."""
+        (see "Tail calls" above); else the value goes to target if set.
+        name is the global a lambda's self tail calls may loop on."""
         if type(sx) is str:
             return _deliver(self._compile_ref(sx, scope, pos), tail, target)
         if type(sx) is not SrcList:  # an integer or a boolean
@@ -777,7 +824,8 @@ class Interpreter:
             plist = items[1]
             if type(plist) is not SrcList or plist.tail is not None:
                 _syntax_error("expected a parameter list", plist, pos)
-            code = self._compile_lambda(plist.items, items[2:], scope, pos)
+            code = self._compile_lambda(plist.items, items[2:], scope, pos,
+                                        name)
         elif head is _DEFINE:
             code = self._compile_define(items, scope, pos)
         elif head is _SET:
@@ -849,7 +897,9 @@ class Interpreter:
         return _Code(node + [last.node], last.expr, last.kind,
                      effects + [last])
 
-    def _compile_lambda(self, plist, body_forms, scope, pos):
+    def _compile_lambda(self, plist, body_forms, scope, pos, name=None):
+        """A lambda; with name, a tail call of the global name in its
+        body, with its count, loops."""
         params = []
         for p in plist:
             param = _require_symbol(p, "a parameter name", pos)
@@ -857,7 +907,8 @@ class Interpreter:
                 raise SchemeSyntaxError(f"duplicate parameter {param}", *pos)
             params.append(param)
         inner = _Scope(scope, params, body_forms)
-        fn, _ = self._unit(body_forms, inner, pos, True)
+        fn, _ = self._unit(body_forms, inner, pos, True,
+                           name and (name, None, len(params)))
         return _Code([], f"Closure({len(params)}, {self._const(inner.unset)},"
                          f" {fn}, {self._vars[scope]}, None)", _OP)
 
@@ -869,13 +920,18 @@ class Interpreter:
             if target.tail is not None or not target.items:
                 _syntax_error("bad define form", target, pos)
             name = _require_symbol(target.items[0], "a procedure name", pos)
-            value = self._compile_lambda(target.items[1:], items[2:], scope,
-                                         pos)
         else:
             if len(items) != 3:
                 raise SchemeSyntaxError("define takes one value", *pos)
             name = _require_symbol(target, "a name", pos)
-            value = self._compile(items[2], scope, pos)
+        # the one global define of name, with no set!: the name always
+        # holds the procedure its body runs in, if the value is a lambda
+        loop = name if scope is None and self._targets[name] == 1 else None
+        if type(target) is SrcList:
+            value = self._compile_lambda(target.items[1:], items[2:], scope,
+                                         pos, loop)
+        else:
+            value = self._compile(items[2], scope, pos, name=loop)
         t, n = self._name(), self._const(name)
         # at top level the name is a global; else it has a slot
         slot = (f"G[{n}]" if scope is None else
@@ -915,8 +971,8 @@ class Interpreter:
         frame, f, value = self._vars[scope], self._name("f"), None
         if not (tail or target):
             target = value = self._name()
-        inner = _Scope(scope if loop_name is None else
-                       _Scope(scope, [loop_name], []), names, body_forms)
+        outer = scope if loop_name is None else _Scope(scope, [loop_name], [])
+        inner = _Scope(outer, names, body_forms)
         # the current frame is on the stack already
         node, _, _ = self._operands([_Code([], frame), *inits], f,
                                     rooted=True)
@@ -925,7 +981,9 @@ class Interpreter:
             body = self._compile_body(body_forms, inner, pos, True, target)
             run = [body.node]
         else:  # the loop name binds a closure over its own frame
-            fn, body = self._unit(body_forms, inner, pos, True)
+            fn, body = self._unit(body_forms, inner, pos, True,
+                                  None if self._targets[loop_name] else
+                                  (loop_name, outer, len(names)))
             loop = self._name("l")
             node += [f"{f}[0] = {loop} = [{frame}, None]",
                      f"{loop}[1] = Closure({len(names)}, "
@@ -948,6 +1006,11 @@ class Interpreter:
             return _deliver(self._compile_primitive_call(prim, args, pos,
                                                          items[1:]),
                             tail, target)
+        if tail and not target and self._loop:
+            name, binder, arity, unset = self._loop
+            if (items[0] == name and len(args) == arity
+                    and _binder(scope, name) is binder):
+                return self._compile_loop(args, unset)
         if fn.kind > _STABLE:  # the operator is read more than once
             t = self._name()
             fn = _Code([fn.node, f"{t} = {fn.expr}"], t, _STABLE, [fn])
@@ -969,6 +1032,21 @@ class Interpreter:
         return _Code(node, None if target else value, _STABLE, (), True,
                      True)
 
+    def _compile_loop(self, args, unset):
+        """A tail call that can reach only the unit's own body: its frame,
+        [parent, argument values] with f0's parent and then the unset
+        slots, becomes f0, and the unit's loop runs again (see "Tail
+        calls" above)."""
+        self._looped = True
+        f = self._name("a")
+        # f0, and so its parent, is on the stack already
+        node, _, _ = self._operands([_Code([], "f0[0]"), *args], f,
+                                    rooted=True)
+        if unset:
+            node.append(f"{f} += {self._const(unset)}")
+        node += [f"stack[-1] = f0 = {f}", "continue"]
+        return _Code(node, None, _STABLE, (), True, True)
+
     def _compile_primitive_call(self, prim, args, pos, forms):
         """A call of the fixed primitive prim on the arguments compiled to
         args, whose count prim accepts (see "Fixed primitives" above)."""
@@ -984,6 +1062,22 @@ class Interpreter:
                      if type(sx) is not int]
             expr = _INLINE[prim.name].join(atoms) + (
                 f" if {' and '.join(tests)} else {expr}" if tests else "")
+        elif prim.name == "cons":  # no use to record, no value to check
+            tests = [f"type({a}) in IMMEDIATE" for a, c in zip(atoms, args)
+                     if c.kind != _CONST]
+            expr = f"alloc({', '.join(atoms)})" + (
+                f" if {' and '.join(tests)} else {expr}" if tests else "")
+        elif prim.name in _READS:
+            test, read, other = _READS[prim.name]
+            for i, atom in enumerate(atoms):
+                if "[" in atom:  # a slot, read again: once, into a local
+                    atoms[i] = self._name()
+                    node.append(f"{atoms[i]} = {atom}")
+            t = self._name()
+            node += [f"if {test.format(*atoms)}:",
+                     (f"use({atoms[0]})", f"{t} = {read.format(*atoms)}"),
+                     "else:", (f"{t} = {other.format(*atoms) or expr}",)]
+            return _Code(node, t, _STABLE, args)
         if not prim.allocates:  # so nothing can once the arguments ran
             return _Code(node, expr, _OP, args)
         if not (pinned or consts):
@@ -996,15 +1090,27 @@ class Interpreter:
         return _Code(node, t, _STABLE, args, alloc=True)
 
 
+# The inline bodies of car, cdr, vector-ref and null? over the atoms of
+# the values: the test of the values whose call records a use of the
+# first and reads, the read, and the value of the others ("": the body's
+# call, which raises).
+_READS = {
+    "car": ("type({0}) is LifetimeRecord and {0}.kind == PAIR "
+            "and {0}.address is not None", "heap.slots[{0}.address]", ""),
+    "cdr": ("type({0}) is LifetimeRecord and {0}.kind == PAIR "
+            "and {0}.address is not None", "heap.slots[{0}.address + 1]", ""),
+    "vector-ref": ("type({0}) is LifetimeRecord and {0}.kind == VECTOR "
+                   "and {0}.address is not None and type({1}) is int "
+                   "and 0 <= {1} < {0}.size_slots",
+                   "heap.slots[{0}.address + {1}]", ""),
+    "null?": ("type({0}) is LifetimeRecord", "False", "type({0}) is Nil"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 
-@dataclass
-class RunResult:
-    value: object
-    value_repr: str
-    trace_log: TraceLog
-    collections: list
+RunResult = namedtuple("RunResult", "value value_repr trace_log collections")
 
 
 def run_source(source: str, *,

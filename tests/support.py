@@ -74,6 +74,102 @@ LIMIT_PROGRAMS = {
 }
 
 
+def _split_self_call():
+    """A self tail call of down nested 60 ifs deep, so in a unit split
+    off its procedure's body."""
+    src = "(if (= n 0) 'z (down (- n 1)))"
+    for _ in range(60):
+        src = f"(if #t {src} 0)"
+    return src
+
+
+# Programs at the edges of the rules that run a self tail call as a loop
+# and car, cdr, vector-ref, null? and cons inline: every exception to the
+# loop rule, loops whose turns keep their frames, and each inline body on
+# the values its primitive's body must handle.
+RULE_PROGRAMS = {
+    # a set! of the loop name: the next turn calls the new value
+    "loop-set": ("(let loop ((i 0))\n"
+                 "  (if (= i 2) (set! loop (lambda (j) (cons 'new j))) 0)\n"
+                 "  (if (< i 5) (loop (+ i 1)) i))"),
+    # a second define or a set! of a procedure: the old body's tail call
+    # reaches the new value
+    "proc-redefined": ("(define (f x) (if (= x 0) 'a (f (- x 1))))\n"
+                       "(define g f)\n(define (f x) 'b)\n(g 3)"),
+    "proc-set": ("(define (f x) (if (= x 0) 'a (f (- x 1))))\n"
+                 "(define g f)\n(set! f (lambda (x) (list 'c x)))\n(g 3)"),
+    "proc-internal-define": "(define (f x) (define (f y) (+ y 1)) (f x))\n"
+                            "(f 1)",
+    # a binding that shadows the loop or procedure name
+    "loop-let-shadow": ("(let loop ((i 0))\n"
+                        "  (if (= i 3) 'done\n"
+                        "      (let ((loop (lambda (j) (list 'shadow j))))\n"
+                        "        (loop (+ i 1)))))"),
+    "loop-lambda-shadow": "(let loop ((i 0))\n"
+                          "  ((lambda (loop) (loop i)) (lambda (k) (+ k 100))))",
+    "loop-inner-named-let": ("(let loop ((i 0))\n"
+                             "  (if (= i 2) i\n"
+                             "      (let loop ((j i))\n"
+                             "        (if (= j 9) (list 'inner j) "
+                             "(loop (+ j 1))))))"),
+    "proc-let-shadow": "(define (f x) (let ((f (lambda (y) (* y 2)))) (f x)))"
+                       "\n(f 4)",
+    "proc-parameter-shadow": "(define (f f) (if (number? f) f (f 7)))\n"
+                             "(f (lambda (x) (+ x 1)))",
+    # a wrong count is the closure call's arity error
+    "loop-arity": "(let loop ((i 0)) (if (= i 1) (loop 1 2) (loop (+ i 1))))",
+    "proc-arity": "(define (f x) (if (= x 0) (f) (f (- x 1))))\n(f 2)",
+    # a self tail call in a unit split off the body stays a call
+    "proc-split": f"(define (down n) {_split_self_call()})\n(down 3)",
+    "loop-split": f"(let down ((n 3)) {_split_self_call()})",
+    # every turn has a frame of its own, which a closure keeps
+    "loop-closure": ("(let loop ((i 0) (f (lambda () -1)))\n"
+                     "  (if (= i 3) (f) (loop (+ i 1) (lambda () i))))"),
+    "proc-closure": ("(define (h i f)\n"
+                     "  (if (= i 3) (f) (h (+ i 1) (lambda () (+ i (f))))))\n"
+                     "(h 0 (lambda () 0))"),
+    "proc-define-slot": ("(define (f i acc) (define (get) i)\n"
+                         "  (if (= i 3) (acc) (f (+ i 1) get)))\n"
+                         "(f 0 (lambda () -1))"),
+    "loop-define-slot": ("(let loop ((i 0) (acc '())) (define d (* i i))\n"
+                         "  (if (= i 3) acc (loop (+ i 1) (cons d acc))))"),
+    "proc-lambda-form": ("(define f (lambda (n acc)\n"
+                         "  (if (= n 0) acc (f (- n 1) (cons n acc)))))\n"
+                         "(f 4 '())"),
+    "proc-in-begin": "(begin (define (f n) (if (= n 0) 'z (f (- n 1))))\n"
+                     "(f 5))",
+    "loop-in-non-tail-let": ("(define (sum xs)\n"
+                             "  (let ((total (let loop ((ys xs) (s 0))\n"
+                             "                 (if (null? ys) s\n"
+                             "                     (loop (cdr ys) "
+                             "(+ s (car ys)))))))\n"
+                             "    (list total)))\n"
+                             "(sum (list 1 2 3 4))"),
+    "loop-tail-let": ("(let loop ((i 0) (acc '()))\n"
+                      "  (if (= i 4) acc\n"
+                      "      (let ((p (cons i acc))) (loop (+ i 1) p))))"),
+    # the cases an inline body leaves to its primitive's body
+    "car-number": "(car 5)",
+    "car-nil": "(let ((x '())) (car x))",
+    "cdr-vector": "(cdr (vector 1 2))",
+    "cdr-symbol": "(cdr 'a)",
+    "vector-ref-pair": "(vector-ref (cons 1 2) 0)",
+    "vector-ref-high": "(let ((v (vector 1 2))) (vector-ref v 2))",
+    "vector-ref-negative": "(vector-ref (vector 1 2) -1)",
+    "vector-ref-boolean": "(vector-ref (vector 1 2) #t)",
+    "vector-ref-symbol": "(let ((i 'a)) (vector-ref (vector 1 2) i))",
+    "vector-ref-huge": ("(vector-ref (vector 1) "
+                        "(* 100000000000000000000 100000000000000000000))"),
+    "null-any": "(list (null? car) (null? 0) (null? '()) (null? (list 1)))",
+    "cons-procedure": "(let ((f car)) (cons 1 f))",
+    "cons-procedure-first": "(cons (lambda (x) x) 2)",
+    "inline-reads": ("(define v (vector (cons 1 2) 'x #f))\n"
+                     "(list (car (vector-ref v 0)) (cdr (vector-ref v 0))\n"
+                     "      (vector-ref v 1) (vector-ref v 2)\n"
+                     "      (null? (vector-ref v 2))\n"
+                     "      (cons (cons 'a #t) (cons (vector-ref v 0) '())))"),
+}
+
 class HeapDriver:
     """Random mutator over a Runtime, no interpreter involved.
 

@@ -521,6 +521,8 @@ def modules_after(workdir, command):
     argv = {"plot": ["plot", str(out / "curves.csv"),
                      str(out / "histogram.csv"), "--out-dir", str(out)],
             "analyze": ["analyze", str(log), "--out-dir", str(out)],
+            "run": ["run", str(workdir / "small.scm"), "--log",
+                    str(workdir / "again.draglog")],
             }.get(command, [])
     script = ("import contextlib, io, json, sys\n"
               "from dragprof.cli import main\n"
@@ -555,6 +557,14 @@ def test_analyze_makes_no_record_and_loads_no_dataclasses(workdir):
     loaded = modules_after(workdir, "analyze")
     assert "dragprof.analyzer" in loaded
     assert not loaded & {"dataclasses", "dragprof.heap"}
+
+
+def test_run_loads_no_dataclasses(workdir):
+    # a record is a plain slotted class and RunResult a namedtuple, so a
+    # run pays for neither dataclasses nor the inspect it imports
+    loaded = modules_after(workdir, "run")
+    assert "dragprof.interp" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, complaint", [

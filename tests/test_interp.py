@@ -10,6 +10,7 @@ from dragprof.errors import (
     SchemeError,
     SchemeRuntimeError,
     SchemeSyntaxError,
+    UnknownId,
 )
 from dragprof.heap import NIL, PAIR, VECTOR, Nil
 from dragprof.interp import (
@@ -23,6 +24,7 @@ from dragprof.profiler import format_draglog
 from dragprof.runtime import Runtime
 from support import (
     LIMIT_PROGRAMS,
+    RULE_PROGRAMS,
     ProgramGenerator,
     oracle_checked_points,
 )
@@ -582,6 +584,139 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
 
 
 # ---------------------------------------------------------------------------
+# self tail calls run as loops; car, cdr, vector-ref, null? and cons run
+# inline
+
+RULE_RESULTS = {
+    "loop-set": "(new . 3)",
+    "proc-redefined": "b",
+    "proc-set": "(c 2)",
+    "proc-internal-define": "2",
+    "loop-let-shadow": "(shadow 1)",
+    "loop-lambda-shadow": "100",
+    "loop-inner-named-let": "(inner 9)",
+    "proc-let-shadow": "8",
+    "proc-parameter-shadow": "8",
+    "loop-arity": "error: 1:31: loop expects 1 arguments, got 2",
+    "proc-arity": "error: 1:27: f expects 1 arguments, got 0",
+    "proc-split": "z",
+    "loop-split": "z",
+    "loop-closure": "2",
+    "proc-closure": "3",
+    "proc-define-slot": "2",
+    "loop-define-slot": "(4 1 0)",
+    "proc-lambda-form": "(1 2 3 4)",
+    "proc-in-begin": "z",
+    "loop-in-non-tail-let": "(10)",
+    "loop-tail-let": "(3 2 1 0)",
+    "car-number": "error: 1:1: car: expected a pair, got a number",
+    "car-nil": "error: 1:16: car: expected a pair, got the empty list",
+    "cdr-vector": "error: 1:1: cdr: expected a pair, got a vector",
+    "cdr-symbol": "error: 1:1: cdr: expected a pair, got a symbol",
+    "vector-ref-pair": "error: 1:1: vector-ref: expected a vector, got a pair",
+    "vector-ref-high": "error: 1:25: vector-ref: index 2 out of range for "
+                       "vector of length 2",
+    "vector-ref-negative": "error: 1:1: vector-ref: index -1 out of range "
+                           "for vector of length 2",
+    "vector-ref-boolean": "error: 1:1: vector-ref: expected a number, got a "
+                          "boolean",
+    "vector-ref-symbol": "error: 1:15: vector-ref: expected a number, got a "
+                         "symbol",
+    "vector-ref-huge": "error: 1:1: vector-ref: index 1" + "0" * 40
+                       + " out of range for vector of length 1",
+    "null-any": "(#f #f #t #f)",
+    "cons-procedure": "error: 1:16: cons: a procedure cannot be stored in a "
+                      "heap object",
+    "cons-procedure-first": "error: 1:1: cons: a procedure cannot be stored "
+                            "in a heap object",
+    "inline-reads": "(1 2 x #f #f ((a . #t) (1 . 2)))",
+}
+
+
+@pytest.mark.parametrize("k", [1, 16])
+@pytest.mark.parametrize("name", sorted(RULE_PROGRAMS))
+def test_rule_programs(name, k):
+    # every point's roots as the oracle finds them, at every allocation
+    # with k = 1
+    with oracle_checked_points():
+        try:
+            result = run(RULE_PROGRAMS[name], gc_interval=k).value_repr
+        except SchemeRuntimeError as exc:
+            result = f"error: {exc}"
+    assert result == RULE_RESULTS[name]
+
+
+def generated_calls(src, names=()):
+    """The calls of generated functions, and of the functions named in
+    names, while src runs."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_filename == "<dragprof>"
+                                and code.co_name != "<module>"
+                                or code.co_name in names):
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        value = run(src).value_repr
+    finally:
+        sys.setprofile(None)
+    return value, calls
+
+
+@pytest.mark.parametrize("src", [
+    "(let loop ((i 0)) (if (= i 500) i (loop (+ i 1))))",
+    "(define (up i) (if (= i 500) i (up (+ i 1)))) (up 0)",
+    "(define up (lambda (i) (if (= i 500) i (let ((j (+ i 1))) (up j)))))"
+    " (up 0)",
+], ids=["named-let", "define", "define-lambda"])
+def test_a_self_tail_call_is_a_turn_of_a_loop(src):
+    # one call of the body, not one per turn
+    value, calls = generated_calls(src)
+    assert value == "500"
+    assert max(calls.values()) == 1
+
+
+def test_an_unqualified_tail_call_is_still_a_call():
+    # a procedure defined twice: each turn returns to the trampoline
+    value, calls = generated_calls(
+        "(define (up i) 0) (define (up i) (if (= i 500) i (up (+ i 1))))"
+        " (up 0)")
+    assert value == "500"
+    assert max(calls.values()) == 501
+
+
+def test_inline_bodies_call_no_primitive_for_the_values_they_cover():
+    bodies = ("_prim_car", "_prim_cdr", "_prim_vector_ref", "_prim_null_p",
+              "_prim_cons")
+    src = ("(define v (vector 1 2 3))"
+           "(let loop ((i 0) (acc 0))"
+           "  (if (= i 3) acc"
+           "      (let ((p (cons (vector-ref v i) '())))"
+           "        (loop (+ i 1) (if (null? (cdr p)) (+ acc (car p)) -1)))))")
+    value, calls = generated_calls(src, bodies)
+    assert value == "6"
+    assert not calls.keys() & set(bodies)
+    # a reference in a cons goes through its body, which records its use
+    value, calls = generated_calls("(cons 1 (cons 2 '()))", bodies)
+    assert value == "(1 2)"
+    assert calls["_prim_cons"] == 1
+
+
+def test_a_record_under_a_primitive_name_stays_a_root():
+    # the root walk reads only the globals a define or set! can change;
+    # car is one of them here
+    with oracle_checked_points() as checks:
+        r = run("(define car (cons 1 2)) (cons 3 4) (cons 5 6) car",
+                gc_interval=1)
+    assert checks.points >= 3
+    assert r.value_repr == "(1 . 2)"
+    assert {rec.obj_id: rec for rec in r.trace_log.records}[0].censored
+
+
+# ---------------------------------------------------------------------------
 # primitive names: fixed unless a define or set! in the program targets
 # them; a call of a name a frame in scope binds is an ordinary call
 
@@ -633,6 +768,25 @@ def test_car_of_a_collected_object_is_a_dangling_ref():
         interp.globals["x"] = ref
         with pytest.raises(DanglingRef):
             interp.eval_program(parse(src))
+
+
+@pytest.mark.parametrize("src, error", [
+    ("(cdr x)", DanglingRef),
+    ("(vector-ref x 0)", DanglingRef),
+    ("(let ((i 1)) (vector-ref x i))", DanglingRef),
+    ("(null? x)", UnknownId),
+    ("(cons x 1)", UnknownId),
+    ("(cons 1 x)", UnknownId),
+])
+def test_an_inline_body_on_a_collected_object(src, error):
+    # as in the primitive's body: a read is a DanglingRef, a use alone
+    # an UnknownId
+    rt, interp = interp_fixture()
+    ref = rt.alloc_pair(1, 2)
+    rt.collect_now()
+    interp.globals["x"] = ref
+    with pytest.raises(error):
+        interp.eval_program(parse(src))
 
 
 def test_runtime_entry_points_are_called_for_every_event(monkeypatch):

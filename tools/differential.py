@@ -5,16 +5,18 @@
 Generates the sources once, in this process: the ProgramGenerator
 corpus of tests/support.py (seeds 0-199), its LIMIT_PROGRAMS (programs
 at Python's static limits, which the generated code must split or keep
-out of its text) and the bundled programs of this checkout's
-src/dragprof/programs.  Each source runs at every gc_interval K in KS
-and every heap size in HEAPS, where most bundled and limit programs run
-out of memory; the bundled and limit programs also run at every K at
-the default heap, where they run to the end.  The benchmark's
-workload programs (perfbench/workloads.py) run in full at every seed in
-WORKLOAD_SEEDS, each at its own K and heap size.  Each checkout runs
-them all in its own child process, with only that checkout's src on
-PYTHONPATH, through dragprof.interp.run_source under the CLI's
-recursion limit.  Per run, the two must agree on the result (the
+out of its text), its RULE_PROGRAMS (the exceptions to the rule that
+runs a self tail call as a loop, and the cases the inline primitive
+bodies leave to the primitives) and the bundled programs of this
+checkout's src/dragprof/programs.  Each source runs at every
+gc_interval K in KS and every heap size in HEAPS, where most bundled
+and limit programs run out of memory; the bundled, limit and rule
+programs also run at every K at the default heap, where they run to
+the end.  The benchmark's workload programs (perfbench/workloads.py)
+run in full at every seed in WORKLOAD_SEEDS, each at its own K and heap
+size.  Each checkout runs them all in its own child process, with only
+that checkout's src on PYTHONPATH, through dragprof.interp.run_source
+under the CLI's recursion limit.  Per run, the two must agree on the result (the
 value's rendering or the exception's type and text), the DRAGLOG text,
 the CollectionStats list, what the program displayed, the root set
 of every collection point (as sorted object ids, so the order the
@@ -52,16 +54,17 @@ SHOWN = 10  # differing runs listed
 
 def corpus():
     """([(name, source)] of the generated programs, the same of the
-    bundled and limit ones)."""
+    bundled, limit and rule ones)."""
     root = HERE.parent
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
-    from support import LIMIT_PROGRAMS, ProgramGenerator
+    from support import LIMIT_PROGRAMS, RULE_PROGRAMS, ProgramGenerator
     generated = [(f"seed-{seed}", ProgramGenerator(seed).program())
                  for seed in SEEDS]
     bundled = [(path.name, path.read_text(encoding="utf-8"))
                for path in sorted((root / "src" / "dragprof" / "programs")
                                   .glob("*.scm"))]
-    return generated, bundled + sorted(LIMIT_PROGRAMS.items())
+    return generated, (bundled + sorted(LIMIT_PROGRAMS.items())
+                       + sorted(RULE_PROGRAMS.items()))
 
 
 def workload_jobs():
@@ -246,8 +249,8 @@ def main(argv):
     differing = [(job, [f for f, a, b in zip(FIELDS, x, y) if a != b])
                  for job, x, y in zip(jobs, old, new) if x != y]
     print(f"{len(jobs)} runs ({len(generated) + len(bundled)} programs x "
-          f"K {list(KS)} x heap {list(HEAPS)}, {len(bundled)} bundled and "
-          f"limit x K {list(KS)} x heap {FULL_HEAP}, {len(workload)} "
+          f"K {list(KS)} x heap {list(HEAPS)}, {len(bundled)} bundled, "
+          f"limit and rule x K {list(KS)} x heap {FULL_HEAP}, {len(workload)} "
           f"workload runs): {len(differing)} differences")
     for (name, _, k, heap), fields in differing[:SHOWN]:
         print(f"  {name} K={k} heap={heap}: {', '.join(fields)} differ")
