@@ -69,19 +69,17 @@ in constant control-stack space regardless of iteration count.  The
 tail of a non-tail let's body runs inline: a tail call there takes the
 let's stack slot and runs its trampoline at once.
 
-A self tail call is a jump with arguments (Steele, "Debunking the
-'expensive procedure call' myth, or, LAMBDA: the ultimate GOTO", 1977):
-a call in tail position of a unit's own function (not of a unit split
-off it) that can reach only that unit's body runs as a turn of a
-while loop around the body.  That is a call of a named let's loop name
-that no define or set! in the program targets and no inner binding
-shadows, or of a global f whose one define in the program, with no
-set!, is (define (f ...) ...) or (define f (lambda ...)) and that no
-binding shadows; in either case with the loop's count.  The call makes
-the callee frame a call would, [parent, argument values] plus the
-define slots, its parent the unit frame's own, puts it in the
-innermost stack slot and continues the loop on it: a fresh frame per
-turn, so a closure made in one turn keeps that turn's bindings.
+A tail call of a body's own code is a jump with arguments (Steele,
+"Debunking the 'expensive procedure call' myth, or, LAMBDA: the
+ultimate GOTO", 1977).  In the function of a lambda or named-let body
+(not of a unit split off it), a tail call with the body's count first
+tests at run time whether the callee is a closure whose code is that
+function.  If it is, the frame a call would bind, [the callee's frame,
+argument values] plus the body's define slots, takes the innermost
+stack slot as f0, and a while loop around the body runs its next turn:
+a fresh frame per turn, so a closure made in one turn keeps that
+turn's bindings.  Any other callee takes the path above, so a set!, a
+redefinition or a shadowing binding needs no rule of the compiler.
 
 Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
 for Scheme", 1987): the compiler resolves every variable.  A closure
@@ -118,8 +116,9 @@ call abandons is dead at the next allocation.  A call that reaches a
 primitive at run time pushes its argument values while the primitive
 runs.  A fixed primitive call pins its argument values as a closure
 call does; if the primitive allocates, they are pushed while its body
-runs too.  A quote pushes its value lists while further evaluation
-could allocate; if and begin push nothing.
+runs too (a cons of immediates calls no body).  A quote pushes its
+value lists while further evaluation could allocate; if and begin push
+nothing.
 
 Profiling contract: every allocating primitive routes through the
 Runtime, which advances the logical clock and may collect at the
@@ -140,7 +139,7 @@ alloc_vector and record_use.
 
 import re
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import (
@@ -343,10 +342,10 @@ def _too_deep(form):
 
 
 def _targets(forms):
-    """How many defines (either form) and set!s in forms target each
-    name, found in one iterative walk, so nesting costs no Python frames.
-    A malformed form only adds counts, which is safe."""
-    names, stack = Counter(), list(forms)
+    """The names some define (either form) or set! in forms targets,
+    found in one iterative walk, so nesting costs no Python frames.  A
+    malformed form only adds names, which is safe."""
+    names, stack = set(), list(forms)
     while stack:
         sx = stack.pop()
         if type(sx) is not SrcList or not sx.items or sx.items[0] is _QUOTE:
@@ -366,7 +365,7 @@ def _frame_defines(forms):
     """The names the defines among forms bind in the frame the forms run
     in, each once, in order: every define not inside a quote, a lambda
     or a let body; let inits are entered.  One iterative walk, like
-    _assigned; a malformed form only adds names, which is safe."""
+    _targets; a malformed form only adds names, which is safe."""
     names, stack = {}, forms[::-1]
     while stack:
         sx = stack.pop()
@@ -429,13 +428,6 @@ def _resolve(scope, name):
         scope = scope.parent
         depth += 1
     return chain, False
-
-
-def _binder(scope, name):
-    """The innermost scope that binds name; None if no frame does."""
-    while scope is not None and name not in scope.slots:
-        scope = scope.parent
-    return scope
 
 
 def _up(frame, depth):
@@ -644,7 +636,7 @@ class Interpreter:
         the first."""
         if self._fixed is not None:
             raise ProtocolViolation("an Interpreter compiles one program")
-        self._targets = targets = _targets(program)
+        targets = _targets(program)
         self._fixed = {name: prim for name, prim in self.primitives.items()
                        if name not in targets}
         # sorted, so the roots come in the same order in every process
@@ -656,7 +648,7 @@ class Interpreter:
                          quote=self._quote, heap=self.heap,
                          use=self.record_use, alloc=self.alloc_pair)
         self._consts, self._n, self._vars, self._depth = {}, 0, {}, 0
-        self._loop, self._looped = None, False
+        self._own, self._jumps = None, False
         names = []
         for form, pos in zip(program, program.positions):
             try:
@@ -702,23 +694,22 @@ class Interpreter:
             self._env[name] = value
         return name
 
-    def _unit(self, forms, scope, pos, tail, loop=None):
+    def _unit(self, forms, scope, pos, tail, arity=None):
         """Generate the function of a frame of scope, f0, that runs forms
         as a body (in tail position if tail); returns its name and code.
         The unit's frames are locals: f0 and a variable per inline let.
-        loop is (name, binder, arity) if the body is a procedure's whose
-        calls of name, bound by binder, may loop (see "Tail calls")."""
-        saved = self._vars, self._depth, self._loop, self._looped
+        arity is set if the body is a procedure's, taking that many
+        arguments: a tail call of its own code loops (see "Tail calls")."""
+        name = self._name("u")
+        saved = self._vars, self._depth, self._own, self._jumps
         self._vars, self._depth = {scope: "f0"}, 0
-        # a turn's frame takes the _UNSET slots a call's would
-        self._loop = loop and (*loop, scope.unset)
-        self._looped = False  # whether a call loops, so the body needs one
+        self._own = name, arity, scope
+        self._jumps = False  # whether a call jumps back, so the body loops
         code = self._compile_body(forms, scope, pos, tail)
         node = [code.node, f"return {code.expr}"] if code.expr else code.node
-        if self._looped:
+        if self._jumps:
             node = ["while True:", tuple(node)]
-        self._vars, self._depth, self._loop, self._looped = saved
-        name = self._name("u")
+        self._vars, self._depth, self._own, self._jumps = saved
         lines = [f"def {name}(f0):"]
         _flatten(node, lines)
         # one compile() per unit bounds the parser's memory by the largest
@@ -777,13 +768,12 @@ class Interpreter:
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
     # stack, which deep nesting overflows before the recursion limit.
-    def _compile(self, sx, scope, pos, tail=False, target=None, name=None):
+    def _compile(self, sx, scope, pos, tail=False, target=None):
         """Check reader form sx and compile it to the _Code that evaluates
         it in a frame of scope; an atom reports pos, its enclosing form's
         position.  In tail position (tail set) the value is returned, or
         stored in target if that is set, and a tail call is made in place
-        (see "Tail calls" above); else the value goes to target if set.
-        name is the global a lambda's self tail calls may loop on."""
+        (see "Tail calls" above); else the value goes to target if set."""
         if type(sx) is str:
             return _deliver(self._compile_ref(sx, scope, pos), tail, target)
         if type(sx) is not SrcList:  # an integer or a boolean
@@ -824,8 +814,7 @@ class Interpreter:
             plist = items[1]
             if type(plist) is not SrcList or plist.tail is not None:
                 _syntax_error("expected a parameter list", plist, pos)
-            code = self._compile_lambda(plist.items, items[2:], scope, pos,
-                                        name)
+            code = self._compile_lambda(plist.items, items[2:], scope, pos)
         elif head is _DEFINE:
             code = self._compile_define(items, scope, pos)
         elif head is _SET:
@@ -897,9 +886,7 @@ class Interpreter:
         return _Code(node + [last.node], last.expr, last.kind,
                      effects + [last])
 
-    def _compile_lambda(self, plist, body_forms, scope, pos, name=None):
-        """A lambda; with name, a tail call of the global name in its
-        body, with its count, loops."""
+    def _compile_lambda(self, plist, body_forms, scope, pos):
         params = []
         for p in plist:
             param = _require_symbol(p, "a parameter name", pos)
@@ -907,8 +894,7 @@ class Interpreter:
                 raise SchemeSyntaxError(f"duplicate parameter {param}", *pos)
             params.append(param)
         inner = _Scope(scope, params, body_forms)
-        fn, _ = self._unit(body_forms, inner, pos, True,
-                           name and (name, None, len(params)))
+        fn, _ = self._unit(body_forms, inner, pos, True, len(params))
         return _Code([], f"Closure({len(params)}, {self._const(inner.unset)},"
                          f" {fn}, {self._vars[scope]}, None)", _OP)
 
@@ -920,18 +906,13 @@ class Interpreter:
             if target.tail is not None or not target.items:
                 _syntax_error("bad define form", target, pos)
             name = _require_symbol(target.items[0], "a procedure name", pos)
+            value = self._compile_lambda(target.items[1:], items[2:], scope,
+                                         pos)
         else:
             if len(items) != 3:
                 raise SchemeSyntaxError("define takes one value", *pos)
             name = _require_symbol(target, "a name", pos)
-        # the one global define of name, with no set!: the name always
-        # holds the procedure its body runs in, if the value is a lambda
-        loop = name if scope is None and self._targets[name] == 1 else None
-        if type(target) is SrcList:
-            value = self._compile_lambda(target.items[1:], items[2:], scope,
-                                         pos, loop)
-        else:
-            value = self._compile(items[2], scope, pos, name=loop)
+            value = self._compile(items[2], scope, pos)
         t, n = self._name(), self._const(name)
         # at top level the name is a global; else it has a slot
         slot = (f"G[{n}]" if scope is None else
@@ -981,9 +962,7 @@ class Interpreter:
             body = self._compile_body(body_forms, inner, pos, True, target)
             run = [body.node]
         else:  # the loop name binds a closure over its own frame
-            fn, body = self._unit(body_forms, inner, pos, True,
-                                  None if self._targets[loop_name] else
-                                  (loop_name, outer, len(names)))
+            fn, body = self._unit(body_forms, inner, pos, True, len(names))
             loop = self._name("l")
             node += [f"{f}[0] = {loop} = [{frame}, None]",
                      f"{loop}[1] = Closure({len(names)}, "
@@ -1006,11 +985,6 @@ class Interpreter:
             return _deliver(self._compile_primitive_call(prim, args, pos,
                                                          items[1:]),
                             tail, target)
-        if tail and not target and self._loop:
-            name, binder, arity, unset = self._loop
-            if (items[0] == name and len(args) == arity
-                    and _binder(scope, name) is binder):
-                return self._compile_loop(args, unset)
         if fn.kind > _STABLE:  # the operator is read more than once
             t = self._name()
             fn = _Code([fn.node, f"{t} = {fn.expr}"], t, _STABLE, [fn])
@@ -1021,6 +995,12 @@ class Interpreter:
         head = f"if type({f}) is Closure and {f}.arity == {len(args)}:"
         bind = (f"{a}[0] = {f}.env", f"{a} += {f}.unset")
         if tail and not target:
+            own, arity, unit = self._own
+            if arity == len(args):  # a call of the unit's own code loops
+                self._jumps = True
+                grow = [f"{a} += {self._const(unit.unset)}"] * bool(unit.unset)
+                node += [f"if type({f}) is Closure and {f}.code is {own}:",
+                         (bind[0], *grow, f"stack[-1] = f0 = {a}", "continue")]
             node += [head, (*bind, f"return ({f}.code, {a})"),
                      f"return {call}"]
             return _Code(node, None, _STABLE, (), True, True)
@@ -1031,21 +1011,6 @@ class Interpreter:
                  "else:", (f"{value} = {call}",)]
         return _Code(node, None if target else value, _STABLE, (), True,
                      True)
-
-    def _compile_loop(self, args, unset):
-        """A tail call that can reach only the unit's own body: its frame,
-        [parent, argument values] with f0's parent and then the unset
-        slots, becomes f0, and the unit's loop runs again (see "Tail
-        calls" above)."""
-        self._looped = True
-        f = self._name("a")
-        # f0, and so its parent, is on the stack already
-        node, _, _ = self._operands([_Code([], "f0[0]"), *args], f,
-                                    rooted=True)
-        if unset:
-            node.append(f"{f} += {self._const(unset)}")
-        node += [f"stack[-1] = f0 = {f}", "continue"]
-        return _Code(node, None, _STABLE, (), True, True)
 
     def _compile_primitive_call(self, prim, args, pos, forms):
         """A call of the fixed primitive prim on the arguments compiled to
@@ -1062,11 +1027,6 @@ class Interpreter:
                      if type(sx) is not int]
             expr = _INLINE[prim.name].join(atoms) + (
                 f" if {' and '.join(tests)} else {expr}" if tests else "")
-        elif prim.name == "cons":  # no use to record, no value to check
-            tests = [f"type({a}) in IMMEDIATE" for a, c in zip(atoms, args)
-                     if c.kind != _CONST]
-            expr = f"alloc({', '.join(atoms)})" + (
-                f" if {' and '.join(tests)} else {expr}" if tests else "")
         elif prim.name in _READS:
             test, read, other = _READS[prim.name]
             for i, atom in enumerate(atoms):
@@ -1080,13 +1040,21 @@ class Interpreter:
             return _Code(node, t, _STABLE, args)
         if not prim.allocates:  # so nothing can once the arguments ran
             return _Code(node, expr, _OP, args)
-        if not (pinned or consts):
-            pinned = self._name("a")
-            node += [f"{pinned} = [{', '.join(atoms)}]", f"push({pinned})"]
         t = self._name()
-        node += ["try:", (f"{t} = {expr}",), "except OutOfMemory as exc:",
+        call = [f"{t} = {expr}"]
+        if not (pinned or consts):  # pinned only while the body runs
+            a = self._name("a")
+            call = [f"{a} = [{', '.join(atoms)}]", f"push({a})", *call,
+                    "pop()"]
+        if prim.name == "cons":  # immediates: no use, no check, no pin
+            tests = [f"type({x}) in IMMEDIATE" for x, c in zip(atoms, args)
+                     if c.kind != _CONST]
+            alloc = f"{t} = alloc({', '.join(atoms)})"
+            call = [f"if {' and '.join(tests)}:", (alloc,), "else:",
+                    tuple(call)] if tests else [alloc]
+        node += ["try:", tuple(call), "except OutOfMemory as exc:",
                  (f"raise _oom(exc, {p}, {self._const(prim.name)}) "
-                  "from None",), *["pop()"] * (not consts)]
+                  "from None",), *["pop()"] * bool(pinned)]
         return _Code(node, t, _STABLE, args, alloc=True)
 
 

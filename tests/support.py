@@ -83,10 +83,12 @@ def _split_self_call():
     return src
 
 
-# Programs at the edges of the rules that run a self tail call as a loop
-# and car, cdr, vector-ref, null? and cons inline: every exception to the
-# loop rule, loops whose turns keep their frames, and each inline body on
-# the values its primitive's body must handle.
+# Programs at the edges of the rules that run a tail call of a body's own
+# code as a loop and car, cdr, vector-ref, null? and cons inline: tail
+# calls that reach another body (after a set!, a redefinition or a
+# shadowing binding), pass a wrong count or sit in a split unit, another
+# closure of the same body, loops whose turns keep their frames, and each
+# inline body on the values its primitive's body must handle.
 RULE_PROGRAMS = {
     # a set! of the loop name: the next turn calls the new value
     "loop-set": ("(let loop ((i 0))\n"
@@ -122,6 +124,13 @@ RULE_PROGRAMS = {
     # a self tail call in a unit split off the body stays a call
     "proc-split": f"(define (down n) {_split_self_call()})\n(down 3)",
     "loop-split": f"(let down ((n 3)) {_split_self_call()})",
+    # a tail call of another closure of the same body takes that
+    # closure's frame as its parent
+    "sibling-closure": ("(define (make k)\n"
+                        "  (lambda (n other) (if (= n 0) k "
+                        "(other (- n 1) other))))\n"
+                        "(define a (make 'a))\n(define b (make 'b))\n"
+                        "(list (a 3 b) (b 2 a) (a 0 b))"),
     # every turn has a frame of its own, which a closure keeps
     "loop-closure": ("(let loop ((i 0) (f (lambda () -1)))\n"
                      "  (if (= i 3) (f) (loop (+ i 1) (lambda () i))))"),

@@ -584,8 +584,8 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
 
 
 # ---------------------------------------------------------------------------
-# self tail calls run as loops; car, cdr, vector-ref, null? and cons run
-# inline
+# tail calls of a body's own code run as loops; car, cdr, vector-ref,
+# null? and cons run inline
 
 RULE_RESULTS = {
     "loop-set": "(new . 3)",
@@ -609,6 +609,7 @@ RULE_RESULTS = {
     "proc-in-begin": "z",
     "loop-in-non-tail-let": "(10)",
     "loop-tail-let": "(3 2 1 0)",
+    "sibling-closure": "(b a a)",
     "car-number": "error: 1:1: car: expected a pair, got a number",
     "car-nil": "error: 1:16: car: expected a pair, got the empty list",
     "cdr-vector": "error: 1:1: cdr: expected a pair, got a vector",
@@ -666,26 +667,23 @@ def generated_calls(src, names=()):
     return value, calls
 
 
-@pytest.mark.parametrize("src", [
-    "(let loop ((i 0)) (if (= i 500) i (loop (+ i 1))))",
-    "(define (up i) (if (= i 500) i (up (+ i 1)))) (up 0)",
-    "(define up (lambda (i) (if (= i 500) i (let ((j (+ i 1))) (up j)))))"
-    " (up 0)",
-], ids=["named-let", "define", "define-lambda"])
-def test_a_self_tail_call_is_a_turn_of_a_loop(src):
-    # one call of the body, not one per turn
-    value, calls = generated_calls(src)
-    assert value == "500"
-    assert max(calls.values()) == 1
-
-
-def test_an_unqualified_tail_call_is_still_a_call():
-    # a procedure defined twice: each turn returns to the trampoline
-    value, calls = generated_calls(
-        "(define (up i) 0) (define (up i) (if (= i 500) i (up (+ i 1))))"
-        " (up 0)")
-    assert value == "500"
-    assert max(calls.values()) == 501
+@pytest.mark.parametrize("src, value, calls", [
+    ("(let loop ((i 0)) (if (= i 500) i (loop (+ i 1))))", "500", 1),
+    ("(define (up i) (if (= i 500) i (up (+ i 1)))) (up 0)", "500", 1),
+    ("(define up (lambda (i) (if (= i 500) i (let ((j (+ i 1))) (up j)))))"
+     " (up 0)", "500", 1),
+    ("(define (up i) 0) (define (up i) (if (= i 500) i (up (+ i 1))))"
+     " (up 0)", "500", 1),
+    # one call of the lambda's body per call from the top level, not 8
+    (RULE_PROGRAMS["sibling-closure"], "(b a a)", 3),
+], ids=["named-let", "define", "define-lambda", "redefined",
+        "sibling-closure"])
+def test_a_self_tail_call_is_a_turn_of_a_loop(src, value, calls):
+    # one call of the body, not one per turn: the run-time test finds the
+    # callee's code is the body's own
+    result, counts = generated_calls(src)
+    assert result == value
+    assert max(counts.values()) == calls
 
 
 def test_inline_bodies_call_no_primitive_for_the_values_they_cover():

@@ -2,29 +2,29 @@
 
     python3 tools/differential.py OLD_ROOT NEW_ROOT
 
-Generates the sources once, in this process: the ProgramGenerator
-corpus of tests/support.py (seeds 0-199), its LIMIT_PROGRAMS (programs
-at Python's static limits, which the generated code must split or keep
-out of its text), its RULE_PROGRAMS (the exceptions to the rule that
-runs a self tail call as a loop, and the cases the inline primitive
-bodies leave to the primitives) and the bundled programs of this
-checkout's src/dragprof/programs.  Each source runs at every
-gc_interval K in KS and every heap size in HEAPS, where most bundled
-and limit programs run out of memory; the bundled, limit and rule
-programs also run at every K at the default heap, where they run to
-the end.  The benchmark's workload programs (perfbench/workloads.py)
-run in full at every seed in WORKLOAD_SEEDS, each at its own K and heap
+Generates the sources once, in this process: the ProgramGenerator corpus
+of tests/support.py (seeds 0-199), its LIMIT_PROGRAMS (programs at
+Python's static limits, which the generated code must split or keep out
+of its text), its RULE_PROGRAMS (tail calls at the edges of the run-time
+test that runs a call of a body's own code as a loop, and the cases the
+inline primitive bodies leave to the primitives) and the bundled
+programs of this checkout's src/dragprof/programs.  Each source runs at
+every gc_interval K in KS and every heap size in HEAPS, where most
+bundled and limit programs run out of memory; the bundled, limit and
+rule programs also run at every K at the default heap, where they run to
+the end.  The benchmark's workload programs (perfbench/workloads.py) run
+in full at every seed in WORKLOAD_SEEDS, each at its own K and heap
 size.  Each checkout runs them all in its own child process, with only
 that checkout's src on PYTHONPATH, through dragprof.interp.run_source
-under the CLI's recursion limit.  Per run, the two must agree on the result (the
-value's rendering or the exception's type and text), the DRAGLOG text,
-the CollectionStats list, what the program displayed, the root set
-of every collection point (as sorted object ids, so the order the
-interpreter walks its roots in may change) and the analysis of the
+under the CLI's recursion limit.  Per run, the two must agree on the
+result (the value's rendering or the exception's type and text), the
+DRAGLOG text, the CollectionStats list, what the program displayed, the
+root set of every collection point (as sorted object ids, so the order
+the interpreter walks its roots in may change) and the analysis of the
 log: the four outputs of `dragprof analyze` (parse_draglog,
-build_report, the three CSV writers and format_text_report), and how
-the log parses with one line mutated, the line and the mutation picked
-by the run's index: its columns, or the error's line and message.
+build_report, the three CSV writers and format_text_report), and how the
+log parses with one line mutated, the line and the mutation picked by
+the run's index: its columns, or the error's line and message.
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
