@@ -7,17 +7,16 @@ layer is imported by its module name (dragprof.interp, dragprof.analyzer,
 ...), so a command loads just the layers it uses.
 """
 
-from importlib import resources
+from pathlib import Path
 
 __version__ = "0.1.0"
 
 
 def bundled_program(name: str) -> str:
     """Source text of a bundled example program, e.g. "motiv.scm"."""
-    return (resources.files(__package__) / "programs" / name).read_text(
-        encoding="utf-8")
+    return bundled_program_path(name).read_text(encoding="utf-8")
 
 
-def bundled_program_path(name: str):
+def bundled_program_path(name: str) -> Path:
     """Filesystem path of a bundled example program."""
-    return resources.files(__package__) / "programs" / name
+    return Path(__file__).parent / "programs" / name

@@ -22,7 +22,7 @@ from operator import add, gt, sub
 from .profiler import NEVER_USED, TraceLog
 
 HISTOGRAM_BINS = 20
-BIN_WIDTH_PCT = 100 / HISTOGRAM_BINS
+BIN_WIDTH_PCT = 100 // HISTOGRAM_BINS
 
 # points: (tick, reachable_count, live_count) triples
 CurveSeries = namedtuple("CurveSeries", "sample_interval points")
@@ -34,17 +34,10 @@ DragReport = namedtuple(
                   "live_integral savings_pct histogram")
 
 
-def drag(record) -> int:
-    """Drag of one finalized record in ticks: collection minus last use,
-    or minus creation when the object was never used."""
-    last = record.last_use_tick
-    if last is None:
-        last = record.create_tick
-    return record.collect_tick - last
-
-
 def drags_of(log: TraceLog) -> list:
-    """The drag of every record of log, in record order."""
+    """The drag of every record of log, in record order, in ticks:
+    collection minus last use, or minus creation when the object was
+    never used."""
     c = log.columns
     drags = list(map(sub, c.collect_tick, c.last_use_tick))
     for i in _indices(c.last_use_tick, NEVER_USED):
@@ -150,8 +143,9 @@ def dead_objects(drags, threshold_ticks: int):
 
 
 def histogram(drags, end_tick: int) -> list:
-    """Counts per drag-percentage bin: bin b covers [5b, 5(b+1)) with
-    100 percent landing in the last bin.  Sums to len(drags)."""
+    """Counts per drag-percentage bin: bin b covers [wb, w(b+1)), w
+    being BIN_WIDTH_PCT, with 100 percent landing in the last bin.  Sums
+    to len(drags)."""
     bins = [0] * HISTOGRAM_BINS
     for d, count in Counter(drags).items():
         pct = (d / end_tick * 100) if end_tick > 0 else 0.0
@@ -215,7 +209,7 @@ def write_histogram_csv(bins, fh):
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["bin_lo", "bin_hi", "count"])
     for b, count in enumerate(bins):
-        w.writerow([b * 5, (b + 1) * 5, count])
+        w.writerow([b * BIN_WIDTH_PCT, (b + 1) * BIN_WIDTH_PCT, count])
 
 
 def write_report_csv(report: DragReport, fh):
@@ -248,7 +242,7 @@ def format_text_report(report: DragReport, dead_threshold: int) -> str:
         "drag distribution (dead objects, drag as % of runtime)",
     ]
     for b, count in enumerate(report.histogram):
-        lo, hi = b * 5, (b + 1) * 5
+        lo, hi = b * BIN_WIDTH_PCT, (b + 1) * BIN_WIDTH_PCT
         closer = "]" if hi == 100 else ")"
         lines.append(f"  [{lo:3d},{hi:4d}{closer}  {count}")
     return "\n".join(lines) + "\n"

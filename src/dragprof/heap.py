@@ -17,8 +17,9 @@ immediates or references:
 
 The object table maps each uncollected object's id, never reused, to
 its record, in creation order.  The runtime drops a dead record from
-the table and sets its address to None, so a later use or slot read of
-it fails (UnknownId, DanglingRef) instead of reading a reused slot.
+the table and sets its address to None, so a later use of it fails
+(UnknownId), and so does a primitive's check of it (DanglingRef,
+primitives.py), instead of reading a reused slot.
 
 Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
 Merlin", TOPLAS 2006): while a record is in the table its collect_tick
@@ -30,9 +31,6 @@ target of an overwritten reference with the heap's stamp.  The copy that
 later finds the object dead turns the stamp into its collection tick
 (see runtime.py).
 """
-
-from .defaults import DEFAULT_HEAP_SLOTS
-from .errors import DanglingRef
 
 PAIR = "P"
 VECTOR = "V"
@@ -115,9 +113,7 @@ class Heap:
     stamps, whose value the runtime advances at each collection point.
     """
 
-    def __init__(self, capacity_slots: int = DEFAULT_HEAP_SLOTS):
-        if capacity_slots < 1:
-            raise ValueError("heap capacity must be positive")
+    def __init__(self, capacity_slots: int):
         self.capacity_slots = capacity_slots
         self.slots = [None] * capacity_slots
         self.standby = [None] * capacity_slots
@@ -129,12 +125,6 @@ class Heap:
     @property
     def free_slots(self) -> int:
         return self.capacity_slots - self.used_slots
-
-    def record(self, rec: LifetimeRecord) -> LifetimeRecord:
-        """rec, if its object is not collected."""
-        if rec.address is None:
-            raise DanglingRef(f"object #{rec.obj_id} was collected")
-        return rec
 
     def store(self, addr: int, value):
         """Write the active slot at addr through the write barrier: an

@@ -10,7 +10,7 @@ booleans and interned symbols for atoms; the Program's positions give
 the line and column of each top-level form); the compiler,
 Interpreter.eval_program, checks the syntax of every top-level form and
 lowers it to Python source in one walk, compiling each function of it
-as soon as its text is complete, then runs the top-level functions in
+as soon as its text is complete, then calls the top-level functions in
 order; the primitive table (dragprof.primitives, with write_value)
 binds the procedures of the global table.  Nesting too deep to read or
 to compile is a syntax error.
@@ -47,27 +47,32 @@ global is fixed for the whole run when no define or set! in the program
 targets its name.  A call whose head is a fixed name that no frame in
 scope binds, with a count the primitive accepts, calls the primitive's
 body on the argument values: no operator lookup, no count check, no
-operator pin; a call of + - * = or < on two to four arguments runs the
-Python operator, with a type test of each argument that is not an
-integer literal, and calls the body only to raise its error.  car, cdr,
-vector-ref and null? run inline too: when the values pass the body's
-own tests (a live pair; a live vector and an integer index in range; a
-reference), the generated code records the use through the
-Interpreter's record_use and reads heap.slots, read anew at each access
-as a copy swaps the spaces; else it calls the body, which raises.  A
-cons whose values are immediates (integers, booleans, symbols, the
-empty list) needs no use and no check, so it calls the Runtime's
-alloc_pair at once; with any other value it calls the body.
+operator pin.  The body of a primitive that allocates runs through
+_call_primitive, the one place a body runs pinned, which a call that
+reaches a primitive at run time ends in too: it pushes the argument
+list, calls the body and reports an OutOfMemory at the call.  A call of
++ - * = or < on two to four arguments runs the Python operator, with a
+type test of each argument that is not an integer literal, and calls
+the body only to raise its error.  car, cdr, vector-ref and null? run
+inline too: when the values are a live pair; a live vector and an
+integer index in range; a reference, the generated code records the use
+through the Interpreter's record_use and reads heap.slots, read anew at
+each access as a copy swaps the spaces; else it calls the body, which
+raises.  A cons whose values are immediates (primitives.IMMEDIATE)
+needs no use and no check, so it calls the Runtime's alloc_pair at
+once; with any other value it calls the body.
 
 Tail calls: in tail position (the chosen if branch, the last form of a
 begin or body) a closure call checks the count, binds the callee's
 frame and returns the tuple (code, frame) instead of making the call; no
-Scheme value is a tuple.  The nearest trampoline (inline after a
-non-tail call, a non-tail let or named let, and at the top level) puts
-the frame in the innermost stack slot and runs the code, so loops run
-in constant control-stack space regardless of iteration count.  The
-tail of a non-tail let's body runs inline: a tail call there takes the
-let's stack slot and runs its trampoline at once.
+Scheme value is a tuple.  The nearest trampoline (_run, inline after a
+non-tail call and a non-tail let or named let) puts the frame in the
+innermost stack slot and runs the code, so loops run in constant
+control-stack space regardless of iteration count.  The tail of a
+non-tail let's body runs inline: a tail call there takes the let's
+stack slot and runs its trampoline at once.  A top-level form is a
+non-tail body, so nothing it calls returns a tuple to the loop that
+calls the top-level functions.
 
 A tail call of a body's own code is a jump with arguments (Steele,
 "Debunking the 'expensive procedure call' myth, or, LAMBDA: the
@@ -98,26 +103,25 @@ compiles to its chain of candidate slots, out to the first parameter
 slot or else the global table, and a reference or set! takes the first
 candidate that is set.
 
-The stack: one list of roots, each None (top level) or a list: a frame
-or a list of pinned values; the current frame is always on it.  A call
-makes the list [operator, argument values] and a let [frame, init
-values].  If no part after the first can allocate, the list is made in
-one expression once the parts have run; else it is pushed once the
-first part has run, so the values so far are roots while the others
-run, and popped after.  A let's first part, the current frame, is on
-the stack already, so its list is pushed only while an init after the
-first can allocate.  A closure call turns its list into the callee's
-frame in place, the operator's slot becoming the parent link; a let
-keeps its list as its frame.  A non-tail closure call, let or named let
-pushes its frame once and pops it when it returns.  A tail call, tail
-let or tail named let pushes none: its frame takes the innermost slot,
-in place of the current frame (None at top level), so a frame a tail
-call abandons is dead at the next allocation.  A call that reaches a
-primitive at run time pushes its argument values while the primitive
-runs.  A fixed primitive call pins its argument values as a closure
-call does; if the primitive allocates, they are pushed while its body
-runs too (a cons of immediates calls no body).  A quote pushes its
-value lists while further evaluation could allocate; if and begin push
+The stack: one list of roots, each a list: a frame or a list of pinned
+values; the current frame is on it, except at top level, which has
+none.  A call makes the list [operator, argument values] and a let
+[frame, init values].  If no part after the first can allocate, the
+list is made in one expression once the parts have run; else it is
+pushed once the first part has run, so the values so far are roots
+while the others run, and popped after.  A let's first part, the
+current frame, is on the stack already, so its list is pushed only
+while an init after the first can allocate.  A closure call turns its
+list into the callee's frame in place, the operator's slot becoming
+the parent link; a let keeps its list as its frame.  A non-tail
+closure call, let or named let pushes its frame once and pops it when
+it returns.  A tail call, tail let or tail named let pushes none: its
+frame takes the innermost slot, in place of the current frame, so a
+frame a tail call abandons is dead at the next allocation.  A fixed
+primitive call pins its argument values while they run as a closure
+call does; _call_primitive pushes them anew while a primitive's body
+runs (a cons of immediates calls no body).  A quote pushes its value
+lists while further evaluation could allocate; if and begin push
 nothing.
 
 Profiling contract: every allocating primitive routes through the
@@ -149,7 +153,8 @@ from .errors import (
     SchemeSyntaxError,
 )
 from .heap import NIL, PAIR, VECTOR, LifetimeRecord, Nil
-from .primitives import PRIMITIVES, Primitive, rt_error, write_value
+from .primitives import IMMEDIATE, PRIMITIVES, Primitive, rt_error, \
+    write_value
 from .runtime import Runtime
 
 # ---------------------------------------------------------------------------
@@ -489,6 +494,12 @@ def _call_procedure(interp, args, pos):
     del args[0]
     if not fn.accepts(len(args)):
         raise rt_error(f"{fn.name}: bad argument count {len(args)}", pos)
+    return _call_primitive(interp, fn, args, pos)
+
+
+def _call_primitive(interp, fn, args, pos):
+    """The body of the primitive fn on the list args, pinned while it
+    runs."""
     interp._stack.append(args)
     try:
         result = fn.fn(interp, pos, *args)
@@ -557,19 +568,16 @@ def _deliver(code, tail, target):
 # The Python operator a call of 2 to 4 arguments of these runs inline.
 _INLINE = {"+": " + ", "-": " - ", "*": " * ", "=": " == ", "<": " < "}
 
-# The types of the values a cons stores as they are, with no use.
-_IMMEDIATE = frozenset((int, bool, str, Nil))
-
 # Branches nested this deep in one generated function move into a
 # function of their own: Python allows 100 levels of indentation.
 _SPLIT = 50
 
 # The globals every generated module starts with.
 _GENERATED = {v.__name__: v for v in (
-    Closure, OutOfMemory, _call_procedure, _late_ref, _oom, _set_var,
-    _unbound, _up, *[row[4] for row in PRIMITIVES])}
+    Closure, OutOfMemory, _call_primitive, _call_procedure, _late_ref,
+    _oom, _set_var, _unbound, _up, *[row[4] for row in PRIMITIVES])}
 _GENERATED.update(NIL=NIL, PAIR=PAIR, VECTOR=VECTOR, Nil=Nil,
-                  LifetimeRecord=LifetimeRecord, IMMEDIATE=_IMMEDIATE)
+                  LifetimeRecord=LifetimeRecord, IMMEDIATE=IMMEDIATE)
 
 
 class Interpreter:
@@ -614,19 +622,11 @@ class Interpreter:
                 values += v
 
     def eval_program(self, program):
-        """Compile every top-level form, then run them in order at top
-        level; returns the last one's value."""
-        stack = self._stack
+        """Compile every top-level form, then run them in order; returns
+        the last one's value."""
         result = NIL
         for code in self.compile_program(program):
-            stack.append(None)
-            try:
-                result = code(None)
-                while type(result) is tuple:  # the trampoline (see _run)
-                    stack[-1] = result[1]
-                    result = result[0](result[1])
-            finally:
-                stack.pop()
+            result = code(None)
         return result
 
     def compile_program(self, program):
@@ -652,7 +652,7 @@ class Interpreter:
         names = []
         for form, pos in zip(program, program.positions):
             try:
-                names.append(self._unit([form], None, pos, True)[0])
+                names.append(self._unit([form], None, pos, False)[0])
             except RecursionError:
                 raise _too_deep(form) from None
         return [self._env[name] for name in names]
@@ -727,17 +727,16 @@ class Interpreter:
             return f"_up({frame}, {depth})[{i}]"
         return f"{frame}{'[0]' * depth}[{i}]"
 
-    def _operands(self, parts, var=None, keep=False, rooted=False):
-        """(node, atoms, pinned): the statements that evaluate the codes
-        parts in order, and the expression of each value.  With var the
-        list of the values is made as var, each read once; without, each
-        atom is a constant, temporary or slot that can be read again
-        after all parts.  While a part after the first can allocate, the
-        values so far are pinned: their list (var or a temporary, named
-        by pinned) is pushed once the first is made, and popped after the
-        last unless keep is set.  With rooted the first value is a root
-        already, so a pin is needed only while a part after the second
-        can allocate."""
+    def _operands(self, parts, var=None, rooted=False):
+        """(node, atoms): the statements that evaluate the codes parts in
+        order, and the expression of each value.  With var the list of
+        the values is made as var, each read once; without, each atom is
+        a constant, temporary or slot that can be read again after all
+        parts.  While a part after the first can allocate, the values so
+        far are pinned: their list (var or a temporary) is pushed once
+        the first is made, and popped after the last.  With rooted the
+        first value is a root already, so a pin is needed only while a
+        part after the second can allocate."""
         pin = any(p.alloc for p in parts[2 if rooted else 1:])
         late = var is None or not pin  # atoms read after every part
         spills, has_node, writes = [], False, False
@@ -761,9 +760,9 @@ class Interpreter:
                 node += [f"{pinned} = [{atom}]", f"push({pinned})"]
         if var and not pin:
             node.append(f"{var} = [{', '.join(atoms)}]")
-        if pinned and not keep:
+        if pinned:
             node.append("pop()")
-        return node, atoms, pinned
+        return node, atoms
 
     # The compile methods recurse per nesting level, so they build lists
     # with comprehensions, not generators: resuming a generator takes C
@@ -955,8 +954,7 @@ class Interpreter:
         outer = scope if loop_name is None else _Scope(scope, [loop_name], [])
         inner = _Scope(outer, names, body_forms)
         # the current frame is on the stack already
-        node, _, _ = self._operands([_Code([], frame), *inits], f,
-                                    rooted=True)
+        node, _ = self._operands([_Code([], frame), *inits], f, rooted=True)
         if loop_name is None:
             self._vars[inner] = f
             body = self._compile_body(body_forms, inner, pos, True, target)
@@ -989,7 +987,7 @@ class Interpreter:
             t = self._name()
             fn = _Code([fn.node, f"{t} = {fn.expr}"], t, _STABLE, [fn])
         a = self._name("a")
-        node, atoms, _ = self._operands([fn, *args], a)
+        node, atoms = self._operands([fn, *args], a)
         f, call = atoms[0], f"_call_procedure(interp, {a}, {self._const(pos)})"
         # the operator's slot becomes the parent link
         head = f"if type({f}) is Closure and {f}.arity == {len(args)}:"
@@ -1015,10 +1013,10 @@ class Interpreter:
     def _compile_primitive_call(self, prim, args, pos, forms):
         """A call of the fixed primitive prim on the arguments compiled to
         args, whose count prim accepts (see "Fixed primitives" above)."""
-        node, atoms, pinned = self._operands(args, keep=prim.allocates)
+        node, atoms = self._operands(args)
         p = self._const(pos)
-        consts = len(args) > 4 and all(a.kind == _CONST for a in args)
-        if consts:  # one constant tuple, which holds no reference to pin
+        if len(args) > 4 and all(a.kind == _CONST for a in args):
+            # one constant tuple in place of a global per value
             atoms = ["*" + self._const(tuple(self._env[a] for a in atoms),
                                        tuple(atoms))]
         expr = f"{prim.fn.__name__}(interp, {', '.join([p, *atoms])})"
@@ -1041,21 +1039,18 @@ class Interpreter:
         if not prim.allocates:  # so nothing can once the arguments ran
             return _Code(node, expr, _OP, args)
         t = self._name()
-        call = [f"{t} = {expr}"]
-        if not (pinned or consts):  # pinned only while the body runs
-            a = self._name("a")
-            call = [f"{a} = [{', '.join(atoms)}]", f"push({a})", *call,
-                    "pop()"]
+        call = [f"{t} = _call_primitive(interp, {self._const(prim)}, "
+                f"[{', '.join(atoms)}], {p})"]
         if prim.name == "cons":  # immediates: no use, no check, no pin
+            alloc = ["try:", (f"{t} = alloc({', '.join(atoms)})",),
+                     "except OutOfMemory as exc:",
+                     (f"raise _oom(exc, {p}, {self._const(prim.name)}) "
+                      "from None",)]
             tests = [f"type({x}) in IMMEDIATE" for x, c in zip(atoms, args)
                      if c.kind != _CONST]
-            alloc = f"{t} = alloc({', '.join(atoms)})"
-            call = [f"if {' and '.join(tests)}:", (alloc,), "else:",
-                    tuple(call)] if tests else [alloc]
-        node += ["try:", tuple(call), "except OutOfMemory as exc:",
-                 (f"raise _oom(exc, {p}, {self._const(prim.name)}) "
-                  "from None",), *["pop()"] * bool(pinned)]
-        return _Code(node, t, _STABLE, args, alloc=True)
+            call = [f"if {' and '.join(tests)}:", tuple(alloc), "else:",
+                    tuple(call)] if tests else alloc
+        return _Code(node + call, t, _STABLE, args, alloc=True)
 
 
 # The inline bodies of car, cdr, vector-ref and null? over the atoms of

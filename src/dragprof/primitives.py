@@ -8,15 +8,19 @@ values they are handed as given.  A heap reference is the object's
 record (heap.py), read directly: no body looks an object up by id.
 Each body that receives a heap reference records a use of it through
 Runtime.record_use, left to right, after its own validation, so a type
-error never records a use; a body of a fixed number of values checks
-and records them inline.
+error never records a use.  _record_of is the one check that a
+reference's object is not collected (DanglingRef).  The bodies of cons
+and of the setters test their values inline and call the checks only
+to raise.  The generated code runs car, cdr and vector-ref inline
+(interp.py), so their bodies run only for a call that reaches them at
+run time and for values that raise.
 """
 
 import math
 import operator
 import sys
 
-from .errors import SchemeRuntimeError, int_text
+from .errors import DanglingRef, SchemeRuntimeError, int_text
 from .heap import NIL, PAIR, VECTOR, LifetimeRecord, Nil
 
 
@@ -113,21 +117,27 @@ def write_value(heap, value) -> str:
     return "".join(out)
 
 
-def _record_of(rt, v):
+def _record_of(v):
     """v if it is a reference; None if it is not.  DanglingRef if its
     object was collected."""
-    return rt.heap.record(v) if type(v) is LifetimeRecord else None
+    if type(v) is not LifetimeRecord:
+        return None
+    if v.address is None:
+        raise DanglingRef(f"object #{v.obj_id} was collected")
+    return v
 
 
 _KIND_NAMES = {PAIR: "a pair", VECTOR: "a vector"}
 
+# The types of the values a cons stores as they are, with no use.
+IMMEDIATE = frozenset((int, bool, str, Nil))
 # The types of the values a heap slot may hold: no procedure.
-_STORABLE = frozenset((int, bool, str, Nil, LifetimeRecord))
+_STORABLE = IMMEDIATE | {LifetimeRecord}
 
 
-def _type_name(rt, v):
+def _type_name(v):
     if type(v) is LifetimeRecord:
-        return _KIND_NAMES[_record_of(rt, v).kind]
+        return _KIND_NAMES[_record_of(v).kind]
     if isinstance(v, bool):
         return "a boolean"
     if isinstance(v, int):
@@ -146,36 +156,35 @@ def _use_refs(interp, args):
             record_use(v)
 
 
-def _check_storable(interp, v, name, pos):
+def _check_storable(v, name, pos):
     """The one check that v may live in a heap slot: an immediate or a
     reference, never a procedure.  The bodies of a fixed number of
     values test inline and call this only to raise."""
     if type(v) not in _STORABLE:
-        raise rt_error(f"{name}: {_type_name(interp.rt, v)} cannot be "
-                        f"stored in a heap object", pos)
+        raise rt_error(f"{name}: {_type_name(v)} cannot be stored in a "
+                        f"heap object", pos)
 
 
-def _require(interp, v, kind, name, pos):
-    """v if it is a live object of kind.  The hottest bodies test inline
-    and call this only to raise: DanglingRef for a collected object,
-    else the type error."""
-    rec = _record_of(interp.rt, v)
+def _require(v, kind, name, pos):
+    """v if it is a live object of kind: DanglingRef for a collected
+    object, else the type error."""
+    rec = _record_of(v)
     if rec is None or rec.kind != kind:
         raise rt_error(f"{name}: expected {_KIND_NAMES[kind]}, got "
-                        f"{_type_name(interp.rt, v)}", pos)
+                        f"{_type_name(v)}", pos)
     return rec
 
 
-def _require_number(interp, v, name, pos):
+def _require_number(v, name, pos):
     if type(v) is not int:
-        raise rt_error(f"{name}: expected a number, got "
-                        f"{_type_name(interp.rt, v)}", pos)
+        raise rt_error(f"{name}: expected a number, got {_type_name(v)}",
+                        pos)
 
 
 def _prim_cons(interp, pos, a, b):
     if type(a) not in _STORABLE or type(b) not in _STORABLE:
-        _check_storable(interp, a, "cons", pos)
-        _check_storable(interp, b, "cons", pos)
+        _check_storable(a, "cons", pos)
+        _check_storable(b, "cons", pos)
     if type(a) is LifetimeRecord:
         interp.record_use(a)
     if type(b) is LifetimeRecord:
@@ -185,7 +194,7 @@ def _prim_cons(interp, pos, a, b):
 
 def _prim_list(interp, pos, *args):
     for v in args:
-        _check_storable(interp, v, "list", pos)
+        _check_storable(v, "list", pos)
     _use_refs(interp, args)
     result = NIL
     for v in reversed(args):
@@ -194,23 +203,21 @@ def _prim_list(interp, pos, *args):
 
 
 def _prim_car(interp, pos, p):
-    if type(p) is not LifetimeRecord or p.kind != PAIR or p.address is None:
-        _require(interp, p, PAIR, "car", pos)
+    _require(p, PAIR, "car", pos)
     interp.record_use(p)
     return interp.heap.slots[p.address]
 
 
 def _prim_cdr(interp, pos, p):
-    if type(p) is not LifetimeRecord or p.kind != PAIR or p.address is None:
-        _require(interp, p, PAIR, "cdr", pos)
+    _require(p, PAIR, "cdr", pos)
     interp.record_use(p)
     return interp.heap.slots[p.address + 1]
 
 
 def _set_field(interp, pos, p, v, name, offset):
-    _require(interp, p, PAIR, name, pos)
+    _require(p, PAIR, name, pos)
     if type(v) not in _STORABLE:
-        _check_storable(interp, v, name, pos)
+        _check_storable(v, name, pos)
     interp.record_use(p)
     if type(v) is LifetimeRecord:
         interp.record_use(v)
@@ -247,7 +254,7 @@ def _prim_number_p(interp, pos, v):
 
 def _prim_vector(interp, pos, *args):
     for v in args:
-        _check_storable(interp, v, "vector", pos)
+        _check_storable(v, "vector", pos)
     _use_refs(interp, args)
     return _vector_of(interp, args)
 
@@ -261,18 +268,18 @@ def _vector_of(interp, items):
 
 
 def _prim_make_vector(interp, pos, n, fill=NIL):
-    _require_number(interp, n, "make-vector", pos)
+    _require_number(n, "make-vector", pos)
     if n < 0:
         raise rt_error(f"make-vector: negative length {int_text(n)}", pos)
     if type(fill) not in _STORABLE:
-        _check_storable(interp, fill, "make-vector", pos)
+        _check_storable(fill, "make-vector", pos)
     if type(fill) is LifetimeRecord:
         interp.record_use(fill)
     return interp.rt.alloc_vector(n, fill)
 
 
-def _vector_index(interp, rec, i, name, pos):
-    _require_number(interp, i, name, pos)
+def _vector_index(rec, i, name, pos):
+    _require_number(i, name, pos)
     size = rec.size_slots
     if not 0 <= i < size:
         raise rt_error(f"{name}: index {int_text(i)} out of range for "
@@ -280,21 +287,19 @@ def _vector_index(interp, rec, i, name, pos):
 
 
 def _prim_vector_ref(interp, pos, v, i):
-    if type(v) is not LifetimeRecord or v.kind != VECTOR or v.address is None:
-        _require(interp, v, VECTOR, "vector-ref", pos)
-    if type(i) is not int or not 0 <= i < v.size_slots:
-        _vector_index(interp, v, i, "vector-ref", pos)
+    _require(v, VECTOR, "vector-ref", pos)
+    _vector_index(v, i, "vector-ref", pos)
     interp.record_use(v)
     return interp.heap.slots[v.address + i]
 
 
 def _prim_vector_set(interp, pos, v, i, x):
     if type(v) is not LifetimeRecord or v.kind != VECTOR or v.address is None:
-        _require(interp, v, VECTOR, "vector-set!", pos)
+        _require(v, VECTOR, "vector-set!", pos)
     if type(i) is not int or not 0 <= i < v.size_slots:
-        _vector_index(interp, v, i, "vector-set!", pos)
+        _vector_index(v, i, "vector-set!", pos)
     if type(x) not in _STORABLE:
-        _check_storable(interp, x, "vector-set!", pos)
+        _check_storable(x, "vector-set!", pos)
     interp.record_use(v)
     if type(x) is LifetimeRecord:
         interp.record_use(x)
@@ -303,13 +308,13 @@ def _prim_vector_set(interp, pos, v, i, x):
 
 
 def _prim_vector_length(interp, pos, v):
-    rec = _require(interp, v, VECTOR, "vector-length", pos)
+    rec = _require(v, VECTOR, "vector-length", pos)
     interp.record_use(v)
     return rec.size_slots
 
 
 def _prim_vector_to_list(interp, pos, v):
-    _require(interp, v, VECTOR, "vector->list", pos)
+    _require(v, VECTOR, "vector->list", pos)
     interp.record_use(v)
     heap = interp.heap
     result = NIL
@@ -320,11 +325,11 @@ def _prim_vector_to_list(interp, pos, v):
 
 
 def _prim_list_to_vector(interp, pos, lst):
-    rt, heap = interp.rt, interp.heap
+    heap = interp.heap
     # walk the spine first so an improper list records no events
     spine, items, cur = [], [], lst
     limit = len(heap.objects) + 1
-    while (rec := _record_of(rt, cur)) is not None and rec.kind == PAIR:
+    while (rec := _record_of(cur)) is not None and rec.kind == PAIR:
         if len(spine) == limit:
             raise rt_error("list->vector: cyclic list", pos)
         spine.append(cur)
@@ -332,40 +337,40 @@ def _prim_list_to_vector(interp, pos, lst):
         cur = heap.slots[rec.address + 1]
     if not isinstance(cur, Nil):
         raise rt_error(f"list->vector: expected a proper list, got "
-                        f"{_type_name(rt, lst)}", pos)
+                        f"{_type_name(lst)}", pos)
     _use_refs(interp, spine)
     # items stay reachable through the pinned argument list
     return _vector_of(interp, items)
 
 
-def _arith_args(interp, args, name, pos):
+def _arith_args(args, name, pos):
     for v in args:
         if type(v) is not int:
-            _require_number(interp, v, name, pos)
+            _require_number(v, name, pos)
 
 
 def _prim_add(interp, pos, *args):
-    _arith_args(interp, args, "+", pos)
+    _arith_args(args, "+", pos)
     return sum(args)
 
 
 def _prim_sub(interp, pos, *args):
-    _arith_args(interp, args, "-", pos)
+    _arith_args(args, "-", pos)
     return -args[0] if len(args) == 1 else args[0] - sum(args[1:])
 
 
 def _prim_mul(interp, pos, *args):
-    _arith_args(interp, args, "*", pos)
+    _arith_args(args, "*", pos)
     return math.prod(args)
 
 
 def _prim_num_eq(interp, pos, *args):
-    _arith_args(interp, args, "=", pos)
+    _arith_args(args, "=", pos)
     return all(map(operator.eq, args, args[1:]))
 
 
 def _prim_lt(interp, pos, *args):
-    _arith_args(interp, args, "<", pos)
+    _arith_args(args, "<", pos)
     return all(map(operator.lt, args, args[1:]))
 
 

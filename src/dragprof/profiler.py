@@ -132,26 +132,21 @@ def write_draglog(log: TraceLog, path):
     atomic.write_text(path, format_draglog(log))
 
 
-def _plain(text: str) -> bool:
-    """False if text holds a character that int() accepts but
-    format_draglog never writes: a non-ASCII digit, whitespace, "_" or
-    "+"."""
-    return (text.isascii() and text.isprintable()
-            and "_" not in text and "+" not in text)
-
-
 # What int() accepts in an ASCII number besides digits and "-", apart
 # from the space and the line break that separate the fields; any other
-# unprintable character makes int() fail.
+# ASCII character makes int() fail.
 _NOT_PLAIN = "_+\t\x0b\x0c\r"
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
-    try:
-        if _plain(text):
+    """The integer text spells as format_draglog writes it: ASCII digits
+    after an optional minus sign."""
+    if text.isascii() and " " not in text and not any(
+            c in text for c in _NOT_PLAIN):
+        try:
             return int(text)
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise DraglogFormatError(f"bad {what} {text!r}", line_no)
 
 
@@ -202,6 +197,7 @@ def _read_columns(rest: str):
     # n such lines in 8n fields have eight fields each.
     if (not rest.startswith("END ", last, stop) or not rest.isascii()
             or any(c in rest for c in _NOT_PLAIN)
+            or " " in rest[last + 4:stop]
             or last and not (rest.startswith("OBJ ")
                              and rest.count("\nOBJ ", 0, last)
                              == rest.count("\n", 0, last) - 1)):

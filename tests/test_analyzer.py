@@ -9,7 +9,6 @@ from dragprof.analyzer import (
     build_report,
     curves,
     dead_objects,
-    drag,
     drag_summary,
     drags_of,
     histogram,
@@ -35,6 +34,10 @@ def make_log(records, end_tick, gc_interval=1):
 
 # ---------------------------------------------------------------------------
 # drag
+
+def drag(record):
+    return drags_of(make_log([record], end_tick=200))[0]
+
 
 def test_drag_is_collect_minus_last_use():
     assert drag(rec(0, 10, 40, 100)) == 60

@@ -567,6 +567,19 @@ def test_run_loads_no_dataclasses(workdir):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_bundled_programs_load_no_importlib_resources():
+    # a bundled program is found by its path; -S keeps site from loading
+    # importlib.resources through a .pth file
+    script = ("import sys, dragprof, dragprof.cli\n"
+              "assert dragprof.bundled_program('motiv.scm')\n"
+              "print('importlib.resources' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(dragprof.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("argv, complaint", [
     (["bogus"], "invalid choice: 'bogus'"),
     (["run"], "the following arguments are required: source"),

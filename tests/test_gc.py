@@ -65,7 +65,7 @@ def test_oracle_empty_roots():
 def test_oracle_self_cycle_terminates():
     rt = make_runtime()
     p = rt.alloc_pair(NIL, NIL)
-    rt.heap.store(rt.heap.record(p).address, p)
+    rt.heap.store(p.address, p)
     assert reachability_oracle(rt.heap, [p]) == {p.obj_id}
 
 
@@ -101,7 +101,7 @@ def test_cycles_survive_and_serialize_identically():
     roots = Roots(rt)
     a = rt.alloc_pair(1, NIL)
     b = rt.alloc_pair(2, a)
-    rt.heap.store(rt.heap.record(a).address + 1, b)  # a <-> b cycle
+    rt.heap.store(a.address + 1, b)  # a <-> b cycle
     roots.refs.append(a)
     before = canonical_serialization(rt.heap, roots.refs)
     assert "@" in before  # the back-reference marker

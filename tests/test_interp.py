@@ -499,7 +499,7 @@ def test_write_value_cycle_marker():
     refs = []
     rt.add_root_provider(lambda: list(refs))
     p = rt.alloc_pair(1, NIL)
-    rt.heap.store(rt.heap.record(p).address + 1, p)
+    rt.heap.store(p.address + 1, p)
     refs.append(p)
     assert "#<cycle>" in write_value(rt.heap, p)
 

@@ -66,7 +66,7 @@ def test_heap_write_slot_dates_its_old_target(k):
         roots.append(box)
         for i in range(40):
             pair = rt.alloc_pair(i, i)  # may move the box
-            rt.heap.store(rt.heap.record(box).address + 1, pair)
+            rt.heap.store(box.address + 1, pair)
             for _ in range(20):
                 rt.alloc_pair(0, 0)
         rt.terminate()

@@ -37,7 +37,7 @@ def create(rt, kind=PAIR, size=2):
 
 def test_first_creation_tick_is_one():
     rt = make_runtime()
-    rec = rt.heap.record(rt.alloc_pair(NIL, NIL))
+    rec = rt.alloc_pair(NIL, NIL)
     assert rt.clock == rec.create_tick == 1
     assert rec.last_use_tick is None
 
@@ -54,7 +54,7 @@ def test_use_most_recent_wins():
     ref = rt.heap.objects[create(rt)]
     first = rt.record_use(ref)
     second = rt.record_use(ref)
-    assert rt.heap.record(ref).last_use_tick == second > first
+    assert ref.last_use_tick == second > first
 
 
 def test_use_of_unknown_id():
@@ -370,6 +370,10 @@ TICKS_OUT_OF_ORDER = ("ticks out of order: need 0 <= create <= last_use <= "
                  "bad end_tick '0_2'", id="underscore-in-end"),
     pytest.param(lambda lines: lines[:2] + ["END 2\x0c"], 3,
                  "bad end_tick '2\\x0c'", id="form-feed-in-end"),
+    pytest.param(lambda lines: lines[:2] + ["END  2"], 3,
+                 "bad end_tick ' 2'", id="space-before-end"),
+    pytest.param(lambda lines: lines[:2] + ["END 2 "], 3,
+                 "bad end_tick '2 '", id="space-after-end"),
 ])
 def test_draglog_malformed_reports_line(mutate, bad_line, message):
     rt = make_runtime(gc_interval=1)

@@ -23,8 +23,8 @@ root set of every collection point (as sorted object ids, so the order
 the interpreter walks its roots in may change) and the analysis of the
 log: the four outputs of `dragprof analyze` (parse_draglog,
 build_report, the three CSV writers and format_text_report), and how the
-log parses with one line mutated, the line and the mutation picked by
-the run's index: its columns, or the error's line and message.
+log parses with one or two faults put in, picked by the run's index
+(mutate_lines): its columns, or the error's line and message.
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
@@ -50,6 +50,9 @@ WORKLOAD_SEEDS = (0, 1)
 FIELDS = ("result", "draglog", "collections", "display", "roots",
           "analysis")
 SHOWN = 10  # differing runs listed
+# What mutate_lines may put in a field: a value no field of a DRAGLOG
+# line takes.
+BAD_VALUES = ["x", "", "+1", "1_0", "Q"]
 
 
 def corpus():
@@ -131,7 +134,7 @@ def child():
 
 def analysis(text, index):
     """What analyze makes of a DRAGLOG text, and how the text parses with
-    one line mutated as the run's index picks."""
+    its lines mutated as the run's index picks."""
     if not text:
         return ""
     from dragprof import analyzer
@@ -144,7 +147,7 @@ def analysis(text, index):
     analyzer.write_histogram_csv(report.histogram, out)
     out.write(analyzer.format_text_report(report, log.gc_interval))
     try:
-        mutated = parse_draglog(mutate_line(text, index))
+        mutated = parse_draglog(mutate_lines(text, index))
         outcome = repr((mutated.gc_interval, mutated.heap_slots,
                         mutated.source, mutated.end_tick, columns(mutated)))
     except Exception as exc:  # compared, not judged
@@ -152,18 +155,36 @@ def analysis(text, index):
     return _digest(out.getvalue()) + " " + _digest(outcome)
 
 
-def mutate_line(text, index):
-    """text with one line changed: a field replaced by a bad or a shifted
-    value or respelled with a leading zero, a field added, or the line
-    emptied, dropped, doubled or swapped with the next."""
+def mutate_lines(text, index):
+    """text with a line changed as mutate_line does, and for index % 4 == 1
+    a later line too; for index % 4 == 3 two fields of one line are
+    replaced by bad values instead.  Two faults show which one the
+    parser reports first: across lines, and within one."""
     rng = random.Random(index)
     lines = text.split("\n")[:-1]
     i = rng.randrange(len(lines))
+    if index % 4 == 3:
+        fields = lines[i].split(" ")
+        for j in rng.sample(range(len(fields)), min(2, len(fields))):
+            fields[j] = rng.choice(BAD_VALUES)
+        lines[i] = " ".join(fields)
+    else:
+        i = mutate_line(lines, i, rng)
+        if index % 4 == 1 and i < len(lines):
+            mutate_line(lines, rng.randrange(i, len(lines)), rng)
+    return "\n".join(lines) + "\n"
+
+
+def mutate_line(lines, i, rng):
+    """Change lines[i]: a field replaced by a bad or a shifted value or
+    respelled with a leading zero, a field added, or the line emptied,
+    dropped, doubled or swapped with the next.  Returns the index of the
+    first line after the change."""
     fields = lines[i].split(" ")
     j = rng.randrange(len(fields))
     how = rng.randrange(8)
     if how == 0:
-        fields[j] = rng.choice(["x", "", "+1", "1_0", "Q"])
+        fields[j] = rng.choice(BAD_VALUES)
     elif how == 1:
         if fields[j].lstrip("-").isdigit():
             fields[j] = str(int(fields[j]) + rng.choice([-2, -1, 1, 2]))
@@ -177,11 +198,12 @@ def mutate_line(text, index):
         lines[i] = " ".join(fields)
     elif how == 5:
         del lines[i]
+        return i
     elif how == 6:
         lines.insert(i, lines[i])
     else:
         lines[i:i + 2] = reversed(lines[i:i + 2])
-    return "\n".join(lines) + "\n"
+    return i + 1
 
 
 def columns(log):
