@@ -4,7 +4,7 @@ rendering of a program's integer that their messages use.
 The primitives (interp.py) check every language rule, so the heap and
 the runtime raise only what a program can still cause (OutOfMemory) or
 what signals a bug in dragprof itself (DanglingRef, ToSpaceOverflow,
-UnknownId, ProtocolViolation).
+ProtocolViolation).
 """
 
 
@@ -26,17 +26,14 @@ class OutOfMemory(DragProfError):
 
 
 class DanglingRef(DragProfError):
-    """A reference whose object was collected.  Signals a runtime/GC bug,
-    not a user error."""
+    """A use or a check of a reference whose object was collected, or a
+    copy that kept an object the table does not hold.  Signals a
+    runtime/GC bug, not a user error."""
 
 
 class ToSpaceOverflow(DragProfError):
     """Survivor volume exceeded the standby space; the run is aborted
     rather than dropping objects."""
-
-
-class UnknownId(DragProfError):
-    pass
 
 
 class ProtocolViolation(DragProfError):

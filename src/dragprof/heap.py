@@ -17,9 +17,9 @@ immediates or references:
 
 The object table maps each uncollected object's id, never reused, to
 its record, in creation order.  The runtime drops a dead record from
-the table and sets its address to None, so a later use of it fails
-(UnknownId), and so does a primitive's check of it (DanglingRef,
-primitives.py), instead of reading a reused slot.
+the table and sets its address to None, so a later use of it, or a
+primitive's check of it (primitives.py), raises DanglingRef instead of
+reading a reused slot.
 
 Merlin stamps (Hertz et al., "Generating Object Lifetime Traces with
 Merlin", TOPLAS 2006): while a record is in the table its collect_tick
@@ -32,8 +32,7 @@ later finds the object dead turns the stamp into its collection tick
 (see runtime.py).
 """
 
-PAIR = "P"
-VECTOR = "V"
+from .profiler import NEVER_USED, PAIR, VECTOR
 
 
 class Nil:
@@ -68,11 +67,11 @@ class LifetimeRecord:
 
     kind, size_slots and address serve the heap; address is None once
     the object is collected.  The runtime sets the ticks: create_tick
-    where the record is made, last_use_tick at each use (None for an
-    object never used).  While the object is in the table, collect_tick
-    holds its Merlin stamp; it takes the collection tick when the
-    runtime dates the death the copy found, or (censored) the end tick
-    when the run terminates.  A parsed log holds the same fields as
+    where the record is made, last_use_tick at each use (NEVER_USED,
+    -1, as in a log, for an object never used).  While the object is in
+    the table, collect_tick holds its Merlin stamp; it takes the
+    collection tick when the runtime dates the death the copy found, or
+    (censored) the end tick when the run terminates.  A parsed log holds the same fields as
     columns (profiler.Columns), and makes records, without an address,
     only when a caller iterates them.  A plain slotted class, not a
     dataclass, so a run does not load dataclasses and what it imports.
@@ -82,7 +81,7 @@ class LifetimeRecord:
                  "last_use_tick", "collect_tick", "censored", "address")
 
     def __init__(self, obj_id, kind, size_slots, create_tick=None,
-                 last_use_tick=None, collect_tick=None, censored=False,
+                 last_use_tick=NEVER_USED, collect_tick=None, censored=False,
                  address=None):
         self.obj_id = obj_id
         self.kind = kind

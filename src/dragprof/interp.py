@@ -80,28 +80,29 @@ ultimate GOTO", 1977).  In the function of a lambda or named-let body
 (not of a unit split off it), a tail call with the body's count first
 tests at run time whether the callee is a closure whose code is that
 function.  If it is, the frame a call would bind, [the callee's frame,
-argument values] plus the body's define slots, takes the innermost
-stack slot as f0, and a while loop around the body runs its next turn:
-a fresh frame per turn, so a closure made in one turn keeps that
-turn's bindings.  Any other callee takes the path above, so a set!, a
+argument values], takes the innermost stack slot as f0, and a while
+loop around the body, which extends f0 first, runs its next turn: a
+fresh frame per turn, so a closure made in one turn keeps that turn's
+bindings.  Any other callee takes the path above, so a set!, a
 redefinition or a shadowing binding needs no rule of the compiler.
 
 Lexical addressing (SICP 5.5.6; Dybvig, "Three implementation models
 for Scheme", 1987): the compiler resolves every variable.  A closure
 call or a let makes a frame, a Python list [parent, v1, v2, ...]: the
 parameters or binding names in order, then a slot for each name an
-internal define binds in it.  Those are the defines that run in the
-frame: in the body and in its let inits, not in a nested lambda, let
-body or quote.  A named let's loop closure has a frame of its own,
-[parent, closure], between the let's frame and the enclosing one.  A
-name bound by a parameter compiles to its slot, as (frame links out,
-index), which a reference reads and a set! stores into directly; a name
-no frame binds is looked up in the one global table, the
-dict that top-level defines fill.  A define slot holds _UNSET until its
-define runs, and until then the name means its outer binding: the name
-compiles to its chain of candidate slots, out to the first parameter
-slot or else the global table, and a reference or set! takes the first
-candidate that is set.
+internal define binds in it, which the body's function adds as it
+starts (a let, as it binds), before anything can allocate.  Those are
+the defines that run in the frame: in the body and in its let inits,
+not in a nested lambda, let body or quote.  A named let's loop closure
+has a frame of its own, [parent, closure], between the let's frame and
+the enclosing one.  A name bound by a parameter compiles to its slot,
+as (frame links out, index), which a reference reads and a set! stores
+into directly; a name no frame binds is looked up in the one global
+table, the dict that top-level defines fill.  A define slot holds
+_UNSET until its define runs, and until then the name means its outer
+binding: the name compiles to its chain of candidate slots, out to the
+first parameter slot or else the global table, and a reference or set!
+takes the first candidate that is set.
 
 The stack: one list of roots, each a list: a frame or a list of pinned
 values; the current frame is on it, except at top level, which has
@@ -308,16 +309,14 @@ _UNSET = object()
 
 
 class Closure:
-    """A procedure: its parameter count, the _UNSET slots its frame
-    reserves for internal defines, its body compiled to code(frame), the
-    frame it closes over (None at top level) and the name it was defined
-    under."""
+    """A procedure: its parameter count, its body compiled to code(frame),
+    the frame it closes over (None at top level) and the name it was
+    defined under."""
 
-    __slots__ = ("arity", "unset", "code", "env", "name")
+    __slots__ = ("arity", "code", "env", "name")
 
-    def __init__(self, arity, unset, code, env, name):
+    def __init__(self, arity, code, env, name):
         self.arity = arity
-        self.unset = unset
         self.code = code
         self.env = env
         self.name = name
@@ -599,7 +598,7 @@ class Interpreter:
         self._fixed = None  # fixed name -> Primitive, once compiling
         self._assigned = ()  # the globals a define or set! can change
         self._stack = []  # see "The stack" above
-        runtime.add_root_provider(self._iter_roots)
+        runtime.roots = self._iter_roots
 
     def _iter_roots(self):
         """Yield every reference (a record) reachable from the globals a
@@ -699,14 +698,17 @@ class Interpreter:
         as a body (in tail position if tail); returns its name and code.
         The unit's frames are locals: f0 and a variable per inline let.
         arity is set if the body is a procedure's, taking that many
-        arguments: a tail call of its own code loops (see "Tail calls")."""
+        arguments: it extends f0 by its define slots, and a tail call of
+        its own code loops (see "Tail calls")."""
         name = self._name("u")
         saved = self._vars, self._depth, self._own, self._jumps
         self._vars, self._depth = {scope: "f0"}, 0
-        self._own = name, arity, scope
+        self._own = name, arity
         self._jumps = False  # whether a call jumps back, so the body loops
         code = self._compile_body(forms, scope, pos, tail)
         node = [code.node, f"return {code.expr}"] if code.expr else code.node
+        if arity is not None and scope.unset:
+            node = [f"f0 += {self._const(scope.unset)}", node]
         if self._jumps:
             node = ["while True:", tuple(node)]
         self._vars, self._depth, self._own, self._jumps = saved
@@ -894,8 +896,8 @@ class Interpreter:
             params.append(param)
         inner = _Scope(scope, params, body_forms)
         fn, _ = self._unit(body_forms, inner, pos, True, len(params))
-        return _Code([], f"Closure({len(params)}, {self._const(inner.unset)},"
-                         f" {fn}, {self._vars[scope]}, None)", _OP)
+        return _Code([], f"Closure({len(params)}, {fn}, {self._vars[scope]}, "
+                         "None)", _OP)
 
     def _compile_define(self, items, scope, pos):
         if len(items) < 3:
@@ -955,7 +957,9 @@ class Interpreter:
         inner = _Scope(outer, names, body_forms)
         # the current frame is on the stack already
         node, _ = self._operands([_Code([], frame), *inits], f, rooted=True)
-        if loop_name is None:
+        if loop_name is None:  # the frame is a local: extend it here
+            if inner.unset:
+                node.append(f"{f} += {self._const(inner.unset)}")
             self._vars[inner] = f
             body = self._compile_body(body_forms, inner, pos, True, target)
             run = [body.node]
@@ -963,13 +967,10 @@ class Interpreter:
             fn, body = self._unit(body_forms, inner, pos, True, len(names))
             loop = self._name("l")
             node += [f"{f}[0] = {loop} = [{frame}, None]",
-                     f"{loop}[1] = Closure({len(names)}, "
-                     f"{self._const(inner.unset)}, {fn}, {loop}, "
+                     f"{loop}[1] = Closure({len(names)}, {fn}, {loop}, "
                      f"{self._const(loop_name)})"]
             run = _run(target, f"{fn}({f})") if target else [
                 f"return {fn}({f})"]
-        if inner.unset:
-            node.append(f"{f} += {self._const(inner.unset)}")
         node += ([f"stack[-1] = {f}", *run] if tail else
                  [f"push({f})", *run, "pop()"])
         return _Code(node, value, _STABLE, [*inits, body])
@@ -991,21 +992,20 @@ class Interpreter:
         f, call = atoms[0], f"_call_procedure(interp, {a}, {self._const(pos)})"
         # the operator's slot becomes the parent link
         head = f"if type({f}) is Closure and {f}.arity == {len(args)}:"
-        bind = (f"{a}[0] = {f}.env", f"{a} += {f}.unset")
+        bind = f"{a}[0] = {f}.env"
         if tail and not target:
-            own, arity, unit = self._own
+            own, arity = self._own
             if arity == len(args):  # a call of the unit's own code loops
                 self._jumps = True
-                grow = [f"{a} += {self._const(unit.unset)}"] * bool(unit.unset)
                 node += [f"if type({f}) is Closure and {f}.code is {own}:",
-                         (bind[0], *grow, f"stack[-1] = f0 = {a}", "continue")]
-            node += [head, (*bind, f"return ({f}.code, {a})"),
+                         (bind, f"stack[-1] = f0 = {a}", "continue")]
+            node += [head, (bind, f"return ({f}.code, {a})"),
                      f"return {call}"]
             return _Code(node, None, _STABLE, (), True, True)
         value = target or self._name()
         run = _run(value, f"{f}.code({a})")
-        node += [head, (*bind, f"stack[-1] = {a}", *run) if tail else
-                 (*bind, f"push({a})", *run, "pop()"),
+        node += [head, (bind, f"stack[-1] = {a}", *run) if tail else
+                 (bind, f"push({a})", *run, "pop()"),
                  "else:", (f"{value} = {call}",)]
         return _Code(node, None if target else value, _STABLE, (), True,
                      True)

@@ -46,9 +46,7 @@ class Primitive:
 
 
 def rt_error(msg, pos):
-    if pos is not None:
-        return SchemeRuntimeError(f"{pos[0]}:{pos[1]}: {msg}")
-    return SchemeRuntimeError(msg)
+    return SchemeRuntimeError(f"{pos[0]}:{pos[1]}: {msg}")
 
 
 def write_value(heap, value) -> str:

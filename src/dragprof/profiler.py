@@ -41,11 +41,12 @@ from operator import attrgetter, le
 from . import atomic
 from .errors import DraglogFormatError
 
-NEVER_USED = -1  # wire-format sentinel; records use None, columns -1
-# heap.PAIR and heap.VECTOR, the kinds a record holds; spelled here so
-# that reading a log does not import the heap
+# The kinds a record holds, and its last_use_tick for an object never
+# used, in a record, a column and a log line alike.  The heap imports
+# them from here, so that reading a log does not import the heap.
 PAIR = "P"
 VECTOR = "V"
+NEVER_USED = -1
 
 CollectionStats = namedtuple(
     "CollectionStats", "trigger tick survivors collected slots_copied")
@@ -53,8 +54,7 @@ CollectionStats.__doc__ = """One collection point, or (returned by
 gc.Collector.collect) one copy: survivors and slots_copied count what
 it kept.  trigger is "interval", "exhaustion" or "manual"."""
 
-# One list per LifetimeRecord field but the address, named after it;
-# last_use_tick holds NEVER_USED for an object never used.
+# One list per LifetimeRecord field but the address, named after it.
 Columns = namedtuple("Columns", "obj_id kind size_slots create_tick "
                                 "last_use_tick collect_tick censored")
 
@@ -88,10 +88,8 @@ _fields = attrgetter(*Columns._fields)
 
 
 def _columns_of(records) -> Columns:
-    columns = ([list(c) for c in zip(*map(_fields, records))]
-               or [[] for _ in Columns._fields])
-    columns[4] = [NEVER_USED if u is None else u for u in columns[4]]
-    return Columns(*columns)
+    return Columns(*([list(c) for c in zip(*map(_fields, records))]
+                     or [[] for _ in Columns._fields]))
 
 
 class ParsedRecords:
@@ -109,9 +107,6 @@ class ParsedRecords:
         if self._made is None:
             from .heap import LifetimeRecord
             self._made = [LifetimeRecord(*row) for row in zip(*self.columns)]
-            for rec in self._made:
-                if rec.last_use_tick == NEVER_USED:
-                    rec.last_use_tick = None
         return iter(self._made)
 
 
@@ -119,10 +114,10 @@ def format_draglog(log: TraceLog) -> str:
     lines = [f"DRAGLOG 1 gc_interval={log.gc_interval} "
              f"heap_slots={log.heap_slots} source={log.source}"]
     for r in log.records:
-        last_use = NEVER_USED if r.last_use_tick is None else r.last_use_tick
         flag = "C" if r.censored else "F"
         lines.append(f"OBJ {r.obj_id} {r.kind} {r.size_slots} "
-                     f"{r.create_tick} {last_use} {r.collect_tick} {flag}")
+                     f"{r.create_tick} {r.last_use_tick} {r.collect_tick} "
+                     f"{flag}")
     lines.append(f"END {log.end_tick}")
     return "\n".join(lines) + "\n"
 

@@ -32,21 +32,22 @@ its CollectionStats joins collections.  An object dead after the last
 point is a ghost; its slots are free, but it counts as used, and waits
 to be counted and ticked, until the next point.  A record dated to a
 point before its last use was used after it died, which only a value
-the interpreter forgot to root can cause: UnknownId, as if the use had
-come after a copy at that point.  So a run's log and CollectionStats
-are those of a copy at every point, while the copying costs a constant
-per allocated slot.  terminate() closes the run and emits the records
-still in the table as censored.
+the interpreter forgot to root can cause: DanglingRef, as if the use
+had come after a copy at that point.  So a run's log and
+CollectionStats are those of a copy at every point, while the copying
+costs a constant per allocated slot.  terminate() closes the run and
+emits the records still in the table as censored.
 
-Root enumeration is pluggable: clients register providers yielding
-references, which are the objects' records (heap.py).  The interpreter
-walks its global table and its root stack; test drivers expose plain
-lists.  Values handed to an allocation are passed to gather_roots as
-pins, so a collection triggered by that very allocation cannot reclaim
-them; so is the fresh object at its interval point.  The primitives
-check the values (primitives.py): an allocation takes them as given.
-alloc_pair and alloc_vector each do a whole allocation inline (room
-check, clock, slots, record), so a pair costs one object and one call.
+Roots come from one source, roots: a callable returning references,
+which are the objects' records (heap.py); it returns none until a
+client sets it.  The interpreter walks its global table and its root
+stack; test drivers return plain lists.  Values handed to an allocation
+are passed to gather_roots as pins, so a collection triggered by that
+very allocation cannot reclaim them; so is the fresh object at its
+interval point.  The primitives check the values (primitives.py): an
+allocation takes them as given.  alloc_pair and alloc_vector each do a
+whole allocation inline (room check, clock, slots, record), so a pair
+costs one object and one call.
 """
 
 from collections import defaultdict
@@ -54,9 +55,9 @@ from itertools import chain
 from operator import attrgetter
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
-from .errors import OutOfMemory, ProtocolViolation, UnknownId, int_text
+from .errors import DanglingRef, OutOfMemory, ProtocolViolation, int_text
 from .gc import Collector
-from .heap import NIL, PAIR, VECTOR, Heap, LifetimeRecord
+from .heap import NEVER_USED, NIL, PAIR, VECTOR, Heap, LifetimeRecord
 from .profiler import CollectionStats, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
@@ -78,7 +79,7 @@ class Runtime:
         self.source = source_name
         self.heap = Heap(heap_slots)
         self.collector = Collector(self.heap, self.flush_unmarked)
-        self.root_providers = []
+        self.roots = _no_roots  # () -> the live records; a client sets it
         self.clock = 0
         self.created_slots = 0  # slots of the objects created so far
         # Resolved points, in order; _points holds the open ones, each
@@ -94,16 +95,11 @@ class Runtime:
         self._kept_slots = 0  # slots the last copy kept
         self._terminated = False
 
-    def add_root_provider(self, provider):
-        """Register a callable returning an iterable of live records."""
-        self.root_providers.append(provider)
-
     def gather_roots(self, pins=()) -> list[LifetimeRecord]:
-        """The providers' records, then the records among pins, each
+        """The records roots() returns, then the records among pins, each
         once."""
         return list(dict.fromkeys(chain(
-            *[provider() for provider in self.root_providers],
-            [v for v in pins if type(v) is LifetimeRecord])))
+            self.roots(), [v for v in pins if type(v) is LifetimeRecord])))
 
     def collect_now(self) -> CollectionStats:
         """A manual collection point; it copies, so its stats are final."""
@@ -169,7 +165,7 @@ class Runtime:
         rec = _new(LifetimeRecord)
         rec.obj_id = obj_id = heap.allocated
         rec.kind, rec.size_slots, rec.create_tick = PAIR, 2, clock
-        rec.last_use_tick, rec.collect_tick = None, heap.stamp
+        rec.last_use_tick, rec.collect_tick = NEVER_USED, heap.stamp
         rec.censored, rec.address = False, addr
         heap.objects[obj_id] = rec
         heap.allocated = obj_id + 1
@@ -193,7 +189,7 @@ class Runtime:
         rec = _new(LifetimeRecord)
         rec.obj_id = obj_id = heap.allocated
         rec.kind, rec.size_slots, rec.create_tick = VECTOR, length, clock
-        rec.last_use_tick, rec.collect_tick = None, heap.stamp
+        rec.last_use_tick, rec.collect_tick = NEVER_USED, heap.stamp
         rec.censored, rec.address = False, addr
         heap.objects[obj_id] = rec
         heap.allocated = obj_id + 1
@@ -206,7 +202,7 @@ class Runtime:
         if self._terminated:
             raise ProtocolViolation("event recorded after termination")
         if rec.address is None:
-            raise UnknownId(f"use of unregistered object #{rec.obj_id}")
+            raise DanglingRef(f"use of unregistered object #{rec.obj_id}")
         clock = self.clock = self.clock + 1
         rec.last_use_tick = clock
         return clock
@@ -225,7 +221,7 @@ class Runtime:
         # Every marked id must be in the table: |live - marked| is then
         # exactly |live| - |marked|.
         if len(live) - len(dead) != len(marked):
-            raise UnknownId("a marked object has no live record")
+            raise DanglingRef("a marked object has no live record")
         # Every dead object was alive at the last resolved point, so it
         # died at the first open one or later.  If no stamp dates a death
         # past it, all died there.
@@ -264,18 +260,18 @@ class Runtime:
         point = self._points[i - first]
         tick = point[1]
         for rec in recs:
-            last_use = rec.last_use_tick
-            if last_use is not None and last_use > tick:
-                raise UnknownId(f"use of object #{rec.obj_id} at tick "
-                                f"{last_use}, after it died at tick {tick}")
+            if rec.last_use_tick > tick:
+                raise DanglingRef(f"use of object #{rec.obj_id} at tick "
+                                  f"{rec.last_use_tick}, after it died at "
+                                  f"tick {tick}")
             rec.collect_tick = tick
         point[4] += len(recs)
         point[5] += size
         self.finalized.extend(recs)
 
     def terminate(self) -> TraceLog:
-        """Close the run: final clock step, one last collection with the
-        registered roots, then censor whatever survived it."""
+        """Close the run: final clock step, one last collection over
+        roots(), then censor whatever survived it."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
@@ -292,6 +288,7 @@ class Runtime:
 
 
 _new = object.__new__
+_no_roots = tuple
 _stamp = attrgetter("collect_tick")
 _size = attrgetter("size_slots")
 

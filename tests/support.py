@@ -6,7 +6,7 @@ import random
 
 import dragprof
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
-from dragprof.heap import NIL
+from dragprof.heap import NEVER_USED, NIL
 from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
@@ -74,10 +74,9 @@ LIMIT_PROGRAMS = {
 }
 
 
-def _split_self_call():
-    """A self tail call of down nested 60 ifs deep, so in a unit split
-    off its procedure's body."""
-    src = "(if (= n 0) 'z (down (- n 1)))"
+def _split_self_call(src="(if (= n 0) 'z (down (- n 1)))"):
+    """src, by default a self tail call of down, nested 60 ifs deep, so
+    in a unit split off its procedure's body."""
     for _ in range(60):
         src = f"(if #t {src} 0)"
     return src
@@ -87,8 +86,9 @@ def _split_self_call():
 # code as a loop and car, cdr, vector-ref, null? and cons inline: tail
 # calls that reach another body (after a set!, a redefinition or a
 # shadowing binding), pass a wrong count or sit in a split unit, another
-# closure of the same body, loops whose turns keep their frames, and each
-# inline body on the values its primitive's body must handle.
+# closure of the same body, loops whose turns keep their frames, a body
+# with define slots on each path that calls it, and each inline body on
+# the values its primitive's body must handle.
 RULE_PROGRAMS = {
     # a set! of the loop name: the next turn calls the new value
     "loop-set": ("(let loop ((i 0))\n"
@@ -157,6 +157,26 @@ RULE_PROGRAMS = {
     "loop-tail-let": ("(let loop ((i 0) (acc '()))\n"
                       "  (if (= i 4) acc\n"
                       "      (let ((p (cons i acc))) (loop (+ i 1) p))))"),
+    # a body that extends its frame by its define slots, called by a
+    # non-tail call, a trampoline, a split unit's call, a non-tail named
+    # let and a later call of a closure
+    "define-slot-non-tail": "(define (f x) (define y (cons x x)) (list y x))\n"
+                            "(cons (f 1) (f 2))",
+    "define-slot-trampoline": ("(define (ev n acc) (define p (cons 'e acc))\n"
+                               "  (if (= n 0) p (od (- n 1) p)))\n"
+                               "(define (od n acc) (define p (cons 'o acc))\n"
+                               "  (if (= n 0) p (ev (- n 1) p)))\n"
+                               "(list (ev 4 '()) (od 3 '()))"),
+    "define-slot-split": ("(define (down n acc) (define d (cons n acc))\n"
+                          + _split_self_call("(if (= n 0) d (down (- n 1) d))")
+                          + ")\n(down 3 '())"),
+    "define-slot-named-let-non-tail": (
+        "(list (let loop ((i 0) (acc '())) (define d (cons i acc))\n"
+        "        (if (= i 3) d (loop (+ i 1) d)))\n"
+        "      'after)"),
+    "define-slot-closure-later": ("(define g (let ((k 5))\n"
+                                  "  (lambda (x) (define y (cons x k)) y)))\n"
+                                  "(list (g 1) (g 2))"),
     # the cases an inline body leaves to its primitive's body
     "car-number": "(car 5)",
     "car-nil": "(let ((x '())) (car x))",
@@ -179,10 +199,19 @@ RULE_PROGRAMS = {
                      "      (cons (cons 'a #t) (cons (vector-ref v 0) '())))"),
 }
 
+
+class Roots:
+    """An explicit root list, the runtime's roots."""
+
+    def __init__(self, rt):
+        self.refs = []
+        rt.roots = lambda: list(self.refs)
+
+
 class HeapDriver:
     """Random mutator over a Runtime, no interpreter involved.
 
-    Keeps an explicit root list registered as a root provider and mixes
+    Keeps an explicit root list as the runtime's roots and mixes
     allocations (pairs and short vectors, some dropped immediately),
     root drops, slot writes and use events.  Live-set size stays bounded
     by max_roots plus whatever the rooted objects reach.
@@ -193,7 +222,7 @@ class HeapDriver:
         self.rng = rng
         self.max_roots = max_roots
         self.roots = []
-        runtime.add_root_provider(lambda: list(self.roots))
+        runtime.roots = lambda: list(self.roots)
 
     def _random_value(self):
         r = self.rng.random()
@@ -272,7 +301,7 @@ def run_gc_correctness_session(seed: int, objects_budget=120,
     assert len(ids) == allocated, "records lost or duplicated"
     assert len(set(ids)) == allocated, "an object was finalized twice"
     for rec in log.records:
-        if rec.last_use_tick is not None:
+        if rec.last_use_tick != NEVER_USED:
             assert rec.create_tick <= rec.last_use_tick <= rec.collect_tick
         assert rec.create_tick <= rec.collect_tick
     return log
@@ -650,8 +679,7 @@ class _OracleRun:
             assert self.collect_tick.get(rec.obj_id) == expected, \
                 f"object #{rec.obj_id} collected at {rec.collect_tick}, " \
                 f"the oracle says {self.collect_tick.get(rec.obj_id)}"
-            assert rec.last_use_tick is None \
-                or rec.last_use_tick <= rec.collect_tick, \
+            assert rec.last_use_tick <= rec.collect_tick, \
                 f"object #{rec.obj_id} used at {rec.last_use_tick}, " \
                 f"after it was collected at {rec.collect_tick}"
 

@@ -15,7 +15,7 @@ from dragprof.analyzer import (
     savings_pct,
     space_time,
 )
-from dragprof.heap import PAIR, LifetimeRecord
+from dragprof.heap import NEVER_USED, PAIR, LifetimeRecord
 from dragprof.interp import run_source
 from dragprof.profiler import TraceLog
 
@@ -44,7 +44,7 @@ def test_drag_is_collect_minus_last_use():
 
 
 def test_drag_of_never_used_runs_from_creation():
-    assert drag(rec(0, 10, None, 100)) == 90
+    assert drag(rec(0, 10, NEVER_USED, 100)) == 90
 
 
 def test_drag_zero_when_used_at_collection():
@@ -58,7 +58,7 @@ def test_drag_pct_relative_to_runtime():
 
 
 def test_drags_of_in_record_order():
-    log = make_log([rec(3, 0, 5, 9), rec(1, 2, None, 9), rec(2, 4, 9, 9)],
+    log = make_log([rec(3, 0, 5, 9), rec(1, 2, NEVER_USED, 9), rec(2, 4, 9, 9)],
                    end_tick=10)
     assert drags_of(log) == [4, 7, 0]
 
@@ -96,7 +96,7 @@ def bruteforce_points(log, s):
             hi = record.collect_tick + (1 if record.censored else 0)
             if record.create_tick <= t < hi:
                 reach += 1
-            if (record.last_use_tick is not None
+            if (record.last_use_tick != NEVER_USED
                     and record.create_tick <= t <= record.last_use_tick):
                 live += 1
         expected.append((t, reach, live))
@@ -121,7 +121,7 @@ def trace_logs(draw):
         create = draw(st.integers(0, end))
         censored = draw(st.booleans())
         collect = end if censored else draw(st.integers(create, end))
-        last = draw(st.none() | st.integers(create, collect))
+        last = draw(st.just(NEVER_USED) | st.integers(create, collect))
         records.append(rec(i, create, last, collect, censored))
     return make_log(records, end)
 
@@ -285,9 +285,7 @@ def test_riemann_refinement_stability(data, half_step):
     records = []
     for i, (create, extent, used) in enumerate(raw):
         collect = min(end, create + extent)
-        last = create + (extent // 2) if used else None
-        if last is not None:
-            last = min(last, collect)
+        last = min(create + extent // 2, collect) if used else NEVER_USED
         records.append(rec(i, create, last, collect))
     log = make_log(records, end)
     s = 2 * half_step

@@ -7,13 +7,12 @@ from dragprof.gc import canonical_serialization, reachability_oracle
 from dragprof.heap import NIL
 from dragprof.runtime import Runtime
 
-from support import HeapDriver, checked_collect, run_gc_correctness_session
-
-
-class Roots:
-    def __init__(self, rt):
-        self.refs = []
-        rt.add_root_provider(lambda: list(self.refs))
+from support import (
+    HeapDriver,
+    Roots,
+    checked_collect,
+    run_gc_correctness_session,
+)
 
 
 def make_runtime(heap_slots=2048):

@@ -6,22 +6,13 @@ from dragprof.errors import (
     DanglingRef,
     OutOfMemory,
     ToSpaceOverflow,
-    UnknownId,
 )
 from dragprof.gc import Collector, canonical_serialization
 from dragprof.heap import NIL, LifetimeRecord
 from dragprof import runtime
 from dragprof.runtime import MAX_HEAP_SLOTS, Runtime
 
-from support import HeapDriver
-
-
-class Roots:
-    """Explicit root list registered with a runtime."""
-
-    def __init__(self, rt):
-        self.refs = []
-        rt.add_root_provider(lambda: list(self.refs))
+from support import HeapDriver, Roots
 
 
 def make_runtime(heap_slots=64, gc_interval=10 ** 9):
@@ -53,7 +44,7 @@ def test_a_collected_record_is_unknown_to_uses_and_dangling_to_reads():
     p = rt.alloc_pair(1, 2)
     rt.collect_now()  # nothing rooted
     assert p.address is None and p.obj_id not in rt.heap.objects
-    with pytest.raises(UnknownId, match="use of unregistered object #0"):
+    with pytest.raises(DanglingRef, match="use of unregistered object #0"):
         rt.record_use(p)
     with pytest.raises(DanglingRef, match="collected object #0"):
         rt.collector.collect([p], rt.clock)

@@ -10,9 +10,8 @@ from dragprof.errors import (
     SchemeError,
     SchemeRuntimeError,
     SchemeSyntaxError,
-    UnknownId,
 )
-from dragprof.heap import NIL, PAIR, VECTOR, Nil
+from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, Nil
 from dragprof.interp import (
     Interpreter,
     SrcList,
@@ -185,7 +184,7 @@ def test_type_error_raised_before_any_use_event():
     rt, interp = interp_fixture()
     with pytest.raises(SchemeRuntimeError):
         interp.eval_program(parse("(define v (vector 1)) (car v)"))
-    assert rt.heap.objects[0].last_use_tick is None
+    assert rt.heap.objects[0].last_use_tick == NEVER_USED
 
 
 def test_vector_index_error_before_use():
@@ -193,7 +192,7 @@ def test_vector_index_error_before_use():
     with pytest.raises(SchemeRuntimeError) as err:
         interp.eval_program(parse("(define v (vector 1 2)) (vector-ref v 2)"))
     assert "out of range" in str(err.value)
-    assert rt.heap.objects[0].last_use_tick is None
+    assert rt.heap.objects[0].last_use_tick == NEVER_USED
 
 
 def test_vector_to_list_event_pattern():
@@ -497,7 +496,7 @@ def test_display_records_use():
 def test_write_value_cycle_marker():
     rt = Runtime()
     refs = []
-    rt.add_root_provider(lambda: list(refs))
+    rt.roots = lambda: list(refs)
     p = rt.alloc_pair(1, NIL)
     rt.heap.store(p.address + 1, p)
     refs.append(p)
@@ -610,6 +609,11 @@ RULE_RESULTS = {
     "loop-in-non-tail-let": "(10)",
     "loop-tail-let": "(3 2 1 0)",
     "sibling-closure": "(b a a)",
+    "define-slot-non-tail": "(((1 . 1) 1) (2 . 2) 2)",
+    "define-slot-trampoline": "((e o e o e) (e o e o))",
+    "define-slot-split": "(0 1 2 3)",
+    "define-slot-named-let-non-tail": "((3 2 1 0) after)",
+    "define-slot-closure-later": "((1 . 5) (2 . 5))",
     "car-number": "error: 1:1: car: expected a pair, got a number",
     "car-nil": "error: 1:16: car: expected a pair, got the empty list",
     "cdr-vector": "error: 1:1: cdr: expected a pair, got a vector",
@@ -768,22 +772,22 @@ def test_car_of_a_collected_object_is_a_dangling_ref():
             interp.eval_program(parse(src))
 
 
-@pytest.mark.parametrize("src, error", [
-    ("(cdr x)", DanglingRef),
-    ("(vector-ref x 0)", DanglingRef),
-    ("(let ((i 1)) (vector-ref x i))", DanglingRef),
-    ("(null? x)", UnknownId),
-    ("(cons x 1)", UnknownId),
-    ("(cons 1 x)", UnknownId),
+@pytest.mark.parametrize("src", [
+    "(cdr x)",
+    "(vector-ref x 0)",
+    "(let ((i 1)) (vector-ref x i))",
+    "(null? x)",
+    "(cons x 1)",
+    "(cons 1 x)",
 ])
-def test_an_inline_body_on_a_collected_object(src, error):
-    # as in the primitive's body: a read is a DanglingRef, a use alone
-    # an UnknownId
+def test_an_inline_body_on_a_collected_object(src):
+    # as in the primitive's body: a read and a use alike are a
+    # DanglingRef
     rt, interp = interp_fixture()
     ref = rt.alloc_pair(1, 2)
     rt.collect_now()
     interp.globals["x"] = ref
-    with pytest.raises(error):
+    with pytest.raises(DanglingRef):
         interp.eval_program(parse(src))
 
 

@@ -59,7 +59,7 @@ def test_heap_write_slot_dates_its_old_target(k):
     with oracle_checked_points() as checked:
         rt = Runtime(heap_slots=4096, gc_interval=k)
         roots = [NIL]
-        rt.add_root_provider(lambda: [v for v in roots if v is not NIL])
+        rt.roots = lambda: [v for v in roots if v is not NIL]
         for i in range(100):
             roots[0] = rt.alloc_pair(i, roots[0])
         box = rt.alloc_vector(2, NIL)
@@ -101,7 +101,7 @@ def test_exhaustion_point_is_dated_by_a_later_copy():
     with oracle_checked_points() as checked:
         rt = Runtime(heap_slots=16, gc_interval=2)
         roots = []
-        rt.add_root_provider(lambda: list(roots))
+        rt.roots = lambda: list(roots)
         for i in range(5):
             roots.append(rt.alloc_pair(i, i))
         rt.collect_now()

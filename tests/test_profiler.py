@@ -4,11 +4,11 @@ import pytest
 
 from dragprof import analyzer, heap, profiler
 from dragprof.errors import (
+    DanglingRef,
     DraglogFormatError,
     ProtocolViolation,
-    UnknownId,
 )
-from dragprof.heap import NIL, PAIR, VECTOR, LifetimeRecord
+from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, LifetimeRecord
 from dragprof.profiler import (
     CollectionStats,
     format_draglog,
@@ -39,7 +39,7 @@ def test_first_creation_tick_is_one():
     rt = make_runtime()
     rec = rt.alloc_pair(NIL, NIL)
     assert rt.clock == rec.create_tick == 1
-    assert rec.last_use_tick is None
+    assert rec.last_use_tick == NEVER_USED
 
 
 def test_creations_strictly_increasing():
@@ -59,7 +59,7 @@ def test_use_most_recent_wins():
 
 def test_use_of_unknown_id():
     rt = make_runtime()
-    with pytest.raises(UnknownId):
+    with pytest.raises(DanglingRef):
         rt.record_use(LifetimeRecord(7, PAIR, 2))  # not in the table
 
 
@@ -67,14 +67,14 @@ def test_never_used_survives_to_the_log_as_sentinel():
     rt = make_runtime()
     create(rt)
     log = rt.terminate()
-    assert log.records[0].last_use_tick is None
+    assert log.records[0].last_use_tick == NEVER_USED
     assert " -1 " in format_draglog(log).splitlines()[1]
 
 
 def test_flush_rejects_unrecorded_mark_and_closed_run():
     rt = make_runtime()
     create(rt)
-    with pytest.raises(UnknownId):
+    with pytest.raises(DanglingRef):
         flush(rt, {0, 7})
     rt.terminate()
     with pytest.raises(ProtocolViolation):
@@ -131,7 +131,7 @@ def test_use_after_a_dated_death_is_unknown_id():
     obj_id = create(rt)
     rt.open_point("interval")
     rt.record_use(rt.heap.objects[obj_id])
-    with pytest.raises(UnknownId, match="after it died at tick 1"):
+    with pytest.raises(DanglingRef, match="after it died at tick 1"):
         flush(rt, set())
 
 
@@ -174,7 +174,7 @@ def test_finalize_censors_remaining_and_sorts():
     for i in range(4):
         create(rt, PAIR if i % 2 else VECTOR)
     roots = [rt.heap.objects[1], rt.heap.objects[3]]
-    rt.add_root_provider(lambda: roots)
+    rt.roots = lambda: roots
     flush(rt, {1, 3})  # collects 0 and 2 at tick 4
     log = rt.terminate()
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
@@ -203,7 +203,7 @@ def test_events_after_finalize_rejected():
 def test_every_step_after_terminate_is_a_protocol_violation():
     rt = make_runtime()
     ref = rt.alloc_pair(NIL, NIL)
-    rt.add_root_provider(lambda: [ref])
+    rt.roots = lambda: [ref]
     rt.terminate()
     for step in (lambda: rt.alloc_pair(NIL, NIL),
                  lambda: rt.record_use(ref),
@@ -219,7 +219,7 @@ def test_draglog_roundtrip():
         create(rt, kind, size)
     rt.record_use(rt.heap.objects[1])
     root = rt.heap.objects[2]
-    rt.add_root_provider(lambda: [root])
+    rt.roots = lambda: [root]
     flush(rt, {2})
     log = rt.terminate()
     parsed = parse_draglog(format_draglog(log))
@@ -254,7 +254,7 @@ def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
     analyzer.build_report(log)
     assert made == []
     assert [(r.obj_id, r.last_use_tick, r.censored, r.address)
-            for r in log.records] == [(1, None, False, None),
+            for r in log.records] == [(1, NEVER_USED, False, None),
                                       (0, 3, True, None)]
     assert made == [1, 0]
     assert format_draglog(log) == text
@@ -263,7 +263,7 @@ def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
 def test_a_log_read_in_slices_reads_as_a_whole(monkeypatch):
     rt = make_runtime(gc_interval=3, heap_slots=64)
     keep = []
-    rt.add_root_provider(lambda: keep)
+    rt.roots = lambda: keep
     for i in range(40):
         ref = rt.alloc_pair(NIL, NIL) if i % 3 else rt.alloc_vector(i % 5)
         if i % 4 == 0:

@@ -207,14 +207,8 @@ def mutate_line(lines, i, rng):
 
 
 def columns(log):
-    """A parsed log's columns, as lists; made from its records, as
-    profiler.Columns holds them, for a TraceLog without columns."""
-    if hasattr(log, "columns"):
-        return [list(c) for c in log.columns]
-    rows = [(r.obj_id, r.kind, r.size_slots, r.create_tick,
-             -1 if r.last_use_tick is None else r.last_use_tick,
-             r.collect_tick, r.censored) for r in log.records]
-    return [list(c) for c in zip(*rows)] or [[] for _ in range(7)]
+    """A parsed log's columns, as lists."""
+    return [list(c) for c in log.columns]
 
 
 def start(root, jobs):
