@@ -197,6 +197,21 @@ RULE_PROGRAMS = {
                      "      (vector-ref v 1) (vector-ref v 2)\n"
                      "      (null? (vector-ref v 2))\n"
                      "      (cons (cons 'a #t) (cons (vector-ref v 0) '())))"),
+    # each operand is read where it stands, before the later operands
+    # run: a later set! of its slot or effect on its pair shows only in
+    # the operands after it
+    "operand-slot-set-later": ("(define (f x) (list x (begin (set! x 2) x)"
+                               " x))\n(f 1)"),
+    "operator-set-later": ("(define p (cons 1 2))\n"
+                           "(define (h g) (g (begin (set! g cdr) p)))\n"
+                           "(h car)"),
+    "primitive-operand-set-later": ("(define (k x) (+ x (begin (set! x 10) x)"
+                                    " x))\n(k 1)"),
+    "let-init-set-later": ("(define (m x)\n"
+                           "  (let ((a x) (b (begin (set! x 5) x)))\n"
+                           "    (list a b)))\n(m 1)"),
+    "operand-effect-before-read": ("(define p (cons 1 2))\n"
+                                   "(list (set-car! p 7) (car p))"),
 }
 
 

@@ -635,6 +635,11 @@ RULE_RESULTS = {
     "cons-procedure-first": "error: 1:1: cons: a procedure cannot be stored "
                             "in a heap object",
     "inline-reads": "(1 2 x #f #f ((a . #t) (1 . 2)))",
+    "operand-slot-set-later": "(1 2 2)",
+    "operator-set-later": "1",
+    "primitive-operand-set-later": "21",
+    "let-init-set-later": "(1 5)",
+    "operand-effect-before-read": "(() 7)",
 }
 
 
