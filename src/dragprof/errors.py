@@ -1,7 +1,7 @@
 """Exception types shared across the runtime and the tools, and the one
 rendering of a program's integer that their messages use.
 
-The primitives (interp.py) check every language rule, so the heap and
+The primitives (primitives.py) check every language rule, so the heap and
 the runtime raise only what a program can still cause (OutOfMemory) or
 what signals a bug in dragprof itself (DanglingRef, ToSpaceOverflow,
 ProtocolViolation).

@@ -21,16 +21,19 @@ unit the code is in A-normal form (Flanagan, Sabry, Duba and
 Felleisen, "The essence of compiling with continuations", 1993): if,
 begin and let are statements, every intermediate value is a local or a
 flat expression over locals, slots and constants, so no expression
-nests brackets.  It replaces a tree of closures, one Python call per
-node ("analyze, then execute": SICP 4.1.7; Feeley & Lapalme, "Using
-closures for code generation", 1987).  A let's frame is a local of its
-unit, so a slot of it is read as f3[1]; a slot of a frame outside the
-unit is read through the parent links of its argument, f0[0][2].
-Every constant (integer, symbol, quoted list, position, the _UNSET
-slots of a frame) is a global of the generated module, never a literal
-of its text.  Branches nested _SPLIT deep move into a unit of their
-own, called on the current frame, as Python allows 100 levels of
-indentation.
+nests brackets.  An operand (of a call, a primitive call or a let) that
+reads a slot or runs an expression is read into a fresh local right
+after its own statements, so each operand is read once, where it
+stands, and a later operand's set! or effect cannot change it.  It
+replaces a tree of closures, one Python call per node ("analyze, then
+execute": SICP 4.1.7; Feeley & Lapalme, "Using closures for code
+generation", 1987).  A let's frame is a local of its unit, so a slot
+of it is read as f3[1]; a slot of a frame outside the unit is read
+through the parent links of its argument, f0[0][2].  Every constant
+(integer, symbol, quoted list, position, the _UNSET slots of a frame)
+is a global of the generated module, never a literal of its text.
+Branches nested _SPLIT deep move into a unit of their own, called on
+the current frame, as Python allows 100 levels of indentation.
 
 Which code can allocate: a collection point comes only with an
 allocation, so a value needs a root only while code that can allocate
@@ -154,8 +157,8 @@ from .errors import (
     SchemeSyntaxError,
 )
 from .heap import NIL, PAIR, VECTOR, LifetimeRecord, Nil
-from .primitives import IMMEDIATE, PRIMITIVES, Primitive, rt_error, \
-    write_value
+from .primitives import IMMEDIATE, PRIMITIVES, Primitive, list_of, \
+    rt_error, write_value
 from .runtime import Runtime
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,7 @@ def tokenize(source: str):
         elif c == ";":
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
         elif c in "()'":
             tokens.append((c, c, line, col))
             col += 1
@@ -534,25 +538,22 @@ def _flatten(node, lines):
 
 
 # The kinds of a value's expression: a constant (never a reference) or a
-# temporary, read any number of times; a frame slot, whose reads differ
-# once a slot is written; a flat expression with effects, evaluated once
-# and in order.
-_CONST, _STABLE, _SLOT, _OP = range(4)
+# temporary, read any number of times; a frame slot or a flat expression
+# with effects, read once, where its operand stands.
+_CONST, _STABLE, _OP = range(3)
 
 
 class _Code:
     """A compiled expression: the node of statements that run first, the
     expression of its value and that expression's kind (expr is None once
-    the value is returned or stored), whether it can allocate and whether
-    it can write a frame slot, which it can if any of parts can."""
+    the value is returned or stored), and whether it can allocate, which
+    it can if any of parts can."""
 
-    __slots__ = ("node", "expr", "kind", "alloc", "writes")
+    __slots__ = ("node", "expr", "kind", "alloc")
 
-    def __init__(self, node, expr, kind=_STABLE, parts=(), alloc=False,
-                 writes=False):
+    def __init__(self, node, expr, kind=_STABLE, parts=(), alloc=False):
         self.node, self.expr, self.kind = node, expr, kind
         self.alloc = alloc or any(p.alloc for p in parts)
-        self.writes = writes or any(p.writes for p in parts)
 
 
 def _deliver(code, tail, target):
@@ -664,10 +665,9 @@ class Interpreter:
         self._stack.append(vals)
         for item in datum.items:
             vals.append(self._materialize(item))
-        result = self._materialize(datum.tail) if datum.tail is not None \
-            else NIL
-        for v in reversed(vals):
-            result = self.rt.alloc_pair(v, result)
+        tail = datum.tail
+        result = list_of(self.rt, vals,
+                         NIL if tail is None else self._materialize(tail))
         self._stack.pop()
         return result
 
@@ -731,27 +731,22 @@ class Interpreter:
 
     def _operands(self, parts, var=None, rooted=False):
         """(node, atoms): the statements that evaluate the codes parts in
-        order, and the expression of each value.  With var the list of
-        the values is made as var, each read once; without, each atom is
-        a constant, temporary or slot that can be read again after all
-        parts.  While a part after the first can allocate, the values so
-        far are pinned: their list (var or a temporary) is pushed once
-        the first is made, and popped after the last.  With rooted the
-        first value is a root already, so a pin is needed only while a
-        part after the second can allocate."""
+        order, and the expression of each value: a constant or a local,
+        which can be read again after all parts.  A slot or expression
+        value is read into a fresh local right after its part's
+        statements, so each value is read once, where its operand stands.
+        With var the list of the values is made as var.  While a part
+        after the first can allocate, the values so far are pinned: their
+        list (var or a temporary) is pushed once the first is made, and
+        popped after the last.  With rooted the first value is a root
+        already, so a pin is needed only while a part after the second
+        can allocate."""
         pin = any(p.alloc for p in parts[2 if rooted else 1:])
-        late = var is None or not pin  # atoms read after every part
-        spills, has_node, writes = [], False, False
-        for p in reversed(parts):
-            spills.append(late and (p.kind == _OP and (var is None or has_node)
-                                    or p.kind == _SLOT and writes))
-            has_node = has_node or bool(p.node)
-            writes = writes or p.writes
         node, atoms, pinned = [], [], None
-        for p, spill in zip(parts, reversed(spills)):
+        for p in parts:
             node.append(p.node)
             atom = p.expr
-            if spill:
+            if p.kind > _STABLE:
                 atom = self._name()
                 node.append(f"{atom} = {p.expr}")
             atoms.append(atom)
@@ -827,7 +822,7 @@ class Interpreter:
     def _compile_ref(self, name, scope, pos):
         chain, local = _resolve(scope, name)
         if local and len(chain) == 1:
-            return _Code([], self._slot(scope, *chain[0]), _SLOT)
+            return _Code([], self._slot(scope, *chain[0]), _OP)
         t, n, p = self._name(), self._const(name), self._const(pos)
         if chain:
             return _Code([f"{t} = _late_ref(G, {self._vars[scope]}, "
@@ -857,9 +852,8 @@ class Interpreter:
         test = self._compile(items[1], scope, pos)
         then = self._compile(items[2], scope, pos, tail, target)
         self._depth -= 1
-        expr = f"({test.expr})" if test.kind == _OP else test.expr
-        return _Code([test.node, f"if {expr} is not False:", (then.node,),
-                      "else:", (alt.node,)], value, _STABLE,
+        return _Code([test.node, f"if ({test.expr}) is not False:",
+                      (then.node,), "else:", (alt.node,)], value, _STABLE,
                      [test, then, alt])
 
     def _compile_set(self, items, scope, pos):
@@ -874,8 +868,7 @@ class Interpreter:
             line = (f"_set_var(G, {self._vars[scope]}, "
                     f"{self._const(tuple(chain))}, {self._const(name)}, "
                     f"{self._const(pos)}, {value.expr})")
-        return _Code([value.node, line], "NIL", _STABLE, [value],
-                     writes=True)
+        return _Code([value.node, line], "NIL", _STABLE, [value])
 
     def _compile_body(self, forms, scope, pos, tail, target=None):
         effects = [self._compile(f, scope, pos) for f in forms[:-1]]
@@ -921,7 +914,7 @@ class Interpreter:
         return _Code([value.node, f"{t} = {value.expr}",
                       f"if type({t}) is Closure and {t}.name is None: "
                       f"{t}.name = {n}", f"{slot} = {t}"], "NIL", _STABLE,
-                     [value], writes=True)
+                     [value])
 
     def _compile_quote(self, datum, pos):
         if type(datum) is SrcList and not datum.items and datum.tail is None:
@@ -984,9 +977,6 @@ class Interpreter:
             return _deliver(self._compile_primitive_call(prim, args, pos,
                                                          items[1:]),
                             tail, target)
-        if fn.kind > _STABLE:  # the operator is read more than once
-            t = self._name()
-            fn = _Code([fn.node, f"{t} = {fn.expr}"], t, _STABLE, [fn])
         a = self._name("a")
         node, atoms = self._operands([fn, *args], a)
         f, call = atoms[0], f"_call_procedure(interp, {a}, {self._const(pos)})"
@@ -1001,14 +991,13 @@ class Interpreter:
                          (bind, f"stack[-1] = f0 = {a}", "continue")]
             node += [head, (bind, f"return ({f}.code, {a})"),
                      f"return {call}"]
-            return _Code(node, None, _STABLE, (), True, True)
+            return _Code(node, None, _STABLE, (), True)
         value = target or self._name()
         run = _run(value, f"{f}.code({a})")
         node += [head, (bind, f"stack[-1] = {a}", *run) if tail else
                  (bind, f"push({a})", *run, "pop()"),
                  "else:", (f"{value} = {call}",)]
-        return _Code(node, None if target else value, _STABLE, (), True,
-                     True)
+        return _Code(node, None if target else value, _STABLE, (), True)
 
     def _compile_primitive_call(self, prim, args, pos, forms):
         """A call of the fixed primitive prim on the arguments compiled to
@@ -1027,10 +1016,6 @@ class Interpreter:
                 f" if {' and '.join(tests)} else {expr}" if tests else "")
         elif prim.name in _READS:
             test, read, other = _READS[prim.name]
-            for i, atom in enumerate(atoms):
-                if "[" in atom:  # a slot, read again: once, into a local
-                    atoms[i] = self._name()
-                    node.append(f"{atoms[i]} = {atom}")
             t = self._name()
             node += [f"if {test.format(*atoms)}:",
                      (f"use({atoms[0]})", f"{t} = {read.format(*atoms)}"),

@@ -194,10 +194,7 @@ def _prim_list(interp, pos, *args):
     for v in args:
         _check_storable(v, "list", pos)
     _use_refs(interp, args)
-    result = NIL
-    for v in reversed(args):
-        result = interp.rt.alloc_pair(v, result)
-    return result
+    return list_of(interp.rt, args)
 
 
 def _prim_car(interp, pos, p):
@@ -257,6 +254,13 @@ def _prim_vector(interp, pos, *args):
     return _vector_of(interp, args)
 
 
+def list_of(rt, items, tail=NIL):
+    """A new list of items ending in tail; the caller keeps items pinned."""
+    for v in reversed(items):
+        tail = rt.alloc_pair(v, tail)
+    return tail
+
+
 def _vector_of(interp, items):
     """A new vector of items, which the caller keeps pinned."""
     rec = interp.rt.alloc_vector(len(items), NIL)
@@ -314,12 +318,9 @@ def _prim_vector_length(interp, pos, v):
 def _prim_vector_to_list(interp, pos, v):
     _require(v, VECTOR, "vector->list", pos)
     interp.record_use(v)
-    heap = interp.heap
-    result = NIL
-    # each allocation may move the vector, so its address is read anew
-    for i in range(v.size_slots - 1, -1, -1):
-        result = interp.rt.alloc_pair(heap.slots[v.address + i], result)
-    return result
+    # a copy may move the pinned vector but never changes its slots' values
+    a = v.address
+    return list_of(interp.rt, interp.heap.slots[a:a + v.size_slots])
 
 
 def _prim_list_to_vector(interp, pos, lst):

@@ -169,6 +169,10 @@ def test_bundled_report_and_plots_byte_identical(program, k, tmp_path):
 ERROR_MESSAGES = [
     ('(car', 64,
      SchemeSyntaxError, '1:5: unexpected end of input (unclosed parenthesis)'),
+    ('(car ;x', 64,
+     SchemeSyntaxError, '1:8: unexpected end of input (unclosed parenthesis)'),
+    ('(car\n;abc', 64,
+     SchemeSyntaxError, '2:5: unexpected end of input (unclosed parenthesis)'),
     ('())', 64,
      SchemeSyntaxError, '1:3: unexpected closing parenthesis'),
     ('#x', 64,
