@@ -69,12 +69,14 @@ class LifetimeRecord:
     the object is collected.  The runtime sets the ticks: create_tick
     where the record is made, last_use_tick at each use (NEVER_USED,
     -1, as in a log, for an object never used).  While the object is in
-    the table, collect_tick holds its Merlin stamp; it takes the
-    collection tick when the runtime dates the death the copy found, or
-    (censored) the end tick when the run terminates.  A parsed log holds the same fields as
-    columns (profiler.Columns), and makes records, without an address,
-    only when a caller iterates them.  A plain slotted class, not a
-    dataclass, so a run does not load dataclasses and what it imports.
+    the table, collect_tick holds its Merlin stamp.  When the runtime
+    dates the death a copy found, or censors the object at termination,
+    the record's fields, with the collection tick, live on in the
+    runtime's dead columns (profiler.Columns), not in the record, which
+    the runtime no longer keeps.  A log holds those columns, and makes
+    records, without an address, only when a caller iterates them.  A
+    plain slotted class, not a dataclass, so a run does not load
+    dataclasses and what it imports.
     """
 
     __slots__ = ("obj_id", "kind", "size_slots", "create_tick",

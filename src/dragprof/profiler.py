@@ -1,14 +1,16 @@
 """The trace log: its types and the DRAGLOG format.
 
-A run's log (runtime.Runtime.terminate) is a TraceLog: one
-LifetimeRecord per object the run created, sorted by (collect tick, id),
-and the end tick.  A parsed log (parse_draglog) is columns instead: one
-list per record field, in record order (Columns), and it makes its
-LifetimeRecords only when a caller iterates them.  A run's log derives
-its columns once, when first asked, so the analyzer reads columns of
-either.  CollectionStats describe one collection point, or one copy.
+A log is a TraceLog: its header fields, the end tick and one column per
+record field (Columns), with one entry per object, in (collect tick,
+id) order.  A run's log (runtime.Runtime.terminate) has its integer
+columns in arrays; a parsed one (parse_draglog) has lists, which the
+analyzer reads faster.  Either makes its LifetimeRecords only when a
+caller iterates them (ParsedRecords), and format_draglog writes the
+columns a slice of records at a time, so neither writing nor analyzing
+a log makes a record or a string per line all at once.
+CollectionStats describe one collection point, or one copy.
 This module only writes, reads and checks logs; it imports neither the
-runtime nor the collector, and the heap only to make a parsed log's
+runtime nor the collector, and the heap only to make a log's
 records, so `dragprof analyze` loads none of them.
 
 Serialized log format (lines end in "\\n" only; UTF-8, bit exact):
@@ -36,7 +38,7 @@ sort.  This diagnosis makes no records and no second set of columns.
 
 from collections import namedtuple
 from itertools import compress, islice
-from operator import attrgetter, le
+from operator import le
 
 from . import atomic
 from .errors import DraglogFormatError
@@ -54,46 +56,27 @@ CollectionStats.__doc__ = """One collection point, or (returned by
 gc.Collector.collect) one copy: survivors and slots_copied count what
 it kept.  trigger is "interval", "exhaustion" or "manual"."""
 
-# One list per LifetimeRecord field but the address, named after it.
+# One column per LifetimeRecord field but the address, named after it.
 Columns = namedtuple("Columns", "obj_id kind size_slots create_tick "
                                 "last_use_tick collect_tick censored")
 
 
 class TraceLog:
-    """A log's header fields, its records and its end tick.
-
-    A run makes it from its records; parse_draglog from columns, when
-    records is a ParsedRecords.  columns is derived from the records
-    the first time it is read."""
+    """A log's header fields, its columns and its end tick; records is
+    a ParsedRecords over the columns."""
 
     def __init__(self, gc_interval: int, heap_slots: int, source: str,
-                 records=None, end_tick: int = 0, columns=None):
+                 end_tick: int, columns: Columns):
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
-        if records is None:
-            records = [] if columns is None else ParsedRecords(columns)
-        self.records = records
         self.end_tick = end_tick
-        self._columns = columns
-
-    @property
-    def columns(self) -> Columns:
-        if self._columns is None:
-            self._columns = _columns_of(self.records)
-        return self._columns
-
-
-_fields = attrgetter(*Columns._fields)
-
-
-def _columns_of(records) -> Columns:
-    return Columns(*([list(c) for c in zip(*map(_fields, records))]
-                     or [[] for _ in Columns._fields]))
+        self.columns = columns
+        self.records = ParsedRecords(columns)
 
 
 class ParsedRecords:
-    """A parsed log's records: len() is the columns' length, and the
+    """A log's records: len() is the columns' length, and the
     LifetimeRecords (without an address) are made when first read."""
 
     def __init__(self, columns: Columns):
@@ -110,16 +93,25 @@ class ParsedRecords:
         return iter(self._made)
 
 
+# Records formatted at a time: a slice's lines are joined into one
+# string, and freed, before the next slice is formatted.
+_FORMAT_SLICE = 1 << 12
+_FLAGS = ("F", "C")  # indexed by the censored flag
+
+
 def format_draglog(log: TraceLog) -> str:
-    lines = [f"DRAGLOG 1 gc_interval={log.gc_interval} "
+    c = log.columns
+    parts = [f"DRAGLOG 1 gc_interval={log.gc_interval} "
              f"heap_slots={log.heap_slots} source={log.source}"]
-    for r in log.records:
-        flag = "C" if r.censored else "F"
-        lines.append(f"OBJ {r.obj_id} {r.kind} {r.size_slots} "
-                     f"{r.create_tick} {r.last_use_tick} {r.collect_tick} "
-                     f"{flag}")
-    lines.append(f"END {log.end_tick}")
-    return "\n".join(lines) + "\n"
+    for lo in range(0, len(c.obj_id), _FORMAT_SLICE):
+        hi = lo + _FORMAT_SLICE
+        parts.append("\n".join([
+            f"OBJ {obj_id} {kind} {size} {create} {last_use} {collect} "
+            f"{_FLAGS[censored]}"
+            for obj_id, kind, size, create, last_use, collect, censored
+            in zip(*[column[lo:hi] for column in c])]))
+    parts.append(f"END {log.end_tick}\n")
+    return "\n".join(parts)
 
 
 def write_draglog(log: TraceLog, path):
@@ -173,8 +165,7 @@ def parse_draglog(text: str) -> TraceLog:
     if not _records_ok(columns, end_tick):
         _check_records(columns, end_tick)
         raise AssertionError("a column check rejected records that pass")
-    return TraceLog(gc_interval, heap_slots, source, end_tick=end_tick,
-                    columns=columns)
+    return TraceLog(gc_interval, heap_slots, source, end_tick, columns)
 
 
 # Characters of records split into fields at a time, so that one slice's

@@ -35,8 +35,13 @@ point before its last use was used after it died, which only a value
 the interpreter forgot to root can cause: DanglingRef, as if the use
 had come after a copy at that point.  So a run's log and
 CollectionStats are those of a copy at every point, while the copying
-costs a constant per allocated slot.  terminate() closes the run and
-emits the records still in the table as censored.
+costs a constant per allocated slot.  A dated death appends the
+object's fields to dead, the log's columns (profiler.Columns; integers
+in arrays), and keeps no reference to its record, so a dead object
+costs the log a few machine words.  terminate() closes the run: it
+appends the objects still in the table as censored, puts the columns
+in (collect tick, id) order if they are not already, and returns them
+as the run's TraceLog.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -50,15 +55,16 @@ whole allocation inline (room check, clock, slots, record), so a pair
 costs one object and one call.
 """
 
+from array import array
 from collections import defaultdict
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import add, attrgetter, le, mul
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import DanglingRef, OutOfMemory, ProtocolViolation, int_text
 from .gc import Collector
 from .heap import NEVER_USED, NIL, PAIR, VECTOR, Heap, LifetimeRecord
-from .profiler import CollectionStats, TraceLog
+from .profiler import CollectionStats, Columns, TraceLog
 
 # Largest semispace a run may ask for: the two slot lists then take
 # 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
@@ -90,7 +96,10 @@ class Runtime:
         self._died_slots = 0    # points
         self._ghosts = []
         self.ghost_slots = 0
-        self.finalized = []     # records with their collect tick, so far
+        # The dead so far, as the log's columns: the integers in arrays,
+        # the kinds and censored flags in lists of shared values.
+        self.dead = Columns(array("q"), [], array("q"), array("q"),
+                            array("q"), array("q"), [])
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
         self._terminated = False
@@ -259,38 +268,61 @@ class Runtime:
             return
         point = self._points[i - first]
         tick = point[1]
-        for rec in recs:
-            if rec.last_use_tick > tick:
-                raise DanglingRef(f"use of object #{rec.obj_id} at tick "
-                                  f"{rec.last_use_tick}, after it died at "
-                                  f"tick {tick}")
-            rec.collect_tick = tick
+        if max(map(_last_use, recs), default=NEVER_USED) > tick:
+            rec = next(r for r in recs if r.last_use_tick > tick)
+            raise DanglingRef(f"use of object #{rec.obj_id} at tick "
+                              f"{rec.last_use_tick}, after it died at "
+                              f"tick {tick}")
         point[4] += len(recs)
         point[5] += size
-        self.finalized.extend(recs)
+        self._log(recs, tick, False)
+
+    def _log(self, recs, tick: int, censored: bool):
+        """Append the records' fields to the dead columns, collected at
+        tick; the records themselves are not kept."""
+        ids, kinds, sizes, creates, uses, collects, flags = self.dead
+        ids.extend(map(_id, recs))
+        kinds.extend(map(_kind, recs))
+        sizes.extend(map(_size, recs))
+        creates.extend(map(_create, recs))
+        uses.extend(map(_last_use, recs))
+        n = len(recs)
+        collects.extend(repeat(tick, n))
+        flags.extend(repeat(censored, n))
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
-        roots(), then censor whatever survived it."""
+        roots(), then log whatever survived it as censored and return
+        the dead columns, in (collect tick, id) order, as the log."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
         end_tick = self.clock
         self.collect_now()
         self._terminated = True
-        for rec in self.heap.objects.values():
-            rec.collect_tick = end_tick
-            rec.censored = True
-            self.finalized.append(rec)
-        self.finalized.sort(key=lambda r: (r.collect_tick, r.obj_id))
+        self._log(self.heap.objects.values(), end_tick, True)
+        dead = self.dead
+        # (collect, id) as one integer, since every id is below allocated
+        keys = list(map(add, map(mul, dead.collect_tick,
+                                 repeat(self.heap.allocated)), dead.obj_id))
+        if not all(map(le, keys, islice(keys, 1, None))):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            for column in dead:
+                picked = map(column.__getitem__, order)
+                column[:] = (array("q", picked) if type(column) is array
+                             else list(picked))
         return TraceLog(self.gc_interval, self.heap.capacity_slots,
-                        self.source, self.finalized, end_tick)
+                        self.source, end_tick=end_tick, columns=dead)
 
 
 _new = object.__new__
 _no_roots = tuple
 _stamp = attrgetter("collect_tick")
+_id = attrgetter("obj_id")
+_kind = attrgetter("kind")
 _size = attrgetter("size_slots")
+_create = attrgetter("create_tick")
+_last_use = attrgetter("last_use_tick")
 
 
 def _spread_stamps(dead, slots):

@@ -314,7 +314,7 @@ def run_gc_correctness_session(seed: int, objects_budget=120,
         log = rt.terminate()
     ids = [r.obj_id for r in log.records]
     assert len(ids) == allocated, "records lost or duplicated"
-    assert len(set(ids)) == allocated, "an object was finalized twice"
+    assert len(set(ids)) == allocated, "an object was logged twice"
     for rec in log.records:
         if rec.last_use_tick != NEVER_USED:
             assert rec.create_tick <= rec.last_use_tick <= rec.collect_tick
@@ -676,10 +676,12 @@ class _OracleRun:
         self.alive, self.created = reached, created
 
     def check(self):
-        """Every point's stats and every finalized record's collect tick
-        match the oracle's, and no record was used after it was
-        collected.  The points of a run that ended without a copy after
-        them (in an error) are dated by a copy over its current roots."""
+        """Every point's stats, and the collect tick of every object in
+        the runtime's dead columns, match the oracle's; the columns hold
+        each object the oracle saw die, once, and none was used after it
+        was collected.  The points of a run that ended without a copy
+        after them (in an error) are dated by a copy over its current
+        roots."""
         rt = self.rt
         # a manual point copies, which resolves it and every point before
         manual = [i for i, s in enumerate(self.stats) if s.trigger == "manual"]
@@ -689,14 +691,22 @@ class _OracleRun:
             rt.collector.collect(rt.gather_roots(), rt.clock)
         assert rt.collections == self.stats, \
             "collection stats diverge from the oracle"
-        for rec in rt.finalized:
-            expected = None if rec.censored else rec.collect_tick
-            assert self.collect_tick.get(rec.obj_id) == expected, \
-                f"object #{rec.obj_id} collected at {rec.collect_tick}, " \
-                f"the oracle says {self.collect_tick.get(rec.obj_id)}"
-            assert rec.last_use_tick <= rec.collect_tick, \
-                f"object #{rec.obj_id} used at {rec.last_use_tick}, " \
-                f"after it was collected at {rec.collect_tick}"
+        dead = rt.dead
+        collected = []
+        for obj_id, last_use, collect, censored in zip(
+                dead.obj_id, dead.last_use_tick, dead.collect_tick,
+                dead.censored):
+            expected = None if censored else collect
+            assert self.collect_tick.get(obj_id) == expected, \
+                f"object #{obj_id} collected at {collect}, " \
+                f"the oracle says {self.collect_tick.get(obj_id)}"
+            assert last_use <= collect, \
+                f"object #{obj_id} used at {last_use}, " \
+                f"after it was collected at {collect}"
+            if not censored:
+                collected.append(obj_id)
+        assert sorted(collected) == sorted(self.collect_tick), \
+            "the dead columns and the oracle's dead differ"
 
 
 @contextlib.contextmanager
@@ -733,8 +743,8 @@ def oracle_checked_points():
     At each point the oracle computes what the point's roots reach; the
     objects created before the point that were reachable at the last
     point (or created since) and are not reached now die here.  When the
-    block ends, every resolved CollectionStats and every finalized
-    record's collect tick must be the oracle's, whether a copy ran at
+    block ends, every resolved CollectionStats and every collect tick in
+    the runtime's dead columns must be the oracle's, whether a copy ran at
     the point or a later one dated it.  Every copy is checked as by
     oracle_checked_copies.  Yields a PointChecks."""
     original = Runtime.collection_point

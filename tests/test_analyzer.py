@@ -17,7 +17,7 @@ from dragprof.analyzer import (
 )
 from dragprof.heap import NEVER_USED, PAIR, LifetimeRecord
 from dragprof.interp import run_source
-from dragprof.profiler import TraceLog
+from dragprof.profiler import Columns, TraceLog
 
 from support import motiv_source, nullified_source, \
     run_gc_correctness_session
@@ -29,7 +29,9 @@ def rec(obj_id, create, last_use, collect, censored=False):
 
 
 def make_log(records, end_tick, gc_interval=1):
-    return TraceLog(gc_interval, 64, "synthetic", records, end_tick)
+    columns = Columns(*([getattr(r, name) for r in records]
+                        for name in Columns._fields))
+    return TraceLog(gc_interval, 64, "synthetic", end_tick, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ def test_empty_roots_collect_everything():
     assert stats.survivors == 0
     assert stats.collected == 5
     assert stats.slots_copied == 0
-    flushed = rt.finalized
-    assert len(flushed) == 5
-    assert all(r.collect_tick == clock for r in flushed)
+    dead = rt.dead
+    assert list(dead.obj_id) == [0, 1, 2, 3, 4]
+    assert list(dead.collect_tick) == [clock] * 5
 
 
 def test_memory_graph_roots_x_and_y_then_y_only():
@@ -51,8 +51,7 @@ def test_memory_graph_roots_x_and_y_then_y_only():
     stats = rt.collect_now()
     assert stats.collected == 1
     assert set(rt.heap.objects) == {o2.obj_id, o3.obj_id}
-    flushed = rt.finalized
-    assert [r.obj_id for r in flushed] == [o1.obj_id]
+    assert list(rt.dead.obj_id) == [o1.obj_id]
 
 
 def test_oracle_empty_roots():
@@ -183,10 +182,9 @@ def test_monotone_flush_ids_never_reappear():
     for step in range(400):
         driver.step()
         if step % 60 == 0:
-            before = len(rt.finalized)
+            before = len(rt.dead.obj_id)
             rt.collect_now()
-            newly = rt.finalized[before:]
-            for rec in newly:
-                assert rec.obj_id not in seen
-                seen.add(rec.obj_id)
-                assert rec.obj_id not in rt.heap.objects
+            for obj_id in rt.dead.obj_id[before:]:
+                assert obj_id not in seen
+                seen.add(obj_id)
+                assert obj_id not in rt.heap.objects

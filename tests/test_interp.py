@@ -120,7 +120,7 @@ def test_comments_and_negative_numbers():
 def test_arithmetic_no_heap_objects():
     r = run("(+ 1 2)")
     assert r.value == 3
-    assert r.trace_log.records == []
+    assert len(r.trace_log.records) == 0
     assert r.trace_log.end_tick == 1  # just the termination step
 
 
@@ -158,7 +158,7 @@ def test_counting_loop_allocates_exactly_five_pairs():
 
 def test_car_updates_last_use_tick():
     r = run("(define p (cons 1 2)) (car p)")
-    rec = r.trace_log.records[0]
+    [rec] = r.trace_log.records
     assert rec.create_tick == 1
     assert rec.last_use_tick == 2  # the car
     assert rec.censored  # global binding holds it at termination
@@ -168,14 +168,14 @@ def test_car_updates_last_use_tick():
 def test_null_on_immediate_records_nothing():
     r = run("(null? '())")
     assert r.value is True
-    assert r.trace_log.records == []
+    assert len(r.trace_log.records) == 0
     assert r.trace_log.end_tick == 1
 
 
 def test_pair_predicate_on_vector_records_use():
     r = run("(define v (vector 1)) (pair? v)")
     assert r.value is False
-    rec = r.trace_log.records[0]
+    [rec] = r.trace_log.records
     assert rec.kind == VECTOR
     assert rec.last_use_tick == 2  # the predicate inspected it
 
@@ -490,7 +490,8 @@ def test_display_writes_scheme_syntax(capsys):
 
 def test_display_records_use():
     r = run("(define p (cons 1 2)) (display p)")
-    assert r.trace_log.records[0].last_use_tick == 2
+    [rec] = r.trace_log.records
+    assert rec.last_use_tick == 2
 
 
 def test_write_value_cycle_marker():

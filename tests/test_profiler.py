@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -9,12 +10,16 @@ from dragprof.errors import (
     ProtocolViolation,
 )
 from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, LifetimeRecord
+from dragprof.interp import Interpreter, parse
 from dragprof.profiler import (
     CollectionStats,
+    Columns,
+    TraceLog,
     format_draglog,
     parse_draglog,
 )
 from dragprof.runtime import Runtime
+from support import nullified_source
 
 
 def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
@@ -67,7 +72,8 @@ def test_never_used_survives_to_the_log_as_sentinel():
     rt = make_runtime()
     create(rt)
     log = rt.terminate()
-    assert log.records[0].last_use_tick == NEVER_USED
+    [rec] = log.records
+    assert rec.last_use_tick == NEVER_USED
     assert " -1 " in format_draglog(log).splitlines()[1]
 
 
@@ -87,7 +93,9 @@ def test_flush_with_none_marked_collects_everything():
         create(rt)
     flushed = flush(rt, set())
     assert [r.obj_id for r in flushed] == list(range(5))  # creation order
-    assert all(r.collect_tick == 5 and not r.censored for r in flushed)
+    assert list(rt.dead.obj_id) == list(range(5))
+    assert list(rt.dead.collect_tick) == [5] * 5
+    assert rt.dead.censored == [False] * 5
     assert rt.heap.objects == {}
 
 
@@ -144,8 +152,8 @@ def test_dead_stamped_before_the_first_open_point_die_there():
     rt.open_point("interval")  # reaches neither
     kept = create(rt)
     rt.open_point("interval", [rt.heap.objects[kept]])
-    flushed = rt.flush_unmarked({kept}, rt.heap.slots)
-    assert [r.collect_tick for r in flushed] == [2, 2]
+    rt.flush_unmarked({kept}, rt.heap.slots)
+    assert list(rt.dead.collect_tick) == [2, 2]
     assert rt.collections == [CollectionStats("interval", 2, 0, 2, 0),
                               CollectionStats("interval", 3, 1, 0, 2)]
 
@@ -160,11 +168,13 @@ def test_dead_stamped_after_the_last_point_is_a_ghost():
     ghost = create(rt)
     flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.obj_id for r in flushed] == [dead, ghost]
-    assert flushed[0].collect_tick == 2
+    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == ([dead], [2])
     assert rt.collections == [CollectionStats("interval", 2, 1, 1, 2)]
     assert rt.ghost_slots == 2 and ghost not in rt.heap.objects
     rt.open_point("exhaustion", [rt.heap.objects[kept]])
-    assert rt.ghost_slots == 0 and flushed[1].collect_tick == 3
+    assert rt.ghost_slots == 0
+    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == (
+        [dead, ghost], [2, 3])
     rt.flush_unmarked({kept}, rt.heap.slots)
     assert rt.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
 
@@ -184,6 +194,19 @@ def test_finalize_censors_remaining_and_sorts():
     keys = [(r.collect_tick, r.obj_id) for r in log.records]
     assert keys == sorted(keys)
     assert all(r.collect_tick <= log.end_tick for r in log.records)
+
+
+def test_a_collected_objects_record_is_freed():
+    # the dead columns keep a dead object's fields, not its record: with
+    # the runtime and its log alive, only the slots of the two halves
+    # (the standby one stale) could still reach a record
+    rt = Runtime(heap_slots=64, gc_interval=16)
+    Interpreter(rt).eval_program(parse(nullified_source(5000)))
+    log = rt.terminate()
+    assert len(log.records) == 5000
+    gc.collect()
+    records = sum(type(o) is LifetimeRecord for o in gc.get_objects())
+    assert records <= rt.heap.capacity_slots
 
 
 def test_refinalize_is_a_protocol_violation():
@@ -237,6 +260,23 @@ def test_draglog_roundtrip():
          r.collect_tick, r.censored)
         for r in parsed.records]
     assert parsed_fields == serialized_fields
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_a_log_formats_the_same_across_slice_edges(extra):
+    # one slice less one record, one slice, one slice plus one record:
+    # each formats as one line per record
+    n = profiler._FORMAT_SLICE + extra
+    rows = [(i, PAIR if i % 2 else VECTOR, 2 if i % 2 else i % 5, i + 1,
+             NEVER_USED if i % 3 else i + 1, n + 1, i % 7 == 0)
+            for i in range(n)]
+    log = TraceLog(3, 128, "edges", n + 1, Columns(*map(list, zip(*rows))))
+    lines = ["DRAGLOG 1 gc_interval=3 heap_slots=128 source=edges"]
+    for obj_id, kind, size, create, last_use, collect, censored in rows:
+        lines.append(f"OBJ {obj_id} {kind} {size} {create} {last_use} "
+                     f"{collect} {'C' if censored else 'F'}")
+    lines.append(f"END {n + 1}")
+    assert format_draglog(log) == "\n".join(lines) + "\n"
 
 
 def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
