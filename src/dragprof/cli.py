@@ -4,9 +4,9 @@ Exit codes for run: 0 success, 1 unreadable source, unwritable log or
 syntax error, 2 runtime error, 3 out of memory.  analyze and plot exit 1
 on input that is unreadable, not UTF-8 or malformed, and on output they
 cannot write.  A usage error (an unknown command, a missing or malformed
-argument) exits 1 with the usage message.  Every output file is written
-to a temp name and renamed, so a failed command never leaves a partial
-file behind.
+argument) exits 1 with the usage message.  Every output that is missing
+or a regular file is written to a temp name and renamed, so a failed
+command never leaves a partial file behind (see atomic.py).
 
 Each command imports only the layers it uses: `run` the interpreter and
 runtime, `analyze` the log parser and the analyzer, `plot` the plot

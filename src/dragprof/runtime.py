@@ -39,9 +39,11 @@ costs a constant per allocated slot.  A dated death appends the
 object's fields to dead, the log's columns (profiler.Columns; integers
 in arrays), and keeps no reference to its record, so a dead object
 costs the log a few machine words.  terminate() closes the run: it
-appends the objects still in the table as censored, puts the columns
-in (collect tick, id) order if they are not already, and returns them
-as the run's TraceLog.
+appends the objects still in the table as censored, checks in one pass
+over the rows that the columns are in (collect tick, id) order, sorts
+them only if they are not, and returns them as the run's TraceLog.  It
+also releases the heap's two slot lists and its object table: every
+later event is a ProtocolViolation, so nothing reads them again.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -57,7 +59,7 @@ costs one object and one call.
 
 from array import array
 from collections import defaultdict
-from itertools import chain, islice, repeat
+from itertools import chain, pairwise, repeat, starmap
 from operator import add, attrgetter, le, mul
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
@@ -293,26 +295,36 @@ class Runtime:
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
         roots(), then log whatever survived it as censored and return
-        the dead columns, in (collect tick, id) order, as the log."""
+        the dead columns, in (collect tick, id) order, as the log.  The
+        order is checked in one pass; the columns are permuted only if
+        it does not hold.  The heap's slots and object table are
+        released, since every later event is a ProtocolViolation."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
         end_tick = self.clock
         self.collect_now()
         self._terminated = True
-        self._log(self.heap.objects.values(), end_tick, True)
+        heap = self.heap
+        self._log(heap.objects.values(), end_tick, True)
+        heap.slots, heap.standby, heap.objects = [], [], {}
         dead = self.dead
-        # (collect, id) as one integer, since every id is below allocated
-        keys = list(map(add, map(mul, dead.collect_tick,
-                                 repeat(self.heap.allocated)), dead.obj_id))
-        if not all(map(le, keys, islice(keys, 1, None))):
+        if not all(starmap(le, pairwise(_keys(dead, heap.allocated)))):
+            keys = list(_keys(dead, heap.allocated))
             order = sorted(range(len(keys)), key=keys.__getitem__)
             for column in dead:
                 picked = map(column.__getitem__, order)
                 column[:] = (array("q", picked) if type(column) is array
                              else list(picked))
-        return TraceLog(self.gc_interval, self.heap.capacity_slots,
+        return TraceLog(self.gc_interval, heap.capacity_slots,
                         self.source, end_tick=end_tick, columns=dead)
+
+
+def _keys(dead: Columns, allocated: int):
+    """Each row's (collect tick, id) as one integer, since every id is
+    below allocated."""
+    return map(add, map(mul, dead.collect_tick, repeat(allocated)),
+               dead.obj_id)
 
 
 _new = object.__new__

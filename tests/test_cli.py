@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,44 @@ def test_atomic_write_replaces_target_with_default_mode(workdir):
     assert not list(workdir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("text", [
+    "x" * (atomic.SLICE - 1),
+    "x" * atomic.SLICE,
+    "x" * (atomic.SLICE + 1),
+    "x" * (atomic.SLICE - 1) + "\u03bb\n" * 3,
+], ids=["short", "exact", "long", "multibyte-at-edge"])
+def test_atomic_write_slices_give_the_texts_bytes(workdir, text):
+    target = workdir / "out.txt"
+    atomic.write_text(target, text)
+    assert target.read_bytes() == text.encode("utf-8")
+
+
+def test_atomic_write_holds_no_encoded_copy_of_the_text(workdir):
+    text = "0123456789abcde\n" * (1 << 18)  # 4 MiB
+    tracemalloc.start()
+    try:
+        atomic.write_text(workdir / "big.txt", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (workdir / "big.txt").stat().st_size == len(text)
+
+
+def test_atomic_write_to_a_fifo_writes_in_place(workdir):
+    # a path that is not a regular file is written, not replaced
+    fifo = workdir / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        atomic.write_text(fifo, "DRAGLOG \u03bb\n")
+        assert os.read(reader, 1024) == "DRAGLOG \u03bb\n".encode("utf-8")
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert not list(workdir.glob("*.tmp"))
+
+
 def test_failed_atomic_write_leaves_no_temp_and_target_unchanged(
         workdir, monkeypatch):
     target = workdir / "report.csv"
@@ -447,8 +486,9 @@ def test_plot_malformed_csv_exits_1(workdir, capsys):
     assert "bad row" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["run-source", "run-log", "analyze-log",
-                                  "analyze-out-dir", "plot-csv"])
+@pytest.mark.parametrize("case", ["run-source", "run-log", "run-log-dir",
+                                  "analyze-log", "analyze-out-dir",
+                                  "plot-csv"])
 def test_unusable_files_exit_1_naming_the_file(workdir, capsys, case):
     # text that is not UTF-8, and outputs that cannot be written, end in
     # exit 1 with a message naming the file, not in a traceback
@@ -466,6 +506,7 @@ def test_unusable_files_exit_1_naming_the_file(workdir, capsys, case):
         "run-source": (["run", bad, "--log", workdir / "x.draglog"], bad),
         "run-log": (["run", workdir / "small.scm", "--log", missing_dir_log],
                     missing_dir_log),
+        "run-log-dir": (["run", workdir / "small.scm", "--log", out], out),
         "analyze-log": (["analyze", bad, "--out-dir", workdir / "o"], bad),
         "analyze-out-dir": (["analyze", log, "--out-dir", plain / "sub"],
                             plain / "sub"),

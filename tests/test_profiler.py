@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -198,8 +199,8 @@ def test_finalize_censors_remaining_and_sorts():
 
 def test_a_collected_objects_record_is_freed():
     # the dead columns keep a dead object's fields, not its record: with
-    # the runtime and its log alive, only the slots of the two halves
-    # (the standby one stale) could still reach a record
+    # the runtime and its log alive, only the heap's slots could still
+    # reach a record, and terminate releases those too
     rt = Runtime(heap_slots=64, gc_interval=16)
     Interpreter(rt).eval_program(parse(nullified_source(5000)))
     log = rt.terminate()
@@ -207,6 +208,26 @@ def test_a_collected_objects_record_is_freed():
     gc.collect()
     records = sum(type(o) is LifetimeRecord for o in gc.get_objects())
     assert records <= rt.heap.capacity_slots
+
+
+def test_terminate_checks_order_in_place_and_releases_the_heap():
+    # stream's columns are already in (collect, id) order: terminate
+    # checks that without a per-row key list, and frees the heap
+    rt = Runtime(gc_interval=16)
+    Interpreter(rt).eval_program(parse(nullified_source(20_000)))
+    tracemalloc.start()
+    try:
+        log = rt.terminate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = len(log.columns.obj_id)
+    assert rows >= 20_000
+    assert peak < 4 * rows
+    assert rt.heap.slots == rt.heap.standby == []
+    assert rt.heap.objects == {}
+    with pytest.raises(ProtocolViolation):
+        rt.alloc_pair(NIL, NIL)
 
 
 def test_refinalize_is_a_protocol_violation():
