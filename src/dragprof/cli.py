@@ -78,10 +78,10 @@ def cmd_run(args) -> int:
     from .profiler import write_draglog
 
     source_path = Path(args.source)
-    # the name goes on the log's header line, in UTF-8; read_draglog
-    # reads \r as a line break, and a lone surrogate (a byte of the file
-    # name that is not UTF-8) cannot be encoded
-    if any(c in "\r\n" or "\ud800" <= c <= "\udfff"
+    # the name goes on the log's header line, in UTF-8; a \n would end
+    # that line, and a lone surrogate (a byte of the file name that is
+    # not UTF-8) cannot be encoded
+    if any(c == "\n" or "\ud800" <= c <= "\udfff"
            for c in source_path.name):
         return _fail(f"cannot log {str(source_path)!r}: its name is not "
                      "one line of UTF-8 text", EXIT_INPUT)
@@ -126,8 +126,9 @@ def cmd_run(args) -> int:
           f"manual {triggers.get('manual', 0)}); "
           f"survivors {survivors}, collected {collected}; "
           f"slots copied {copied}")
-    print(f"log: {log_path} ({len(result.trace_log.records)} records, "
-          f"end tick {result.trace_log.end_tick})")
+    trace = result.trace_log
+    print(f"log: {log_path} ({len(trace.columns.obj_id)} records, "
+          f"end tick {trace.end_tick})")
     return EXIT_OK
 
 

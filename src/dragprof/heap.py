@@ -71,27 +71,25 @@ class LifetimeRecord:
     -1, as in a log, for an object never used).  While the object is in
     the table, collect_tick holds its Merlin stamp.  When the runtime
     dates the death a copy found, or censors the object at termination,
-    the record's fields, with the collection tick, live on in the
-    runtime's dead columns (profiler.Columns), not in the record, which
-    the runtime no longer keeps.  A log holds those columns, and makes
-    records, without an address, only when a caller iterates them.  A
-    plain slotted class, not a dataclass, so a run does not load
-    dataclasses and what it imports.
+    the record's fields, with the collection tick and the censored
+    flag, live on in the runtime's dead columns (profiler.Columns), not
+    in the record, which the runtime no longer keeps.  A log's records
+    are rows of those columns, not LifetimeRecords.  A plain slotted
+    class, not a dataclass, so a run does not load dataclasses and what
+    it imports.
     """
 
     __slots__ = ("obj_id", "kind", "size_slots", "create_tick",
-                 "last_use_tick", "collect_tick", "censored", "address")
+                 "last_use_tick", "collect_tick", "address")
 
-    def __init__(self, obj_id, kind, size_slots, create_tick=None,
-                 last_use_tick=NEVER_USED, collect_tick=None, censored=False,
-                 address=None):
+    def __init__(self, obj_id, kind, size_slots, create_tick, last_use_tick,
+                 collect_tick, address):
         self.obj_id = obj_id
         self.kind = kind
         self.size_slots = size_slots
         self.create_tick = create_tick
         self.last_use_tick = last_use_tick
         self.collect_tick = collect_tick
-        self.censored = censored
         self.address = address
 
     def __repr__(self):

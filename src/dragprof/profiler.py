@@ -4,14 +4,15 @@ A log is a TraceLog: its header fields, the end tick and one column per
 record field (Columns), with one entry per object, in (collect tick,
 id) order.  A run's log (runtime.Runtime.terminate) has its integer
 columns in arrays; a parsed one (parse_draglog) has lists, which the
-analyzer reads faster.  Either makes its LifetimeRecords only when a
-caller iterates them (ParsedRecords), and format_draglog writes the
-columns a slice of records at a time, so neither writing nor analyzing
-a log makes a record or a string per line all at once.
+analyzer reads faster.  A log's records are its rows: iterating
+log.records zips the columns into Columns tuples, one per object, as it
+goes.  format_draglog writes the columns a slice of records at a time,
+so neither writing nor analyzing a log makes a record or a string per
+line all at once.
 CollectionStats describe one collection point, or one copy.
 This module only writes, reads and checks logs; it imports neither the
-runtime nor the collector, and the heap only to make a log's
-records, so `dragprof analyze` loads none of them.
+runtime, nor the collector, nor the heap, so `dragprof analyze` loads
+none of them.
 
 Serialized log format (lines end in "\\n" only; UTF-8, bit exact):
 
@@ -26,19 +27,18 @@ after an optional minus sign.
 
 Reading and checking.  parse_draglog splits the records' lines into
 fields once, a slice of lines at a time, and makes each integer column
-with map(int, ...).  It accepts the log through checks over whole
-columns: of the lines' shape, then of the records' values (_records_ok).
-Only when such a check fails does it read the log line by line
-(_check_lines), then record by record (_check_records), to raise the
-first fault with its line: a fault of a line's format beats any fault
-of a record's values, the first record's fault wins among those, and
-within one record the order is duplicate id, size, ticks, censored,
-sort.  This diagnosis makes no records and no second set of columns.
+with map(int, ...).  It accepts the lines' shape through checks over
+whole columns; only when such a check fails does it read the log line
+by line (_check_lines) to raise the first fault of a line's format with
+its line.  Then one pass over the rows (_check_records) checks every
+record's values and raises the first fault with its line: a fault of a
+line's format beats any fault of a record's values, the first record's
+fault wins among those, and within one record the order is duplicate
+id, size, ticks, censored, sort.  Neither check keeps a second copy of
+the records.
 """
 
 from collections import namedtuple
-from itertools import compress, islice
-from operator import le
 
 from . import atomic
 from .errors import DraglogFormatError
@@ -76,21 +76,18 @@ class TraceLog:
 
 
 class ParsedRecords:
-    """A log's records: len() is the columns' length, and the
-    LifetimeRecords (without an address) are made when first read."""
+    """A log's records: len() is the columns' length, and iterating
+    yields the columns' rows, each a Columns tuple of one record's
+    fields."""
 
     def __init__(self, columns: Columns):
         self.columns = columns
-        self._made = None
 
     def __len__(self):
         return len(self.columns.obj_id)
 
     def __iter__(self):
-        if self._made is None:
-            from .heap import LifetimeRecord
-            self._made = [LifetimeRecord(*row) for row in zip(*self.columns)]
-        return iter(self._made)
+        return map(Columns._make, zip(*self.columns))
 
 
 # Records formatted at a time: a slice's lines are joined into one
@@ -162,9 +159,7 @@ def parse_draglog(text: str) -> TraceLog:
         _check_lines(rest)
         raise AssertionError("a column check rejected lines that pass")
     columns, end_tick = read
-    if not _records_ok(columns, end_tick):
-        _check_records(columns, end_tick)
-        raise AssertionError("a column check rejected records that pass")
+    _check_records(columns, end_tick)
     return TraceLog(gc_interval, heap_slots, source, end_tick, columns)
 
 
@@ -247,28 +242,6 @@ def _check_lines(rest: str):
         raise DraglogFormatError("missing END line", len(lines) + 2)
 
 
-def _records_ok(c: Columns, end_tick: int) -> bool:
-    """Whether every record passes _check_records, checked per column."""
-    n = len(c.obj_id)
-    if not n:
-        return True
-    creates, uses, collects = c.create_tick, c.last_use_tick, c.collect_tick
-    return (len(set(c.obj_id)) == n
-            and min(c.size_slots) >= 0
-            and {*compress(c.size_slots, map(PAIR.__eq__, c.kind))} <= {2}
-            and min(creates) >= 0
-            # each record is never used or used no earlier than created,
-            and uses.count(NEVER_USED) + sum(map(le, creates, uses)) == n
-            # and collected no earlier than either
-            and all(map(le, creates, collects))
-            and all(map(le, uses, collects))
-            and max(collects) <= end_tick
-            and {*compress(collects, c.censored)} <= {end_tick}
-            and all(map(le, zip(collects, c.obj_id),
-                        zip(islice(collects, 1, None),
-                            islice(c.obj_id, 1, None)))))
-
-
 def _check_records(c: Columns, end_tick: int):
     """Reject a log that no run could have written.  The records sit on
     lines 2, 3, ... in order, since any other line before END fails."""
@@ -301,5 +274,7 @@ def _check_records(c: Columns, end_tick: int):
 
 
 def read_draglog(path) -> TraceLog:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" reads the characters parse_draglog checks: a "\r" is a
+    # fault of a record's line, or part of the header's source name
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_draglog(fh.read())

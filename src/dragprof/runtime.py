@@ -177,7 +177,7 @@ class Runtime:
         rec.obj_id = obj_id = heap.allocated
         rec.kind, rec.size_slots, rec.create_tick = PAIR, 2, clock
         rec.last_use_tick, rec.collect_tick = NEVER_USED, heap.stamp
-        rec.censored, rec.address = False, addr
+        rec.address = addr
         heap.objects[obj_id] = rec
         heap.allocated = obj_id + 1
         self.allocs_since_gc += 1
@@ -201,7 +201,7 @@ class Runtime:
         rec.obj_id = obj_id = heap.allocated
         rec.kind, rec.size_slots, rec.create_tick = VECTOR, length, clock
         rec.last_use_tick, rec.collect_tick = NEVER_USED, heap.stamp
-        rec.censored, rec.address = False, addr
+        rec.address = addr
         heap.objects[obj_id] = rec
         heap.allocated = obj_id + 1
         self.allocs_since_gc += 1

@@ -4,10 +4,12 @@ import bisect
 import contextlib
 import random
 
+from hypothesis import strategies as st
+
 import dragprof
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
-from dragprof.heap import NEVER_USED, NIL
-from dragprof.profiler import CollectionStats
+from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR
+from dragprof.profiler import CollectionStats, Columns, TraceLog
 from dragprof.runtime import Runtime
 
 
@@ -295,6 +297,31 @@ def checked_collect(rt: Runtime):
         assert 0 <= meta.address
         assert meta.address + meta.size_slots <= rt.heap.used_slots
     return stats
+
+
+def make_log(rows, end_tick, gc_interval=1):
+    """A TraceLog of rows (profiler.Columns tuples), in the order given."""
+    columns = Columns(*([getattr(r, name) for r in rows]
+                        for name in Columns._fields))
+    return TraceLog(gc_interval, 64, "synthetic", end_tick, columns)
+
+
+@st.composite
+def trace_logs(draw):
+    """Logs whose records a run could write, in creation order: pairs and
+    vectors, censored records collected at the end, never-used records,
+    records created at tick 0, and none at all."""
+    end = draw(st.integers(0, 300))
+    rows = []
+    for i in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from((PAIR, VECTOR)))
+        size = 2 if kind == PAIR else draw(st.integers(0, 4))
+        create = draw(st.integers(0, end))
+        censored = draw(st.booleans())
+        collect = end if censored else draw(st.integers(create, end))
+        last = draw(st.just(NEVER_USED) | st.integers(create, collect))
+        rows.append(Columns(i, kind, size, create, last, collect, censored))
+    return make_log(rows, end)
 
 
 def run_gc_correctness_session(seed: int, objects_budget=120,

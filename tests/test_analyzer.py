@@ -15,23 +15,16 @@ from dragprof.analyzer import (
     savings_pct,
     space_time,
 )
-from dragprof.heap import NEVER_USED, PAIR, LifetimeRecord
+from dragprof.heap import NEVER_USED, PAIR
 from dragprof.interp import run_source
-from dragprof.profiler import Columns, TraceLog
+from dragprof.profiler import Columns
 
-from support import motiv_source, nullified_source, \
-    run_gc_correctness_session
+from support import make_log, motiv_source, nullified_source, \
+    run_gc_correctness_session, trace_logs
 
 
 def rec(obj_id, create, last_use, collect, censored=False):
-    return LifetimeRecord(obj_id, PAIR, 2, create, last_use, collect,
-                          censored)
-
-
-def make_log(records, end_tick, gc_interval=1):
-    columns = Columns(*([getattr(r, name) for r in records]
-                        for name in Columns._fields))
-    return TraceLog(gc_interval, 64, "synthetic", end_tick, columns)
+    return Columns(obj_id, PAIR, 2, create, last_use, collect, censored)
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +104,6 @@ def test_curves_match_bruteforce_replay():
     log = r.trace_log
     for s in (1, 7, 50):
         assert curves(log, s).points == bruteforce_points(log, s)
-
-
-@st.composite
-def trace_logs(draw):
-    """Logs as a run could write them: censored records collected at the
-    end, never-used records, records created at tick 0."""
-    end = draw(st.integers(0, 300))
-    records = []
-    for i in range(draw(st.integers(0, 20))):
-        create = draw(st.integers(0, end))
-        censored = draw(st.booleans())
-        collect = end if censored else draw(st.integers(create, end))
-        last = draw(st.just(NEVER_USED) | st.integers(create, collect))
-        records.append(rec(i, create, last, collect, censored))
-    return make_log(records, end)
 
 
 @settings(max_examples=300)

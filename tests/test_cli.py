@@ -14,6 +14,8 @@ import pytest
 import dragprof
 from dragprof import atomic
 from dragprof.cli import main
+from dragprof.errors import DraglogFormatError
+from dragprof.profiler import parse_draglog, read_draglog
 from dragprof.runtime import MAX_HEAP_SLOTS
 
 SMALL_PROGRAM = """
@@ -389,13 +391,13 @@ def test_analyze_integer_spelling_no_run_writes_exits_1(workdir, capsys):
                                   "\x85", "\u2028", "\u2029", "\r", "\n",
                                   "\udcff"])
 def test_log_of_any_source_name_parses(workdir, capsys, char):
-    # a line break other than \r and \n stays inside the header line;
-    # \r and \n would split it, and a byte that is not UTF-8 (\udcff)
-    # cannot be written, so run refuses such a name before reading it
+    # a line break other than \n stays inside the header line; \n would
+    # split it, and a byte that is not UTF-8 (\udcff) cannot be written,
+    # so run refuses such a name before reading it
     source = workdir / f"a{char}b.scm"
     log = workdir / "named.draglog"
     capsys.readouterr()
-    if char in "\r\n\udcff":
+    if char in "\n\udcff":
         assert run_cli("run", source, "--log", log) == 1
         err = capsys.readouterr().err
         assert repr(str(source)) in err and "not one line of UTF-8" in err
@@ -404,6 +406,28 @@ def test_log_of_any_source_name_parses(workdir, capsys, char):
     source.write_text(SMALL_PROGRAM, encoding="utf-8")
     assert run_cli("run", source, "--log", log) == 0
     assert run_cli("analyze", log, "--out-dir", workdir / "o") == 0
+    assert read_draglog(log).source == source.name
+
+
+@pytest.mark.parametrize("text", [
+    # a CRLF log: each "\r" ends a record's flag or the END tick
+    "DRAGLOG 1 gc_interval=1 heap_slots=64 source=x.scm\r\n"
+    "OBJ 0 P 2 1 -1 2 F\r\nEND 2\r\n",
+    # a lone "\r" in the source name, which the header line holds
+    "DRAGLOG 1 gc_interval=1 heap_slots=64 source=a\rb\n"
+    "OBJ 0 P 2 1 -1 2 F\nEND 2\n",
+], ids=["crlf", "cr-in-source"])
+def test_analyze_judges_a_log_as_parse_draglog_does(workdir, capsys, text):
+    log = workdir / "raw.draglog"
+    log.write_bytes(text.encode("utf-8"))
+    try:
+        parse_draglog(log.read_bytes().decode("utf-8"))
+        verdict = (0, "")
+    except DraglogFormatError as exc:
+        verdict = (1, f"dragprof: malformed log {log}: {exc}\n")
+    capsys.readouterr()
+    code = run_cli("analyze", log, "--out-dir", workdir / "o")
+    assert (code, capsys.readouterr().err) == verdict
 
 
 def test_analyze_respects_dead_threshold_flag(workdir):

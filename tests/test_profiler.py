@@ -3,8 +3,9 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
-from dragprof import analyzer, heap, profiler
+from dragprof import analyzer, profiler
 from dragprof.errors import (
     DanglingRef,
     DraglogFormatError,
@@ -20,7 +21,7 @@ from dragprof.profiler import (
     parse_draglog,
 )
 from dragprof.runtime import Runtime
-from support import nullified_source
+from support import make_log, nullified_source, trace_logs
 
 
 def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
@@ -66,7 +67,8 @@ def test_use_most_recent_wins():
 def test_use_of_unknown_id():
     rt = make_runtime()
     with pytest.raises(DanglingRef):
-        rt.record_use(LifetimeRecord(7, PAIR, 2))  # not in the table
+        # not in the table
+        rt.record_use(LifetimeRecord(7, PAIR, 2, 0, NEVER_USED, -1, None))
 
 
 def test_never_used_survives_to_the_log_as_sentinel():
@@ -271,16 +273,7 @@ def test_draglog_roundtrip():
     assert parsed.heap_slots == 128
     assert parsed.source == "roundtrip.scm"
     assert parsed.end_tick == log.end_tick
-    # the address is heap state and is not serialized
-    serialized_fields = [
-        (r.obj_id, r.kind, r.size_slots, r.create_tick, r.last_use_tick,
-         r.collect_tick, r.censored)
-        for r in log.records]
-    parsed_fields = [
-        (r.obj_id, r.kind, r.size_slots, r.create_tick, r.last_use_tick,
-         r.collect_tick, r.censored)
-        for r in parsed.records]
-    assert parsed_fields == serialized_fields
+    assert list(parsed.records) == list(log.records)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -301,24 +294,42 @@ def test_a_log_formats_the_same_across_slice_edges(extra):
 
 
 def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
+    # a log's records are its rows, each a Columns tuple made as it is
+    # read and not kept
     made = []
+    make = Columns._make
 
-    def counted(*fields):
-        made.append(fields[0])
-        return LifetimeRecord(*fields)
+    def counted(fields):
+        row = make(fields)
+        made.append(row.obj_id)
+        return row
 
-    monkeypatch.setattr(heap, "LifetimeRecord", counted)
+    monkeypatch.setattr(Columns, "_make", counted)
     text = ("DRAGLOG 1 gc_interval=1 heap_slots=64 source=t\n"
             "OBJ 1 V 3 1 -1 2 F\nOBJ 0 P 2 2 3 4 C\nEND 4\n")
     log = parse_draglog(text)
     assert len(log.records) == 2
     analyzer.build_report(log)
     assert made == []
-    assert [(r.obj_id, r.last_use_tick, r.censored, r.address)
-            for r in log.records] == [(1, NEVER_USED, False, None),
-                                      (0, 3, True, None)]
-    assert made == [1, 0]
+    rows = list(log.records)
+    assert rows == [(1, VECTOR, 3, 1, NEVER_USED, 2, False),
+                    (0, PAIR, 2, 2, 3, 4, True)]
+    assert all(type(row) is Columns for row in rows)
+    assert list(log.records) == rows
+    assert made == [1, 0, 1, 0]
     assert format_draglog(log) == text
+
+
+@settings(max_examples=300)
+@given(trace_logs())
+def test_every_log_a_run_could_write_parses_as_written(log):
+    # sorted by (collect, id), as a run writes them, the records pass
+    # the one record check and parse back to the same columns
+    rows = sorted(log.records, key=lambda r: (r.collect_tick, r.obj_id))
+    log = make_log(rows, log.end_tick)
+    parsed = parse_draglog(format_draglog(log))
+    assert parsed.columns == log.columns
+    assert parsed.end_tick == log.end_tick
 
 
 def test_a_log_read_in_slices_reads_as_a_whole(monkeypatch):

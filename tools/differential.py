@@ -24,8 +24,8 @@ root set of every collection point (as sorted object ids, so the order
 the interpreter walks its roots in may change) and the analysis of the
 log: the four outputs of `dragprof analyze` (parse_draglog,
 build_report, the three CSV writers and format_text_report), and how the
-log parses with one or two faults put in, picked by the run's index
-(mutate_lines): its columns, or the error's line and message.
+log parses with one or two of its lines changed, as the run's index
+picks (mutate_lines): its columns, or the error's line and message.
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
@@ -54,6 +54,9 @@ SHOWN = 10  # differing runs listed
 # What mutate_lines may put in a field: a value no field of a DRAGLOG
 # line takes.
 BAD_VALUES = ["x", "", "+1", "1_0", "Q"]
+# The other valid token of a record's kind or censored flag, which
+# mutate_line may put in its place.
+OTHER_TOKEN = {"P": "V", "V": "P", "C": "F", "F": "C"}
 
 
 def corpus():
@@ -178,12 +181,13 @@ def mutate_lines(text, index):
 
 def mutate_line(lines, i, rng):
     """Change lines[i]: a field replaced by a bad or a shifted value or
-    respelled with a leading zero, a field added, or the line emptied,
-    dropped, doubled or swapped with the next.  Returns the index of the
-    first line after the change."""
+    respelled with a leading zero, a kind or censored flag replaced by
+    the other one, a field added, or the line emptied, dropped, doubled
+    or swapped with the next.  Returns the index of the first line after
+    the change."""
     fields = lines[i].split(" ")
     j = rng.randrange(len(fields))
-    how = rng.randrange(8)
+    how = rng.randrange(9)
     if how == 0:
         fields[j] = rng.choice(BAD_VALUES)
     elif how == 1:
@@ -195,12 +199,17 @@ def mutate_line(lines, i, rng):
         fields.insert(j, "0")
     elif how == 4:
         fields = [""]
-    if how < 5:
-        lines[i] = " ".join(fields)
     elif how == 5:
+        tokens = [k for k, f in enumerate(fields) if f in OTHER_TOKEN]
+        if tokens:
+            k = rng.choice(tokens)
+            fields[k] = OTHER_TOKEN[fields[k]]
+    if how < 6:
+        lines[i] = " ".join(fields)
+    elif how == 6:
         del lines[i]
         return i
-    elif how == 6:
+    elif how == 7:
         lines.insert(i, lines[i])
     else:
         lines[i:i + 2] = reversed(lines[i:i + 2])
