@@ -602,24 +602,28 @@ class Interpreter:
         runtime.roots = self._iter_roots
 
     def _iter_roots(self):
-        """Yield every reference (a record) reachable from the globals a
-        define or set! in the program can change (the others hold their
-        primitives) and from the stack: a closure adds the frame it
-        captures, a list (a frame, whose parent is its slot 0, or pinned
-        values) adds its items, once per list, so shared and cyclic
-        frames are walked once."""
+        """Return, as one list, every reference (a record) reachable from
+        the globals a define or set! in the program can change (the
+        others hold their primitives) and from the stack: a closure adds
+        the frame it captures, a list (a frame, whose parent is its slot
+        0, or pinned values) adds its items, once per list, so shared and
+        cyclic frames are walked once.  A record held in two places is
+        listed twice; gather_roots keeps its first."""
         seen = set()
+        roots = []
+        found = roots.append
         values = [*map(self.globals.get, self._assigned), *self._stack]
         while values:
             v = values.pop()
             tv = type(v)
             if tv is LifetimeRecord:
-                yield v
+                found(v)
             elif tv is Closure:
                 values.append(v.env)
             elif tv is list and id(v) not in seen:
                 seen.add(id(v))
                 values += v
+        return roots
 
     def eval_program(self, program):
         """Compile every top-level form, then run them in order; returns

@@ -38,12 +38,17 @@ CollectionStats are those of a copy at every point, while the copying
 costs a constant per allocated slot.  A dated death appends the
 object's fields to dead, the log's columns (profiler.Columns; integers
 in arrays), and keeps no reference to its record, so a dead object
-costs the log a few machine words.  terminate() closes the run: it
-appends the objects still in the table as censored, checks in one pass
-over the rows that the columns are in (collect tick, id) order, sorts
-them only if they are not, and returns them as the run's TraceLog.  It
-also releases the heap's two slot lists and its object table: every
-later event is a ProtocolViolation, so nothing reads them again.
+costs the log a few machine words.  The rows' (collect tick, id) order
+is kept batch by batch as they are appended: a batch's records come in
+ascending id order (the object table's), except ghosts gathered by two
+copies, which are checked as they are gathered; so comparing a batch's
+first key with the largest logged so far finds every break, and a break
+marks the rows from the first collected at its tick on.  terminate()
+closes the run: it appends the objects still in the table as censored,
+sorts only the marked rows (with survivors, the last point's dead and
+the survivors), and returns the columns as the run's TraceLog.  It also
+releases the heap's two slot lists and its object table: every later
+event is a ProtocolViolation, so nothing reads them again.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -58,9 +63,10 @@ costs one object and one call.
 """
 
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
-from itertools import chain, pairwise, repeat, starmap
-from operator import add, attrgetter, le, mul
+from itertools import repeat
+from operator import add, attrgetter, mul
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import DanglingRef, OutOfMemory, ProtocolViolation, int_text
@@ -102,6 +108,13 @@ class Runtime:
         # the kinds and censored flags in lists of shared values.
         self.dead = Columns(array("q"), [], array("q"), array("q"),
                             array("q"), array("q"), [])
+        # _last_key is the largest (collect tick, id) logged so far.
+        # _sort_from is None while the rows are in that order, else the
+        # row from which terminate() sorts them: every row before it is
+        # in order and below every row from it on.
+        self._last_key = (-1, -1)
+        self._sort_from = None
+        self._ghosts_ascending = True  # ghost ids in ascending order
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
         self._terminated = False
@@ -109,8 +122,11 @@ class Runtime:
     def gather_roots(self, pins=()) -> list[LifetimeRecord]:
         """The records roots() returns, then the records among pins, each
         once."""
-        return list(dict.fromkeys(chain(
-            self.roots(), [v for v in pins if type(v) is LifetimeRecord])))
+        roots = dict.fromkeys(self.roots())
+        for v in pins:
+            if type(v) is LifetimeRecord:
+                roots[v] = None
+        return list(roots)
 
     def collect_now(self) -> CollectionStats:
         """A manual collection point; it copies, so its stats are final."""
@@ -141,7 +157,8 @@ class Runtime:
                              self.created_slots, 0, 0])
         if self._ghosts:
             ghosts, self._ghosts, self.ghost_slots = self._ghosts, [], 0
-            self._bury(stamp // 2, ghosts)
+            ascending, self._ghosts_ascending = self._ghosts_ascending, True
+            self._bury(stamp // 2, ghosts, ascending)
 
     def _copy(self, roots, trigger):
         self._kept_slots = self.collector.collect(
@@ -259,13 +276,18 @@ class Runtime:
         self._points = []
         return dead
 
-    def _bury(self, i: int, recs):
+    def _bury(self, i: int, recs, ascending=True):
         """Records that died at point i: ticked and counted there if it
-        is open, else ghosts."""
+        is open, else ghosts.  The records come in ascending id order
+        unless ascending says they may not."""
         size = sum(map(_size, recs))
         first = len(self.collections)
         if i == first + len(self._points):
-            self._ghosts.extend(recs)
+            ghosts = self._ghosts
+            # each batch is ascending; two may not be, one after another
+            if ghosts and recs and recs[0].obj_id < ghosts[-1].obj_id:
+                self._ghosts_ascending = False
+            ghosts.extend(recs)
             self.ghost_slots += size
             return
         point = self._points[i - first]
@@ -277,28 +299,47 @@ class Runtime:
                               f"tick {tick}")
         point[4] += len(recs)
         point[5] += size
-        self._log(recs, tick, False)
+        self._log(recs, tick, False, ascending)
 
-    def _log(self, recs, tick: int, censored: bool):
+    def _log(self, recs, tick: int, censored: bool, ascending=True):
         """Append the records' fields to the dead columns, collected at
-        tick; the records themselves are not kept."""
-        ids, kinds, sizes, creates, uses, collects, flags = self.dead
-        ids.extend(map(_id, recs))
-        kinds.extend(map(_kind, recs))
-        sizes.extend(map(_size, recs))
-        creates.extend(map(_create, recs))
-        uses.extend(map(_last_use, recs))
+        tick; the records themselves are not kept.  The rows stay in
+        (collect tick, id) order if the records are in ascending id
+        order and the first comes after every row logged so far; else
+        the rows from the first collected at tick or later are marked
+        for terminate() to sort."""
         n = len(recs)
-        collects.extend(repeat(tick, n))
-        flags.extend(repeat(censored, n))
+        if not n:
+            return
+        ids, kinds, sizes, creates, uses, collects, flags = self.dead
+        logged = len(ids)
+        new_ids = list(map(_id, recs))
+        ids.fromlist(new_ids)
+        kinds += map(_kind, recs)
+        sizes.fromlist(list(map(_size, recs)))
+        creates.fromlist(list(map(_create, recs)))
+        uses.fromlist(list(map(_last_use, recs)))
+        collects.fromlist([tick] * n)
+        flags += [censored] * n
+        if ascending and (tick, new_ids[0]) > self._last_key:
+            self._last_key = (tick, new_ids[-1])
+            return
+        # The rows before _sort_from (all of them while in order) are
+        # sorted, so the first collected at tick or later is found by
+        # bisection; every row before it is below every new row.
+        end = logged if self._sort_from is None else self._sort_from
+        self._sort_from = bisect_left(collects, tick, 0, end)
+        self._last_key = max(self._last_key, (tick, max(new_ids)))
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
         roots(), then log whatever survived it as censored and return
         the dead columns, in (collect tick, id) order, as the log.  The
-        order is checked in one pass; the columns are permuted only if
-        it does not hold.  The heap's slots and object table are
-        released, since every later event is a ProtocolViolation."""
+        order was tracked batch by batch as the rows were logged, so
+        only the rows from the first that broke it on are permuted (in
+        a run with survivors, the last point's dead and the survivors
+        after them).  The heap's slots and object table are released,
+        since every later event is a ProtocolViolation."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
@@ -309,13 +350,15 @@ class Runtime:
         self._log(heap.objects.values(), end_tick, True)
         heap.slots, heap.standby, heap.objects = [], [], {}
         dead = self.dead
-        if not all(starmap(le, pairwise(_keys(dead, heap.allocated)))):
-            keys = list(_keys(dead, heap.allocated))
+        start = self._sort_from
+        if start is not None:
+            tail = Columns._make(column[start:] for column in dead)
+            keys = list(_keys(tail, heap.allocated))
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            for column in dead:
-                picked = map(column.__getitem__, order)
-                column[:] = (array("q", picked) if type(column) is array
-                             else list(picked))
+            for column, rows in zip(dead, tail):
+                picked = map(rows.__getitem__, order)
+                column[start:] = (array("q", picked) if type(rows) is array
+                                  else list(picked))
         return TraceLog(self.gc_interval, heap.capacity_slots,
                         self.source, end_tick=end_tick, columns=dead)
 

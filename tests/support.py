@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 import dragprof
+from dragprof import runtime
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
 from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR
 from dragprof.profiler import CollectionStats, Columns, TraceLog
@@ -304,6 +305,26 @@ def make_log(rows, end_tick, gc_interval=1):
     columns = Columns(*([getattr(r, name) for r in rows]
                         for name in Columns._fields))
     return TraceLog(gc_interval, 64, "synthetic", end_tick, columns)
+
+
+def in_key_order(log):
+    """Whether the log's rows are their own sort by (collect tick, id)."""
+    rows = list(log.records)
+    return rows == sorted(rows, key=lambda r: (r.collect_tick, r.obj_id))
+
+
+def counted_keys(monkeypatch):
+    """The row counts Runtime.terminate computes sort keys for, one per
+    call."""
+    counts = []
+    keys = runtime._keys
+
+    def counting(dead, allocated):
+        counts.append(len(dead.obj_id))
+        return keys(dead, allocated)
+
+    monkeypatch.setattr(runtime, "_keys", counting)
+    return counts
 
 
 @st.composite

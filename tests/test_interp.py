@@ -11,8 +11,9 @@ from dragprof.errors import (
     SchemeRuntimeError,
     SchemeSyntaxError,
 )
-from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, Nil
+from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, LifetimeRecord, Nil
 from dragprof.interp import (
+    Closure,
     Interpreter,
     SrcList,
     parse,
@@ -581,6 +582,82 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
                 for rec in run(src.format(rest=" 'x"), gc_interval=1)
                 .trace_log.records}
     assert non_tail[0].collect_tick == non_tail[1].collect_tick == 5
+
+
+# ---------------------------------------------------------------------------
+# the root walk
+
+def walk_roots(interp):
+    """The root walk as a generator: the order _iter_roots must keep."""
+    seen = set()
+    values = [*map(interp.globals.get, interp._assigned), *interp._stack]
+    while values:
+        v = values.pop()
+        if type(v) is LifetimeRecord:
+            yield v
+        elif type(v) is Closure:
+            values.append(v.env)
+        elif type(v) is list and id(v) not in seen:
+            seen.add(id(v))
+            values += v
+
+
+def test_root_walk_returns_a_list_in_the_walks_order():
+    # at every point of generated programs at K=1: closures, frames
+    # shared by closures, non-tail recursion and pinned arguments
+    walks = 0
+    for seed in range(12):
+        rt = Runtime(heap_slots=512, gc_interval=1)
+        interp = Interpreter(rt)
+
+        def checked_roots():
+            roots = interp._iter_roots()
+            assert type(roots) is list
+            assert roots == list(walk_roots(interp))
+            nonlocal walks
+            walks += 1
+            return roots
+
+        rt.roots = checked_roots
+        try:
+            interp.eval_program(parse(ProgramGenerator(seed).program()))
+        except SchemeError:
+            pass
+    assert walks > 300
+
+
+def _two_frames(p, q):
+    outer = [None, p, q]
+    return [outer, [outer, p]]
+
+
+def _pinned(p, q):
+    return [[None, p], [p, q, p]]
+
+
+def _captured(p, q):
+    frame = [None, p, q]
+    return [frame, [Closure(1, None, frame, "f"), p]]
+
+
+def _cycle(p, q):
+    a = [None, p]
+    b = [a, q, p]
+    a[0] = b
+    return [a, [Closure(0, None, b, None)]]
+
+
+@pytest.mark.parametrize("stack", [_two_frames, _pinned, _captured, _cycle])
+def test_gather_roots_gives_each_record_once(stack):
+    rt = Runtime()
+    interp = Interpreter(rt)
+    p, q = rt.alloc_pair(1, 2), rt.alloc_pair(3, 4)
+    interp._stack += stack(p, q)
+    walked = interp._iter_roots()
+    assert len(walked) > 2  # p is listed more than once
+    roots = rt.gather_roots((p, 5))
+    assert roots == list(dict.fromkeys(walked))  # each first place kept
+    assert sorted(r.obj_id for r in roots) == [p.obj_id, q.obj_id]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ from dragprof.interp import run_source
 from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
-from support import oracle_checked_copies, oracle_checked_points
+from support import (
+    counted_keys,
+    in_key_order,
+    oracle_checked_copies,
+    oracle_checked_points,
+)
 
 # A 100-cell list stays live, so a copy keeps about 200 slots and the
 # next one waits until the heap has doubled: many points pass uncopied.
@@ -90,6 +95,32 @@ def test_copy_between_points_leaves_ghosts():
     points = sum(s.trigger == "exhaustion" for s in r.collections)
     assert copies > points
     assert checked.dated_points > 0
+    assert in_key_order(r.trace_log)
+
+
+def test_ghosts_of_copies_out_of_id_order_are_sorted(monkeypatch):
+    # hold keeps a vector across six rounds.  When a copy between points
+    # finds a hold dead that was a root at the last point, and an
+    # earlier copy since that point found younger garbage dead, the
+    # ghosts wait out of id order, so terminate sorts more rows than
+    # the closing point's.
+    counts = counted_keys(monkeypatch)
+    src = KEEP.replace("100", "12") + """
+    (let loop ((i 0) (hold (make-vector 3 0)) (c 0))
+      (if (< i 300)
+          (begin (cons i i)
+                 (if (= c 5)
+                     (loop (+ i 1) (make-vector 3 i) 0)
+                     (loop (+ i 1) hold (+ c 1))))))
+    (car keep)
+    """
+    with oracle_checked_points() as checked:
+        r = run_source(src, gc_interval=8, heap_slots=44)
+    assert checked.dated_points > 0
+    log = r.trace_log
+    assert in_key_order(log)
+    [sorted_rows] = counts
+    assert sorted_rows > list(log.columns.collect_tick).count(log.end_tick)
 
 
 def test_exhaustion_point_is_dated_by_a_later_copy():

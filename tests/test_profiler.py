@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from dragprof import analyzer, profiler
+from dragprof import analyzer, profiler, runtime
 from dragprof.errors import (
     DanglingRef,
     DraglogFormatError,
@@ -21,7 +21,13 @@ from dragprof.profiler import (
     parse_draglog,
 )
 from dragprof.runtime import Runtime
-from support import make_log, nullified_source, trace_logs
+from support import (
+    counted_keys,
+    in_key_order,
+    make_log,
+    nullified_source,
+    trace_logs,
+)
 
 
 def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
@@ -213,8 +219,8 @@ def test_a_collected_objects_record_is_freed():
 
 
 def test_terminate_checks_order_in_place_and_releases_the_heap():
-    # stream's columns are already in (collect, id) order: terminate
-    # checks that without a per-row key list, and frees the heap
+    # stream's columns are appended in (collect, id) order: terminate
+    # makes no per-row key list, and frees the heap
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(nullified_source(20_000)))
     tracemalloc.start()
@@ -230,6 +236,89 @@ def test_terminate_checks_order_in_place_and_releases_the_heap():
     assert rt.heap.objects == {}
     with pytest.raises(ProtocolViolation):
         rt.alloc_pair(NIL, NIL)
+
+
+def test_an_in_order_run_computes_no_sort_key(monkeypatch):
+    # each point logs its dead after the last point's, in id order
+    def refuse(*args):
+        raise AssertionError("terminate sorted rows already in order")
+
+    monkeypatch.setattr(runtime, "_keys", refuse)
+    rt = Runtime(gc_interval=16)
+    Interpreter(rt).eval_program(parse(nullified_source(2000)))
+    log = rt.terminate()
+    assert len(log.records) == 2000
+    assert in_key_order(log)
+
+
+def test_a_survivor_sorts_only_the_rows_at_end_tick(monkeypatch):
+    # keep (id 0) is censored at end_tick after the last point's dead,
+    # which have higher ids: only those rows are permuted
+    counts = counted_keys(monkeypatch)
+    src = f"(define keep (cons 1 2))\n{nullified_source(20_000)}\nkeep"
+    rt = Runtime(gc_interval=16)
+    Interpreter(rt).eval_program(parse(src))
+    log = rt.terminate()
+    assert len(log.records) == 20_001
+    assert in_key_order(log)
+    at_end = list(log.columns.collect_tick).count(log.end_tick)
+    assert counts == [at_end]
+    assert 2 <= at_end <= 17
+    cols = log.columns
+    assert [i for i, c in zip(cols.obj_id, cols.censored) if c] == [0]
+    assert cols.obj_id[-at_end] == 0  # first of the rows at end_tick
+
+
+def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
+    # x0 is a root of the first point, x1 of none: the copy after the
+    # second point dates x0's death there and x1's at the first, and
+    # logs them in creation order, so the later tick comes first
+    counts = counted_keys(monkeypatch)
+    rt = make_runtime()
+    x0 = rt.heap.objects[create(rt)]
+    create(rt)
+    rt.open_point("interval", [x0])
+    rt.record_use(x0)
+    rt.open_point("interval")
+    rt.flush_unmarked(set(), rt.heap.slots)
+    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == (
+        [0, 1], [3, 2])
+    log = rt.terminate()
+    assert [(r.collect_tick, r.obj_id) for r in log.records] == [
+        (2, 1), (3, 0)]
+    assert counts == [2]
+
+
+def ghosts_of_two_copies(rt):
+    """Two copies after a point at which a and b were roots: the first
+    keeps a, the second nothing.  Both died after the point, so they
+    wait as ghosts, b before a."""
+    a, b = (rt.heap.objects[create(rt)] for _ in range(2))
+    rt.open_point("interval", [a, b])
+    rt.flush_unmarked({a.obj_id}, rt.heap.slots)
+    rt.flush_unmarked(set(), rt.heap.slots)
+    return a, b
+
+
+def test_ghosts_of_two_copies_are_sorted():
+    rt = make_runtime()
+    a, b = ghosts_of_two_copies(rt)
+    rt.open_point("interval")
+    assert list(rt.dead.obj_id) == [b.obj_id, a.obj_id]
+    log = rt.terminate()
+    assert [r.obj_id for r in log.records] == [a.obj_id, b.obj_id]
+    assert in_key_order(log)
+
+
+def test_a_ghost_used_after_its_death_is_named_in_ghost_order():
+    # record_use refuses a record a copy dropped, so only a use the
+    # runtime never saw can follow a ghost's death: set it by hand.
+    # The ghosts are checked in the order they died in, not by id.
+    rt = make_runtime()
+    a, b = ghosts_of_two_copies(rt)
+    a.last_use_tick = b.last_use_tick = 9
+    with pytest.raises(DanglingRef, match=f"object #{b.obj_id} at tick 9"):
+        rt.open_point("interval")
 
 
 def test_refinalize_is_a_protocol_violation():
