@@ -4,9 +4,9 @@ Everything here is a pure function over a TraceLog's columns
 (profiler.Columns: one sequence per record field), never its records:
 per-object drag, reachable/live curves, space-time integrals with the
 potential savings percentage, dead-object counts against a threshold,
-the drag summary and the drag distribution histogram.  A run's log
-(its integers in arrays) and a parsed one (lists) are both columns, so
-nothing here makes a record.
+the drag summary and the drag distribution histogram.  A parsed log's
+columns are lists, and a run's log reads its lines into such lists when
+first asked for its columns, so nothing here makes a record.
 
 Conventions: runtime is the log's end_tick; percentages are computed at
 full precision and rendered with two decimals in the reports.  An object

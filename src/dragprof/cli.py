@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
           f"survivors {survivors}, collected {collected}; "
           f"slots copied {copied}")
     trace = result.trace_log
-    print(f"log: {log_path} ({len(trace.columns.obj_id)} records, "
+    print(f"log: {log_path} ({trace.record_count} records, "
           f"end tick {trace.end_tick})")
     return EXIT_OK
 

@@ -72,9 +72,10 @@ class LifetimeRecord:
     the table, collect_tick holds its Merlin stamp.  When the runtime
     dates the death a copy found, or censors the object at termination,
     the record's fields, with the collection tick and the censored
-    flag, live on in the runtime's dead columns (profiler.Columns), not
-    in the record, which the runtime no longer keeps.  A log's records
-    are rows of those columns, not LifetimeRecords.  A plain slotted
+    flag, live on as its OBJ line in the run's log text
+    (profiler.format_records), not in the record, which the runtime no
+    longer keeps.  A log's records are rows of its columns
+    (profiler.Columns), not LifetimeRecords.  A plain slotted
     class, not a dataclass, so a run does not load dataclasses and what
     it imports.
     """

@@ -1,14 +1,18 @@
 """The trace log: its types and the DRAGLOG format.
 
-A log is a TraceLog: its header fields, the end tick and one column per
-record field (Columns), with one entry per object, in (collect tick,
-id) order.  A run's log (runtime.Runtime.terminate) has its integer
-columns in arrays; a parsed one (parse_draglog) has lists, which the
-analyzer reads faster.  A log's records are its rows: iterating
-log.records zips the columns into Columns tuples, one per object, as it
-goes.  format_draglog writes the columns a slice of records at a time,
-so neither writing nor analyzing a log makes a record or a string per
-line all at once.
+A log is a TraceLog: its header fields, the end tick and its records,
+one per object, in (collect tick, id) order.  A run's log
+(runtime.Runtime.terminate) holds its records as DRAGLOG text: the
+runtime writes each batch of dead objects' OBJ lines with format_records
+when it dates their deaths, so format_draglog only joins the header,
+those strings and the END line, and a run never holds its records in
+any other form.  A parsed log (parse_draglog) holds one list per record
+field (Columns), which the analyzer reads fast; a run's log reads its
+columns back from its lines on first use, for in-process readers.  A
+log's records are its rows: iterating log.records zips the columns into
+Columns tuples, one per object, as it goes, and len(log.records) is the
+log's record count, which a run's log knows without reading its lines.
+format_draglog writes a parsed log's rows with format_records too.
 CollectionStats describe one collection point, or one copy.
 This module only writes, reads and checks logs; it imports neither the
 runtime, nor the collector, nor the heap, so `dragprof analyze` loads
@@ -39,6 +43,8 @@ the records.
 """
 
 from collections import namedtuple
+from itertools import groupby
+from operator import itemgetter
 
 from . import atomic
 from .errors import DraglogFormatError
@@ -62,53 +68,82 @@ Columns = namedtuple("Columns", "obj_id kind size_slots create_tick "
 
 
 class TraceLog:
-    """A log's header fields, its columns and its end tick; records is
-    a ParsedRecords over the columns."""
+    """A log's header fields, its end tick and its records: a run's as
+    lines, strings of whole OBJ lines in log order, and record_count; a
+    parsed log's as columns.  A run's columns are read from its lines
+    when first asked for.  records is a ParsedRecords over the log."""
 
     def __init__(self, gc_interval: int, heap_slots: int, source: str,
-                 end_tick: int, columns: Columns):
+                 end_tick: int, columns: Columns = None, lines=None,
+                 record_count: int = 0):
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
         self.end_tick = end_tick
-        self.columns = columns
-        self.records = ParsedRecords(columns)
+        self.lines = lines
+        self._columns = columns
+        self.record_count = (record_count if columns is None
+                             else len(columns.obj_id))
+
+    @property
+    def columns(self) -> Columns:
+        if self._columns is None:
+            self._columns, _ = _read_columns(
+                "".join(self.lines) + f"END {self.end_tick}\n")
+        return self._columns
+
+    @property
+    def records(self):
+        return ParsedRecords(self)
 
 
 class ParsedRecords:
-    """A log's records: len() is the columns' length, and iterating
-    yields the columns' rows, each a Columns tuple of one record's
-    fields."""
+    """A log's records: len() is its record count, and iterating yields
+    its columns' rows, each a Columns tuple of one record's fields."""
 
-    def __init__(self, columns: Columns):
-        self.columns = columns
+    def __init__(self, log: TraceLog):
+        self.log = log
 
     def __len__(self):
-        return len(self.columns.obj_id)
+        return self.log.record_count
 
     def __iter__(self):
-        return map(Columns._make, zip(*self.columns))
+        return map(Columns._make, zip(*self.log.columns))
 
 
-# Records formatted at a time: a slice's lines are joined into one
-# string, and freed, before the next slice is formatted.
-_FORMAT_SLICE = 1 << 12
 _FLAGS = ("F", "C")  # indexed by the censored flag
 
 
+def format_records(recs, tick: int, censored: bool) -> str:
+    """The OBJ lines, each ending in "\n", of records collected at tick,
+    in the order given: each record's obj_id, kind, size_slots,
+    create_tick and last_use_tick, then tick and the censored flag."""
+    end = f" {tick} {_FLAGS[censored]}\n"
+    return "".join([f"OBJ {r.obj_id} {r.kind} {r.size_slots} "
+                    f"{r.create_tick} {r.last_use_tick}{end}"
+                    for r in recs])
+
+
+def sorted_lines(text: str) -> str:
+    """Whole OBJ lines sorted by (collect tick, id)."""
+    return "".join(sorted(text.splitlines(True), key=_line_key))
+
+
+def _line_key(line: str):
+    fields = line.split(" ", 7)
+    return int(fields[6]), int(fields[1])
+
+
 def format_draglog(log: TraceLog) -> str:
-    c = log.columns
-    parts = [f"DRAGLOG 1 gc_interval={log.gc_interval} "
-             f"heap_slots={log.heap_slots} source={log.source}"]
-    for lo in range(0, len(c.obj_id), _FORMAT_SLICE):
-        hi = lo + _FORMAT_SLICE
-        parts.append("\n".join([
-            f"OBJ {obj_id} {kind} {size} {create} {last_use} {collect} "
-            f"{_FLAGS[censored]}"
-            for obj_id, kind, size, create, last_use, collect, censored
-            in zip(*[column[lo:hi] for column in c])]))
-    parts.append(f"END {log.end_tick}\n")
-    return "\n".join(parts)
+    lines = log.lines
+    if lines is None:
+        # a parsed log's rows, a string per run of rows that share their
+        # collect tick and censored flag
+        lines = [format_records(rows, tick, censored) for (tick, censored),
+                 rows in groupby(log.records, itemgetter(5, 6))]
+    return "".join([f"DRAGLOG 1 gc_interval={log.gc_interval} "
+                    f"heap_slots={log.heap_slots} source={log.source}\n",
+                    *lines, f"END {log.end_tick}\n"])
 
 
 def write_draglog(log: TraceLog, path):

@@ -35,20 +35,23 @@ point before its last use was used after it died, which only a value
 the interpreter forgot to root can cause: DanglingRef, as if the use
 had come after a copy at that point.  So a run's log and
 CollectionStats are those of a copy at every point, while the copying
-costs a constant per allocated slot.  A dated death appends the
-object's fields to dead, the log's columns (profiler.Columns; integers
-in arrays), and keeps no reference to its record, so a dead object
-costs the log a few machine words.  The rows' (collect tick, id) order
-is kept batch by batch as they are appended: a batch's records come in
-ascending id order (the object table's), except ghosts gathered by two
-copies, which are checked as they are gathered; so comparing a batch's
-first key with the largest logged so far finds every break, and a break
-marks the rows from the first collected at its tick on.  terminate()
-closes the run: it appends the objects still in the table as censored,
-sorts only the marked rows (with survivors, the last point's dead and
-the survivors), and returns the columns as the run's TraceLog.  It also
-releases the heap's two slot lists and its object table: every later
-event is a ProtocolViolation, so nothing reads them again.
+costs a constant per allocated slot.  A dated death writes the batch's
+OBJ lines (profiler.format_records) and keeps no reference to its
+records, so a dead object costs the log its line of text.  The lines
+are kept as one string per batch beside the batch's tick, and runs of
+_SLAB batch strings are joined into one slab, so that batches of one or
+two records do not cost a string each.  The rows' (collect tick, id)
+order is kept batch by batch as they are logged: a batch's records come
+in ascending id order (the object table's), except ghosts gathered by
+two copies, which are checked as they are gathered; so comparing a
+batch's first key with the largest logged so far finds every break,
+and a break marks the strings from the first that holds a row
+collected at its tick on.  terminate() closes the run: it logs the
+objects still in the table as censored, sorts only the marked strings'
+lines (with survivors, the last point's dead and the survivors), and
+returns the lines as the run's TraceLog.  It also releases the heap's
+two slot lists and its object table: every later event is a
+ProtocolViolation, so nothing reads them again.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -62,21 +65,24 @@ whole allocation inline (room check, clock, slots, record), so a pair
 costs one object and one call.
 """
 
-from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import repeat
-from operator import add, attrgetter, mul
+from operator import attrgetter
 
 from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import DanglingRef, OutOfMemory, ProtocolViolation, int_text
 from .gc import Collector
 from .heap import NEVER_USED, NIL, PAIR, VECTOR, Heap, LifetimeRecord
-from .profiler import CollectionStats, Columns, TraceLog
+from .profiler import (CollectionStats, TraceLog, format_records,
+                       sorted_lines)
 
 # Largest semispace a run may ask for: the two slot lists then take
 # 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
 MAX_HEAP_SLOTS = 2 ** 24
+# Batch strings joined into one slab at a time.  The newest _SLAB to
+# 2 * _SLAB batches stay apart, so a break among them (such as the
+# survivors after the last point's dead) marks its batch, not a slab.
+_SLAB = 64
 
 
 class Runtime:
@@ -104,14 +110,18 @@ class Runtime:
         self._died_slots = 0    # points
         self._ghosts = []
         self.ghost_slots = 0
-        # The dead so far, as the log's columns: the integers in arrays,
-        # the kinds and censored flags in lists of shared values.
-        self.dead = Columns(array("q"), [], array("q"), array("q"),
-                            array("q"), array("q"), [])
+        # The dead so far, as the log's OBJ lines: lines holds strings
+        # of whole lines, _ticks the collect tick of each one's last
+        # line (its largest, before _sort_from), and the strings from
+        # _slab on are single batches.
+        self.lines = []
+        self._ticks = []
+        self._slab = 0
+        self.logged = 0  # records in lines
         # _last_key is the largest (collect tick, id) logged so far.
         # _sort_from is None while the rows are in that order, else the
-        # row from which terminate() sorts them: every row before it is
-        # in order and below every row from it on.
+        # string from which terminate() sorts them: every row before it
+        # is in order and below every row from it on.
         self._last_key = (-1, -1)
         self._sort_from = None
         self._ghosts_ascending = True  # ghost ids in ascending order
@@ -302,41 +312,46 @@ class Runtime:
         self._log(recs, tick, False, ascending)
 
     def _log(self, recs, tick: int, censored: bool, ascending=True):
-        """Append the records' fields to the dead columns, collected at
-        tick; the records themselves are not kept.  The rows stay in
-        (collect tick, id) order if the records are in ascending id
-        order and the first comes after every row logged so far; else
-        the rows from the first collected at tick or later are marked
+        """Write the records' OBJ lines, collected at tick, as one string;
+        the records themselves are not kept.  The rows stay in (collect
+        tick, id) order if the records are in ascending id order and
+        the first comes after every row logged so far; else the strings
+        from the first with a row collected at tick or later are marked
         for terminate() to sort."""
-        n = len(recs)
-        if not n:
+        if not recs:
             return
-        ids, kinds, sizes, creates, uses, collects, flags = self.dead
-        logged = len(ids)
-        new_ids = list(map(_id, recs))
-        ids.fromlist(new_ids)
-        kinds += map(_kind, recs)
-        sizes.fromlist(list(map(_size, recs)))
-        creates.fromlist(list(map(_create, recs)))
-        uses.fromlist(list(map(_last_use, recs)))
-        collects.fromlist([tick] * n)
-        flags += [censored] * n
-        if ascending and (tick, new_ids[0]) > self._last_key:
-            self._last_key = (tick, new_ids[-1])
-            return
-        # The rows before _sort_from (all of them while in order) are
-        # sorted, so the first collected at tick or later is found by
-        # bisection; every row before it is below every new row.
-        end = logged if self._sort_from is None else self._sort_from
-        self._sort_from = bisect_left(collects, tick, 0, end)
-        self._last_key = max(self._last_key, (tick, max(new_ids)))
+        lines, ticks = self.lines, self._ticks
+        if ascending and (tick, recs[0].obj_id) > self._last_key:
+            self._last_key = (tick, recs[-1].obj_id)
+        else:
+            # The strings before _sort_from (all of them while in order)
+            # are sorted, so the first with a row collected at tick or
+            # later is found by bisection; every row before it is below
+            # every new row.
+            end = len(lines) if self._sort_from is None else self._sort_from
+            self._sort_from = bisect_left(ticks, tick, 0, end)
+            self._last_key = max(self._last_key, (tick, max(map(_id, recs))))
+        lines.append(format_records(recs, tick, censored))
+        ticks.append(tick)
+        self.logged += len(recs)
+        start = self._slab
+        if len(lines) - start >= 2 * _SLAB:
+            stop = start + _SLAB
+            lines[start:stop] = ["".join(lines[start:stop])]
+            ticks[start:stop] = [ticks[stop - 1]]
+            self._slab = start + 1
+            # the strings after the slab move down by _SLAB - 1, and a
+            # slab that holds the mark starts the sort
+            mark = self._sort_from
+            if mark is not None and mark > start:
+                self._sort_from = max(start, mark - _SLAB + 1)
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
         roots(), then log whatever survived it as censored and return
-        the dead columns, in (collect tick, id) order, as the log.  The
-        order was tracked batch by batch as the rows were logged, so
-        only the rows from the first that broke it on are permuted (in
+        the lines, in (collect tick, id) order, as the log.  The order
+        was tracked batch by batch as the lines were written, so only
+        the lines from the first string that broke it on are sorted (in
         a run with survivors, the last point's dead and the survivors
         after them).  The heap's slots and object table are released,
         since every later event is a ProtocolViolation."""
@@ -347,36 +362,20 @@ class Runtime:
         self.collect_now()
         self._terminated = True
         heap = self.heap
-        self._log(heap.objects.values(), end_tick, True)
+        self._log(list(heap.objects.values()), end_tick, True)
         heap.slots, heap.standby, heap.objects = [], [], {}
-        dead = self.dead
-        start = self._sort_from
+        lines, start = self.lines, self._sort_from
         if start is not None:
-            tail = Columns._make(column[start:] for column in dead)
-            keys = list(_keys(tail, heap.allocated))
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            for column, rows in zip(dead, tail):
-                picked = map(rows.__getitem__, order)
-                column[start:] = (array("q", picked) if type(rows) is array
-                                  else list(picked))
-        return TraceLog(self.gc_interval, heap.capacity_slots,
-                        self.source, end_tick=end_tick, columns=dead)
-
-
-def _keys(dead: Columns, allocated: int):
-    """Each row's (collect tick, id) as one integer, since every id is
-    below allocated."""
-    return map(add, map(mul, dead.collect_tick, repeat(allocated)),
-               dead.obj_id)
+            lines[start:] = [sorted_lines("".join(lines[start:]))]
+        return TraceLog(self.gc_interval, heap.capacity_slots, self.source,
+                        end_tick, lines=lines, record_count=self.logged)
 
 
 _new = object.__new__
 _no_roots = tuple
 _stamp = attrgetter("collect_tick")
 _id = attrgetter("obj_id")
-_kind = attrgetter("kind")
 _size = attrgetter("size_slots")
-_create = attrgetter("create_tick")
 _last_use = attrgetter("last_use_tick")
 
 

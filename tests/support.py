@@ -10,7 +10,8 @@ import dragprof
 from dragprof import runtime
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
 from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR
-from dragprof.profiler import CollectionStats, Columns, TraceLog
+from dragprof.profiler import (CollectionStats, Columns, TraceLog,
+                               _read_columns)
 from dragprof.runtime import Runtime
 
 
@@ -313,18 +314,26 @@ def in_key_order(log):
     return rows == sorted(rows, key=lambda r: (r.collect_tick, r.obj_id))
 
 
-def counted_keys(monkeypatch):
-    """The row counts Runtime.terminate computes sort keys for, one per
-    call."""
+def counted_sorts(monkeypatch):
+    """The row counts Runtime.terminate sorts, one per call of the
+    helper that sorts the tail's lines."""
     counts = []
-    keys = runtime._keys
+    sort = runtime.sorted_lines
 
-    def counting(dead, allocated):
-        counts.append(len(dead.obj_id))
-        return keys(dead, allocated)
+    def counting(text):
+        counts.append(text.count("\n"))
+        return sort(text)
 
-    monkeypatch.setattr(runtime, "_keys", counting)
+    monkeypatch.setattr(runtime, "sorted_lines", counting)
     return counts
+
+
+def logged_rows(rt):
+    """The rows a runtime has logged so far, in the order logged: its
+    OBJ lines read back by the DRAGLOG reader, as Columns."""
+    read = _read_columns("".join(rt.lines) + "END 0\n")
+    assert read is not None, "the runtime logged a line the reader rejects"
+    return read[0]
 
 
 @st.composite
@@ -725,7 +734,7 @@ class _OracleRun:
 
     def check(self):
         """Every point's stats, and the collect tick of every object in
-        the runtime's dead columns, match the oracle's; the columns hold
+        the runtime's logged rows, match the oracle's; the rows hold
         each object the oracle saw die, once, and none was used after it
         was collected.  The points of a run that ended without a copy
         after them (in an error) are dated by a copy over its current
@@ -739,7 +748,7 @@ class _OracleRun:
             rt.collector.collect(rt.gather_roots(), rt.clock)
         assert rt.collections == self.stats, \
             "collection stats diverge from the oracle"
-        dead = rt.dead
+        dead = logged_rows(rt)
         collected = []
         for obj_id, last_use, collect, censored in zip(
                 dead.obj_id, dead.last_use_tick, dead.collect_tick,
@@ -754,7 +763,7 @@ class _OracleRun:
             if not censored:
                 collected.append(obj_id)
         assert sorted(collected) == sorted(self.collect_tick), \
-            "the dead columns and the oracle's dead differ"
+            "the logged rows and the oracle's dead differ"
 
 
 @contextlib.contextmanager
@@ -792,7 +801,7 @@ def oracle_checked_points():
     objects created before the point that were reachable at the last
     point (or created since) and are not reached now die here.  When the
     block ends, every resolved CollectionStats and every collect tick in
-    the runtime's dead columns must be the oracle's, whether a copy ran at
+    the runtime's logged rows must be the oracle's, whether a copy ran at
     the point or a later one dated it.  Every copy is checked as by
     oracle_checked_copies.  Yields a PointChecks."""
     original = Runtime.collection_point

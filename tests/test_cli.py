@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dragprof
-from dragprof import atomic
+from dragprof import atomic, profiler
 from dragprof.cli import main
 from dragprof.errors import DraglogFormatError
 from dragprof.profiler import parse_draglog, read_draglog
@@ -38,15 +38,23 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def test_run_writes_log_and_reports(workdir, capsys):
+def test_run_writes_log_and_reports(workdir, capsys, monkeypatch):
+    def refuse(rest):
+        raise AssertionError("run read its log's lines back")
+
     log = workdir / "small.draglog"
-    code = run_cli("run", workdir / "small.scm", "--gc-interval", "1",
-                   "--log", log)
+    with monkeypatch.context() as patch:
+        # the record count is the run's, not one read from its lines
+        patch.setattr(profiler, "_read_columns", refuse)
+        code = run_cli("run", workdir / "small.scm", "--gc-interval", "1",
+                       "--log", log)
     assert code == 0
     out = capsys.readouterr().out
     assert "result: 6" in out
     assert "collections:" in out
     assert log.read_text().startswith("DRAGLOG 1 gc_interval=1 ")
+    assert out.endswith(f"log: {log} (3 records, end tick 13)\n")
+    assert len(read_draglog(log).records) == 3
 
 
 def test_run_missing_source_exits_1_without_log(workdir, capsys):

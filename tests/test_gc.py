@@ -11,6 +11,7 @@ from support import (
     HeapDriver,
     Roots,
     checked_collect,
+    logged_rows,
     run_gc_correctness_session,
 )
 
@@ -28,7 +29,7 @@ def test_empty_roots_collect_everything():
     assert stats.survivors == 0
     assert stats.collected == 5
     assert stats.slots_copied == 0
-    dead = rt.dead
+    dead = logged_rows(rt)
     assert list(dead.obj_id) == [0, 1, 2, 3, 4]
     assert list(dead.collect_tick) == [clock] * 5
 
@@ -51,7 +52,7 @@ def test_memory_graph_roots_x_and_y_then_y_only():
     stats = rt.collect_now()
     assert stats.collected == 1
     assert set(rt.heap.objects) == {o2.obj_id, o3.obj_id}
-    assert list(rt.dead.obj_id) == [o1.obj_id]
+    assert logged_rows(rt).obj_id == [o1.obj_id]
 
 
 def test_oracle_empty_roots():
@@ -182,9 +183,9 @@ def test_monotone_flush_ids_never_reappear():
     for step in range(400):
         driver.step()
         if step % 60 == 0:
-            before = len(rt.dead.obj_id)
+            before = len(logged_rows(rt).obj_id)
             rt.collect_now()
-            for obj_id in rt.dead.obj_id[before:]:
+            for obj_id in logged_rows(rt).obj_id[before:]:
                 assert obj_id not in seen
                 seen.add(obj_id)
                 assert obj_id not in rt.heap.objects

@@ -15,7 +15,7 @@ from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
 from support import (
-    counted_keys,
+    counted_sorts,
     in_key_order,
     oracle_checked_copies,
     oracle_checked_points,
@@ -104,7 +104,7 @@ def test_ghosts_of_copies_out_of_id_order_are_sorted(monkeypatch):
     # earlier copy since that point found younger garbage dead, the
     # ghosts wait out of id order, so terminate sorts more rows than
     # the closing point's.
-    counts = counted_keys(monkeypatch)
+    counts = counted_sorts(monkeypatch)
     src = KEEP.replace("100", "12") + """
     (let loop ((i 0) (hold (make-vector 3 0)) (c 0))
       (if (< i 300)

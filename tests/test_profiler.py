@@ -12,7 +12,7 @@ from dragprof.errors import (
     ProtocolViolation,
 )
 from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR, LifetimeRecord
-from dragprof.interp import Interpreter, parse
+from dragprof.interp import Interpreter, parse, run_source
 from dragprof.profiler import (
     CollectionStats,
     Columns,
@@ -22,8 +22,9 @@ from dragprof.profiler import (
 )
 from dragprof.runtime import Runtime
 from support import (
-    counted_keys,
+    counted_sorts,
     in_key_order,
+    logged_rows,
     make_log,
     nullified_source,
     trace_logs,
@@ -34,6 +35,12 @@ def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
     """A runtime whose points the test opens and resolves by hand."""
     return Runtime(heap_slots=heap_slots, gc_interval=gc_interval,
                    source_name=source)
+
+
+def logged_keys(rt):
+    """The ids and the collect ticks of the rows rt has logged."""
+    rows = logged_rows(rt)
+    return rows.obj_id, rows.collect_tick
 
 
 def flush(rt, marked):
@@ -102,9 +109,10 @@ def test_flush_with_none_marked_collects_everything():
         create(rt)
     flushed = flush(rt, set())
     assert [r.obj_id for r in flushed] == list(range(5))  # creation order
-    assert list(rt.dead.obj_id) == list(range(5))
-    assert list(rt.dead.collect_tick) == [5] * 5
-    assert rt.dead.censored == [False] * 5
+    rows = logged_rows(rt)
+    assert rows.obj_id == list(range(5))
+    assert rows.collect_tick == [5] * 5
+    assert rows.censored == [False] * 5
     assert rt.heap.objects == {}
 
 
@@ -162,7 +170,7 @@ def test_dead_stamped_before_the_first_open_point_die_there():
     kept = create(rt)
     rt.open_point("interval", [rt.heap.objects[kept]])
     rt.flush_unmarked({kept}, rt.heap.slots)
-    assert list(rt.dead.collect_tick) == [2, 2]
+    assert logged_rows(rt).collect_tick == [2, 2]
     assert rt.collections == [CollectionStats("interval", 2, 0, 2, 0),
                               CollectionStats("interval", 3, 1, 0, 2)]
 
@@ -177,13 +185,12 @@ def test_dead_stamped_after_the_last_point_is_a_ghost():
     ghost = create(rt)
     flushed = rt.flush_unmarked({kept}, rt.heap.slots)
     assert [r.obj_id for r in flushed] == [dead, ghost]
-    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == ([dead], [2])
+    assert logged_keys(rt) == ([dead], [2])
     assert rt.collections == [CollectionStats("interval", 2, 1, 1, 2)]
     assert rt.ghost_slots == 2 and ghost not in rt.heap.objects
     rt.open_point("exhaustion", [rt.heap.objects[kept]])
     assert rt.ghost_slots == 0
-    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == (
-        [dead, ghost], [2, 3])
+    assert logged_keys(rt) == ([dead, ghost], [2, 3])
     rt.flush_unmarked({kept}, rt.heap.slots)
     assert rt.collections[1] == CollectionStats("exhaustion", 3, 1, 1, 2)
 
@@ -206,7 +213,7 @@ def test_finalize_censors_remaining_and_sorts():
 
 
 def test_a_collected_objects_record_is_freed():
-    # the dead columns keep a dead object's fields, not its record: with
+    # the log's lines keep a dead object's fields, not its record: with
     # the runtime and its log alive, only the heap's slots could still
     # reach a record, and terminate releases those too
     rt = Runtime(heap_slots=64, gc_interval=16)
@@ -218,8 +225,62 @@ def test_a_collected_objects_record_is_freed():
     assert records <= rt.heap.capacity_slots
 
 
+@pytest.mark.parametrize("gc_interval", [1, 16])
+def test_a_run_log_holds_at_most_48_bytes_a_record(gc_interval):
+    # a run's log is its text: at K=1 a batch holds one or two records,
+    # so a string per batch would cost more than the line itself
+    src = nullified_source(20_000)
+    tracemalloc.start()
+    try:
+        log = run_source(src, gc_interval=gc_interval).trace_log
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log.records) >= 20_000
+    assert held <= 48 * len(log.records)
+
+
+SLAB = runtime._SLAB
+
+
+@pytest.mark.parametrize("lags, first", [
+    # late by two ticks in the call that joins a slab: the mark moves
+    # down with the strings after the slab
+    ([0] * (3 * SLAB - 1) + [2] + [0] * 40, 3 * SLAB - 2),
+    # then joined into the slab of ticks 2 * SLAB + 1 to 3 * SLAB,
+    # which starts the sort
+    ([0] * (3 * SLAB - 1) + [2] + [0] * 100, 2 * SLAB + 1),
+    # then one batch out of id order, and one late by three and a half
+    # slabs, whose mark lands in the slab of ticks SLAB + 1 to 2 * SLAB
+    ([0] * (3 * SLAB - 1) + [2] + [0] * 2 * SLAB + [7 * SLAB // 2]
+     + [0] * 2 * SLAB, SLAB + 1),
+], ids=["after-a-slab", "in-a-slab", "before-a-slab"])
+def test_breaks_around_slabs_sort_from_the_marked_string(monkeypatch, lags,
+                                                          first):
+    # batches logged straight into the runtime, batch t at tick t less
+    # its lag: the log is sorted once, from the string that holds the
+    # batch of tick first
+    counts = counted_sorts(monkeypatch)
+    rt = make_runtime()
+    next_id = 0
+    for tick, lag in enumerate(lags, start=1):
+        recs = [LifetimeRecord(next_id + i, PAIR, 2, 0, NEVER_USED, 0, None)
+                for i in range(1 + tick % 3)]
+        next_id += len(recs)
+        ascending = tick != 4 * SLAB
+        if not ascending:
+            recs.reverse()
+        rt._log(recs, tick - lag, False, ascending)
+    rt.clock = tick
+    log = rt.terminate()
+    assert sorted(log.columns.obj_id) == list(range(next_id))
+    assert in_key_order(log)
+    assert counts == [sum(1 + t % 3 for t in range(first, tick + 1))]
+
+
 def test_terminate_checks_order_in_place_and_releases_the_heap():
-    # stream's columns are appended in (collect, id) order: terminate
+    # stream's lines are written in (collect, id) order: terminate
     # makes no per-row key list, and frees the heap
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(nullified_source(20_000)))
@@ -243,7 +304,7 @@ def test_an_in_order_run_computes_no_sort_key(monkeypatch):
     def refuse(*args):
         raise AssertionError("terminate sorted rows already in order")
 
-    monkeypatch.setattr(runtime, "_keys", refuse)
+    monkeypatch.setattr(runtime, "sorted_lines", refuse)
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(nullified_source(2000)))
     log = rt.terminate()
@@ -254,7 +315,7 @@ def test_an_in_order_run_computes_no_sort_key(monkeypatch):
 def test_a_survivor_sorts_only_the_rows_at_end_tick(monkeypatch):
     # keep (id 0) is censored at end_tick after the last point's dead,
     # which have higher ids: only those rows are permuted
-    counts = counted_keys(monkeypatch)
+    counts = counted_sorts(monkeypatch)
     src = f"(define keep (cons 1 2))\n{nullified_source(20_000)}\nkeep"
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(src))
@@ -273,7 +334,7 @@ def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
     # x0 is a root of the first point, x1 of none: the copy after the
     # second point dates x0's death there and x1's at the first, and
     # logs them in creation order, so the later tick comes first
-    counts = counted_keys(monkeypatch)
+    counts = counted_sorts(monkeypatch)
     rt = make_runtime()
     x0 = rt.heap.objects[create(rt)]
     create(rt)
@@ -281,8 +342,7 @@ def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
     rt.record_use(x0)
     rt.open_point("interval")
     rt.flush_unmarked(set(), rt.heap.slots)
-    assert (list(rt.dead.obj_id), list(rt.dead.collect_tick)) == (
-        [0, 1], [3, 2])
+    assert logged_keys(rt) == ([0, 1], [3, 2])
     log = rt.terminate()
     assert [(r.collect_tick, r.obj_id) for r in log.records] == [
         (2, 1), (3, 0)]
@@ -304,7 +364,7 @@ def test_ghosts_of_two_copies_are_sorted():
     rt = make_runtime()
     a, b = ghosts_of_two_copies(rt)
     rt.open_point("interval")
-    assert list(rt.dead.obj_id) == [b.obj_id, a.obj_id]
+    assert logged_rows(rt).obj_id == [b.obj_id, a.obj_id]
     log = rt.terminate()
     assert [r.obj_id for r in log.records] == [a.obj_id, b.obj_id]
     assert in_key_order(log)
@@ -366,19 +426,22 @@ def test_draglog_roundtrip():
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_a_log_formats_the_same_across_slice_edges(extra):
-    # one slice less one record, one slice, one slice plus one record:
-    # each formats as one line per record
-    n = profiler._FORMAT_SLICE + extra
+def test_a_parsed_log_formats_across_run_edges(extra):
+    # a parsed log is written a string per run of rows that share their
+    # collect tick and censored flag, four rows here: the log ends one
+    # row before a run's end, at it or one row after it, and each row
+    # formats as one line
+    n = 4 * 25 + extra
+    end = n + 1 + n // 8
     rows = [(i, PAIR if i % 2 else VECTOR, 2 if i % 2 else i % 5, i + 1,
-             NEVER_USED if i % 3 else i + 1, n + 1, i % 7 == 0)
+             NEVER_USED if i % 3 else i + 1, n + 1 + i // 8, i // 4 % 2 == 0)
             for i in range(n)]
-    log = TraceLog(3, 128, "edges", n + 1, Columns(*map(list, zip(*rows))))
+    log = TraceLog(3, 128, "edges", end, Columns(*map(list, zip(*rows))))
     lines = ["DRAGLOG 1 gc_interval=3 heap_slots=128 source=edges"]
     for obj_id, kind, size, create, last_use, collect, censored in rows:
         lines.append(f"OBJ {obj_id} {kind} {size} {create} {last_use} "
                      f"{collect} {'C' if censored else 'F'}")
-    lines.append(f"END {n + 1}")
+    lines.append(f"END {end}")
     assert format_draglog(log) == "\n".join(lines) + "\n"
 
 

@@ -59,7 +59,8 @@ def test_a_log_reads_back_as_the_runs_columns_and_report(seed, k, heap):
     except DragProfError:  # a runtime error or out of memory: no log
         return
     parsed = parse_draglog(format_draglog(log))
-    # a run's integer columns are arrays, a parsed log's lists
+    # a run's columns are read from its lines, a parsed log's from the
+    # whole text, header and END line included
     assert list(map(list, parsed.columns)) == list(map(list, log.columns))
     assert build_report(parsed) == build_report(log)
 
