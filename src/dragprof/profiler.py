@@ -115,7 +115,7 @@ _FLAGS = ("F", "C")  # indexed by the censored flag
 
 
 def format_records(recs, tick: int, censored: bool) -> str:
-    """The OBJ lines, each ending in "\n", of records collected at tick,
+    """The OBJ lines, each ending in "\\n", of records collected at tick,
     in the order given: each record's obj_id, kind, size_slots,
     create_tick and last_use_tick, then tick and the censored flag."""
     end = f" {tick} {_FLAGS[censored]}\n"
