@@ -38,17 +38,18 @@ CollectionStats are those of a copy at every point, while the copying
 costs a constant per allocated slot.  A dated death writes the batch's
 OBJ lines (profiler.format_records) and keeps no reference to its
 records, so a dead object costs the log its line of text.  The lines
-are kept as one string per batch beside the batch's tick, and runs of
-_SLAB batch strings are joined into one slab, so that batches of one or
-two records do not cost a string each.  The rows' (collect tick, id)
-order is kept batch by batch as they are logged: a batch's records come
-in ascending id order (the object table's), except ghosts gathered by
-two copies, which are checked as they are gathered; so comparing a
-batch's first key with the largest logged so far finds every break,
-and a break marks the strings from the first that holds a row
-collected at its tick on.  terminate() closes the run: it logs the
-objects still in the table as censored, sorts only the marked strings'
-lines (with survivors, the last point's dead and the survivors), and
+are logged in (collect tick, id) order but for the rows of one tick: a
+copy logs its dead point by point, each point's in creation order (the
+object table's), and keeps the ghosts it finds as one batch in that
+order, so every batch is in ascending id order and collect ticks never
+fall from one batch to the next.  Only batches of one tick can break
+the id order: the ghosts of two copies, the dead of two copies at
+points of one tick, or the survivors after the last point's dead.  So
+when the tick advances, the last tick's lines are sorted if a batch
+broke their order, and the strings logged so far are joined into slabs
+of _SLAB batch strings, so that batches of one or two records do not
+cost a string each.  terminate() closes the run: it logs the objects
+still in the table as censored, seals the last tick the same way, and
 returns the lines as the run's TraceLog.  It also releases the heap's
 two slot lists and its object table: every later event is a
 ProtocolViolation, so nothing reads them again.
@@ -65,7 +66,6 @@ whole allocation inline (room check, clock, slots, record), so a pair
 costs one object and one call.
 """
 
-from bisect import bisect_left
 from collections import defaultdict
 from operator import attrgetter
 
@@ -79,9 +79,9 @@ from .profiler import (CollectionStats, TraceLog, format_records,
 # Largest semispace a run may ask for: the two slot lists then take
 # 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
 MAX_HEAP_SLOTS = 2 ** 24
-# Batch strings joined into one slab at a time.  The newest _SLAB to
-# 2 * _SLAB batches stay apart, so a break among them (such as the
-# survivors after the last point's dead) marks its batch, not a slab.
+# Batch strings joined into one slab at a time.  Only a sealed tick's
+# strings are joined, so a tick whose rows must be sorted holds whole
+# strings of its own.
 _SLAB = 64
 
 
@@ -108,23 +108,19 @@ class Runtime:
         self._points = []
         self._died = 0          # objects and slots collected at resolved
         self._died_slots = 0    # points
-        self._ghosts = []
+        self._ghosts = []  # batches, one per copy that found ghosts
         self.ghost_slots = 0
         # The dead so far, as the log's OBJ lines: lines holds strings
-        # of whole lines, _ticks the collect tick of each one's last
-        # line (its largest, before _sort_from), and the strings from
-        # _slab on are single batches.
+        # of whole lines, the strings from _slab on are single batches,
+        # and those from _group on hold the rows of the last tick.
         self.lines = []
-        self._ticks = []
         self._slab = 0
+        self._group = 0
         self.logged = 0  # records in lines
-        # _last_key is the largest (collect tick, id) logged so far.
-        # _sort_from is None while the rows are in that order, else the
-        # string from which terminate() sorts them: every row before it
-        # is in order and below every row from it on.
+        # _last_key is the largest (collect tick, id) logged so far;
+        # _unsorted is set once a batch of its tick comes below it.
         self._last_key = (-1, -1)
-        self._sort_from = None
-        self._ghosts_ascending = True  # ghost ids in ascending order
+        self._unsorted = False
         self.allocs_since_gc = 0
         self._kept_slots = 0  # slots the last copy kept
         self._terminated = False
@@ -167,8 +163,8 @@ class Runtime:
                              self.created_slots, 0, 0])
         if self._ghosts:
             ghosts, self._ghosts, self.ghost_slots = self._ghosts, [], 0
-            ascending, self._ghosts_ascending = self._ghosts_ascending, True
-            self._bury(stamp // 2, ghosts, ascending)
+            for recs in ghosts:
+                self._bury(stamp // 2, recs)
 
     def _copy(self, roots, trigger):
         self._kept_slots = self.collector.collect(
@@ -248,10 +244,13 @@ class Runtime:
     def flush_unmarked(self, marked, from_slots) -> list:
         """Drop every record whose id is not in marked (the ids a copy
         kept), in creation order, date each death and resolve every open
-        point.  from_slots is the space the dropped records' addresses
-        point into, read to spread their stamps when they may have died
-        at different points; then each dropped record's address becomes
-        None.  Returns the dropped records, ghosts included."""
+        point.  The dead are logged in point order, each point's in
+        creation order, and those dead after the last point wait as one
+        batch of ghosts.  from_slots is the space the dropped records'
+        addresses point into, read to spread their stamps when they may
+        have died at different points; then each dropped record's
+        address becomes None.  Returns the dropped records, ghosts
+        included."""
         if self._terminated:
             raise ProtocolViolation("flush after termination")
         live = self.heap.objects
@@ -271,8 +270,8 @@ class Runtime:
             deaths = defaultdict(list)
             for rec in dead:
                 deaths[max(first, rec.collect_tick // 2 + 1)].append(rec)
-            for i, recs in deaths.items():
-                self._bury(i, recs)
+            for i in sorted(deaths):
+                self._bury(i, deaths[i])
         for rec in dead:
             del live[rec.obj_id]
             rec.address = None
@@ -286,19 +285,15 @@ class Runtime:
         self._points = []
         return dead
 
-    def _bury(self, i: int, recs, ascending=True):
-        """Records that died at point i: ticked and counted there if it
-        is open, else ghosts.  The records come in ascending id order
-        unless ascending says they may not."""
+    def _bury(self, i: int, recs):
+        """Records, in ascending id order, that died at point i: ticked
+        and counted there if it is open, else a batch of ghosts."""
         size = sum(map(_size, recs))
         first = len(self.collections)
         if i == first + len(self._points):
-            ghosts = self._ghosts
-            # each batch is ascending; two may not be, one after another
-            if ghosts and recs and recs[0].obj_id < ghosts[-1].obj_id:
-                self._ghosts_ascending = False
-            ghosts.extend(recs)
-            self.ghost_slots += size
+            if recs:
+                self._ghosts.append(recs)
+                self.ghost_slots += size
             return
         point = self._points[i - first]
         tick = point[1]
@@ -309,52 +304,51 @@ class Runtime:
                               f"tick {tick}")
         point[4] += len(recs)
         point[5] += size
-        self._log(recs, tick, False, ascending)
+        self._log(recs, tick, False)
 
-    def _log(self, recs, tick: int, censored: bool, ascending=True):
+    def _log(self, recs, tick: int, censored: bool):
         """Write the records' OBJ lines, collected at tick, as one string;
-        the records themselves are not kept.  The rows stay in (collect
-        tick, id) order if the records are in ascending id order and
-        the first comes after every row logged so far; else the strings
-        from the first with a row collected at tick or later are marked
-        for terminate() to sort."""
+        the records themselves are not kept.  The records are in
+        ascending id order and tick is at least the last one logged, so
+        only the rows of one tick can leave (collect tick, id) order:
+        _unsorted marks a batch that comes below the last row."""
         if not recs:
             return
-        lines, ticks = self.lines, self._ticks
-        if ascending and (tick, recs[0].obj_id) > self._last_key:
-            self._last_key = (tick, recs[-1].obj_id)
-        else:
-            # The strings before _sort_from (all of them while in order)
-            # are sorted, so the first with a row collected at tick or
-            # later is found by bisection; every row before it is below
-            # every new row.
-            end = len(lines) if self._sort_from is None else self._sort_from
-            self._sort_from = bisect_left(ticks, tick, 0, end)
-            self._last_key = max(self._last_key, (tick, max(map(_id, recs))))
-        lines.append(format_records(recs, tick, censored))
-        ticks.append(tick)
+        last_tick, last_id = self._last_key
+        if tick != last_tick:
+            if tick < last_tick:
+                raise AssertionError(f"rows collected at tick {tick} "
+                                     f"logged after tick {last_tick}")
+            self._seal()
+            last_id = -1
+        elif recs[0].obj_id < last_id:
+            self._unsorted = True
+        self._last_key = (tick, max(last_id, recs[-1].obj_id))
+        self.lines.append(format_records(recs, tick, censored))
         self.logged += len(recs)
+
+    def _seal(self):
+        """Close the last tick: sort its lines if a batch broke their id
+        order, then join each run of _SLAB single batches into a slab."""
+        lines = self.lines
+        if self._unsorted:
+            lines[self._group:] = [sorted_lines("".join(lines[self._group:]))]
+            self._unsorted = False
         start = self._slab
-        if len(lines) - start >= 2 * _SLAB:
-            stop = start + _SLAB
-            lines[start:stop] = ["".join(lines[start:stop])]
-            ticks[start:stop] = [ticks[stop - 1]]
-            self._slab = start + 1
-            # the strings after the slab move down by _SLAB - 1, and a
-            # slab that holds the mark starts the sort
-            mark = self._sort_from
-            if mark is not None and mark > start:
-                self._sort_from = max(start, mark - _SLAB + 1)
+        while len(lines) - start >= _SLAB:
+            lines[start:start + _SLAB] = ["".join(lines[start:start + _SLAB])]
+            start += 1
+        self._slab = start
+        self._group = len(lines)
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
         roots(), then log whatever survived it as censored and return
-        the lines, in (collect tick, id) order, as the log.  The order
-        was tracked batch by batch as the lines were written, so only
-        the lines from the first string that broke it on are sorted (in
-        a run with survivors, the last point's dead and the survivors
-        after them).  The heap's slots and object table are released,
-        since every later event is a ProtocolViolation."""
+        the lines, in (collect tick, id) order, as the log.  Only the
+        rows at end_tick can still need a sort (in a run with
+        survivors, the last point's dead and the survivors after them).
+        The heap's slots and object table are released, since every
+        later event is a ProtocolViolation."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
@@ -363,18 +357,15 @@ class Runtime:
         self._terminated = True
         heap = self.heap
         self._log(list(heap.objects.values()), end_tick, True)
+        self._seal()
         heap.slots, heap.standby, heap.objects = [], [], {}
-        lines, start = self.lines, self._sort_from
-        if start is not None:
-            lines[start:] = [sorted_lines("".join(lines[start:]))]
         return TraceLog(self.gc_interval, heap.capacity_slots, self.source,
-                        end_tick, lines=lines, record_count=self.logged)
+                        end_tick, lines=self.lines, record_count=self.logged)
 
 
 _new = object.__new__
 _no_roots = tuple
 _stamp = attrgetter("collect_tick")
-_id = attrgetter("obj_id")
 _size = attrgetter("size_slots")
 _last_use = attrgetter("last_use_tick")
 

@@ -92,7 +92,8 @@ def _split_self_call(src="(if (= n 0) 'z (down (- n 1)))"):
 # shadowing binding), pass a wrong count or sit in a split unit, another
 # closure of the same body, loops whose turns keep their frames, a body
 # with define slots on each path that calls it, and each inline body on
-# the values its primitive's body must handle.
+# the values its primitive's body must handle; and a program whose dead
+# are logged out of id order at a tick before the last.
 RULE_PROGRAMS = {
     # a set! of the loop name: the next turn calls the new value
     "loop-set": ("(let loop ((i 0))\n"
@@ -216,6 +217,21 @@ RULE_PROGRAMS = {
                            "    (list a b)))\n(m 1)"),
     "operand-effect-before-read": ("(define p (cons 1 2))\n"
                                    "(list (set-car! p 7) (car p))"),
+    # hold keeps a vector across six rounds beside a 12-cell live list.
+    # When a copy between points finds a hold dead that was a root at
+    # the last point, and an earlier copy since that point found
+    # younger garbage dead, the ghosts die out of id order: at K=8 in a
+    # 44-slot heap, or K=3 in a 40-slot one, at ticks before the last.
+    "ghosts-out-of-id-order": (
+        "(define keep (let build ((i 0) (acc '()))\n"
+        "  (if (= i 12) acc (build (+ i 1) (cons i acc)))))\n"
+        "(let loop ((i 0) (hold (make-vector 3 0)) (c 0))\n"
+        "  (if (< i 300)\n"
+        "      (begin (cons i i)\n"
+        "             (if (= c 5)\n"
+        "                 (loop (+ i 1) (make-vector 3 i) 0)\n"
+        "                 (loop (+ i 1) hold (+ c 1))))))\n"
+        "(car keep)"),
 }
 
 
@@ -315,8 +331,8 @@ def in_key_order(log):
 
 
 def counted_sorts(monkeypatch):
-    """The row counts Runtime.terminate sorts, one per call of the
-    helper that sorts the tail's lines."""
+    """The row counts a Runtime sorts, one per call of the helper that
+    sorts the lines of one collect tick."""
     counts = []
     sort = runtime.sorted_lines
 

@@ -718,6 +718,7 @@ RULE_RESULTS = {
     "primitive-operand-set-later": "21",
     "let-init-set-later": "(1 5)",
     "operand-effect-before-read": "(() 7)",
+    "ghosts-out-of-id-order": "11",
 }
 
 

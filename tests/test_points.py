@@ -7,15 +7,18 @@ object's collect tick against the reachability oracle, so a missing
 stamp shows as a wrong tick.  The last test bounds the copying itself.
 """
 
+from collections import Counter
+
 import pytest
 
+from dragprof import runtime
 from dragprof.heap import NIL
 from dragprof.interp import run_source
 from dragprof.profiler import CollectionStats
 from dragprof.runtime import Runtime
 
 from support import (
-    counted_sorts,
+    RULE_PROGRAMS,
     in_key_order,
     oracle_checked_copies,
     oracle_checked_points,
@@ -99,28 +102,36 @@ def test_copy_between_points_leaves_ghosts():
 
 
 def test_ghosts_of_copies_out_of_id_order_are_sorted(monkeypatch):
-    # hold keeps a vector across six rounds.  When a copy between points
-    # finds a hold dead that was a root at the last point, and an
-    # earlier copy since that point found younger garbage dead, the
-    # ghosts wait out of id order, so terminate sorts more rows than
-    # the closing point's.
-    counts = counted_sorts(monkeypatch)
-    src = KEEP.replace("100", "12") + """
-    (let loop ((i 0) (hold (make-vector 3 0)) (c 0))
-      (if (< i 300)
-          (begin (cons i i)
-                 (if (= c 5)
-                     (loop (+ i 1) (make-vector 3 i) 0)
-                     (loop (+ i 1) hold (+ c 1))))))
-    (car keep)
-    """
+    # the ghosts of two copies wait out of id order, and are logged so
+    # at a point before the last: each sort takes the rows of one
+    # collect tick, and some run before terminate
+    sorted_ticks = []  # the collect ticks of each sort's rows
+    sort = runtime.sorted_lines
+
+    def noting(text):
+        sorted_ticks.append([line.split()[6] for line in text.splitlines()])
+        return sort(text)
+
+    before_terminate = []
+    terminate = Runtime.terminate
+
+    def noting_terminate(rt):
+        before_terminate.append(len(sorted_ticks))
+        return terminate(rt)
+
+    monkeypatch.setattr(runtime, "sorted_lines", noting)
+    monkeypatch.setattr(Runtime, "terminate", noting_terminate)
     with oracle_checked_points() as checked:
-        r = run_source(src, gc_interval=8, heap_slots=44)
+        r = run_source(RULE_PROGRAMS["ghosts-out-of-id-order"],
+                       gc_interval=8, heap_slots=44)
+    assert r.value_repr == "11"
     assert checked.dated_points > 0
     log = r.trace_log
     assert in_key_order(log)
-    [sorted_rows] = counts
-    assert sorted_rows > list(log.columns.collect_tick).count(log.end_tick)
+    rows = Counter(map(str, log.columns.collect_tick))
+    for ticks in sorted_ticks:
+        assert ticks == [ticks[0]] * rows[ticks[0]]
+    assert before_terminate[0] >= 1
 
 
 def test_exhaustion_point_is_dated_by_a_later_copy():

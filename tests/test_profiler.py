@@ -244,39 +244,61 @@ def test_a_run_log_holds_at_most_48_bytes_a_record(gc_interval):
 SLAB = runtime._SLAB
 
 
-@pytest.mark.parametrize("lags, first", [
-    # late by two ticks in the call that joins a slab: the mark moves
-    # down with the strings after the slab
-    ([0] * (3 * SLAB - 1) + [2] + [0] * 40, 3 * SLAB - 2),
-    # then joined into the slab of ticks 2 * SLAB + 1 to 3 * SLAB,
-    # which starts the sort
-    ([0] * (3 * SLAB - 1) + [2] + [0] * 100, 2 * SLAB + 1),
-    # then one batch out of id order, and one late by three and a half
-    # slabs, whose mark lands in the slab of ticks SLAB + 1 to 2 * SLAB
-    ([0] * (3 * SLAB - 1) + [2] + [0] * 2 * SLAB + [7 * SLAB // 2]
-     + [0] * 2 * SLAB, SLAB + 1),
-], ids=["after-a-slab", "in-a-slab", "before-a-slab"])
-def test_breaks_around_slabs_sort_from_the_marked_string(monkeypatch, lags,
-                                                          first):
-    # batches logged straight into the runtime, batch t at tick t less
-    # its lag: the log is sorted once, from the string that holds the
-    # batch of tick first
+def batch(first_id, n):
+    """n records with ids from first_id on, as a batch the runtime logs."""
+    return [LifetimeRecord(first_id + i, PAIR, 2, 0, NEVER_USED, 0, None)
+            for i in range(n)]
+
+
+def test_a_row_logged_below_the_last_tick_is_refused():
+    rt = make_runtime()
+    rt._log(batch(0, 2), 5, False)
+    with pytest.raises(AssertionError, match="tick 4 logged after tick 5"):
+        rt._log(batch(2, 1), 4, False)
+
+
+def test_an_early_break_sorts_only_its_own_tick(monkeypatch):
+    # the ghosts of two copies come out of id order at the first tick;
+    # the 5,000 pairs after them are logged in order, so only the
+    # ghosts' two rows are sorted, once a later tick is logged
     counts = counted_sorts(monkeypatch)
     rt = make_runtime()
-    next_id = 0
-    for tick, lag in enumerate(lags, start=1):
-        recs = [LifetimeRecord(next_id + i, PAIR, 2, 0, NEVER_USED, 0, None)
-                for i in range(1 + tick % 3)]
-        next_id += len(recs)
-        ascending = tick != 4 * SLAB
-        if not ascending:
-            recs.reverse()
-        rt._log(recs, tick - lag, False, ascending)
+    ghosts_of_two_copies(rt)
+    rt.open_point("interval")
+    rt.gc_interval = 16
+    for _ in range(5000):
+        rt.alloc_pair(NIL, NIL)
+    log = rt.terminate()
+    assert counts == [2]
+    assert len(log.records) == 5002
+    assert in_key_order(log)
+
+
+def test_a_break_across_a_slab_edge_sorts_its_tick_alone(monkeypatch):
+    # ticks 1 to SLAB - 2 log a batch each, then tick SLAB - 1 four
+    # batches in descending id order, whose strings run past the first
+    # slab's edge: none of them is joined while the tick is open, and
+    # its rows alone are sorted once the next tick is logged
+    counts = counted_sorts(monkeypatch)
+    rt = make_runtime()
+    for tick in range(1, SLAB - 1):
+        rt._log(batch(2 * tick, 2), tick, False)
+    tick = SLAB - 1
+    for j in range(4):
+        rt._log(batch(2 * tick + 2 * (3 - j), 2), tick, False)
+        assert len(rt.lines) == SLAB - 1 + j
+        assert [s.count("\n") for s in rt.lines[rt._group:]] == [2] * (j + 1)
+        assert f" {tick} F\n" not in "".join(rt.lines[:rt._group])
+    rt._log(batch(2 * SLAB + 6, 2), SLAB, False)
+    assert counts == [8]
+    for tick in range(SLAB + 1, 3 * SLAB):
+        rt._log(batch(2 * tick + 6, 2), tick, False)
     rt.clock = tick
     log = rt.terminate()
-    assert sorted(log.columns.obj_id) == list(range(next_id))
+    assert counts == [8]
+    assert sorted(log.columns.obj_id) == list(range(2, 6 * SLAB + 6))
     assert in_key_order(log)
-    assert counts == [sum(1 + t % 3 for t in range(first, tick + 1))]
+    assert len(rt.lines) < 2 * SLAB
 
 
 def test_terminate_checks_order_in_place_and_releases_the_heap():
@@ -332,8 +354,9 @@ def test_a_survivor_sorts_only_the_rows_at_end_tick(monkeypatch):
 
 def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
     # x0 is a root of the first point, x1 of none: the copy after the
-    # second point dates x0's death there and x1's at the first, and
-    # logs them in creation order, so the later tick comes first
+    # second point dates x0's death there and x1's at the first, so in
+    # creation order the later tick comes first.  The copy logs its
+    # dead in point order, so nothing is left to sort.
     counts = counted_sorts(monkeypatch)
     rt = make_runtime()
     x0 = rt.heap.objects[create(rt)]
@@ -342,11 +365,11 @@ def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
     rt.record_use(x0)
     rt.open_point("interval")
     rt.flush_unmarked(set(), rt.heap.slots)
-    assert logged_keys(rt) == ([0, 1], [3, 2])
+    assert logged_keys(rt) == ([1, 0], [2, 3])
     log = rt.terminate()
     assert [(r.collect_tick, r.obj_id) for r in log.records] == [
         (2, 1), (3, 0)]
-    assert counts == [2]
+    assert counts == []
 
 
 def ghosts_of_two_copies(rt):

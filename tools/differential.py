@@ -7,8 +7,9 @@ of tests/support.py (seeds 0-199), its LIMIT_PROGRAMS (programs at
 Python's static limits, which the generated code must split or keep out
 of its text), its RULE_PROGRAMS (tail calls at the edges of the run-time
 test that runs a call of a body's own code as a loop, the cases the
-inline primitive bodies leave to the primitives, and the order operands
-are read in, each where it stands) and the bundled
+inline primitive bodies leave to the primitives, the order operands
+are read in, each where it stands, and ghosts logged out of id order
+before the last point) and the bundled
 programs of this checkout's src/dragprof/programs.  Each source runs at
 every gc_interval K in KS and every heap size in HEAPS, where most
 bundled and limit programs run out of memory; the bundled, limit and
