@@ -2,17 +2,22 @@
 
 collect() copies the graph reachable from the roots breadth-first into
 the standby space (Cheney, "A nonrecursive list compacting algorithm",
-CACM 1970).  The copied part of the standby space is the work queue: one
-loop forwards the roots, then, batch by batch, the slots copied since
-its previous batch, until no new slot was copied.  Each object moves
-with one slice assignment; its record takes the new address, and the
-shared forwarding marker FORWARDED is left in its evacuated from-space
-cell.  A reference is the record itself (heap.py), so the copied slots
-keep their references and nothing is rewritten.  Then the heap's two
-slot lists swap and the flush callback the Collector was made with
-(runtime.Runtime.flush_unmarked) drops every record of the object table
-whose id was not copied and dates its death, reading the dead objects'
-slots from the from-space before a later copy reuses it.
+CACM 1970), which it clears when the copy starts: its stale contents,
+the from-space of the last copy, are never read again.  The standby
+list is the work queue: one loop forwards the roots, then, batch by
+batch, the slots copied since its previous batch, until no new slot was
+copied.  Each object moves with one slice assignment at the list's end,
+which extends it, so to-space holds only the copied slots; the heap's
+capacity_slots, not the list's length, bounds it (ToSpaceOverflow).  An
+object's record takes the new address, and the shared forwarding marker
+FORWARDED is left in its evacuated from-space cell, where it stays
+until the next copy clears that list.  A reference is the record itself
+(heap.py), so the copied slots keep their references and nothing is
+rewritten.  Then the heap's two slot lists swap and the flush callback
+the Collector was made with (runtime.Runtime.flush_unmarked) drops
+every record of the object table whose id was not copied and dates its
+death, reading the dead objects' slots from the from-space before a
+later copy clears it.
 
 A copy opens no collection point; the runtime opens every point and
 decides when to copy (runtime.py).  So one copy resolves every point
@@ -43,7 +48,8 @@ class Collector:
         heap = self.heap
         src = heap.slots
         dst = heap.standby
-        capacity = len(dst)
+        dst.clear()
+        capacity = heap.capacity_slots
         copied: set[int] = set()
         free = 0  # next free to-space slot
         scan = 0  # first copied slot not yet handed to the loop

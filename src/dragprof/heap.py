@@ -100,23 +100,28 @@ class LifetimeRecord:
 
 
 class Heap:
-    """Two equal slot lists plus the object table.
+    """Two slot lists, each at most capacity_slots long, plus the object
+    table.
 
-    slots is the active space, bump-allocated up to used_slots by
-    runtime.Runtime, which makes the records and owns the allocation
-    policy; standby is the other half, which gc.Collector.collect copies
-    into before it swaps the two lists.  Its stale contents are never
-    read again: the records' addresses point into slots.  This layer is
-    pure storage; values are checked by the primitives (primitives.py),
-    so it checks no slot value, index or size.  It never triggers a
-    collection and never reads the clock; its write barrier only sets
-    stamps, whose value the runtime advances at each collection point.
+    slots is the active space, bump-allocated by runtime.Runtime, which
+    makes the records and owns the allocation policy: an allocation
+    appends its slots, so the list holds exactly used_slots slots and
+    grows with use, and capacity_slots, not the list's length, bounds
+    it.  Both lists start empty.  standby is the other half, which
+    gc.Collector.collect clears and copies into before it swaps the two
+    lists; until the next copy it holds the last from-space, whose
+    stale contents are read only by that copy's flush: the records'
+    addresses point into slots.  This layer is pure storage; values are
+    checked by the primitives (primitives.py), so it checks no slot
+    value, index or size.  It never triggers a collection and never
+    reads the clock; its write barrier only sets stamps, whose value
+    the runtime advances at each collection point.
     """
 
     def __init__(self, capacity_slots: int):
         self.capacity_slots = capacity_slots
-        self.slots = [None] * capacity_slots
-        self.standby = [None] * capacity_slots
+        self.slots = []
+        self.standby = []
         self.used_slots = 0
         self.objects: dict[int, LifetimeRecord] = {}
         self.allocated = 0  # objects allocated so far, so the next id

@@ -4,15 +4,19 @@ A log is a TraceLog: its header fields, the end tick and its records,
 one per object, in (collect tick, id) order.  A run's log
 (runtime.Runtime.terminate) holds its records as DRAGLOG text: the
 runtime writes each batch of dead objects' OBJ lines with format_records
-when it dates their deaths, so format_draglog only joins the header,
-those strings and the END line, and a run never holds its records in
-any other form.  A parsed log (parse_draglog) holds one list per record
-field (Columns), which the analyzer reads fast; a run's log reads its
-columns back from its lines on first use, for in-process readers.  A
-log's records are its rows: iterating log.records zips the columns into
-Columns tuples, one per object, as it goes, and len(log.records) is the
-log's record count, which a run's log knows without reading its lines.
-format_draglog writes a parsed log's rows with format_records too.
+when it dates their deaths, and a run never holds its records in any
+other form.  draglog_pieces yields a log's text in order, the header
+line, those strings and the END line, and write_draglog hands the
+pieces to the file one by one, so writing a log never joins its text;
+format_draglog joins them into one string, for tests and tools.  A
+parsed log (parse_draglog) holds one list per record field (Columns),
+which the analyzer reads fast; a run's log reads its columns back from
+its lines on first use, for in-process readers.  A log's records are
+its rows: iterating log.records zips the columns into Columns tuples,
+one per object, as it goes, and len(log.records) is the log's record
+count, which a run's log knows without reading its lines.
+draglog_pieces writes a parsed log's rows with format_records too, a
+string per run of rows that share their collect tick and censored flag.
 CollectionStats describe one collection point, or one copy.
 This module only writes, reads and checks logs; it imports neither the
 runtime, nor the collector, nor the heap, so `dragprof analyze` loads
@@ -134,21 +138,30 @@ def _line_key(line: str):
     return int(fields[6]), int(fields[1])
 
 
+def draglog_pieces(log: TraceLog):
+    """The log's DRAGLOG text, as strings in order: the header line, a
+    run's lines or a parsed log's rows, then the END line."""
+    yield (f"DRAGLOG 1 gc_interval={log.gc_interval} "
+           f"heap_slots={log.heap_slots} source={log.source}\n")
+    if log.lines is not None:
+        yield from log.lines
+    else:
+        for (tick, censored), rows in groupby(log.records,
+                                              itemgetter(5, 6)):
+            yield format_records(rows, tick, censored)
+    yield f"END {log.end_tick}\n"
+
+
 def format_draglog(log: TraceLog) -> str:
-    lines = log.lines
-    if lines is None:
-        # a parsed log's rows, a string per run of rows that share their
-        # collect tick and censored flag
-        lines = [format_records(rows, tick, censored) for (tick, censored),
-                 rows in groupby(log.records, itemgetter(5, 6))]
-    return "".join([f"DRAGLOG 1 gc_interval={log.gc_interval} "
-                    f"heap_slots={log.heap_slots} source={log.source}\n",
-                    *lines, f"END {log.end_tick}\n"])
+    """The log's DRAGLOG text as one string."""
+    return "".join(draglog_pieces(log))
 
 
 def write_draglog(log: TraceLog, path):
-    """Write the log atomically (see atomic.write_text)."""
-    atomic.write_text(path, format_draglog(log))
+    """Write the log's DRAGLOG text to path atomically, a piece of
+    draglog_pieces at a time (see atomic.write_pieces), so the whole
+    text is never held as one string."""
+    atomic.write_pieces(path, draglog_pieces(log))
 
 
 # What int() accepts in an ASCII number besides digits and "-", apart

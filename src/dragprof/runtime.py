@@ -76,8 +76,9 @@ from .heap import NEVER_USED, NIL, PAIR, VECTOR, Heap, LifetimeRecord
 from .profiler import (CollectionStats, TraceLog, format_records,
                        sorted_lines)
 
-# Largest semispace a run may ask for: the two slot lists then take
-# 2 x 8 bytes x 2**24 = 256 MiB before the first allocation.
+# Largest semispace a run may ask for.  The slot lists grow with use,
+# so a run holds none of it before its first allocation; a full heap's
+# two lists would take up to 2 x 8 bytes x 2**24 = 256 MiB.
 MAX_HEAP_SLOTS = 2 ** 24
 # Batch strings joined into one slab at a time.  Only a sealed tick's
 # strings are joined, so a tick whose rows must be sorted holds whole
@@ -192,9 +193,10 @@ class Runtime:
         self.created_slots += 2
         addr = heap.used_slots
         heap.used_slots = addr + 2
+        # the list holds used_slots slots, so appended slots go at addr
         slots = heap.slots
-        slots[addr] = car
-        slots[addr + 1] = cdr
+        slots.append(car)
+        slots.append(cdr)
         # one call fewer than LifetimeRecord(...), whose __init__ is Python
         rec = _new(LifetimeRecord)
         rec.obj_id = obj_id = heap.allocated

@@ -318,6 +318,28 @@ def test_failed_atomic_write_leaves_no_temp_and_target_unchanged(
     assert stranger.read_text(encoding="utf-8") == "keep\n"
 
 
+def test_a_piece_that_fails_after_others_were_written_leaves_the_target(
+        workdir):
+    target = workdir / "out.draglog"
+    target.write_text("old\n", encoding="utf-8")
+    before = sorted(p.name for p in workdir.iterdir())
+    written = []
+
+    def pieces():
+        yield "x" * (atomic.SLICE + 1)
+        yield "y\n"
+        # the first slice has reached the temp file by now
+        (tmp,) = workdir.glob("out.draglog.*.tmp")
+        written.append(tmp.stat().st_size)
+        yield "bad \ud800\n"
+
+    with pytest.raises(UnicodeEncodeError):
+        atomic.write_pieces(target, pieces())
+    assert written and written[0] >= atomic.SLICE
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert target.read_text(encoding="utf-8") == "old\n"
+
+
 def test_analyze_outputs_and_reruns_identically(workdir, capsys):
     log = workdir / "small.draglog"
     run_cli("run", workdir / "small.scm", "--gc-interval", "1", "--log", log)

@@ -162,7 +162,8 @@ def test_identity_stable_across_collections():
 
 
 def test_slot_accounting_invariant_random():
-    # used_slots always equals the summed size of uncollected objects
+    # used_slots always equals the summed size of uncollected objects,
+    # and the active slot list holds exactly that many slots
     rng = random.Random(20260810)
     rt = make_runtime(heap_slots=4096)
     driver = HeapDriver(rt, rng)
@@ -172,14 +173,16 @@ def test_slot_accounting_invariant_random():
             rt.collect_now()
         expected = sum(m.size_slots for m in rt.heap.objects.values())
         assert rt.heap.used_slots == expected
+        assert len(rt.heap.slots) == rt.heap.used_slots
 
 
 def test_to_space_overflow_aborts():
+    # the copy checks the heap's capacity, not the to-space list's length
     rt = Runtime(heap_slots=20, gc_interval=10 ** 9)
-    rt.heap.standby = [None] * 4
     roots = Roots(rt)
     for _ in range(3):
         roots.refs.append(rt.alloc_pair(1, 2))
+    rt.heap.capacity_slots = 4
     with pytest.raises(ToSpaceOverflow):
         rt.collect_now()
 
@@ -188,13 +191,22 @@ def test_heap_standalone_semispace_roles():
     # the runtime allocates; a Collector of the heap's own then copies
     rt = make_runtime(heap_slots=32)
     heap = rt.heap
-    assert len(heap.slots) == len(heap.standby) == heap.capacity_slots == 32
+    assert heap.slots == heap.standby == [] and heap.capacity_slots == 32
     obj_id = rt.alloc_pair(1, 2).obj_id
     assert heap.used_slots == 2 and heap.allocated == 1
+    assert len(heap.slots) == heap.used_slots
     assert heap.slot_value(obj_id, 0) == 1
     from_space, to_space = heap.slots, heap.standby
     collector = Collector(heap, lambda marked, from_slots: [])
     collector.collect([heap.objects[obj_id]], clock=0)
     assert heap.slots is to_space and heap.standby is from_space
     assert heap.used_slots == 2
+    assert len(heap.slots) == heap.used_slots
     assert heap.slot_value(obj_id, 1) == 2
+
+
+def test_a_large_heap_holds_no_slots_before_its_first_allocation():
+    rt = Runtime(heap_slots=2 ** 20)
+    assert rt.heap.slots == rt.heap.standby == []
+    rt.alloc_vector(3, 7)
+    assert rt.heap.slots == [7, 7, 7] and rt.heap.standby == []

@@ -1,6 +1,8 @@
 import gc
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from dragprof.profiler import (
     TraceLog,
     format_draglog,
     parse_draglog,
+    write_draglog,
 )
 from dragprof.runtime import Runtime
 from support import (
@@ -239,6 +242,42 @@ def test_a_run_log_holds_at_most_48_bytes_a_record(gc_interval):
         tracemalloc.stop()
     assert len(log.records) >= 20_000
     assert held <= 48 * len(log.records)
+
+
+def test_writing_a_run_log_never_holds_its_text(tmp_path):
+    # the log goes to its file a piece at a time: one join of the whole
+    # text would allocate a second copy of it
+    log = run_source(nullified_source(20_000), gc_interval=16).trace_log
+    size = len(format_draglog(log))
+    path = tmp_path / "stream.draglog"
+    tracemalloc.start()
+    try:
+        write_draglog(log, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size > 500_000
+    assert peak < size // 4
+
+
+def written_bytes(log) -> bytes:
+    """The bytes write_draglog writes for log."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "written.draglog"
+        write_draglog(log, path)
+        return path.read_bytes()
+
+
+@pytest.mark.parametrize("source, gc_interval", [
+    ("1", 1),  # no records at all
+    ("(define keep (list 1 2 3)) keep", 1),  # survivors, censored
+    (nullified_source(300), 1),
+    (nullified_source(3000), 16),
+], ids=["empty", "survivors", "stream-k1", "stream-k16"])
+def test_a_written_run_log_is_its_formatted_text(source, gc_interval):
+    log = run_source(source, gc_interval=gc_interval,
+                     source_name="\u03bb.scm").trace_log
+    assert written_bytes(log) == format_draglog(log).encode("utf-8")
 
 
 SLAB = runtime._SLAB
@@ -505,6 +544,14 @@ def test_every_log_a_run_could_write_parses_as_written(log):
     parsed = parse_draglog(format_draglog(log))
     assert parsed.columns == log.columns
     assert parsed.end_tick == log.end_tick
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_logs())
+def test_a_written_parsed_log_is_its_formatted_text(log):
+    rows = sorted(log.records, key=lambda r: (r.collect_tick, r.obj_id))
+    log = parse_draglog(format_draglog(make_log(rows, log.end_tick)))
+    assert written_bytes(log) == format_draglog(log).encode("utf-8")
 
 
 def test_a_log_read_in_slices_reads_as_a_whole(monkeypatch):
