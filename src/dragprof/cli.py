@@ -1,7 +1,9 @@
 """Batch front-end: run instrumented programs, analyze logs, emit plots.
 
 Exit codes for run: 0 success, 1 unreadable source, unwritable log or
-syntax error, 2 runtime error, 3 out of memory.  analyze and plot exit 1
+syntax error, 2 runtime error, 3 out of memory.  run writes its log as
+it goes, a sealed tick at a time, so a log path that cannot be written
+is reported before the program runs.  analyze and plot exit 1
 on input that is unreadable, not UTF-8 or malformed, and on output they
 cannot write.  A usage error (an unknown command, a missing or malformed
 argument) exits 1 with the usage message.  Every output that is missing
@@ -75,7 +77,7 @@ def _write_outputs(out_dir: Path, texts) -> int | None:
 
 def cmd_run(args) -> int:
     from .interp import run_source
-    from .profiler import write_draglog
+    from .profiler import draglog_end, draglog_header
 
     source_path = Path(args.source)
     # the name goes on the log's header line, in UTF-8; a \n would end
@@ -89,13 +91,22 @@ def cmd_run(args) -> int:
         source_text = source_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return _cannot("read", source_path, exc)
+    log_path = (Path(args.log) if args.log
+                else Path(source_path.stem + ".draglog"))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RUN_RECURSION_LIMIT))
     try:
-        result = run_source(source_text,
-                            gc_interval=args.gc_interval,
-                            heap_slots=args.heap_slots,
-                            source_name=source_path.name)
+        # the log's lines go to its file as the run seals them
+        with atomic.opened(log_path) as write:
+            write(draglog_header(args.gc_interval, args.heap_slots,
+                                 source_path.name))
+            result = run_source(source_text,
+                                gc_interval=args.gc_interval,
+                                heap_slots=args.heap_slots,
+                                source_name=source_path.name, write=write)
+            write(draglog_end(result.trace_log.end_tick))
+    except OSError as exc:
+        return _cannot("write", log_path, exc)
     except ValueError as exc:  # configuration out of range
         return _fail(str(exc), EXIT_INPUT)
     except SchemeSyntaxError as exc:
@@ -107,13 +118,6 @@ def cmd_run(args) -> int:
         return _fail(f"out of memory in {source_path.name}: {exc}", EXIT_OOM)
     finally:
         sys.setrecursionlimit(limit)
-
-    log_path = (Path(args.log) if args.log
-                else Path(source_path.stem + ".draglog"))
-    try:
-        write_draglog(result.trace_log, log_path)
-    except OSError as exc:
-        return _cannot("write", log_path, exc)
 
     triggers = Counter(s.trigger for s in result.collections)
     survivors = sum(s.survivors for s in result.collections)

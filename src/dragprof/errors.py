@@ -32,7 +32,7 @@ class DanglingRef(DragProfError):
 
 
 class ToSpaceOverflow(DragProfError):
-    """Survivor volume exceeded the standby space; the run is aborted
+    """Survivor volume exceeded the to-space capacity; the run is aborted
     rather than dropping objects."""
 
 

@@ -1,23 +1,20 @@
 """Single-pass Cheney collection plus independent verification traversals.
 
 collect() copies the graph reachable from the roots breadth-first into
-the standby space (Cheney, "A nonrecursive list compacting algorithm",
-CACM 1970), which it clears when the copy starts: its stale contents,
-the from-space of the last copy, are never read again.  The standby
-list is the work queue: one loop forwards the roots, then, batch by
-batch, the slots copied since its previous batch, until no new slot was
-copied.  Each object moves with one slice assignment at the list's end,
-which extends it, so to-space holds only the copied slots; the heap's
-capacity_slots, not the list's length, bounds it (ToSpaceOverflow).  An
-object's record takes the new address, and the shared forwarding marker
-FORWARDED is left in its evacuated from-space cell, where it stays
-until the next copy clears that list.  A reference is the record itself
-(heap.py), so the copied slots keep their references and nothing is
-rewritten.  Then the heap's two slot lists swap and the flush callback
-the Collector was made with (runtime.Runtime.flush_unmarked) drops
-every record of the object table whose id was not copied and dates its
-death, reading the dead objects' slots from the from-space before a
-later copy clears it.
+a fresh list, to-space (Cheney, "A nonrecursive list compacting
+algorithm", CACM 1970).  To-space is the work queue: one loop forwards
+the roots, then, batch by batch, the slots copied since its previous
+batch, until no new slot was copied.  Each object moves with one slice
+assignment at the list's end, which extends it, so to-space holds only
+the copied slots; the heap's capacity_slots, not the list's length,
+bounds it (ToSpaceOverflow).  An object's record takes the new address,
+and the shared forwarding marker FORWARDED is left in its evacuated
+from-space cell.  A reference is the record itself (heap.py), so the
+copied slots keep their references and nothing is rewritten.  Then
+to-space becomes the heap's slots, and the flush callback the Collector
+was made with (runtime.Runtime.flush_unmarked) drops every record of
+the object table whose id was not copied and dates its death, reading
+the dead objects' slots from from-space, which is let go after it.
 
 A copy opens no collection point; the runtime opens every point and
 decides when to copy (runtime.py).  So one copy resolves every point
@@ -47,8 +44,7 @@ class Collector:
                 ) -> CollectionStats:
         heap = self.heap
         src = heap.slots
-        dst = heap.standby
-        dst.clear()
+        dst = []
         capacity = heap.capacity_slots
         copied: set[int] = set()
         free = 0  # next free to-space slot
@@ -70,7 +66,7 @@ class Collector:
                                       f"object #{obj_id}")
                 size = v.size_slots
                 if free + size > capacity:
-                    raise ToSpaceOverflow(f"standby space full while "
+                    raise ToSpaceOverflow(f"to-space full while "
                                           f"copying object #{obj_id}")
                 dst[free:free + size] = src[base:base + size]
                 if size:
@@ -84,7 +80,7 @@ class Collector:
             batch = dst[scan:free]
             scan = free
 
-        heap.slots, heap.standby = dst, src
+        heap.slots = dst
         heap.used_slots = free
         flushed = self.flush(copied, src)
         return CollectionStats(trigger, clock, len(copied), len(flushed),

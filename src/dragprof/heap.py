@@ -1,4 +1,4 @@
-"""Object model, the object table and the two slot lists of the profiled heap.
+"""Object model, the object table and the slot list of the profiled heap.
 
 Profiled objects are pairs (exactly two slots) and vectors (one slot per
 element, payload only; there is no header slot).  Slot values are
@@ -100,17 +100,16 @@ class LifetimeRecord:
 
 
 class Heap:
-    """Two slot lists, each at most capacity_slots long, plus the object
-    table.
+    """The active slot list, at most capacity_slots long, plus the
+    object table.
 
-    slots is the active space, bump-allocated by runtime.Runtime, which
-    makes the records and owns the allocation policy: an allocation
-    appends its slots, so the list holds exactly used_slots slots and
-    grows with use, and capacity_slots, not the list's length, bounds
-    it.  Both lists start empty.  standby is the other half, which
-    gc.Collector.collect clears and copies into before it swaps the two
-    lists; until the next copy it holds the last from-space, whose
-    stale contents are read only by that copy's flush: the records'
+    slots is bump-allocated by runtime.Runtime, which makes the records
+    and owns the allocation policy: an allocation appends its slots, so
+    the list holds exactly used_slots slots and grows with use, and
+    capacity_slots, not the list's length, bounds it.  It starts empty.
+    gc.Collector.collect copies into a fresh list, which becomes slots;
+    the old list, from-space, is read only by that copy's flush and
+    then let go, so the heap never holds a second list.  The records'
     addresses point into slots.  This layer is pure storage; values are
     checked by the primitives (primitives.py), so it checks no slot
     value, index or size.  It never triggers a collection and never
@@ -121,7 +120,6 @@ class Heap:
     def __init__(self, capacity_slots: int):
         self.capacity_slots = capacity_slots
         self.slots = []
-        self.standby = []
         self.used_slots = 0
         self.objects: dict[int, LifetimeRecord] = {}
         self.allocated = 0  # objects allocated so far, so the next id

@@ -1068,8 +1068,10 @@ RunResult = namedtuple("RunResult", "value value_repr trace_log collections")
 def run_source(source: str, *,
                gc_interval: int = DEFAULT_GC_INTERVAL,
                heap_slots: int = DEFAULT_HEAP_SLOTS,
-               source_name: str = "<string>") -> RunResult:
+               source_name: str = "<string>", write=None) -> RunResult:
     """Parse and run a program, returning its result and the trace log.
+    write, if given, takes the log's OBJ lines as the run seals them
+    (see runtime.py), and the log holds no lines.
 
     The result is rendered before termination; if it is a heap reference
     the object may be collected by the closing collection, so value_repr
@@ -1080,7 +1082,7 @@ def run_source(source: str, *,
     """
     program = parse(source)
     try:
-        rt = Runtime(heap_slots, gc_interval, source_name)
+        rt = Runtime(heap_slots, gc_interval, source_name, write)
     except ValueError:
         Interpreter(Runtime()).compile_program(program)
         raise

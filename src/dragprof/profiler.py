@@ -1,15 +1,18 @@
 """The trace log: its types and the DRAGLOG format.
 
 A log is a TraceLog: its header fields, the end tick and its records,
-one per object, in (collect tick, id) order.  A run's log
-(runtime.Runtime.terminate) holds its records as DRAGLOG text: the
-runtime writes each batch of dead objects' OBJ lines with format_records
-when it dates their deaths, and a run never holds its records in any
-other form.  draglog_pieces yields a log's text in order, the header
-line, those strings and the END line, and write_draglog hands the
-pieces to the file one by one, so writing a log never joins its text;
-format_draglog joins them into one string, for tests and tools.  A
-parsed log (parse_draglog) holds one list per record field (Columns),
+one per object, in (collect tick, id) order.  A run
+(runtime.Runtime) writes its records as DRAGLOG text: each batch of dead
+objects' OBJ lines is made with format_records when their deaths are
+dated, and each collect tick's lines go to the run's writer once the
+tick is sealed, so a run never holds its records in any other form.
+`dragprof run` writes them straight to the log file, between the
+draglog_header and draglog_end lines; an in-process run keeps them as
+its log's lines.  draglog_pieces yields a log's text in order, the
+header line, those strings and the END line, and write_draglog hands
+the pieces to the file one by one, so writing a log never joins its
+text; format_draglog joins them into one string, for tests and tools.
+A parsed log (parse_draglog) holds one list per record field (Columns),
 which the analyzer reads fast; a run's log reads its columns back from
 its lines on first use, for in-process readers.  A log's records are
 its rows: iterating log.records zips the columns into Columns tuples,
@@ -75,7 +78,8 @@ class TraceLog:
     """A log's header fields, its end tick and its records: a run's as
     lines, strings of whole OBJ lines in log order, and record_count; a
     parsed log's as columns.  A run's columns are read from its lines
-    when first asked for.  records is a ParsedRecords over the log."""
+    when first asked for; a run whose lines went to its own writer has
+    neither.  records is a ParsedRecords over the log."""
 
     def __init__(self, gc_interval: int, heap_slots: int, source: str,
                  end_tick: int, columns: Columns = None, lines=None,
@@ -93,7 +97,7 @@ class TraceLog:
     def columns(self) -> Columns:
         if self._columns is None:
             self._columns, _ = _read_columns(
-                "".join(self.lines) + f"END {self.end_tick}\n")
+                "".join(self.lines) + draglog_end(self.end_tick))
         return self._columns
 
     @property
@@ -138,18 +142,28 @@ def _line_key(line: str):
     return int(fields[6]), int(fields[1])
 
 
+def draglog_header(gc_interval: int, heap_slots: int, source: str) -> str:
+    """A log's first line."""
+    return (f"DRAGLOG 1 gc_interval={gc_interval} heap_slots={heap_slots} "
+            f"source={source}\n")
+
+
+def draglog_end(end_tick: int) -> str:
+    """A log's last line."""
+    return f"END {end_tick}\n"
+
+
 def draglog_pieces(log: TraceLog):
     """The log's DRAGLOG text, as strings in order: the header line, a
     run's lines or a parsed log's rows, then the END line."""
-    yield (f"DRAGLOG 1 gc_interval={log.gc_interval} "
-           f"heap_slots={log.heap_slots} source={log.source}\n")
+    yield draglog_header(log.gc_interval, log.heap_slots, log.source)
     if log.lines is not None:
         yield from log.lines
     else:
         for (tick, censored), rows in groupby(log.records,
                                               itemgetter(5, 6)):
             yield format_records(rows, tick, censored)
-    yield f"END {log.end_tick}\n"
+    yield draglog_end(log.end_tick)
 
 
 def format_draglog(log: TraceLog) -> str:

@@ -35,7 +35,7 @@ point before its last use was used after it died, which only a value
 the interpreter forgot to root can cause: DanglingRef, as if the use
 had come after a copy at that point.  So a run's log and
 CollectionStats are those of a copy at every point, while the copying
-costs a constant per allocated slot.  A dated death writes the batch's
+costs a constant per allocated slot.  A dated death makes the batch's
 OBJ lines (profiler.format_records) and keeps no reference to its
 records, so a dead object costs the log its line of text.  The lines
 are logged in (collect tick, id) order but for the rows of one tick: a
@@ -45,14 +45,16 @@ order, so every batch is in ascending id order and collect ticks never
 fall from one batch to the next.  Only batches of one tick can break
 the id order: the ghosts of two copies, the dead of two copies at
 points of one tick, or the survivors after the last point's dead.  So
-when the tick advances, the last tick's lines are sorted if a batch
-broke their order, and the strings logged so far are joined into slabs
-of _SLAB batch strings, so that batches of one or two records do not
-cost a string each.  terminate() closes the run: it logs the objects
+when the tick advances, the last tick is sealed: its lines are sorted
+if a batch broke their order, handed to write as one string and
+dropped.  write is the run's writer, a callable taking strings: the
+log file's, in `dragprof run`, or by default an in-memory text buffer,
+whose text becomes the log's lines.  Either way the run holds only the
+open tick's lines.  terminate() closes the run: it logs the objects
 still in the table as censored, seals the last tick the same way, and
-returns the lines as the run's TraceLog.  It also releases the heap's
-two slot lists and its object table: every later event is a
-ProtocolViolation, so nothing reads them again.
+returns the run's TraceLog.  It also releases the heap's slots and its
+object table: every later event is a ProtocolViolation, so nothing
+reads them again.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -66,6 +68,7 @@ whole allocation inline (room check, clock, slots, record), so a pair
 costs one object and one call.
 """
 
+import io
 from collections import defaultdict
 from operator import attrgetter
 
@@ -80,16 +83,12 @@ from .profiler import (CollectionStats, TraceLog, format_records,
 # so a run holds none of it before its first allocation; a full heap's
 # two lists would take up to 2 x 8 bytes x 2**24 = 256 MiB.
 MAX_HEAP_SLOTS = 2 ** 24
-# Batch strings joined into one slab at a time.  Only a sealed tick's
-# strings are joined, so a tick whose rows must be sorted holds whole
-# strings of its own.
-_SLAB = 64
 
 
 class Runtime:
     def __init__(self, heap_slots: int = DEFAULT_HEAP_SLOTS,
                  gc_interval: int = DEFAULT_GC_INTERVAL,
-                 source_name: str = "<memory>"):
+                 source_name: str = "<memory>", write=None):
         if gc_interval < 1:
             raise ValueError("gc_interval must be at least 1")
         if heap_slots < 16:
@@ -111,13 +110,12 @@ class Runtime:
         self._died_slots = 0    # points
         self._ghosts = []  # batches, one per copy that found ghosts
         self.ghost_slots = 0
-        # The dead so far, as the log's OBJ lines: lines holds strings
-        # of whole lines, the strings from _slab on are single batches,
-        # and those from _group on hold the rows of the last tick.
-        self.lines = []
-        self._slab = 0
-        self._group = 0
-        self.logged = 0  # records in lines
+        # The log's OBJ lines go to write a sealed tick at a time; _open
+        # holds the batch strings of the last tick, not yet sealed.
+        self._text = io.StringIO() if write is None else None
+        self.write = write or self._text.write
+        self._open = []
+        self.logged = 0  # records logged
         # _last_key is the largest (collect tick, id) logged so far;
         # _unsorted is set once a batch of its tick comes below it.
         self._last_key = (-1, -1)
@@ -326,31 +324,29 @@ class Runtime:
         elif recs[0].obj_id < last_id:
             self._unsorted = True
         self._last_key = (tick, max(last_id, recs[-1].obj_id))
-        self.lines.append(format_records(recs, tick, censored))
+        self._open.append(format_records(recs, tick, censored))
         self.logged += len(recs)
 
     def _seal(self):
-        """Close the last tick: sort its lines if a batch broke their id
-        order, then join each run of _SLAB single batches into a slab."""
-        lines = self.lines
-        if self._unsorted:
-            lines[self._group:] = [sorted_lines("".join(lines[self._group:]))]
-            self._unsorted = False
-        start = self._slab
-        while len(lines) - start >= _SLAB:
-            lines[start:start + _SLAB] = ["".join(lines[start:start + _SLAB])]
-            start += 1
-        self._slab = start
-        self._group = len(lines)
+        """Close the last tick: write its lines, sorted if a batch broke
+        their id order, and drop them."""
+        if self._open:
+            text = "".join(self._open)
+            if self._unsorted:
+                text = sorted_lines(text)
+                self._unsorted = False
+            self._open = []
+            self.write(text)
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
-        roots(), then log whatever survived it as censored and return
-        the lines, in (collect tick, id) order, as the log.  Only the
-        rows at end_tick can still need a sort (in a run with
-        survivors, the last point's dead and the survivors after them).
-        The heap's slots and object table are released, since every
-        later event is a ProtocolViolation."""
+        roots(), then log whatever survived it as censored, and seal
+        the last tick.  Only the rows at end_tick can still need a sort
+        (in a run with survivors, the last point's dead and the
+        survivors after them).  The log's lines are the in-memory
+        buffer's text, in (collect tick, id) order, or None if the run
+        had a writer of its own.  The heap's slots and object table are
+        released, since every later event is a ProtocolViolation."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
         self.clock += 1
@@ -360,9 +356,10 @@ class Runtime:
         heap = self.heap
         self._log(list(heap.objects.values()), end_tick, True)
         self._seal()
-        heap.slots, heap.standby, heap.objects = [], [], {}
+        heap.slots, heap.objects = [], {}
+        lines = None if self._text is None else [self._text.getvalue()]
         return TraceLog(self.gc_interval, heap.capacity_slots, self.source,
-                        end_tick, lines=self.lines, record_count=self.logged)
+                        end_tick, lines=lines, record_count=self.logged)
 
 
 _new = object.__new__

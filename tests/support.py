@@ -345,9 +345,10 @@ def counted_sorts(monkeypatch):
 
 
 def logged_rows(rt):
-    """The rows a runtime has logged so far, in the order logged: its
-    OBJ lines read back by the DRAGLOG reader, as Columns."""
-    read = _read_columns("".join(rt.lines) + "END 0\n")
+    """The rows a runtime has logged so far, in the order logged: the
+    OBJ lines in its in-memory buffer and in its open tick, read back
+    by the DRAGLOG reader, as Columns."""
+    read = _read_columns(rt._text.getvalue() + "".join(rt._open) + "END 0\n")
     assert read is not None, "the runtime logged a line the reader rejects"
     return read[0]
 

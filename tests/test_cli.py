@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -15,8 +16,10 @@ import dragprof
 from dragprof import atomic, profiler
 from dragprof.cli import main
 from dragprof.errors import DraglogFormatError
+from dragprof.interp import run_source
 from dragprof.profiler import parse_draglog, read_draglog
 from dragprof.runtime import MAX_HEAP_SLOTS
+from support import nullified_source
 
 SMALL_PROGRAM = """
 (define xs (list 1 2 3))
@@ -71,6 +74,7 @@ def test_run_syntax_error_exits_1(workdir, capsys):
     assert run_cli("run", bad, "--log", workdir / "bad.draglog") == 1
     assert "syntax error" in capsys.readouterr().err
     assert not (workdir / "bad.draglog").exists()
+    assert not list(workdir.glob("*.tmp"))
     # a syntax error is reported before a heap size out of range
     bad.write_text("(define x (if))", encoding="utf-8")
     assert run_cli("run", bad, "--heap-slots", 8,
@@ -338,6 +342,143 @@ def test_a_piece_that_fails_after_others_were_written_leaves_the_target(
     assert written and written[0] >= atomic.SLICE
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert target.read_text(encoding="utf-8") == "old\n"
+
+
+BUNDLED = ("motiv.scm", "motiv-nullified.scm", "list-stress.scm",
+           "vector-stress.scm")
+
+
+@pytest.mark.parametrize("k", [1, 16])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_run_writes_the_log_an_in_process_run_formats(workdir, name, k):
+    # run streams its lines to the file; an in-process run keeps them
+    source = dragprof.bundled_program(name)
+    src = workdir / name
+    src.write_text(source, encoding="utf-8")
+    log = workdir / "out.draglog"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", src, "--gc-interval", k, "--log", log) == 0
+    run = run_source(source, gc_interval=k, source_name=name)
+    assert log.read_bytes() == \
+        profiler.format_draglog(run.trace_log).encode("utf-8")
+
+
+def log_writes(monkeypatch, fail_at=None, exc=None):
+    """Count the strings the log writer of atomic.opened gets, in a
+    one-element list; the fail_at-th raises exc instead."""
+    count = [0]
+    encoder = atomic._encoder
+
+    def counting(fh):
+        write = encoder(fh)
+
+        def counted(text):
+            count[0] += 1
+            if count[0] == fail_at:
+                raise exc
+            write(text)
+        return counted
+
+    monkeypatch.setattr(atomic, "_encoder", counting)
+    return count
+
+
+@pytest.mark.parametrize("fault, code", [("(car 5)", 2),
+                                         ("(make-vector 100000)", 3)],
+                         ids=["runtime-error", "out-of-memory"])
+def test_a_run_failing_after_many_sealed_ticks_leaves_the_old_log(
+        workdir, monkeypatch, capsys, fault, code):
+    writes = log_writes(monkeypatch)
+    src = workdir / "late.scm"
+    src.write_text(nullified_source(2000) + f"\n{fault}\n",
+                   encoding="utf-8")
+    log = workdir / "late.draglog"
+    log.write_text("old\n", encoding="utf-8")
+    before = sorted(workdir.iterdir())
+    assert run_cli("run", src, "--log", log) == code
+    assert writes[0] > 100  # the sealed ticks reached the temp file
+    assert sorted(workdir.iterdir()) == before
+    assert log.read_text(encoding="utf-8") == "old\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_a_log_write_failing_mid_run_exits_1_leaving_no_temp(
+        workdir, monkeypatch, capsys):
+    log_writes(monkeypatch, fail_at=50,
+               exc=OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    src = workdir / "stream.scm"
+    src.write_text(nullified_source(2000), encoding="utf-8")
+    log = workdir / "stream.draglog"
+    before = sorted(workdir.iterdir())
+    assert run_cli("run", src, "--log", log) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"dragprof: cannot write {log}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_an_interrupted_run_leaves_no_log_and_no_temp(workdir, monkeypatch):
+    log_writes(monkeypatch, fail_at=50, exc=KeyboardInterrupt())
+    src = workdir / "stream.scm"
+    src.write_text(nullified_source(2000), encoding="utf-8")
+    before = sorted(workdir.iterdir())
+    limit = sys.getrecursionlimit()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("run", src, "--log", workdir / "stream.draglog")
+    assert sorted(workdir.iterdir()) == before
+    assert sys.getrecursionlimit() == limit
+
+
+def test_a_fifo_log_gets_bytes_only_from_a_run_that_succeeds(workdir,
+                                                             capsys):
+    fifo = workdir / "pipe"
+    os.mkfifo(fifo)
+    late = workdir / "late.scm"
+    late.write_text(nullified_source(2000) + "\n(car 5)\n", encoding="utf-8")
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli("run", late, "--log", fifo) == 2
+        assert os.read(reader, 1 << 16) == b""
+        assert run_cli("run", workdir / "small.scm", "--log", fifo) == 0
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert not list(workdir.glob("*.tmp"))
+    log = workdir / "small.draglog"
+    assert run_cli("run", workdir / "small.scm", "--log", log) == 0
+    assert got == log.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_unwritable_log_is_reported_before_the_program_runs(
+        workdir, capsys, where):
+    src = workdir / "shows.scm"
+    src.write_text("(display 42)\n(car 5)\n", encoding="utf-8")
+    log = (workdir / "missing" / "x.draglog" if where == "missing-dir"
+           else workdir)
+    assert run_cli("run", src, "--log", log) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"dragprof: cannot write {log}: ")
+
+
+def test_a_run_holds_less_than_half_its_log(workdir, capsys):
+    # the log's lines go to its file as each tick is sealed, so the
+    # run's memory does not grow with its log
+    src = workdir / "stream.scm"
+    src.write_text(nullified_source(20_000), encoding="utf-8")
+    log = workdir / "stream.draglog"
+    tracemalloc.start()
+    try:
+        code = run_cli("run", src, "--gc-interval", 16, "--log", log)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert log.stat().st_size > 600_000
+    assert peak < log.stat().st_size // 2
 
 
 def test_analyze_outputs_and_reruns_identically(workdir, capsys):

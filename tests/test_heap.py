@@ -191,15 +191,20 @@ def test_heap_standalone_semispace_roles():
     # the runtime allocates; a Collector of the heap's own then copies
     rt = make_runtime(heap_slots=32)
     heap = rt.heap
-    assert heap.slots == heap.standby == [] and heap.capacity_slots == 32
+    assert heap.slots == [] and heap.capacity_slots == 32
     obj_id = rt.alloc_pair(1, 2).obj_id
     assert heap.used_slots == 2 and heap.allocated == 1
     assert len(heap.slots) == heap.used_slots
     assert heap.slot_value(obj_id, 0) == 1
-    from_space, to_space = heap.slots, heap.standby
-    collector = Collector(heap, lambda marked, from_slots: [])
+    from_space = heap.slots
+    flushed = []
+    collector = Collector(heap, lambda marked, from_slots:
+                          flushed.append(from_slots) or [])
     collector.collect([heap.objects[obj_id]], clock=0)
-    assert heap.slots is to_space and heap.standby is from_space
+    # the copy fills a fresh to-space; the flush reads from-space,
+    # which the heap no longer holds
+    assert len(flushed) == 1 and flushed[0] is from_space
+    assert heap.slots is not from_space and not hasattr(heap, "standby")
     assert heap.used_slots == 2
     assert len(heap.slots) == heap.used_slots
     assert heap.slot_value(obj_id, 1) == 2
@@ -207,6 +212,6 @@ def test_heap_standalone_semispace_roles():
 
 def test_a_large_heap_holds_no_slots_before_its_first_allocation():
     rt = Runtime(heap_slots=2 ** 20)
-    assert rt.heap.slots == rt.heap.standby == []
+    assert rt.heap.slots == []
     rt.alloc_vector(3, 7)
-    assert rt.heap.slots == [7, 7, 7] and rt.heap.standby == []
+    assert rt.heap.slots == [7, 7, 7]

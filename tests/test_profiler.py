@@ -34,10 +34,11 @@ from support import (
 )
 
 
-def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test"):
+def make_runtime(gc_interval=10 ** 9, heap_slots=256, source="test",
+                 write=None):
     """A runtime whose points the test opens and resolves by hand."""
     return Runtime(heap_slots=heap_slots, gc_interval=gc_interval,
-                   source_name=source)
+                   source_name=source, write=write)
 
 
 def logged_keys(rt):
@@ -280,9 +281,6 @@ def test_a_written_run_log_is_its_formatted_text(source, gc_interval):
     assert written_bytes(log) == format_draglog(log).encode("utf-8")
 
 
-SLAB = runtime._SLAB
-
-
 def batch(first_id, n):
     """n records with ids from first_id on, as a batch the runtime logs."""
     return [LifetimeRecord(first_id + i, PAIR, 2, 0, NEVER_USED, 0, None)
@@ -313,37 +311,43 @@ def test_an_early_break_sorts_only_its_own_tick(monkeypatch):
     assert in_key_order(log)
 
 
-def test_a_break_across_a_slab_edge_sorts_its_tick_alone(monkeypatch):
-    # ticks 1 to SLAB - 2 log a batch each, then tick SLAB - 1 four
-    # batches in descending id order, whose strings run past the first
-    # slab's edge: none of them is joined while the tick is open, and
-    # its rows alone are sorted once the next tick is logged
+def test_a_broken_tick_is_written_alone_once_sorted(monkeypatch):
+    # ticks 1 to 62 log a batch each, then tick 63 four batches in
+    # descending id order: none of its rows reaches the writer while the
+    # tick is open, and once the next tick is logged its rows alone are
+    # sorted and written, as one string
     counts = counted_sorts(monkeypatch)
-    rt = make_runtime()
-    for tick in range(1, SLAB - 1):
+    written = []
+    rt = make_runtime(write=written.append)
+    for tick in range(1, 63):
         rt._log(batch(2 * tick, 2), tick, False)
-    tick = SLAB - 1
+    tick = 63
     for j in range(4):
         rt._log(batch(2 * tick + 2 * (3 - j), 2), tick, False)
-        assert len(rt.lines) == SLAB - 1 + j
-        assert [s.count("\n") for s in rt.lines[rt._group:]] == [2] * (j + 1)
-        assert f" {tick} F\n" not in "".join(rt.lines[:rt._group])
-    rt._log(batch(2 * SLAB + 6, 2), SLAB, False)
+        assert len(written) == 62
+        assert [s.count("\n") for s in rt._open] == [2] * (j + 1)
+    rt._log(batch(2 * 64 + 6, 2), 64, False)
     assert counts == [8]
-    for tick in range(SLAB + 1, 3 * SLAB):
+    assert len(written) == 63 and written[-1].count(" 63 F\n") == 8
+    for tick in range(65, 192):
         rt._log(batch(2 * tick + 6, 2), tick, False)
     rt.clock = tick
     log = rt.terminate()
     assert counts == [8]
-    assert sorted(log.columns.obj_id) == list(range(2, 6 * SLAB + 6))
+    assert log.lines is None and len(written) == 191
+    assert [len({line.split(" ")[6] for line in s.splitlines()})
+            for s in written] == [1] * 191
+    log = TraceLog(log.gc_interval, log.heap_slots, log.source,
+                   log.end_tick, lines=written, record_count=rt.logged)
+    assert sorted(log.columns.obj_id) == list(range(2, 390))
     assert in_key_order(log)
-    assert len(rt.lines) < 2 * SLAB
 
 
 def test_terminate_checks_order_in_place_and_releases_the_heap():
     # stream's lines are written in (collect, id) order: terminate
     # makes no per-row key list, and frees the heap
-    rt = Runtime(gc_interval=16)
+    written = []
+    rt = Runtime(gc_interval=16, write=written.append)
     Interpreter(rt).eval_program(parse(nullified_source(20_000)))
     tracemalloc.start()
     try:
@@ -351,10 +355,10 @@ def test_terminate_checks_order_in_place_and_releases_the_heap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = len(log.columns.obj_id)
-    assert rows >= 20_000
+    rows = "".join(written).count("\n")
+    assert rows == len(log.records) >= 20_000
     assert peak < 4 * rows
-    assert rt.heap.slots == rt.heap.standby == []
+    assert rt.heap.slots == []
     assert rt.heap.objects == {}
     with pytest.raises(ProtocolViolation):
         rt.alloc_pair(NIL, NIL)

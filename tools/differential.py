@@ -28,7 +28,8 @@ and the analysis of the log: the four outputs of `dragprof analyze`
 (parse_draglog, build_report, the three CSV writers and
 format_text_report), and how the log parses with one or two of its
 lines changed, as the run's index picks (mutate_lines): its columns,
-or the error's line and message.
+or the error's line and message; a log that does not parse at all is
+compared by its parse error.
 
 Exits 0 when every run agrees, 1 listing the first differing runs
 otherwise.  Takes a few minutes on two cores.
@@ -145,12 +146,16 @@ def child():
 
 def analysis(text, index):
     """What analyze makes of a DRAGLOG text, and how the text parses with
-    its lines mutated as the run's index picks."""
+    its lines mutated as the run's index picks; the parse error if the
+    text itself does not parse."""
     if not text:
         return ""
     from dragprof import analyzer
     from dragprof.profiler import parse_draglog
-    log = parse_draglog(text)
+    try:
+        log = parse_draglog(text)
+    except Exception as exc:  # compared, not judged
+        return _digest(f"{type(exc).__name__}: {exc}")
     report, series = analyzer.build_report(log)
     out = io.StringIO()
     analyzer.write_report_csv(report, out)
