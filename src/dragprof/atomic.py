@@ -11,8 +11,9 @@ its strings are kept until the block ends, and written only if it ends
 without an exception, so a failed command sends it nothing.  Each string
 is encoded and written SLICE characters at a time, so neither the writer
 nor the encoder ever holds a second copy of a whole text, and the file's
-buffer gathers small strings into large writes.  write_pieces and
-write_text write the strings of an iterable and one string.
+buffer gathers small strings into large writes.  `dragprof run` hands
+opened's writer to the run, which writes its whole log through it;
+write_text writes one string, an output of analyze or plot.
 """
 
 import contextlib
@@ -26,14 +27,8 @@ SLICE = 65536  # characters encoded and written at a time
 
 def write_text(path, text: str):
     """Write text to path (see opened)."""
-    write_pieces(path, (text,))
-
-
-def write_pieces(path, pieces):
-    """Write the strings pieces yields, in order, to path (see opened)."""
     with opened(path) as write:
-        for text in pieces:
-            write(text)
+        write(text)
 
 
 @contextlib.contextmanager

@@ -1,14 +1,16 @@
 """Batch front-end: run instrumented programs, analyze logs, emit plots.
 
 Exit codes for run: 0 success, 1 unreadable source, unwritable log or
-syntax error, 2 runtime error, 3 out of memory.  run writes its log as
-it goes, a sealed tick at a time, so a log path that cannot be written
-is reported before the program runs.  analyze and plot exit 1
-on input that is unreadable, not UTF-8 or malformed, and on output they
-cannot write.  A usage error (an unknown command, a missing or malformed
-argument) exits 1 with the usage message.  Every output that is missing
-or a regular file is written to a temp name and renamed, so a failed
-command never leaves a partial file behind (see atomic.py).
+syntax error, 2 runtime error, 3 out of memory.  run hands the log
+file's writer to the run, which writes the whole log as it goes (its
+header, a sealed tick at a time, its END line), so a log path that
+cannot be written is reported before the program runs.  analyze and
+plot exit 1 on input that is unreadable, not UTF-8 or malformed, and on
+output they cannot write.  A usage error (an unknown command, a missing
+or malformed argument) exits 1 with the usage message.  Every output
+that is missing or a regular file is written to a temp name and
+renamed, so a failed command never leaves a partial file behind (see
+atomic.py).
 
 Each command imports only the layers it uses: `run` the interpreter and
 runtime, `analyze` the log parser and the analyzer, `plot` the plot
@@ -77,7 +79,6 @@ def _write_outputs(out_dir: Path, texts) -> int | None:
 
 def cmd_run(args) -> int:
     from .interp import run_source
-    from .profiler import draglog_end, draglog_header
 
     source_path = Path(args.source)
     # the name goes on the log's header line, in UTF-8; a \n would end
@@ -96,15 +97,12 @@ def cmd_run(args) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RUN_RECURSION_LIMIT))
     try:
-        # the log's lines go to its file as the run seals them
+        # the run writes its whole log to the file as it goes
         with atomic.opened(log_path) as write:
-            write(draglog_header(args.gc_interval, args.heap_slots,
-                                 source_path.name))
             result = run_source(source_text,
                                 gc_interval=args.gc_interval,
                                 heap_slots=args.heap_slots,
                                 source_name=source_path.name, write=write)
-            write(draglog_end(result.trace_log.end_tick))
     except OSError as exc:
         return _cannot("write", log_path, exc)
     except ValueError as exc:  # configuration out of range

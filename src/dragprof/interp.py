@@ -1070,8 +1070,9 @@ def run_source(source: str, *,
                heap_slots: int = DEFAULT_HEAP_SLOTS,
                source_name: str = "<string>", write=None) -> RunResult:
     """Parse and run a program, returning its result and the trace log.
-    write, if given, takes the log's OBJ lines as the run seals them
-    (see runtime.py), and the log holds no lines.
+    The run writes its whole DRAGLOG to write, if given, as it goes (see
+    runtime.py), and the log holds no text; else the log's text is that
+    DRAGLOG, the bytes `dragprof run` writes.
 
     The result is rendered before termination; if it is a heap reference
     the object may be collected by the closing collection, so value_repr

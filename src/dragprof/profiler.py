@@ -1,25 +1,20 @@
 """The trace log: its types and the DRAGLOG format.
 
 A log is a TraceLog: its header fields, the end tick and its records,
-one per object, in (collect tick, id) order.  A run
-(runtime.Runtime) writes its records as DRAGLOG text: each batch of dead
-objects' OBJ lines is made with format_records when their deaths are
-dated, and each collect tick's lines go to the run's writer once the
-tick is sealed, so a run never holds its records in any other form.
-`dragprof run` writes them straight to the log file, between the
-draglog_header and draglog_end lines; an in-process run keeps them as
-its log's lines.  draglog_pieces yields a log's text in order, the
-header line, those strings and the END line, and write_draglog hands
-the pieces to the file one by one, so writing a log never joins its
-text; format_draglog joins them into one string, for tests and tools.
-A parsed log (parse_draglog) holds one list per record field (Columns),
-which the analyzer reads fast; a run's log reads its columns back from
-its lines on first use, for in-process readers.  A log's records are
-its rows: iterating log.records zips the columns into Columns tuples,
-one per object, as it goes, and len(log.records) is the log's record
-count, which a run's log knows without reading its lines.
-draglog_pieces writes a parsed log's rows with format_records too, a
-string per run of rows that share their collect tick and censored flag.
+one per object, in (collect tick, id) order.  A log has one writer and
+one reader.  The writer is a run (runtime.Runtime): it writes the
+draglog_header line when it starts, each batch of dead objects' OBJ
+lines (format_records) when their deaths are dated, a sealed collect
+tick at a time, and the draglog_end line when it terminates, all to its
+writer.  `dragprof run` hands it the log file's writer; an in-process
+run writes to a text buffer, and its log's text is that buffer's whole
+DRAGLOG, the very bytes the file would get.  format_draglog returns
+that text.  The reader is parse_draglog, with all its checks: a parsed
+log holds one list per record field (Columns), which the analyzer
+reads.  A run's log holds its text, never columns; a parsed log holds
+columns, never text.  len(log.records) is the log's record count for
+both, and iterating a parsed log's records zips its columns into
+Columns tuples, one per object, as it goes.
 CollectionStats describe one collection point, or one copy.
 This module only writes, reads and checks logs; it imports neither the
 runtime, nor the collector, nor the heap, so `dragprof analyze` loads
@@ -50,10 +45,7 @@ the records.
 """
 
 from collections import namedtuple
-from itertools import groupby
-from operator import itemgetter
 
-from . import atomic
 from .errors import DraglogFormatError
 
 # The kinds a record holds, and its last_use_tick for an object never
@@ -76,29 +68,21 @@ Columns = namedtuple("Columns", "obj_id kind size_slots create_tick "
 
 class TraceLog:
     """A log's header fields, its end tick and its records: a run's as
-    lines, strings of whole OBJ lines in log order, and record_count; a
-    parsed log's as columns.  A run's columns are read from its lines
-    when first asked for; a run whose lines went to its own writer has
-    neither.  records is a ParsedRecords over the log."""
+    text, its whole DRAGLOG (None if the run had a writer of its own),
+    and record_count; a parsed log's as columns.  records is a
+    ParsedRecords over the log."""
 
     def __init__(self, gc_interval: int, heap_slots: int, source: str,
-                 end_tick: int, columns: Columns = None, lines=None,
+                 end_tick: int, columns: Columns = None, text: str = None,
                  record_count: int = 0):
         self.gc_interval = gc_interval
         self.heap_slots = heap_slots
         self.source = source
         self.end_tick = end_tick
-        self.lines = lines
-        self._columns = columns
+        self.text = text
+        self.columns = columns
         self.record_count = (record_count if columns is None
                              else len(columns.obj_id))
-
-    @property
-    def columns(self) -> Columns:
-        if self._columns is None:
-            self._columns, _ = _read_columns(
-                "".join(self.lines) + draglog_end(self.end_tick))
-        return self._columns
 
     @property
     def records(self):
@@ -106,8 +90,9 @@ class TraceLog:
 
 
 class ParsedRecords:
-    """A log's records: len() is its record count, and iterating yields
-    its columns' rows, each a Columns tuple of one record's fields."""
+    """A log's records: len() is its record count, and iterating a
+    parsed log's yields its columns' rows, each a Columns tuple of one
+    record's fields."""
 
     def __init__(self, log: TraceLog):
         self.log = log
@@ -153,29 +138,9 @@ def draglog_end(end_tick: int) -> str:
     return f"END {end_tick}\n"
 
 
-def draglog_pieces(log: TraceLog):
-    """The log's DRAGLOG text, as strings in order: the header line, a
-    run's lines or a parsed log's rows, then the END line."""
-    yield draglog_header(log.gc_interval, log.heap_slots, log.source)
-    if log.lines is not None:
-        yield from log.lines
-    else:
-        for (tick, censored), rows in groupby(log.records,
-                                              itemgetter(5, 6)):
-            yield format_records(rows, tick, censored)
-    yield draglog_end(log.end_tick)
-
-
 def format_draglog(log: TraceLog) -> str:
-    """The log's DRAGLOG text as one string."""
-    return "".join(draglog_pieces(log))
-
-
-def write_draglog(log: TraceLog, path):
-    """Write the log's DRAGLOG text to path atomically, a piece of
-    draglog_pieces at a time (see atomic.write_pieces), so the whole
-    text is never held as one string."""
-    atomic.write_pieces(path, draglog_pieces(log))
+    """A run's DRAGLOG text, as its run wrote it."""
+    return log.text
 
 
 # What int() accepts in an ASCII number besides digits and "-", apart
@@ -185,7 +150,7 @@ _NOT_PLAIN = "_+\t\x0b\x0c\r"
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
-    """The integer text spells as format_draglog writes it: ASCII digits
+    """The integer text spells as a run writes it: ASCII digits
     after an optional minus sign."""
     if text.isascii() and " " not in text and not any(
             c in text for c in _NOT_PLAIN):
@@ -199,7 +164,7 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
 def parse_draglog(text: str) -> TraceLog:
     if not text:
         raise DraglogFormatError("empty file", 1)
-    # format_draglog ends each line with "\n", and a source name may hold
+    # a run ends each line with "\n", and a source name may hold
     # any other line break that str.splitlines would split at
     header, _, rest = text.partition("\n")
     head = header.split(" ", 4)

@@ -49,12 +49,15 @@ when the tick advances, the last tick is sealed: its lines are sorted
 if a batch broke their order, handed to write as one string and
 dropped.  write is the run's writer, a callable taking strings: the
 log file's, in `dragprof run`, or by default an in-memory text buffer,
-whose text becomes the log's lines.  Either way the run holds only the
-open tick's lines.  terminate() closes the run: it logs the objects
-still in the table as censored, seals the last tick the same way, and
-returns the run's TraceLog.  It also releases the heap's slots and its
-object table: every later event is a ProtocolViolation, so nothing
-reads them again.
+whose text becomes the log's text.  The run writes the whole log to
+it: the header line when it starts, the sealed ticks' lines, and the
+END line when it terminates, so both writers get the same strings.
+Either way the run holds only the open tick's lines.  terminate()
+closes the run: it logs the objects still in the table as censored,
+seals the last tick the same way, writes the END line and returns the
+run's TraceLog.  It also releases the heap's slots and its object
+table: every later event is a ProtocolViolation, so nothing reads them
+again.
 
 Roots come from one source, roots: a callable returning references,
 which are the objects' records (heap.py); it returns none until a
@@ -76,8 +79,8 @@ from .defaults import DEFAULT_GC_INTERVAL, DEFAULT_HEAP_SLOTS
 from .errors import DanglingRef, OutOfMemory, ProtocolViolation, int_text
 from .gc import Collector
 from .heap import NEVER_USED, NIL, PAIR, VECTOR, Heap, LifetimeRecord
-from .profiler import (CollectionStats, TraceLog, format_records,
-                       sorted_lines)
+from .profiler import (CollectionStats, TraceLog, draglog_end,
+                       draglog_header, format_records, sorted_lines)
 
 # Largest semispace a run may ask for.  The slot lists grow with use,
 # so a run holds none of it before its first allocation; a full heap's
@@ -110,10 +113,12 @@ class Runtime:
         self._died_slots = 0    # points
         self._ghosts = []  # batches, one per copy that found ghosts
         self.ghost_slots = 0
-        # The log's OBJ lines go to write a sealed tick at a time; _open
-        # holds the batch strings of the last tick, not yet sealed.
+        # The log goes to write: its header now, its OBJ lines a sealed
+        # tick at a time, and its END line at termination; _open holds
+        # the batch strings of the last tick, not yet sealed.
         self._text = io.StringIO() if write is None else None
         self.write = write or self._text.write
+        self.write(draglog_header(gc_interval, heap_slots, source_name))
         self._open = []
         self.logged = 0  # records logged
         # _last_key is the largest (collect tick, id) logged so far;
@@ -340,12 +345,12 @@ class Runtime:
 
     def terminate(self) -> TraceLog:
         """Close the run: final clock step, one last collection over
-        roots(), then log whatever survived it as censored, and seal
-        the last tick.  Only the rows at end_tick can still need a sort
-        (in a run with survivors, the last point's dead and the
-        survivors after them).  The log's lines are the in-memory
-        buffer's text, in (collect tick, id) order, or None if the run
-        had a writer of its own.  The heap's slots and object table are
+        roots(), then log whatever survived it as censored, seal the
+        last tick and write the END line.  Only the rows at end_tick can
+        still need a sort (in a run with survivors, the last point's
+        dead and the survivors after them).  The log's text is the
+        in-memory buffer's whole DRAGLOG, or None if the run had a
+        writer of its own.  The heap's slots and object table are
         released, since every later event is a ProtocolViolation."""
         if self._terminated:
             raise ProtocolViolation("runtime already terminated")
@@ -356,10 +361,11 @@ class Runtime:
         heap = self.heap
         self._log(list(heap.objects.values()), end_tick, True)
         self._seal()
+        self.write(draglog_end(end_tick))
         heap.slots, heap.objects = [], {}
-        lines = None if self._text is None else [self._text.getvalue()]
+        text = None if self._text is None else self._text.getvalue()
         return TraceLog(self.gc_interval, heap.capacity_slots, self.source,
-                        end_tick, lines=lines, record_count=self.logged)
+                        end_tick, text=text, record_count=self.logged)
 
 
 _new = object.__new__

@@ -11,7 +11,9 @@ from dragprof import runtime
 from dragprof.gc import Collector, canonical_serialization, reachability_oracle
 from dragprof.heap import NEVER_USED, NIL, PAIR, VECTOR
 from dragprof.profiler import (CollectionStats, Columns, TraceLog,
-                               _read_columns)
+                               _read_columns, draglog_end, draglog_header,
+                               format_draglog, format_records,
+                               parse_draglog)
 from dragprof.runtime import Runtime
 
 
@@ -324,6 +326,22 @@ def make_log(rows, end_tick, gc_interval=1):
     return TraceLog(gc_interval, 64, "synthetic", end_tick, columns)
 
 
+def read_back(log):
+    """A run's log as the analyzer reads it: its text, parsed with every
+    check."""
+    return parse_draglog(format_draglog(log))
+
+
+def log_text(log):
+    """The DRAGLOG text of a log of rows, a line per row in the order
+    given, as a run writes it."""
+    return "".join([draglog_header(log.gc_interval, log.heap_slots,
+                                   log.source)]
+                   + [format_records([r], r.collect_tick, r.censored)
+                      for r in log.records]
+                   + [draglog_end(log.end_tick)])
+
+
 def in_key_order(log):
     """Whether the log's rows are their own sort by (collect tick, id)."""
     rows = list(log.records)
@@ -346,9 +364,14 @@ def counted_sorts(monkeypatch):
 
 def logged_rows(rt):
     """The rows a runtime has logged so far, in the order logged: the
-    OBJ lines in its in-memory buffer and in its open tick, read back
-    by the DRAGLOG reader, as Columns."""
-    read = _read_columns(rt._text.getvalue() + "".join(rt._open) + "END 0\n")
+    OBJ lines in its in-memory buffer, between the header and END (once
+    terminated), and in its open tick, read back by the DRAGLOG reader,
+    as Columns."""
+    text = rt._text.getvalue() + "".join(rt._open)
+    rest = text.partition("\n")[2]
+    if not rt._terminated:
+        rest += draglog_end(rt.clock)
+    read = _read_columns(rest)
     assert read is not None, "the runtime logged a line the reader rejects"
     return read[0]
 
@@ -385,7 +408,7 @@ def run_gc_correctness_session(seed: int, objects_budget=120,
             if rng.random() < 0.04:
                 checked_collect(rt)
         checked_collect(rt)
-        log = rt.terminate()
+        log = read_back(rt.terminate())
     ids = [r.obj_id for r in log.records]
     assert len(ids) == allocated, "records lost or duplicated"
     assert len(set(ids)) == allocated, "an object was logged twice"
@@ -415,7 +438,7 @@ def run_delta_gc_session(seed: int, gc_interval: int, ops=1200,
         for oid in rt.heap.objects:
             if oid not in reachable and oid not in first_unreachable:
                 first_unreachable[oid] = rt.heap.allocated
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     # the allocations made by tick t: those created at or before it
     creates = sorted(rec.create_tick for rec in log.records)
     violations = []

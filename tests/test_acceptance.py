@@ -22,7 +22,8 @@ from dragprof.analyzer import (
 )
 from dragprof.interp import run_source
 from dragprof.profiler import format_draglog
-from support import run_delta_gc_session, run_gc_correctness_session
+from support import (read_back, run_delta_gc_session,
+                     run_gc_correctness_session)
 
 # Reference space-time rows: (name, reachable integral, live
 # integral, savings %).
@@ -111,7 +112,8 @@ def test_collection_lag_bound():
 
 def test_lingering_list_narrative(motiv_k1, nullified_k1):
     n = 1000
-    log = motiv_k1.trace_log
+    log = read_back(motiv_k1.trace_log)
+    nullified = read_back(nullified_k1.trace_log)
     assert len(log.records) == n + 3
     drags = {r.obj_id: d for r, d in zip(log.records, drags_of(log))}
     # (a) every list cell drags, and exactly the cells count as dead
@@ -130,12 +132,12 @@ def test_lingering_list_narrative(motiv_k1, nullified_k1):
     assert all(b <= a for a, b in zip(live[peak:], live[peak + 1:]))
     # (c) nullifying the binding recovers > 40 percentage points
     motiv_report, _ = build_report(log)
-    nullified_report, _ = build_report(nullified_k1.trace_log)
+    nullified_report, _ = build_report(nullified)
     gap = motiv_report.savings_pct - nullified_report.savings_pct
     assert gap > 40
     # (d) the nullified variant's drag mass sits in the first bin
-    nullified_drags = drags_of(nullified_k1.trace_log)
-    bins = histogram(nullified_drags, nullified_k1.trace_log.end_tick)
+    nullified_drags = drags_of(nullified)
+    bins = histogram(nullified_drags, nullified.end_tick)
     assert bins[0] >= 0.95 * len(nullified_drags)
     print(f"PASS lingering-list narrative: dead {dead}/{n}, savings gap "
           f"{gap:.2f} points, nullified bin0 share "
@@ -144,7 +146,7 @@ def test_lingering_list_narrative(motiv_k1, nullified_k1):
 
 def test_determinism(motiv_k1, nullified_k1):
     def csv_bytes(log):
-        report, series = build_report(log)
+        report, series = build_report(read_back(log))
         bufs = []
         for writer, arg in ((analyzer.write_report_csv, report),
                             (analyzer.write_curves_csv, series),
@@ -174,10 +176,10 @@ def test_determinism(motiv_k1, nullified_k1):
 
 
 def test_invariant_suite(motiv_k1, nullified_k1):
-    logs = [motiv_k1.trace_log, nullified_k1.trace_log]
+    logs = [read_back(motiv_k1.trace_log), read_back(nullified_k1.trace_log)]
     for name in ("list-stress.scm", "vector-stress.scm"):
-        logs.append(run_source(dragprof.bundled_program(name),
-                               source_name=name).trace_log)
+        logs.append(read_back(run_source(dragprof.bundled_program(name),
+                                         source_name=name).trace_log))
     for seed in (3, 11, 42):
         logs.append(run_gc_correctness_session(seed, objects_budget=150))
     points_checked = 0

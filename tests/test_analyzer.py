@@ -19,7 +19,7 @@ from dragprof.heap import NEVER_USED, PAIR
 from dragprof.interp import run_source
 from dragprof.profiler import Columns
 
-from support import make_log, motiv_source, nullified_source, \
+from support import make_log, motiv_source, nullified_source, read_back, \
     run_gc_correctness_session, trace_logs
 
 
@@ -101,7 +101,7 @@ def bruteforce_points(log, s):
 def test_curves_match_bruteforce_replay():
     r = run_source(motiv_source(40, 100), gc_interval=2,
                    source_name="motiv.scm")
-    log = r.trace_log
+    log = read_back(r.trace_log)
     for s in (1, 7, 50):
         assert curves(log, s).points == bruteforce_points(log, s)
 
@@ -116,7 +116,7 @@ def test_curves_match_bruteforce_on_random_logs(log, s):
 def test_curves_default_interval_gives_about_500_points():
     r = run_source(motiv_source(100, 500), gc_interval=1,
                    source_name="motiv.scm")
-    series = curves(r.trace_log)
+    series = curves(read_back(r.trace_log))
     assert 400 <= len(series.points) <= 1010
 
 
@@ -189,7 +189,7 @@ def test_dead_objects_threshold_strictly_exceeded():
 def test_motiv_every_cell_dead_at_threshold_k():
     r = run_source(motiv_source(100, 500), gc_interval=1,
                    source_name="motiv.scm")
-    drags = drags_of(r.trace_log)
+    drags = drags_of(read_back(r.trace_log))
     allocated, dead, _ = dead_objects(drags, 1)
     assert allocated == 103  # the cells plus the three scaffold objects
     assert dead == 100
@@ -198,7 +198,7 @@ def test_motiv_every_cell_dead_at_threshold_k():
 def test_nullified_no_dead_at_threshold_k():
     r = run_source(nullified_source(100), gc_interval=1,
                    source_name="motiv-nullified.scm")
-    drags = drags_of(r.trace_log)
+    drags = drags_of(read_back(r.trace_log))
     allocated, dead, _ = dead_objects(drags, 1)
     assert allocated == 100
     assert dead == 0
@@ -220,13 +220,14 @@ def test_histogram_zero_drag_lands_in_first_bin():
 def test_histogram_shapes_of_the_two_variants():
     motiv = run_source(motiv_source(100, 500), gc_interval=1,
                        source_name="motiv.scm")
-    bins = histogram(drags_of(motiv.trace_log), motiv.trace_log.end_tick)
+    log = read_back(motiv.trace_log)
+    bins = histogram(drags_of(log), log.end_tick)
     # the cells' drag spreads over mid-range bins, none above 90%
     assert sum(bins[9:17]) >= 90
     nullified = run_source(nullified_source(100), gc_interval=1,
                            source_name="motiv-nullified.scm")
-    nbins = histogram(drags_of(nullified.trace_log),
-                      nullified.trace_log.end_tick)
+    log = read_back(nullified.trace_log)
+    nbins = histogram(drags_of(log), log.end_tick)
     assert nbins[0] / sum(nbins) >= 0.95
 
 
@@ -279,9 +280,10 @@ def test_riemann_refinement_stability(data, half_step):
 def test_live_never_exceeds_reachable_on_real_runs():
     for source, name in ((motiv_source(60, 200), "motiv.scm"),
                          (nullified_source(60), "motiv-nullified.scm")):
-        result = run_source(source, gc_interval=1, source_name=name)
+        log = read_back(run_source(source, gc_interval=1,
+                                   source_name=name).trace_log)
         for s in (1, 3, 17):
-            for _, reach, live in curves(result.trace_log, s).points:
+            for _, reach, live in curves(log, s).points:
                 assert 0 <= live <= reach
     log = run_gc_correctness_session(5, objects_budget=90)
     for _, reach, live in curves(log, 3).points:
@@ -293,14 +295,14 @@ def test_nullified_reachable_curve_stays_flat():
     # never accumulates reachable objects
     r = run_source(nullified_source(100), gc_interval=1,
                    source_name="motiv-nullified.scm")
-    series = curves(r.trace_log, 1)
+    series = curves(read_back(r.trace_log), 1)
     assert max(p[1] for p in series.points) <= 2
 
 
 def test_motiv_reachable_plateau_and_live_decline():
     r = run_source(motiv_source(100, 500), gc_interval=1,
                    source_name="motiv.scm")
-    series = curves(r.trace_log, 1)
+    series = curves(read_back(r.trace_log), 1)
     reach = [p[1] for p in series.points]
     live = [p[2] for p in series.points]
     n = 100
@@ -318,7 +320,7 @@ def test_motiv_reachable_plateau_and_live_decline():
 def test_build_report_histogram_covers_dead_only():
     r = run_source(motiv_source(50, 150), gc_interval=1,
                    source_name="motiv.scm")
-    report, series = build_report(r.trace_log)
+    report, series = build_report(read_back(r.trace_log))
     assert sum(report.histogram) == report.dead_count
     assert report.allocated == 53
     assert report.end_tick == r.trace_log.end_tick
@@ -329,7 +331,7 @@ def test_build_report_histogram_covers_dead_only():
 def test_report_csv_layout():
     r = run_source(motiv_source(20, 60), gc_interval=1,
                    source_name="motiv.scm")
-    report, series = build_report(r.trace_log)
+    report, series = build_report(read_back(r.trace_log))
     buf = io.StringIO()
     analyzer.write_report_csv(report, buf)
     lines = buf.getvalue().splitlines()
@@ -342,7 +344,7 @@ def test_report_csv_layout():
 def test_curves_and_histogram_csv_layout():
     r = run_source(motiv_source(20, 60), gc_interval=1,
                    source_name="motiv.scm")
-    report, series = build_report(r.trace_log)
+    report, series = build_report(read_back(r.trace_log))
     buf = io.StringIO()
     analyzer.write_curves_csv(series, buf)
     lines = buf.getvalue().splitlines()
@@ -360,7 +362,7 @@ def test_curves_and_histogram_csv_layout():
 def test_text_report_mentions_headline_numbers():
     r = run_source(motiv_source(20, 60), gc_interval=1,
                    source_name="motiv.scm")
-    report, _ = build_report(r.trace_log)
+    report, _ = build_report(read_back(r.trace_log))
     text = analyzer.format_text_report(report, 1)
     assert "potential-savings-%" in text
     assert f"{report.savings_pct:.2f}" in text

@@ -337,8 +337,9 @@ def test_a_piece_that_fails_after_others_were_written_leaves_the_target(
         written.append(tmp.stat().st_size)
         yield "bad \ud800\n"
 
-    with pytest.raises(UnicodeEncodeError):
-        atomic.write_pieces(target, pieces())
+    with pytest.raises(UnicodeEncodeError), atomic.opened(target) as write:
+        for text in pieces():
+            write(text)
     assert written and written[0] >= atomic.SLICE
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert target.read_text(encoding="utf-8") == "old\n"

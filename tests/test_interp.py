@@ -27,6 +27,7 @@ from support import (
     RULE_PROGRAMS,
     ProgramGenerator,
     oracle_checked_points,
+    read_back,
 )
 
 WALK_LOOP = """
@@ -132,7 +133,7 @@ def test_walk_loop_trace_is_exact():
     r = run(WALK_LOOP)
     assert isinstance(r.value, Nil)
     assert r.value_repr == "()"
-    log = r.trace_log
+    log = read_back(r.trace_log)
     assert len(log.records) == 3
     assert all(rec.kind == PAIR for rec in log.records)
     assert log.end_tick == 13
@@ -149,7 +150,7 @@ def test_counting_loop_allocates_exactly_five_pairs():
           "(loop (+ i 1) (cons i acc))))"
     r = run(src)
     assert r.value_repr == "(4 3 2 1 0)"
-    log = r.trace_log
+    log = read_back(r.trace_log)
     assert len(log.records) == 5
     assert all(rec.kind == PAIR for rec in log.records)
     # cons uses its ref argument (the growing accumulator) before each
@@ -159,7 +160,7 @@ def test_counting_loop_allocates_exactly_five_pairs():
 
 def test_car_updates_last_use_tick():
     r = run("(define p (cons 1 2)) (car p)")
-    [rec] = r.trace_log.records
+    [rec] = read_back(r.trace_log).records
     assert rec.create_tick == 1
     assert rec.last_use_tick == 2  # the car
     assert rec.censored  # global binding holds it at termination
@@ -176,7 +177,7 @@ def test_null_on_immediate_records_nothing():
 def test_pair_predicate_on_vector_records_use():
     r = run("(define v (vector 1)) (pair? v)")
     assert r.value is False
-    [rec] = r.trace_log.records
+    [rec] = read_back(r.trace_log).records
     assert rec.kind == VECTOR
     assert rec.last_use_tick == 2  # the predicate inspected it
 
@@ -201,7 +202,7 @@ def test_vector_to_list_event_pattern():
     # at 3 and 4
     r = run("(define v (vector 7 8)) (vector->list v)")
     assert r.value_repr == "(7 8)"
-    recs = {rec.obj_id: rec for rec in r.trace_log.records}
+    recs = {rec.obj_id: rec for rec in read_back(r.trace_log).records}
     assert recs[0].kind == VECTOR and recs[0].create_tick == 1
     assert recs[0].last_use_tick == 2
     assert recs[1].kind == PAIR and recs[1].create_tick == 3
@@ -214,7 +215,7 @@ def test_list_to_vector_event_pattern():
     # allocates the vector at 5
     r = run("(define lst (list 1 2)) (list->vector lst)")
     assert r.value_repr == "#(1 2)"
-    recs = {rec.obj_id: rec for rec in r.trace_log.records}
+    recs = {rec.obj_id: rec for rec in read_back(r.trace_log).records}
     assert recs[0].create_tick == 1 and recs[1].create_tick == 2
     assert recs[1].last_use_tick == 3  # the head (built tail-first)
     assert recs[0].last_use_tick == 4
@@ -460,7 +461,7 @@ def test_eq_semantics():
 
 def test_eq_records_uses_on_both_refs():
     r = run("(define p (cons 1 2)) (define q (cons 3 4)) (eq? p q)")
-    recs = {rec.obj_id: rec for rec in r.trace_log.records}
+    recs = {rec.obj_id: rec for rec in read_back(r.trace_log).records}
     assert recs[0].last_use_tick == 3
     assert recs[1].last_use_tick == 4
 
@@ -491,7 +492,7 @@ def test_display_writes_scheme_syntax(capsys):
 
 def test_display_records_use():
     r = run("(define p (cons 1 2)) (display p)")
-    [rec] = r.trace_log.records
+    [rec] = read_back(r.trace_log).records
     assert rec.last_use_tick == 2
 
 
@@ -572,15 +573,13 @@ def test_frames_abandoned_by_tail_calls_are_not_roots():
     src = ("(define (g n) (cons n n))"
            "(define (f q) (let ((p (cons 1 2))) (car p) (g 0){rest}))"
            "(f (cons 7 7)) (cons 5 5)")
-    tail = {rec.obj_id: rec
-            for rec in run(src.format(rest=""), gc_interval=1)
-            .trace_log.records}
+    tail = {rec.obj_id: rec for rec in read_back(
+        run(src.format(rest=""), gc_interval=1).trace_log).records}
     assert (tail[0].create_tick, tail[0].collect_tick) == (1, 4)
     assert (tail[1].create_tick, tail[1].last_use_tick,
             tail[1].collect_tick) == (2, 3, 4)
-    non_tail = {rec.obj_id: rec
-                for rec in run(src.format(rest=" 'x"), gc_interval=1)
-                .trace_log.records}
+    non_tail = {rec.obj_id: rec for rec in read_back(
+        run(src.format(rest=" 'x"), gc_interval=1).trace_log).records}
     assert non_tail[0].collect_tick == non_tail[1].collect_tick == 5
 
 
@@ -799,7 +798,8 @@ def test_a_record_under_a_primitive_name_stays_a_root():
                 gc_interval=1)
     assert checks.points >= 3
     assert r.value_repr == "(1 . 2)"
-    assert {rec.obj_id: rec for rec in r.trace_log.records}[0].censored
+    log = read_back(r.trace_log)
+    assert {rec.obj_id: rec for rec in log.records}[0].censored
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from support import (
     in_key_order,
     oracle_checked_copies,
     oracle_checked_points,
+    read_back,
 )
 
 # A 100-cell list stays live, so a copy keeps about 200 slots and the
@@ -98,7 +99,7 @@ def test_copy_between_points_leaves_ghosts():
     points = sum(s.trigger == "exhaustion" for s in r.collections)
     assert copies > points
     assert checked.dated_points > 0
-    assert in_key_order(r.trace_log)
+    assert in_key_order(read_back(r.trace_log))
 
 
 def test_ghosts_of_copies_out_of_id_order_are_sorted(monkeypatch):
@@ -126,7 +127,7 @@ def test_ghosts_of_copies_out_of_id_order_are_sorted(monkeypatch):
                        gc_interval=8, heap_slots=44)
     assert r.value_repr == "11"
     assert checked.dated_points > 0
-    log = r.trace_log
+    log = read_back(r.trace_log)
     assert in_key_order(log)
     rows = Counter(map(str, log.columns.collect_tick))
     for ticks in sorted_ticks:
@@ -154,7 +155,7 @@ def test_exhaustion_point_is_dated_by_a_later_copy():
         rt.alloc_pair(0, 0)  # an interval point
         log = rt.terminate()
     assert checked.dated == ["interval", "exhaustion", "interval"]
-    [rec] = [r for r in log.records if r.obj_id == g.obj_id]
+    [rec] = [r for r in read_back(log).records if r.obj_id == g.obj_id]
     assert rec.collect_tick == rt.collections[-2].tick
 
 

@@ -1,13 +1,12 @@
 import gc
 import random
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from dragprof import analyzer, profiler, runtime
+import dragprof
+from dragprof import analyzer, atomic, profiler, runtime
 from dragprof.errors import (
     DanglingRef,
     DraglogFormatError,
@@ -18,18 +17,20 @@ from dragprof.interp import Interpreter, parse, run_source
 from dragprof.profiler import (
     CollectionStats,
     Columns,
-    TraceLog,
+    draglog_end,
+    draglog_header,
     format_draglog,
     parse_draglog,
-    write_draglog,
 )
 from dragprof.runtime import Runtime
 from support import (
     counted_sorts,
     in_key_order,
+    log_text,
     logged_rows,
     make_log,
     nullified_source,
+    read_back,
     trace_logs,
 )
 
@@ -92,7 +93,7 @@ def test_never_used_survives_to_the_log_as_sentinel():
     rt = make_runtime()
     create(rt)
     log = rt.terminate()
-    [rec] = log.records
+    [rec] = read_back(log).records
     assert rec.last_use_tick == NEVER_USED
     assert " -1 " in format_draglog(log).splitlines()[1]
 
@@ -206,7 +207,7 @@ def test_finalize_censors_remaining_and_sorts():
     roots = [rt.heap.objects[1], rt.heap.objects[3]]
     rt.roots = lambda: roots
     flush(rt, {1, 3})  # collects 0 and 2 at tick 4
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     assert [r.obj_id for r in log.records] == [0, 2, 1, 3]
     assert [r.censored for r in log.records] == [False, False, True, True]
     # exactly-once: every creation appears once, as collected or censored
@@ -246,27 +247,22 @@ def test_a_run_log_holds_at_most_48_bytes_a_record(gc_interval):
 
 
 def test_writing_a_run_log_never_holds_its_text(tmp_path):
-    # the log goes to its file a piece at a time: one join of the whole
-    # text would allocate a second copy of it
-    log = run_source(nullified_source(20_000), gc_interval=16).trace_log
-    size = len(format_draglog(log))
+    # a run with the file's writer writes its log a sealed tick at a
+    # time, so its log holds no text and the whole run, compiling and
+    # collecting included, peaks below half of it: the text itself, or
+    # one join of it, would take all of it
+    src = nullified_source(20_000)
     path = tmp_path / "stream.draglog"
     tracemalloc.start()
     try:
-        write_draglog(log, path)
+        with atomic.opened(path) as write:
+            log = run_source(src, gc_interval=16, write=write).trace_log
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size == size > 500_000
-    assert peak < size // 4
-
-
-def written_bytes(log) -> bytes:
-    """The bytes write_draglog writes for log."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "written.draglog"
-        write_draglog(log, path)
-        return path.read_bytes()
+    assert log.text is None
+    assert path.stat().st_size > 500_000
+    assert peak < path.stat().st_size // 2
 
 
 @pytest.mark.parametrize("source, gc_interval", [
@@ -275,10 +271,51 @@ def written_bytes(log) -> bytes:
     (nullified_source(300), 1),
     (nullified_source(3000), 16),
 ], ids=["empty", "survivors", "stream-k1", "stream-k16"])
-def test_a_written_run_log_is_its_formatted_text(source, gc_interval):
+def test_a_written_run_log_is_its_formatted_text(source, gc_interval,
+                                                 tmp_path):
+    path = tmp_path / "written.draglog"
+    with atomic.opened(path) as write:
+        run_source(source, gc_interval=gc_interval,
+                   source_name="\u03bb.scm", write=write)
     log = run_source(source, gc_interval=gc_interval,
                      source_name="\u03bb.scm").trace_log
-    assert written_bytes(log) == format_draglog(log).encode("utf-8")
+    assert path.read_bytes() == format_draglog(log).encode("utf-8")
+
+
+@pytest.mark.parametrize("gc_interval", [1, 16])
+@pytest.mark.parametrize("name", ["motiv.scm", "motiv-nullified.scm",
+                                  "list-stress.scm", "vector-stress.scm"])
+def test_a_run_writes_its_header_first_and_end_last(name, gc_interval):
+    # the runtime is the log's one writer: a run with a writer of its own
+    # writes the very text its in-memory twin keeps
+    source = dragprof.bundled_program(name)
+    written = []
+    rt = Runtime(gc_interval=gc_interval, source_name=name,
+                 write=written.append)
+    assert written == [draglog_header(gc_interval, rt.heap.capacity_slots,
+                                      name)]
+    Interpreter(rt).eval_program(parse(source))
+    log = rt.terminate()
+    assert written[-1] == draglog_end(log.end_tick)
+    assert "".join(written) == format_draglog(
+        run_source(source, gc_interval=gc_interval,
+                   source_name=name).trace_log)
+
+
+def test_a_run_log_is_never_read_back(monkeypatch):
+    # nothing an in-process run or its log offers parses the text again
+    def refuse(*args):
+        raise AssertionError("a run's log was read back")
+
+    monkeypatch.setattr(profiler, "_read_columns", refuse)
+    monkeypatch.setattr(profiler, "parse_draglog", refuse)
+    log = run_source(nullified_source(300), gc_interval=16).trace_log
+    text = format_draglog(log)
+    assert text.startswith("DRAGLOG 1 ")
+    assert text.endswith(f"\nEND {log.end_tick}\n")
+    assert len(log.records) == text.count("\nOBJ ") == 300
+    assert log.end_tick > 600
+    assert log.columns is None
 
 
 def batch(first_id, n):
@@ -308,14 +345,15 @@ def test_an_early_break_sorts_only_its_own_tick(monkeypatch):
     log = rt.terminate()
     assert counts == [2]
     assert len(log.records) == 5002
-    assert in_key_order(log)
+    assert in_key_order(read_back(log))
 
 
 def test_a_broken_tick_is_written_alone_once_sorted(monkeypatch):
     # ticks 1 to 62 log a batch each, then tick 63 four batches in
     # descending id order: none of its rows reaches the writer while the
     # tick is open, and once the next tick is logged its rows alone are
-    # sorted and written, as one string
+    # sorted and written, as one string.  The header comes first, and
+    # END last.
     counts = counted_sorts(monkeypatch)
     written = []
     rt = make_runtime(write=written.append)
@@ -324,21 +362,20 @@ def test_a_broken_tick_is_written_alone_once_sorted(monkeypatch):
     tick = 63
     for j in range(4):
         rt._log(batch(2 * tick + 2 * (3 - j), 2), tick, False)
-        assert len(written) == 62
+        assert len(written) == 63
         assert [s.count("\n") for s in rt._open] == [2] * (j + 1)
     rt._log(batch(2 * 64 + 6, 2), 64, False)
     assert counts == [8]
-    assert len(written) == 63 and written[-1].count(" 63 F\n") == 8
+    assert len(written) == 64 and written[-1].count(" 63 F\n") == 8
     for tick in range(65, 192):
         rt._log(batch(2 * tick + 6, 2), tick, False)
     rt.clock = tick
     log = rt.terminate()
     assert counts == [8]
-    assert log.lines is None and len(written) == 191
+    assert log.text is None and len(written) == 193
     assert [len({line.split(" ")[6] for line in s.splitlines()})
-            for s in written] == [1] * 191
-    log = TraceLog(log.gc_interval, log.heap_slots, log.source,
-                   log.end_tick, lines=written, record_count=rt.logged)
+            for s in written[1:-1]] == [1] * 191
+    log = parse_draglog("".join(written))
     assert sorted(log.columns.obj_id) == list(range(2, 390))
     assert in_key_order(log)
 
@@ -355,7 +392,7 @@ def test_terminate_checks_order_in_place_and_releases_the_heap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = "".join(written).count("\n")
+    rows = "".join(written).count("\nOBJ ")
     assert rows == len(log.records) >= 20_000
     assert peak < 4 * rows
     assert rt.heap.slots == []
@@ -372,7 +409,7 @@ def test_an_in_order_run_computes_no_sort_key(monkeypatch):
     monkeypatch.setattr(runtime, "sorted_lines", refuse)
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(nullified_source(2000)))
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     assert len(log.records) == 2000
     assert in_key_order(log)
 
@@ -384,7 +421,7 @@ def test_a_survivor_sorts_only_the_rows_at_end_tick(monkeypatch):
     src = f"(define keep (cons 1 2))\n{nullified_source(20_000)}\nkeep"
     rt = Runtime(gc_interval=16)
     Interpreter(rt).eval_program(parse(src))
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     assert len(log.records) == 20_001
     assert in_key_order(log)
     at_end = list(log.columns.collect_tick).count(log.end_tick)
@@ -409,7 +446,7 @@ def test_death_groups_out_of_point_order_are_sorted(monkeypatch):
     rt.open_point("interval")
     rt.flush_unmarked(set(), rt.heap.slots)
     assert logged_keys(rt) == ([1, 0], [2, 3])
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     assert [(r.collect_tick, r.obj_id) for r in log.records] == [
         (2, 1), (3, 0)]
     assert counts == []
@@ -431,7 +468,7 @@ def test_ghosts_of_two_copies_are_sorted():
     a, b = ghosts_of_two_copies(rt)
     rt.open_point("interval")
     assert logged_rows(rt).obj_id == [b.obj_id, a.obj_id]
-    log = rt.terminate()
+    log = read_back(rt.terminate())
     assert [r.obj_id for r in log.records] == [a.obj_id, b.obj_id]
     assert in_key_order(log)
 
@@ -487,28 +524,10 @@ def test_draglog_roundtrip():
     assert parsed.gc_interval == 4
     assert parsed.heap_slots == 128
     assert parsed.source == "roundtrip.scm"
-    assert parsed.end_tick == log.end_tick
-    assert list(parsed.records) == list(log.records)
-
-
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_a_parsed_log_formats_across_run_edges(extra):
-    # a parsed log is written a string per run of rows that share their
-    # collect tick and censored flag, four rows here: the log ends one
-    # row before a run's end, at it or one row after it, and each row
-    # formats as one line
-    n = 4 * 25 + extra
-    end = n + 1 + n // 8
-    rows = [(i, PAIR if i % 2 else VECTOR, 2 if i % 2 else i % 5, i + 1,
-             NEVER_USED if i % 3 else i + 1, n + 1 + i // 8, i // 4 % 2 == 0)
-            for i in range(n)]
-    log = TraceLog(3, 128, "edges", end, Columns(*map(list, zip(*rows))))
-    lines = ["DRAGLOG 1 gc_interval=3 heap_slots=128 source=edges"]
-    for obj_id, kind, size, create, last_use, collect, censored in rows:
-        lines.append(f"OBJ {obj_id} {kind} {size} {create} {last_use} "
-                     f"{collect} {'C' if censored else 'F'}")
-    lines.append(f"END {end}")
-    assert format_draglog(log) == "\n".join(lines) + "\n"
+    assert parsed.end_tick == log.end_tick == 5
+    assert list(parsed.records) == [(0, VECTOR, 5, 1, NEVER_USED, 4, False),
+                                    (1, PAIR, 2, 2, 4, 4, False),
+                                    (2, PAIR, 2, 3, NEVER_USED, 5, True)]
 
 
 def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
@@ -535,7 +554,6 @@ def test_a_parsed_log_makes_records_only_when_they_are_read(monkeypatch):
     assert all(type(row) is Columns for row in rows)
     assert list(log.records) == rows
     assert made == [1, 0, 1, 0]
-    assert format_draglog(log) == text
 
 
 @settings(max_examples=300)
@@ -545,17 +563,9 @@ def test_every_log_a_run_could_write_parses_as_written(log):
     # the one record check and parse back to the same columns
     rows = sorted(log.records, key=lambda r: (r.collect_tick, r.obj_id))
     log = make_log(rows, log.end_tick)
-    parsed = parse_draglog(format_draglog(log))
+    parsed = parse_draglog(log_text(log))
     assert parsed.columns == log.columns
     assert parsed.end_tick == log.end_tick
-
-
-@settings(max_examples=100, deadline=None)
-@given(trace_logs())
-def test_a_written_parsed_log_is_its_formatted_text(log):
-    rows = sorted(log.records, key=lambda r: (r.collect_tick, r.obj_id))
-    log = parse_draglog(format_draglog(make_log(rows, log.end_tick)))
-    assert written_bytes(log) == format_draglog(log).encode("utf-8")
 
 
 def test_a_log_read_in_slices_reads_as_a_whole(monkeypatch):

@@ -2,8 +2,9 @@
 
 Hypothesis drives `run` with generated programs over a range of heap
 sizes and intervals (exit 0-3), and `analyze` with byte-mutated trace
-logs (exit 0 or 1).  A generated program's log also reads back as the
-columns, and the report, of the run that wrote it.  The examples are
+logs (exit 0 or 1).  A generated program's log, written by `run` or
+kept by an in-process run, reads back through the one reader as the
+same columns and the same report.  The examples are
 derandomized, so a run of the suite checks the same inputs every time.
 """
 
@@ -53,16 +54,26 @@ def test_run_of_a_generated_program_ends_in_0_to_3(seed, k, heap):
        k=st.sampled_from([1, 3, 16]),
        heap=st.sampled_from([64, 512]))
 def test_a_log_reads_back_as_the_runs_columns_and_report(seed, k, heap):
+    program = ProgramGenerator(seed).program()
     try:
-        log = run_source(ProgramGenerator(seed).program(), gc_interval=k,
-                         heap_slots=heap).trace_log
+        log = run_source(program, gc_interval=k, heap_slots=heap,
+                         source_name="gen.scm").trace_log
     except DragProfError:  # a runtime error or out of memory: no log
         return
-    parsed = parse_draglog(format_draglog(log))
-    # a run's columns are read from its lines, a parsed log's from the
-    # whole text, header and END line included
-    assert list(map(list, parsed.columns)) == list(map(list, log.columns))
-    assert build_report(parsed) == build_report(log)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "gen.scm"
+        src.write_text(program, encoding="utf-8")
+        written = Path(tmp) / "gen.draglog"
+        assert quiet_main(["run", src, "--gc-interval", k, "--heap-slots",
+                           heap, "--log", written]) == 0
+        text = written.read_bytes().decode("utf-8")
+    # the file's bytes and the in-memory text go through one reader
+    parsed, kept = parse_draglog(text), parse_draglog(format_draglog(log))
+    assert (parsed.gc_interval, parsed.heap_slots, parsed.source,
+            parsed.end_tick) == (kept.gc_interval, kept.heap_slots,
+                                 kept.source, kept.end_tick)
+    assert parsed.columns == kept.columns
+    assert build_report(parsed) == build_report(kept)
 
 
 def _base_log():

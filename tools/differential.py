@@ -20,8 +20,8 @@ size.  Each checkout runs them all in its own child process, with only
 that checkout's src on PYTHONPATH, through dragprof.interp.run_source
 under the CLI's recursion limit.  Per run, the two must agree on the
 result (the value's rendering or the exception's type and text), the
-DRAGLOG file that dragprof.profiler.write_draglog writes (to a temp
-directory, read back as text), the CollectionStats list, what the
+run's DRAGLOG text (dragprof.profiler.format_draglog, the bytes
+`dragprof run` writes), the CollectionStats list, what the
 program displayed, the root set of every collection point (as sorted
 object ids, so the order the interpreter walks its roots in may change)
 and the analysis of the log: the four outputs of `dragprof analyze`
@@ -108,7 +108,7 @@ def child():
     import dragprof
     from dragprof.cli import RUN_RECURSION_LIMIT
     from dragprof.interp import run_source
-    from dragprof.profiler import write_draglog
+    from dragprof.profiler import format_draglog
     from dragprof.runtime import Runtime
 
     points = []
@@ -121,27 +121,23 @@ def child():
 
     sys.setrecursionlimit(RUN_RECURSION_LIMIT)
     print(json.dumps(dragprof.__file__), flush=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        written = Path(tmp) / "run.draglog"
-        for index, (name, source, k, heap) in enumerate(
-                json.load(sys.stdin)):
-            shown = io.StringIO()
-            log = collections = ""
-            points.clear()
-            try:
-                with contextlib.redirect_stdout(shown):
-                    r = run_source(source, gc_interval=k, heap_slots=heap,
-                                   source_name=name)
-                result = "value " + r.value_repr
-                write_draglog(r.trace_log, written)
-                log = written.read_bytes().decode("utf-8")
-                collections = repr(r.collections)
-            except Exception as exc:  # every outcome is compared, not judged
-                result = f"error {type(exc).__name__}: {exc}"
-            print(json.dumps([_digest(t) for t in
-                              (result, log, collections, shown.getvalue(),
-                               repr(points), analysis(log, index))]),
-                  flush=True)
+    for index, (name, source, k, heap) in enumerate(json.load(sys.stdin)):
+        shown = io.StringIO()
+        log = collections = ""
+        points.clear()
+        try:
+            with contextlib.redirect_stdout(shown):
+                r = run_source(source, gc_interval=k, heap_slots=heap,
+                               source_name=name)
+            result = "value " + r.value_repr
+            log = format_draglog(r.trace_log)
+            collections = repr(r.collections)
+        except Exception as exc:  # every outcome is compared, not judged
+            result = f"error {type(exc).__name__}: {exc}"
+        print(json.dumps([_digest(t) for t in
+                          (result, log, collections, shown.getvalue(),
+                           repr(points), analysis(log, index))]),
+              flush=True)
 
 
 def analysis(text, index):
